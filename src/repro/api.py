@@ -7,10 +7,10 @@ needs goes through five keyword-only entry points:
   :class:`~repro.backends.CacheBackend` protocol (the only sanctioned
   construction site; lint rule R006 flags direct ``CNTCache(...)``
   calls elsewhere in the package, and direct construction warns).
-  ``backend="scalar"`` (default) is the bit-exact reference
-  interpreter; ``backend="array"`` is the integer-packed engine with
-  identical stats at an order of magnitude higher throughput — see
-  :func:`repro.backends.backends` for the registry.
+  ``backend="array"`` (default) is the integer-packed engine;
+  ``backend="scalar"`` is the bit-exact reference interpreter it is
+  differential-tested against (identical stats, an order of magnitude
+  slower) — see :mod:`repro.backends`.
 * :func:`make_engine` — construct an :class:`~repro.exec.ExecEngine`
   (dedup + disk cache + worker processes + observability).
 * :func:`simulate` — one (workload, config) energy measurement.
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.backends import DEFAULT_BACKEND
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from pathlib import Path
 
@@ -48,7 +50,7 @@ __all__ = ["make_cache", "make_engine", "plan", "profile", "simulate"]
 def make_cache(
     *,
     config: "CNTCacheConfig | None" = None,
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
     **overrides: Any,
 ) -> "CacheBackend":
     """A configured simulator instance.
@@ -56,9 +58,8 @@ def make_cache(
     ``config`` is used as-is when given; field overrides (``scheme=...``,
     ``size=...``) apply on top of it, or on top of the paper-default
     config when ``config`` is omitted.  ``backend`` selects the engine
-    from the :func:`repro.backends.backends` registry: ``"scalar"`` is
-    the bit-exact reference interpreter, ``"array"`` the vectorized
-    engine with bit-identical stats (requires numpy).
+    (see :mod:`repro.backends`): ``"array"`` is the fast engine,
+    ``"scalar"`` the bit-exact reference interpreter.
     """
     from repro.backends import make_backend
     from repro.core.config import CNTCacheConfig
@@ -77,7 +78,6 @@ def make_engine(
     progress: Callable[[str], None] | None = None,
     obs: "Obs | None" = None,
     resilience: "ResilienceConfig | None" = None,
-    backend: str | None = None,
     exec_backend: str | None = None,
     broker: "BrokerConfig | str | Path | None" = None,
 ) -> "ExecEngine":
@@ -86,9 +86,7 @@ def make_engine(
     ``resilience`` tunes the fault-tolerance policy (retries, backoff,
     per-job timeouts, keep-going batches — see
     :class:`repro.resilience.ResilienceConfig`); ``None`` means the
-    self-healing defaults.  ``backend`` overrides the simulation engine
-    of every job the engine resolves (``None`` respects each job's own
-    selection).  ``exec_backend`` names the *execution* strategy
+    self-healing defaults.  ``exec_backend`` names the *execution* strategy
     (``local-serial``/``local-pool``/``broker`` — see
     :func:`repro.exec.exec_backends`); ``broker`` points at a shared
     work-broker directory (a path or a
@@ -104,7 +102,6 @@ def make_engine(
         progress=progress,
         obs=obs,
         resilience=resilience,
-        backend=backend,
         exec_backend=exec_backend,
         broker=broker,
     )
@@ -118,7 +115,7 @@ def simulate(
     seed: int = 7,
     engine: "ExecEngine | None" = None,
     obs: "Obs | None" = None,
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
 ) -> "RunResult":
     """One (workload, config) measurement.
 
@@ -128,8 +125,7 @@ def simulate(
     as a job — deduplicated, cacheable, parallelizable; without one it
     replays in-process.  ``obs`` follows the harness-wide convention
     documented in :mod:`repro.harness.runner`.  ``backend`` selects the
-    simulation engine (bit-identical stats across backends; an engine's
-    own ``backend`` override wins when set).
+    simulation engine (bit-identical stats across backends).
     """
     from repro.core.config import CNTCacheConfig
     from repro.harness.runner import _run_workload
@@ -180,13 +176,8 @@ def profile(
     top: int = 10,
     progress: Callable[[str], None] | None = None,
     resilience: "ResilienceConfig | None" = None,
-    backend: str | None = None,
 ) -> "ProfileReport":
-    """Replay experiments with probes on; returns the breakdown report.
-
-    ``backend`` overrides the simulation engine of every profiled job
-    (``None`` = each job's own selection, i.e. the scalar default).
-    """
+    """Replay experiments with probes on; returns the breakdown report."""
     from repro.obs.profile import profile_experiments
 
     return profile_experiments(
@@ -199,5 +190,4 @@ def profile(
         top=top,
         progress=progress,
         resilience=resilience,
-        backend=backend,
     )

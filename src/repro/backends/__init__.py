@@ -2,31 +2,30 @@
 
 A *backend* is an engine that replays a trace under one
 :class:`~repro.core.config.CNTCacheConfig` and produces an
-:class:`~repro.core.stats.EnergyStats`.  Two implementations exist:
+:class:`~repro.core.stats.EnergyStats`.  Two implementations exist,
+both stdlib-only:
 
 ``scalar``
     :class:`repro.core.cntcache.CNTCache` — the bit-exact reference
-    interpreter.  Pure Python, event-by-event, the oracle every other
-    backend is differential-tested against.
-``array``
+    interpreter.  Event-by-event, the oracle every other backend is
+    differential-tested against, and the only engine that emits
+    per-access trace events.
+``array`` (the default)
     :class:`repro.backends.array.ArrayCNTCache` — packs cache lines,
     direction words and the backing store into integers, precomputes the
     Algorithm 1 ``Th_bit1num`` rows and the Table I per-bit energies into
-    popcount-indexed lookup tables (built with numpy), and batches trace
-    preprocessing through numpy ``uint64`` arrays.  Produces bit-identical
-    ``EnergyStats`` at an order of magnitude higher replay throughput.
+    popcount-indexed lookup tables, and decodes trace batches up front.
+    Produces bit-identical ``EnergyStats`` at an order of magnitude
+    higher replay throughput.
 
 This module is the selection surface: :func:`make_backend` is what
 :func:`repro.api.make_cache` delegates to, and it is the only sanctioned
-constructor of simulator instances (lint rule R006).  It must import
-cleanly *without numpy* — the scalar path never touches it; numpy imports
-are confined to :mod:`repro.backends.array` (lint rule R009).
+constructor of simulator instances (lint rule R006).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -36,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.trace.record import Access
 
 #: The default backend of every construction surface.
-DEFAULT_BACKEND = "scalar"
+DEFAULT_BACKEND = "array"
 
 
 class BackendError(ValueError):
@@ -78,65 +77,13 @@ class CacheBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@dataclass(frozen=True)
-class BackendInfo:
-    """One registry row: what a backend is and what it needs."""
-
-    name: str
-    summary: str
-    #: Extra distributions the backend imports (empty = stdlib only).
-    requires: tuple[str, ...] = ()
-
-
-_BACKENDS: dict[str, BackendInfo] = {
-    "scalar": BackendInfo(
-        name="scalar",
-        summary=(
-            "bit-exact reference interpreter (pure Python, per-event "
-            "energy metering; the differential oracle)"
-        ),
-    ),
-    "array": BackendInfo(
-        name="array",
-        summary=(
-            "integer-packed replay engine with numpy-precomputed "
-            "popcount/threshold/energy tables (bit-identical stats, "
-            ">=10x throughput)"
-        ),
-        requires=("numpy",),
-    ),
-}
-
-
-def backends() -> dict[str, BackendInfo]:
-    """The backend registry (name -> :class:`BackendInfo`), copy."""
-    return dict(_BACKENDS)
+#: Selectable backend names, declaration order.
+_BACKEND_NAMES = ("scalar", "array")
 
 
 def backend_names() -> tuple[str, ...]:
-    """Selectable backend names, declaration order (default first)."""
-    return tuple(_BACKENDS)
-
-
-def _load_array_cls():
-    """Import the array engine, translating a missing numpy to BackendError."""
-    try:
-        from repro.backends.array import ArrayCNTCache
-    except ImportError as exc:
-        raise BackendError(
-            "the 'array' backend requires numpy (install the optional "
-            f"extra: pip install repro[array]); import failed: {exc}"
-        ) from exc
-    return ArrayCNTCache
-
-
-def array_available() -> bool:
-    """True when the array backend can be imported (numpy present)."""
-    try:
-        _load_array_cls()
-    except BackendError:
-        return False
-    return True
+    """Selectable backend names, declaration order."""
+    return _BACKEND_NAMES
 
 
 def make_backend(
@@ -149,12 +96,16 @@ def make_backend(
     This is the single sanctioned simulator constructor —
     :func:`repro.api.make_cache` delegates here, and direct
     ``CNTCache(...)`` construction elsewhere raises a DeprecationWarning.
+    Per-access tracing is scalar-only, so while :data:`repro.obs.trace.ACTIVE`
+    is set every selection builds the scalar engine (stats are identical).
     """
-    if name not in _BACKENDS:
+    from repro.obs import trace
+
+    if name not in _BACKEND_NAMES:
         raise BackendError(
             f"unknown backend {name!r}; known: {backend_names()}"
         )
-    if name == "scalar":
+    if name == "scalar" or trace.ACTIVE:
         from repro.core import cntcache
 
         with cntcache.facade_construction():
@@ -165,16 +116,15 @@ def make_backend(
             "store and cannot share a MainMemory; use backend='scalar' "
             "for shared-memory hierarchies"
         )
-    return _load_array_cls()(config)
+    from repro.backends.array import ArrayCNTCache
+
+    return ArrayCNTCache(config)
 
 
 __all__ = [
     "DEFAULT_BACKEND",
     "BackendError",
-    "BackendInfo",
     "CacheBackend",
-    "array_available",
     "backend_names",
-    "backends",
     "make_backend",
 ]

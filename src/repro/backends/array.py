@@ -13,13 +13,12 @@ throughput.  The representation changes, the arithmetic does not:
   matrix ``_th[Wr_num][bit1num]`` — the hardware's ``Th_bit1num`` rows,
   one per write count (quantised write counts are folded in via
   :meth:`repro.core.policy.AdaptivePolicy.effective_wr_num`).
-* Per-bit energies are popcount-indexed lookup tables built with numpy
-  from the Table I vector: ``E[n1] = n1*e_x1 + (L-n1)*e_x0``
-  elementwise, which is IEEE-identical to the scalar expressions in
+* Per-bit energies are popcount-indexed lookup tables built from the
+  Table I vector: ``E[n1] = n1*e_x1 + (L-n1)*e_x0`` in Python floats,
+  which is IEEE-identical to the scalar expressions in
   :meth:`repro.cnfet.energy.BitEnergyModel.read_energy`/``write_energy``.
-* Trace replay is batched: chunks of accesses run through numpy
-  ``uint64`` tag/set/offset decomposition and line-crossing detection
-  before the (inlined) per-access state machine consumes them.
+* The replay loop decodes tag, set, offset and line crossing inline and
+  runs the hit path without a single method call.
 
 Exactness contract: every energy component is accumulated in a local
 float with the *same addition sequence* the scalar oracle feeds through
@@ -29,22 +28,18 @@ oracle to the last ulp.  The Hypothesis differential suite in
 ``tests/backends`` enforces this across schemes, geometries and write
 policies.
 
-Observability differences (documented, stats-invariant): per-access
-trace events and ``codec.*`` probe counters are scalar-only; this
-backend emits the aggregate ``cache.*`` probe counters and the final
-``finalize`` trace event with identical totals.
+Observability: the engine emits the same aggregate ``cache.*`` and
+``codec.*`` probe counters as the scalar oracle.  Per-access trace
+events are scalar-only, so :func:`repro.backends.make_backend` builds
+the scalar engine while tracing is active.
 
-numpy imports are confined to this module (lint rule R009); construct
-instances through ``repro.api.make_cache(backend="array")``.
+Construct instances through ``repro.api.make_cache``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable
-from itertools import islice
-
-import numpy as np
 
 from repro.cache.replacement import (
     FIFOPolicy,
@@ -55,17 +50,15 @@ from repro.cache.replacement import (
 from repro.core.cntcache import WindowEvent
 from repro.core.config import CNTCacheConfig
 from repro.core.policy import AdaptivePolicy, EncodingPolicy, make_policy
-from repro.core.stats import ENERGY_COMPONENTS, EnergyStats
-from repro.obs import probe, trace
+from repro.core.stats import EnergyStats
+from repro.obs import probe
 from repro.predictor.history import history_bits
 from repro.trace.record import Access, Op
 
-#: Accesses decoded per numpy preprocessing batch.
-_BATCH = 1 << 16
-
-# Counter slots of self._C, in EnergyStats field order.
+# Counter slots of self._C: EnergyStats field order, then the codec
+# applies that inverted at least one partition (probe-only).
 (_ACC, _RDC, _WRC, _HIT, _MISS, _EVC, _WBC,
- _WIN, _DSW, _PFL, _PDR, _FDR) = range(12)
+ _WIN, _DSW, _PFL, _PDR, _FDR, _INV) = range(13)
 
 # Energy slots of self._E, in ENERGY_COMPONENTS order.
 (_DR, _DW, _FI, _WB, _MRD, _MWR, _RE, _LG, _PE, _LK) = range(10)
@@ -75,7 +68,7 @@ _FILL_ZERO, _FILL_ONE, _FILL_GREEDY0, _FILL_GREEDY1 = range(4)
 
 
 class ArrayCNTCache:
-    """Bit-exact vectorized replay engine for one encoding scheme.
+    """Bit-exact integer-packed replay engine for one encoding scheme.
 
     Implements the :class:`repro.backends.CacheBackend` protocol; the
     scalar :class:`~repro.core.cntcache.CNTCache` is the oracle it is
@@ -246,7 +239,7 @@ class ArrayCNTCache:
         self._p_bypass = 0
 
         # --- accumulators (flushed into stats by _sync) ----------------- #
-        self._C = [0] * 12
+        self._C = [0] * 13
         self._E = [0.0] * 10
 
     # ------------------------------------------------------------------ #
@@ -289,43 +282,10 @@ class ArrayCNTCache:
         return b"".join(chunks)
 
     def run(
-        self, trace_iter: Iterable[Access], finalize: bool = True
+        self, trace: Iterable[Access], finalize: bool = True
     ) -> EnergyStats:
         """Replay a whole trace; optionally drain pending updates at the end."""
-        it = iter(trace_iter)
-        line = self._line
-        ob, ib = self._off_bits, self._idx_bits
-        set_mask = self._n_sets - 1
-        while True:
-            batch = list(islice(it, _BATCH))
-            if not batch:
-                break
-            try:
-                addrs = np.fromiter(
-                    (a.addr for a in batch),
-                    dtype=np.uint64,
-                    count=len(batch),
-                )
-            except (OverflowError, ValueError):
-                # Addresses beyond uint64: decode per access in Python.
-                for a in batch:
-                    self._access_split(a)
-                continue
-            sizes = np.fromiter(
-                (len(a.data) for a in batch),
-                dtype=np.int64,
-                count=len(batch),
-            )
-            offs = (addrs & np.uint64(line - 1)).astype(np.int64)
-            self._replay(
-                batch,
-                addrs.tolist(),
-                (addrs >> np.uint64(ob + ib)).tolist(),
-                ((addrs >> np.uint64(ob)) & np.uint64(set_mask)).tolist(),
-                offs.tolist(),
-                sizes.tolist(),
-                (offs + sizes > line).tolist(),
-            )
+        self._replay(trace)
         if finalize:
             self.finalize()
         else:
@@ -340,8 +300,6 @@ class ArrayCNTCache:
         self._sync()
         if probe.ENABLED:
             self._flush_probes()
-        if trace.ACTIVE:
-            self._trace_finalize()
 
     def preload(self, addr: int, payload: bytes) -> None:
         """Install initial memory contents (program image) before a run."""
@@ -386,10 +344,15 @@ class ArrayCNTCache:
         return len(self._queue)
 
     # ------------------------------------------------------------------ #
-    # the batched replay loop (hit path inlined)
+    # the replay loop (decode and hit path inlined)
     # ------------------------------------------------------------------ #
-    def _replay(self, batch, addrs, tags, sets, offs, sizes, cross):
+    def _replay(self, trace: Iterable[Access]) -> None:
         C, E = self._C, self._E
+        line = self._line
+        off_mask = line - 1
+        ob = self._off_bits
+        tag_shift = ob + self._idx_bits
+        set_mask = self._n_sets - 1
         tmaps = self._tmaps
         assoc = self._assoc
         data_l, dirval_l, dirty_l = self._data, self._dirval, self._dirty
@@ -429,15 +392,21 @@ class ArrayCNTCache:
         # drains) the locals are stored back and reloaded, preserving
         # the global addition order bit for bit.
         c_acc, c_rd, c_wr, c_hit = C[_ACC], C[_RDC], C[_WRC], C[_HIT]
+        c_inv = C[_INV]
         e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
         e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
 
-        for a, addr, tag, set_index, offset, size, cr in zip(
-            batch, addrs, tags, sets, offs, sizes, cross
-        ):
+        for a in trace:
+            addr = a.addr
+            size = len(a.data)
+            offset = addr & off_mask
+            tag = addr >> tag_shift
+            set_index = (addr >> ob) & set_mask
+            cr = offset + size > line
             way = None if cr else tmaps[set_index].get(tag)
             if way is None:
                 C[_ACC], C[_RDC], C[_WRC], C[_HIT] = c_acc, c_rd, c_wr, c_hit
+                C[_INV] = c_inv
                 E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
                 E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
                 if cr:
@@ -448,6 +417,7 @@ class ArrayCNTCache:
                         size, a.data,
                     )
                 c_acc, c_rd, c_wr, c_hit = C[_ACC], C[_RDC], C[_WRC], C[_HIT]
+                c_inv = C[_INV]
                 e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
                 e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
                 continue
@@ -497,9 +467,12 @@ class ArrayCNTCache:
                     self._stored_ones += (after ^ new_mask).bit_count() - (
                         before ^ old_mask
                     ).bit_count()
+                    c_inv += (new_dirval != 0) + (dirval != 0)
                 if gran_line:
                     ones = (after ^ new_mask).bit_count()
                     e_dw = e_dw + wr_full[ones]
+                    if new_dirval:
+                        c_inv += 1
                 else:
                     ones = (((after ^ new_mask) & smask) >> shift).bit_count()
                     e_dw = e_dw + (ones * e_wr1 + (size * 8 - ones) * e_wr0)
@@ -512,6 +485,8 @@ class ArrayCNTCache:
                 if gran_line:
                     ones = (data_l[lid] ^ mask).bit_count()
                     e_dr = e_dr + rd_full[ones]
+                    if dirval:
+                        c_inv += 1
                 else:
                     shift = offset * 8
                     word = ((data_l[lid] ^ mask) >> shift) & (
@@ -553,10 +528,11 @@ class ArrayCNTCache:
                     e_mwr = e_mwr + hwt[hv.bit_count()]
                 if h_a == window:
                     C[_ACC], C[_RDC] = c_acc, c_rd
-                    C[_WRC], C[_HIT] = c_wr, c_hit
+                    C[_WRC], C[_HIT], C[_INV] = c_wr, c_hit, c_inv
                     E[_DR], E[_DW], E[_MRD] = e_dr, e_dw, e_mrd
                     E[_MWR], E[_LG], E[_PE], E[_LK] = e_mwr, e_lg, e_pe, e_lk
                     self._window_complete(lid, set_index, way, h_w)
+                    c_inv = C[_INV]
                     e_mrd, e_mwr = E[_MRD], E[_MWR]
                     e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
             if queue and drain_budget:
@@ -568,11 +544,12 @@ class ArrayCNTCache:
                 e_lk = e_lk + leak.cycle_energy(so, total_bits - so)
 
         C[_ACC], C[_RDC], C[_WRC], C[_HIT] = c_acc, c_rd, c_wr, c_hit
+        C[_INV] = c_inv
         E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
         E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
 
     def _access_split(self, a: Access) -> None:
-        """Line-crossing (or huge-address) access: decode chunks in Python."""
+        """Line-crossing access: decode and apply it chunk by chunk."""
         line = self._line
         ob, ib = self._off_bits, self._idx_bits
         set_mask = self._n_sets - 1
@@ -675,6 +652,8 @@ class ArrayCNTCache:
                 self._stored_ones -= (
                     victim_data ^ self._mask_for(victim_dirval)
                 ).bit_count()
+                if victim_dirval:
+                    C[_INV] += 1
         before = self._data[lid]
         if is_write:
             value = int.from_bytes(payload, "little")
@@ -691,6 +670,8 @@ class ArrayCNTCache:
             stored = victim_data ^ self._mask_for(victim_dirval)
             ones = stored.bit_count()
             E[_WB] = E[_WB] + self._rd_full[ones]
+            if victim_dirval:
+                C[_INV] += 1
             E[_PE] = E[_PE] + self._peri
             if self._meta and self._mr is not None:
                 mones = victim_dirval.bit_count()
@@ -778,6 +759,8 @@ class ArrayCNTCache:
             self._hwn[lid] = 0
         ones = (fill_int ^ self._mask_for(dirval)).bit_count()
         E[_FI] = E[_FI] + self._wr_full[ones]
+        if dirval:
+            C[_INV] += 1
         if self._track:
             self._stored_ones += ones
         E[_PE] = E[_PE] + self._peri
@@ -786,7 +769,7 @@ class ArrayCNTCache:
             E[_MWR] = E[_MWR] + self._mwf[dirval.bit_count()]
 
     def _on_data_write(self, lid, set_index, before, offset, size) -> None:
-        E = self._E
+        C, E = self._C, self._E
         after = self._data[lid]
         dirval = self._dirval[lid]
         if self._is_dbi:
@@ -800,10 +783,13 @@ class ArrayCNTCache:
             self._stored_ones += (
                 after ^ self._mask_for(new_dirval)
             ).bit_count() - (before ^ self._mask_for(dirval)).bit_count()
+            C[_INV] += (new_dirval != 0) + (dirval != 0)
         new_mask = self._mask_for(new_dirval)
         if self._gran_line:
             ones = (after ^ new_mask).bit_count()
             E[_DW] = E[_DW] + self._wr_full[ones]
+            if new_dirval:
+                C[_INV] += 1
         else:
             shift = offset * 8
             word = ((after ^ new_mask) >> shift) & ((1 << (size * 8)) - 1)
@@ -822,6 +808,8 @@ class ArrayCNTCache:
         if self._gran_line:
             ones = (self._data[lid] ^ mask).bit_count()
             E[_DR] = E[_DR] + self._rd_full[ones]
+            if dirval:
+                self._C[_INV] += 1
         else:
             shift = offset * 8
             word = ((self._data[lid] ^ mask) >> shift) & (
@@ -857,6 +845,8 @@ class ArrayCNTCache:
         C[_WIN] += 1
         E[_LG] = E[_LG] + self._pred_logic
         dirval = self._dirval[lid]
+        if dirval:
+            C[_INV] += 1
         stored = self._data[lid] ^ self._mask_for(dirval)
         row = self._th[wr_num]
         pb, pm, k = self._pbits, self._pmask, self._k
@@ -1022,18 +1012,18 @@ class ArrayCNTCache:
         s = self.stats
         (s.accesses, s.reads, s.writes, s.hits, s.misses, s.evictions,
          s.writebacks, s.windows_completed, s.direction_switches,
-         s.partition_flips, s.pending_dropped, s.forced_drains) = self._C
+         s.partition_flips, s.pending_dropped, s.forced_drains) = self._C[:_INV]
         (s.data_read_fj, s.data_write_fj, s.fill_fj, s.writeback_fj,
          s.metadata_read_fj, s.metadata_write_fj, s.reencode_fj,
          s.logic_fj, s.peripheral_fj, s.leakage_fj) = self._E
 
     def _flush_probes(self) -> None:
-        """Emit the aggregate ``cache.*`` counters the scalar substrate
-        emits per access (bypassed stores are write misses that touch
-        neither the demand nor the fill counters)."""
+        """Emit the aggregate ``cache.*`` and ``codec.*`` counters the
+        scalar oracle emits per access (bypassed stores are write misses
+        that touch neither the demand nor the fill counters)."""
         C = self._C
         bypass = self._p_bypass
-        for name, count in (
+        counts = [
             ("cache.accesses", C[_ACC]),
             ("cache.hits", C[_HIT]),
             ("cache.misses", C[_MISS]),
@@ -1042,33 +1032,26 @@ class ArrayCNTCache:
             ("cache.fills", C[_MISS] - bypass),
             ("cache.writebacks", C[_WBC]),
             ("cache.bypass_writes", bypass),
-        ):
+        ]
+        if not self._is_baseline:  # the identity codec counts nothing
+            # The scalar engine encodes a whole line at every fill,
+            # writeback and window completion, at every line-granularity
+            # data access, and (leakage tracking) once per victim and
+            # twice per data write.
+            applies = C[_MISS] - bypass + C[_WBC] + C[_WIN]
+            if self._gran_line:
+                applies += C[_ACC] - bypass
+            if self._track:
+                applies += C[_EVC] + 2 * (C[_WRC] - bypass)
+            name = self.codec.name
+            counts += [
+                (f"codec.{name}.applies", applies),
+                (f"codec.{name}.bytes", applies * self._line),
+                (f"codec.{name}.inverting_applies", C[_INV]),
+            ]
+        for name, count in counts:
             if count:
                 probe.counter(name, count)
-
-    def _trace_finalize(self) -> None:
-        C, E = self._C, self._E
-        energy = {
-            name: E[index]
-            for index, name in enumerate(ENERGY_COMPONENTS)
-            if E[index]
-        }
-        decisions = {}
-        for name, index in (
-            ("direction_switches", _DSW),
-            ("partition_flips", _PFL),
-            ("windows_completed", _WIN),
-        ):
-            if C[index]:
-                decisions[name] = C[index]
-        trace.emit(
-            "finalize",
-            index=C[_ACC],
-            scheme=self.config.scheme,
-            pending_dropped=C[_PDR],
-            energy=energy,
-            **decisions,
-        )
 
 
 #: Memoized tables, shared by every instance with the same parameters.
@@ -1083,16 +1066,21 @@ _TH_CACHE: dict[tuple, list[list[bool]]] = {}
 def _energy_tables(model, width: int) -> tuple[list[float], list[float]]:
     """Popcount-indexed (read, write) energy tables for a ``width``-bit word.
 
-    Built elementwise from the Table I vector with numpy; each entry is
-    IEEE-identical to the scalar ``ones * e_x1 + zeros * e_x0``.
+    Each entry is IEEE-identical to the scalar
+    ``ones * e_x1 + zeros * e_x0`` of the Table I vector.
     """
     key = (model, width)
     cached = _TABLE_CACHE.get(key)
     if cached is None:
-        counts = np.arange(width + 1, dtype=np.float64)
-        zeros = np.float64(width) - counts
-        read = counts * model.e_rd1 + zeros * model.e_rd0
-        write = counts * model.e_wr1 + zeros * model.e_wr0
-        cached = (read.tolist(), write.tolist())
+        cached = (
+            [
+                float(n) * model.e_rd1 + float(width - n) * model.e_rd0
+                for n in range(width + 1)
+            ],
+            [
+                float(n) * model.e_wr1 + float(width - n) * model.e_wr0
+                for n in range(width + 1)
+            ],
+        )
         _TABLE_CACHE[key] = cached
     return cached

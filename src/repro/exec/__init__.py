@@ -13,7 +13,7 @@ for the job model, hash scheme, cache layout and invalidation rules.
 
 from repro.exec.backends import (
     ExecBackendError,
-    ExecBackendInfo,
+    ExecBackendSpec,
     exec_backend_names,
     exec_backends,
     make_exec_backend,
@@ -65,7 +65,7 @@ __all__ = [
     "EngineCounters",
     "EngineError",
     "ExecBackendError",
-    "ExecBackendInfo",
+    "ExecBackendSpec",
     "ExecEngine",
     "ExecResult",
     "FailureRecord",

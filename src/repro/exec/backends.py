@@ -53,7 +53,7 @@ class ExecBackendError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExecBackendInfo:
+class ExecBackendSpec:
     """One registered execution backend.
 
     ``name``
@@ -254,18 +254,18 @@ class BrokerExecBackend(ExecBackend):
 
 
 #: The registry, keyed by backend name (stable, user-facing).
-_EXEC_BACKENDS: dict[str, ExecBackendInfo] = {
-    "local-serial": ExecBackendInfo(
+_EXEC_BACKENDS: dict[str, ExecBackendSpec] = {
+    "local-serial": ExecBackendSpec(
         name="local-serial",
         summary="in-process execution with bounded retries",
         factory=LocalSerialBackend,
     ),
-    "local-pool": ExecBackendInfo(
+    "local-pool": ExecBackendSpec(
         name="local-pool",
         summary="ProcessPoolExecutor rounds with timeouts/rebuilds/fallback",
         factory=LocalPoolBackend,
     ),
-    "broker": ExecBackendInfo(
+    "broker": ExecBackendSpec(
         name="broker",
         summary="filesystem work broker drained by cntcache worker fleets",
         factory=BrokerExecBackend,
@@ -274,7 +274,7 @@ _EXEC_BACKENDS: dict[str, ExecBackendInfo] = {
 }
 
 
-def exec_backends() -> tuple[ExecBackendInfo, ...]:
+def exec_backends() -> tuple[ExecBackendSpec, ...]:
     """Every registered execution backend, in registration order."""
     return tuple(_EXEC_BACKENDS.values())
 
@@ -299,7 +299,7 @@ __all__ = [
     "BrokerExecBackend",
     "ExecBackend",
     "ExecBackendError",
-    "ExecBackendInfo",
+    "ExecBackendSpec",
     "LocalPoolBackend",
     "LocalSerialBackend",
     "exec_backend_names",

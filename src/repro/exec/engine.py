@@ -45,7 +45,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.backends import backend_names
 from repro.exec.backends import exec_backend_names, make_exec_backend
 from repro.exec.broker import BrokerConfig
 from repro.exec.job import SimJob
@@ -87,17 +86,12 @@ class ExecEngine:
         progress: Callable[[str], None] | None = None,
         obs=None,
         resilience: ResilienceConfig | None = None,
-        backend: str | None = None,
         exec_backend: str | None = None,
         broker: BrokerConfig | str | Path | None = None,
         telemetry: str | Path | TelemetryWriter | None = None,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise EngineError(f"jobs must be a positive int, got {jobs!r}")
-        if backend is not None and backend not in backend_names():
-            raise EngineError(
-                f"unknown backend {backend!r}; known: {backend_names()}"
-            )
         if resilience is None:
             resilience = ResilienceConfig()
         elif not isinstance(resilience, ResilienceConfig):
@@ -137,11 +131,6 @@ class ExecEngine:
         self.jobs = jobs
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.progress = progress
-        #: Backend override: when set, every simulating job this engine
-        #: resolves runs under this backend (see
-        #: :func:`repro.backends.backends`).  ``None`` respects each
-        #: job's own ``backend`` field.
-        self.backend = backend
         #: Execution-backend override (see :mod:`repro.exec.backends`).
         #: ``None`` selects locally by batch shape: ``local-pool`` when
         #: ``jobs > 1`` and more than one job is pending, else
@@ -226,29 +215,12 @@ class ExecEngine:
         (``result.ok is False``, ``result.failure`` carries the record)
         while the rest of the batch completes normally.
         """
-        ordered = [self._with_backend(job) for job in jobs]
+        ordered = list(jobs)
         with probe.recording(self.obs):
             with probe.timer("exec.batch"), trace.span(
                 "exec.batch", jobs=len(ordered)
             ):
                 return self._resolve(ordered)
-
-    def _with_backend(self, job: SimJob) -> SimJob:
-        """Apply the engine's backend override to one simulating job.
-
-        ``trace`` and ``oracle`` jobs never construct a simulator, so
-        their identity is left untouched — overriding them would only
-        split cache keys across provably identical results.
-        """
-        if (
-            self.backend is None
-            or job.backend == self.backend
-            or job.kind in ("trace", "oracle")
-        ):
-            return job
-        from dataclasses import replace
-
-        return replace(job, backend=self.backend)
 
     def _resolve(self, ordered: list[SimJob]) -> list[ExecResult]:
         plan = plan_jobs(ordered)
@@ -568,16 +540,15 @@ def run_selftest(
     is the determinism contract the parallel executor and the result
     cache both rest on.
 
-    When the array backend is importable, every simulating candidate is
-    additionally re-executed under ``backend="array"`` and its canonical
-    measurement must match the scalar oracle's byte for byte — the
-    cross-backend leg of the same contract.
+    Every simulating candidate (workload, l2, audit) is additionally
+    re-executed under ``backend="scalar"`` and its canonical measurement
+    must match the default engine's byte for byte — the cross-backend
+    leg of the same contract.
     """
     import tempfile
 
     from dataclasses import replace
 
-    from repro.backends import array_available
     from repro.core.config import CNTCacheConfig
     from repro.exec.job import (
         audit_job,
@@ -596,7 +567,6 @@ def run_selftest(
         audit_job(config, "records", size, seed),
         trace_job("crc32", size, seed),
     ]
-    cross_check = array_available()
     failures: list[str] = []
     with ProcessPoolExecutor(max_workers=1) as pool:
         for job in candidates:
@@ -619,12 +589,12 @@ def run_selftest(
                 failures.append(
                     f"{job.label}: in-process/subprocess/cache results differ"
                 )
-            if cross_check and job.kind in ("workload", "l2", "audit"):
-                mirrored = execute_job(replace(job, backend="array"))
+            if job.kind in ("workload", "l2", "audit"):
+                mirrored = execute_job(replace(job, backend="scalar"))
                 if mirrored.canonical() != inproc.canonical():
                     ok = False
                     failures.append(
-                        f"{job.label}: array backend diverges from the "
+                        f"{job.label}: default engine diverges from the "
                         "scalar oracle"
                     )
             if progress is not None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
-from repro.backends import backend_names
+from repro.backends import DEFAULT_BACKEND, backend_names
 from repro.core.config import CNTCacheConfig
 from repro.schemas import EXEC
 from repro.workloads.program import SIZES
@@ -223,7 +223,7 @@ class SimJob:
     the job stays hashable and its canonical JSON stays stable.
 
     ``backend`` names the simulation engine (see
-    :func:`repro.backends.backends`).  Backends are differential-tested
+    :mod:`repro.backends`).  Backends are differential-tested
     bit-identical, but the field still enters the job identity: a cached
     result honestly records which engine produced it, and a backend bug
     can never masquerade as the oracle's output.
@@ -235,7 +235,7 @@ class SimJob:
     seed: int
     config: CNTCacheConfig | None = None
     params: tuple[tuple[str, int], ...] = field(default=())
-    backend: str = "scalar"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -293,7 +293,7 @@ class SimJob:
     def label(self) -> str:
         """Short human label for progress lines and logs."""
         scheme = self.config.scheme if self.config is not None else "-"
-        suffix = "" if self.backend == "scalar" else f"@{self.backend}"
+        suffix = "" if self.backend == DEFAULT_BACKEND else f"@{self.backend}"
         return (
             f"{self.kind}:{self.workload}/{self.size}/s{self.seed}/{scheme}"
             f"{suffix}"
@@ -349,7 +349,7 @@ def workload_job(
     workload: str,
     size: str,
     seed: int,
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
 ) -> SimJob:
     """A full simulator replay of one workload under one config."""
     return SimJob(
@@ -387,7 +387,7 @@ def l2_job(
     l1_size: int = 8 * 1024,
     l1_assoc: int = 2,
     l1_line_size: int = 64,
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
 ) -> SimJob:
     """Replay the L1-filtered stream of a workload through ``config`` (F11)."""
     return SimJob(
@@ -410,7 +410,7 @@ def audit_job(
     workload: str,
     size: str,
     seed: int,
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
 ) -> SimJob:
     """Hindsight-audit Algorithm 1's window decisions on one workload (A5)."""
     if not config.uses_predictor:

@@ -56,25 +56,6 @@ from repro.workloads.program import workload_names
 SIZE_CHOICES = ("tiny", "small", "default", "smoke")
 SIZE_ALIASES = {"smoke": "tiny"}
 
-#: Simulation backends selectable from the command line (see
-#: :func:`repro.backends.backends`; stats are bit-identical across them).
-BACKEND_CHOICES = ("scalar", "array")
-
-
-def _backend_usable(backend: str | None) -> str | None:
-    """``None`` when ``backend`` can run here, else the error message."""
-    if backend != "array":
-        return None
-    from repro.backends import array_available
-
-    if array_available():
-        return None
-    return (
-        "backend 'array' requires numpy (pip install repro[array]); "
-        "the scalar backend needs no extras"
-    )
-
-
 def write_report(
     path: str | Path, size: str, seed: int, engine: ExecEngine | None = None
 ) -> Path:
@@ -150,13 +131,6 @@ def _trace_main(argv: list[str]) -> int:
         help="worker processes (default: 1 = in-process)",
     )
     parser.add_argument(
-        "--backend", default="scalar", choices=BACKEND_CHOICES,
-        help=(
-            "simulation backend (default: scalar; the array backend "
-            "emits one summary event per job, not per-access events)"
-        ),
-    )
-    parser.add_argument(
         "--trace-every", type=int, default=1, metavar="N",
         help="emit one access event per N demand accesses (default: 1)",
     )
@@ -210,10 +184,6 @@ def _trace_main(argv: list[str]) -> int:
         print(f"chrome trace written to {path}")
         return 0
     size = SIZE_ALIASES.get(args.size, args.size)
-    problem = _backend_usable(args.backend)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
     workloads = args.workloads or ["stream"]
     schemes = args.schemes or ["cnt"]
     known = set(workload_names())
@@ -228,7 +198,7 @@ def _trace_main(argv: list[str]) -> int:
         print(str(error), file=sys.stderr)
         return 2
     jobs = [
-        workload_job(config, name, size, args.seed, backend=args.backend)
+        workload_job(config, name, size, args.seed)
         for config in configs
         for name in workloads
     ]
@@ -474,14 +444,6 @@ def _bench_main(argv: list[str]) -> int:
         help="worker processes for the parallel metric (default: 2)",
     )
     parser.add_argument(
-        "--backend", default=None, choices=BACKEND_CHOICES,
-        help=(
-            "restrict the suite to one backend: scalar skips the array "
-            "metrics, array errors when numpy is missing "
-            "(default: measure both when numpy is importable)"
-        ),
-    )
-    parser.add_argument(
         "--bench-dir", default="benchmarks/trajectory", metavar="DIR",
         help=(
             "trajectory directory holding BENCH_<n>.json records "
@@ -508,7 +470,6 @@ def _bench_main(argv: list[str]) -> int:
             seed=args.seed,
             jobs=args.jobs,
             progress=progress,
-            backend=args.backend,
         )
         record = bench_module.make_record(
             metrics,
@@ -588,16 +549,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="content-addressed result cache directory (default: off)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKEND_CHOICES,
-        help=(
-            "simulation backend for every job (scalar = bit-exact "
-            "reference, array = vectorized numpy engine with identical "
-            "stats; default: scalar)"
-        ),
     )
     parser.add_argument(
         "--progress",
@@ -727,7 +678,6 @@ def _engine_from(args: argparse.Namespace) -> ExecEngine:
         cache_dir=args.cache_dir,
         progress=progress,
         resilience=_resilience_from(args),
-        backend=args.backend,
         exec_backend=args.exec_backend,
         broker=broker,
         telemetry=args.telemetry,
@@ -755,10 +705,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    problem = _backend_usable(args.backend)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
     try:
         resilience = _resilience_from(args)
     except ValueError as error:
@@ -776,7 +722,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.experiment == "selftest":
-        print("exec engine selftest: in-process == subprocess == cache")
+        print(
+            "exec engine selftest: in-process == subprocess == cache "
+            "== scalar oracle"
+        )
         failures = run_selftest(
             size=size, seed=args.seed, progress=lambda line: print(line)
         )
@@ -806,7 +755,6 @@ def main(argv: list[str] | None = None) -> int:
                 top=args.top,
                 progress=progress,
                 resilience=resilience,
-                backend=args.backend,
             )
         except ProfileError as error:
             print(str(error), file=sys.stderr)

@@ -30,6 +30,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.backends import DEFAULT_BACKEND
 from repro.core.config import CNTCacheConfig
 from repro.core.stats import EnergyStats
 from repro.obs import probe
@@ -75,12 +76,12 @@ def replay(
     config: CNTCacheConfig,
     trace: Iterable[Access],
     preloads: Iterable[tuple[int, bytes]] = (),
-    backend: str = "scalar",
+    backend: str = DEFAULT_BACKEND,
 ):
     """Replay a trace through a fresh cache; returns the simulator.
 
-    ``backend`` selects the engine (see :func:`repro.backends.backends`);
-    every backend produces bit-identical :class:`EnergyStats`.
+    ``backend`` selects the engine (see :mod:`repro.backends`); every
+    backend produces bit-identical :class:`EnergyStats`.
     """
     from repro.api import make_cache
 
@@ -91,7 +92,7 @@ def replay(
 
 
 def _run_workload(
-    config: CNTCacheConfig, run: WorkloadRun, backend: str = "scalar"
+    config: CNTCacheConfig, run: WorkloadRun, backend: str = DEFAULT_BACKEND
 ) -> RunResult:
     """Replay one workload run through one configuration (internal).
 

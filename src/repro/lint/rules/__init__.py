@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.lint.rules.backends import NumpyConfinementRule
 from repro.lint.rules.base import LintRule
 from repro.lint.rules.configs import ConfigValidationRule
 from repro.lint.rules.determinism import (
@@ -37,7 +36,6 @@ RULES: dict[str, LintRule] = {
         DirectSimulationRule(),
         ErrorSwallowRule(),
         MetricNameRule(),
-        NumpyConfinementRule(),
         WallClockRule(),
         UnseededRandomRule(),
         EnvironReadRule(),
@@ -70,7 +68,6 @@ __all__ = [
     "FloatAccumulationRule",
     "HygieneRule",
     "MetricNameRule",
-    "NumpyConfinementRule",
     "SchemaTagLiteralRule",
     "UnorderedSerializationRule",
     "UnseededRandomRule",

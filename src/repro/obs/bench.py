@@ -72,13 +72,13 @@ METRICS: tuple[MetricSpec, ...] = (
         "sim.replay_accesses_per_s",
         "perf",
         0.15,
-        "single-workload CNT-scheme replay throughput",
+        "single-workload CNT-scheme replay throughput, scalar reference",
     ),
     MetricSpec(
         "sim.array_replay_accesses_per_s",
         "perf",
         0.15,
-        "the same replay through the array backend (absent without numpy)",
+        "the same replay through the default array engine",
     ),
     MetricSpec(
         "sim.array_speedup",
@@ -103,12 +103,6 @@ METRICS: tuple[MetricSpec, ...] = (
         "perf",
         0.15,
         "F3 matrix replayed from a warm result cache",
-    ),
-    MetricSpec(
-        "exec.array_serial_accesses_per_s",
-        "perf",
-        0.15,
-        "F3 matrix, one process, array backend (absent without numpy)",
     ),
     MetricSpec(
         "exec.broker_drain_accesses_per_s",
@@ -239,7 +233,6 @@ def collect(
     seed: int = 7,
     jobs: int = 2,
     progress: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Measure the declared suite; returns metric name -> value.
 
@@ -247,12 +240,9 @@ def collect(
     largest single-figure plan) drives the exec-engine metrics; the
     serial pass fills a temporary result cache that the warm-cache pass
     replays.  Fidelity numbers come from the same resolved results plus
-    the derived Table I energy model.
-
-    ``backend`` restricts the suite: ``None`` (default) measures both
-    backends when numpy is importable, ``"scalar"`` skips the array
-    metrics, ``"array"`` raises :class:`BenchError` when numpy is
-    missing instead of silently degrading.
+    the derived Table I energy model.  The single-workload replay is
+    timed on both engines; the scalar reference is the denominator of
+    ``sim.array_speedup``.
     """
     import tempfile
 
@@ -274,52 +264,31 @@ def collect(
     metrics["fidelity.write_asymmetry"] = model.write_asymmetry
     metrics["fidelity.delta_balance"] = model.delta_read / model.delta_write
 
-    say(f"[bench] replay: stream/{size} under the cnt scheme")
+    say(f"[bench] replay: stream/{size}, array vs scalar backend")
     run = get_workload("stream").build(size, seed=seed)
-    started = time.perf_counter()
-    sim = replay(CNTCacheConfig(), run.trace, run.preloads)
-    wall = time.perf_counter() - started
-    metrics["sim.replay_accesses_per_s"] = (
-        sim.stats.accesses / wall if wall > 0 else 0.0
-    )
 
-    from repro.backends import array_available, backend_names
-
-    if backend is not None and backend not in backend_names():
-        raise BenchError(
-            f"unknown backend {backend!r}; known: {', '.join(backend_names())}"
-        )
-    with_array = backend != "scalar" and array_available()
-    if backend == "array" and not with_array:
-        raise BenchError(
-            "backend 'array' requested but numpy is not importable "
-            "(pip install repro[array])"
-        )
-    if with_array:
-        say(f"[bench] replay: stream/{size}, array vs scalar backend")
+    def best_of(repeats: int, backend: str) -> float:
         # Best-of-N both sides: the speedup floor is a hard CI gate, so
         # neither numerator nor denominator should ride one unlucky
         # scheduler tick.
-        best_scalar = metrics["sim.replay_accesses_per_s"]
-        for _ in range(2):
-            started = time.perf_counter()
-            timed = replay(CNTCacheConfig(), run.trace, run.preloads)
-            wall = time.perf_counter() - started
-            if wall > 0:
-                best_scalar = max(best_scalar, timed.stats.accesses / wall)
-        best_array = 0.0
-        for _ in range(3):
+        best = 0.0
+        for _ in range(repeats):
             started = time.perf_counter()
             timed = replay(
-                CNTCacheConfig(), run.trace, run.preloads, backend="array"
+                CNTCacheConfig(), run.trace, run.preloads, backend=backend
             )
             wall = time.perf_counter() - started
             if wall > 0:
-                best_array = max(best_array, timed.stats.accesses / wall)
-        metrics["sim.array_replay_accesses_per_s"] = best_array
-        metrics["sim.array_speedup"] = (
-            best_array / best_scalar if best_scalar else 0.0
-        )
+                best = max(best, timed.stats.accesses / wall)
+        return best
+
+    best_scalar = best_of(3, "scalar")
+    best_array = best_of(3, "array")
+    metrics["sim.replay_accesses_per_s"] = best_scalar
+    metrics["sim.array_replay_accesses_per_s"] = best_array
+    metrics["sim.array_speedup"] = (
+        best_array / best_scalar if best_scalar else 0.0
+    )
 
     f3_jobs = list(EXPERIMENT_PLANS["f3"](size, seed).values())
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache_dir:
@@ -357,17 +326,6 @@ def collect(
     metrics["exec.parallel_accesses_per_s"] = (
         accesses / wall if wall > 0 else 0.0
     )
-
-    if with_array:
-        say(f"[bench] exec serial: {len(f3_jobs)} F3 jobs, array backend")
-        array_serial = ExecEngine(jobs=1, backend="array")
-        started = time.perf_counter()
-        results = array_serial.run_jobs(f3_jobs)
-        wall = time.perf_counter() - started
-        accesses = sum(result.accesses for result in results)
-        metrics["exec.array_serial_accesses_per_s"] = (
-            accesses / wall if wall > 0 else 0.0
-        )
 
     say(f"[bench] exec broker: {len(f3_jobs)} F3 jobs through a local fleet")
     from repro.exec import BrokerConfig

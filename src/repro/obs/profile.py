@@ -233,15 +233,12 @@ def profile_experiments(
     top: int = 10,
     progress: Callable[[str], None] | None = None,
     resilience=None,
-    backend: str | None = None,
 ) -> ProfileReport:
     """Profile the deduplicated job set of the requested experiments.
 
     ``experiments=None`` profiles every registered experiment.  The
     manifest (when a path is given) is written as the run progresses;
     the returned report aggregates the same entries in memory either way.
-    ``backend`` overrides the simulation backend of every profiled job
-    (``None`` = each job's own selection, i.e. the scalar default).
     """
     from repro.exec import ExecEngine
     from repro.harness.experiments import EXPERIMENT_PLANS, EXPERIMENTS
@@ -266,7 +263,6 @@ def profile_experiments(
         progress=progress,
         obs=obs,
         resilience=resilience,
-        backend=backend,
     )
     started = time.perf_counter()
     engine.run_jobs(union)

@@ -1,7 +1,7 @@
 """Differential suite: the array backend is bit-identical to the oracle.
 
 Every test replays the exact same access sequence through the scalar
-reference (``CNTCache``) and the vectorized array backend
+reference (``CNTCache``) and the integer-packed array backend
 (``ArrayCNTCache``) and asserts the *entire* :class:`EnergyStats` —
 every counter and every per-component femtojoule — is equal with zero
 tolerance.  Energies are IEEE-754 doubles accumulated in the same
@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import make_cache
 from repro.core.config import CNTCacheConfig
+from repro.exec import workload_job
+from repro.exec.worker import execute_job
+from repro.obs import probe
 from repro.trace.record import Access
 from repro.workloads.program import get_workload
-
-pytest.importorskip("numpy", reason="the array backend needs the extra")
 
 SCHEMES = (
     "baseline",
@@ -44,10 +45,10 @@ operations = st.lists(
 )
 
 
-def trace_of(ops):
+def trace_of(ops, base=0):
     out = []
     for is_write, slot, payload in ops:
-        addr = slot * 8
+        addr = base + slot * 8
         if is_write:
             out.append(Access.write(addr, payload))
         else:
@@ -163,3 +164,79 @@ def test_leakage_identical():
     scalar, array = assert_identical(config, run.trace, run.preloads)
     assert array.stats.leakage_fj == scalar.stats.leakage_fj
     assert array.stats.leakage_fj > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    scheme=schemes,
+    base=st.sampled_from((1 << 64, (1 << 64) + 4096, 1 << 80)),
+    ops=operations,
+)
+def test_huge_addresses_identical(scheme, base, ops):
+    """Addresses at and beyond 2**64, including line-crossing accesses."""
+    config = CNTCacheConfig(scheme=scheme, size=1024, assoc=2, line_size=64)
+    crossing = base + 60  # 8 bytes straddling a 64-byte line boundary
+    trace = (
+        [Access.write(crossing, b"\xa5" * 8)]
+        + trace_of(ops, base)
+        + [Access.read(crossing, bytes(8))]
+    )
+    assert_identical(config, trace)
+
+
+def cache_and_codec_counters(run_sim) -> dict[str, int]:
+    with probe.recording(probe.ObsScope()) as scope:
+        run_sim()
+    return {
+        name: count
+        for name, count in scope.counters.items()
+        if name.startswith(("cache.", "codec."))
+    }
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_probe_counters_identical(scheme):
+    """One workload job per scheme: the default engine's ``cache.*`` and
+    ``codec.*`` counters equal the scalar oracle's exactly."""
+    config = CNTCacheConfig(scheme=scheme)
+
+    def job_counters(**backend):
+        job = workload_job(config, "qsort", "tiny", 7, **backend)
+        return cache_and_codec_counters(lambda: execute_job(job))
+
+    scalar = job_counters(backend="scalar")
+    assert job_counters() == scalar
+    assert scalar["cache.accesses"] > 0
+    if scheme != "baseline":  # the identity codec counts nothing
+        assert scalar[f"codec.{make_cache(config=config).codec.name}.applies"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    scheme=schemes,
+    ops=operations,
+    granularity=st.sampled_from(("line", "word")),
+    write_policy=st.sampled_from(("wb-wa", "wt-nwa")),
+    leakage=st.booleans(),
+)
+def test_probe_counters_identical_across_knobs(
+    scheme, ops, granularity, write_policy, leakage
+):
+    from repro.cnfet.leakage import LeakageModel
+
+    config = CNTCacheConfig(
+        scheme=scheme,
+        size=1024,
+        assoc=2,
+        line_size=64,
+        access_granularity=granularity,
+        write_policy=write_policy,
+        leakage=LeakageModel.cnfet() if leakage else None,
+    )
+    trace = trace_of(ops)
+
+    def counters(backend):
+        sim = make_cache(config=config, backend=backend)
+        return cache_and_codec_counters(lambda: sim.run(trace))
+
+    assert counters("array") == counters("scalar")

@@ -10,7 +10,6 @@ from repro.backends import (
     BackendError,
     CacheBackend,
     backend_names,
-    backends,
     make_backend,
 )
 from repro.core.cntcache import CNTCache
@@ -18,19 +17,9 @@ from repro.core.config import CNTCacheConfig
 
 
 class TestRegistry:
-    def test_scalar_is_the_default_and_always_listed(self):
-        assert DEFAULT_BACKEND == "scalar"
-        assert backend_names()[0] == "scalar"
-        assert set(backend_names()) == set(backends())
-
-    def test_registry_rows_describe_requirements(self):
-        rows = backends()
-        assert rows["scalar"].requires == ()
-        assert rows["array"].requires == ("numpy",)
-
-    def test_registry_is_a_copy(self):
-        backends().clear()
-        assert "scalar" in backends()
+    def test_array_is_the_default_and_both_are_listed(self):
+        assert DEFAULT_BACKEND == "array"
+        assert backend_names() == ("scalar", "array")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(BackendError, match="unknown backend"):
@@ -42,21 +31,31 @@ class TestRegistry:
 
 
 class TestConstruction:
-    def test_make_cache_default_is_the_scalar_reference(self):
+    def test_make_cache_default_is_the_fast_engine(self):
         sim = make_cache(scheme="cnt")
-        assert isinstance(sim, CNTCache)
+        assert not isinstance(sim, CNTCache)
         assert isinstance(sim, CacheBackend)
         assert sim.config.scheme == "cnt"
 
+    def test_make_cache_scalar_is_the_reference(self):
+        sim = make_cache(scheme="cnt", backend="scalar")
+        assert isinstance(sim, CNTCache)
+        assert isinstance(sim, CacheBackend)
+
+    def test_tracing_selects_the_scalar_engine(self):
+        from repro.obs import trace
+
+        with trace.tracing(trace.TraceSink()):
+            sim = make_cache(scheme="cnt")
+        assert isinstance(sim, CNTCache)
+
     def test_make_cache_array_satisfies_the_protocol(self):
-        pytest.importorskip("numpy")
         sim = make_cache(scheme="cnt", backend="array")
         assert not isinstance(sim, CNTCache)
         assert isinstance(sim, CacheBackend)
         assert sim.backend_name == "array"
 
     def test_array_backend_rejects_shared_memory(self):
-        pytest.importorskip("numpy")
         from repro.cache.memory import MainMemory
 
         with pytest.raises(BackendError, match="MainMemory"):
@@ -82,7 +81,6 @@ class TestDeprecationShim:
             make_backend("scalar", CNTCacheConfig())
 
     def test_array_construction_does_not_warn(self):
-        pytest.importorskip("numpy")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             make_cache(backend="array")

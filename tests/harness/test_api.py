@@ -31,7 +31,7 @@ class TestSurface:
 class TestMakeCache:
     def test_default_is_the_paper_config(self):
         sim = api.make_cache()
-        assert isinstance(sim, CNTCache)
+        assert sim.backend_name == "array"
         assert sim.config == CNTCacheConfig()
 
     def test_overrides_build_a_fresh_config(self):
@@ -124,31 +124,24 @@ class TestBackendSelection:
     """backend= threads identically through every construction surface."""
 
     def test_simulate_backends_agree_in_process(self, tiny_runs):
-        pytest.importorskip("numpy")
         run = tiny_runs["stream"]
-        scalar = api.simulate(workload=run)
-        array = api.simulate(workload=run, backend="array")
+        scalar = api.simulate(workload=run, backend="scalar")
+        array = api.simulate(workload=run)
         assert array.stats.to_dict() == scalar.stats.to_dict()
 
     def test_simulate_backends_agree_through_an_engine(self, tiny_runs):
-        pytest.importorskip("numpy")
         run = tiny_runs["stream"]
-        scalar = api.simulate(workload=run, engine=ExecEngine())
-        array = api.simulate(
-            workload=run, engine=ExecEngine(), backend="array"
+        scalar = api.simulate(
+            workload=run, engine=ExecEngine(), backend="scalar"
         )
+        array = api.simulate(workload=run, engine=ExecEngine())
         assert array.stats.to_dict() == scalar.stats.to_dict()
 
-    def test_engine_backend_override_wins(self, tiny_runs):
-        pytest.importorskip("numpy")
-        run = tiny_runs["stream"]
-        engine = api.make_engine(backend="array")
-        result = api.simulate(workload=run, engine=engine)
-        reference = api.simulate(workload=run)
-        assert result.stats.to_dict() == reference.stats.to_dict()
+    def test_engine_rejects_unknown_backend(self, tiny_runs):
+        from repro.exec import JobError
 
-    def test_engine_rejects_unknown_backend(self):
-        from repro.exec import EngineError
-
-        with pytest.raises(EngineError, match="backend"):
-            api.make_engine(backend="gpu")
+        with pytest.raises(JobError, match="backend"):
+            api.simulate(
+                workload=tiny_runs["stream"], engine=ExecEngine(),
+                backend="gpu",
+            )

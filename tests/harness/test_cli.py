@@ -168,22 +168,16 @@ class TestCLI:
 
 
 class TestBackendFlag:
+    """The engine is not a CLI knob: the array engine is the default."""
+
     def test_experiment_runs_under_the_array_backend(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["t2", "--size", "tiny", "--backend", "array"]) == 0
+        assert main(["t2", "--size", "tiny"]) == 0
 
-    def test_trace_backend_flag_accepted(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
-        out = tmp_path / "trace.json"
-        assert main([
-            "trace", "--size", "tiny", "--backend", "array",
-            "--out", str(out),
-        ]) == 0
-        assert out.is_file()
-
-    def test_unknown_backend_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["t1", "--backend", "gpu"])
+    def test_unknown_backend_rejected_by_argparse(self, capsys):
+        for command in ("t1", "all", "profile", "bench", "trace"):
+            with pytest.raises(SystemExit):
+                main([command, "--backend", "scalar"])
+            assert "--backend" in capsys.readouterr().err
 
 
 class TestWorkerAndBrokerFlags:
