@@ -47,7 +47,6 @@ cache hits, and the drain continues where it stopped.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -57,11 +56,12 @@ import sys
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 import repro.exec.worker as _worker
-from repro import faults
+from repro import faults, records
 from repro.exec.job import SimJob, job_from_payload
 from repro.exec.store import (
     STALE_LEASE_TTL_S,
@@ -81,6 +81,8 @@ from repro.schemas import BROKER
 #: Version tag of the broker's job-record/lease/quarantine layout.
 BROKER_SCHEMA = BROKER.tag
 
+_T = TypeVar("_T")
+
 
 class BrokerError(RuntimeError):
     """Raised on invalid broker configuration or an unrecoverable drain."""
@@ -91,6 +93,17 @@ def _wall_now() -> float:
     where monotonic clocks are meaningless.  Coordination only — never a
     measurement input."""
     return time.time()  # lint: disable=D001
+
+
+def _evidence(record: dict) -> dict:
+    """``record`` if the fields the coordinator uses have their types."""
+    if not (
+        isinstance(record.get("fingerprint"), str)
+        and type(record.get("generation")) is int
+        and isinstance(record.get("lost_worker", ""), str)
+    ):
+        raise ValueError(f"malformed record: {record!r}")
+    return record
 
 
 def default_worker_id() -> str:
@@ -248,32 +261,21 @@ class Lease:
 
     def to_dict(self) -> dict:
         """JSON-ready lease document; inverse of :meth:`from_dict`."""
-        return {
-            "schema": BROKER_SCHEMA,
-            "fingerprint": self.fingerprint,
-            "worker": self.worker,
-            "generation": self.generation,
-            "deadline": self.deadline,
-            "renewals": self.renewals,
-        }
+        return {"schema": BROKER_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Lease":
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != BROKER_SCHEMA
+        """Inverse of :meth:`to_dict` (``ValueError`` on a bad field)."""
+        lease = cls(**{k: v for k, v in payload.items() if k != "schema"})
+        if not (
+            isinstance(lease.fingerprint, str)
+            and isinstance(lease.worker, str)
+            and type(lease.generation) is int
+            and type(lease.renewals) is int
+            and type(lease.deadline) in (int, float)
         ):
-            raise BrokerError(f"not a lease document: {payload!r}")
-        try:
-            return cls(
-                fingerprint=str(payload["fingerprint"]),
-                worker=str(payload["worker"]),
-                generation=int(payload["generation"]),
-                deadline=float(payload["deadline"]),
-                renewals=int(payload["renewals"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise BrokerError(f"malformed lease: {error}") from None
+            raise ValueError(f"malformed lease: {payload!r}")
+        return lease
 
 
 @dataclass(frozen=True)
@@ -325,10 +327,11 @@ class WorkerStats:
 class BrokerStore:
     """Filesystem operations on one broker directory (both roles use it).
 
-    Every mutation follows the cache's atomicity discipline: documents
-    are published with tmp + ``os.replace``, claims with
-    ``O_CREAT | O_EXCL``, steals with ``os.replace`` to a private name —
-    each a single atomic filesystem arbitration, no locks.
+    Every mutation is a single atomic filesystem arbitration, no locks:
+    documents are published with :func:`repro.records.write_atomic`,
+    claims with ``O_CREAT | O_EXCL``, steals with ``os.replace`` to a
+    private name.  A bad record is a skip, each bad file counted once
+    per process in ``exec.broker_skips``.
     """
 
     def __init__(
@@ -362,6 +365,9 @@ class BrokerStore:
         #: (foreign code versions, quarantined jobs) — stops the claim
         #: scan from re-parsing them every poll.
         self._skip: set[str] = set()
+        #: (device, inode, mtime, size) of each bad file counted, so a
+        #: re-read (next poll, a steal's rename) does not count it again.
+        self._counted: set[tuple[int, int, int, int]] = set()
         for directory in (
             config.cache_dir,
             config.jobs_dir,
@@ -394,12 +400,12 @@ class BrokerStore:
 
         Idempotent: an existing record (same content-addressed name) is
         left untouched, so a resumed coordinator republishes nothing a
-        previous drain already posted.  Quarantined jobs are skipped —
-        they already failed permanently.  With a ``trace_id``, every new
-        record is stamped with it plus the job's derived span id
-        (:func:`repro.obs.telemetry.span_for`) so workers propagate the
-        coordinator's correlation ids; records are still claimable by
-        fleets that ignore the fields.
+        previous drain already posted.  Jobs with a readable cached
+        result or a quarantine record are already settled and skipped.
+        With a ``trace_id``, every new record is stamped with it plus the
+        job's derived span id (:func:`repro.obs.telemetry.span_for`) so
+        workers propagate the coordinator's correlation ids; records are
+        still claimable by fleets that ignore the fields.
         """
         published = 0
         for job in jobs:
@@ -407,6 +413,8 @@ class BrokerStore:
             path = self.job_path(fingerprint)
             if path.exists() or self.quarantine_path(fingerprint).exists():
                 continue
+            if self.cache.read(job) is not None:
+                continue  # finished since the coordinator's own cache read
             record = {
                 "schema": BROKER_SCHEMA,
                 "fingerprint": fingerprint,
@@ -416,11 +424,7 @@ class BrokerStore:
             if trace_id is not None:
                 record["trace_id"] = trace_id
                 record["span_id"] = span_for(trace_id, fingerprint)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            records.write_atomic(path, records.dumps(record))
             published += 1
         self.counters.published += published
         if published:
@@ -445,51 +449,64 @@ class BrokerStore:
     def load_job(self, fingerprint: str) -> SimJob | None:
         """Reconstruct the published job, or ``None`` when unusable.
 
-        A record written by a different code/schema version is skipped
-        permanently for this process (another, matching fleet may own
-        it); a vanished record (completed by someone else) is a plain
-        ``None``.
+        A bad record (torn, foreign version, another job's hash) is
+        skipped for good by this process (a matching fleet may own it).
         """
-        path = self.job_path(fingerprint)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            if record.get("schema") != BROKER_SCHEMA:
-                raise BrokerError(f"foreign job record schema in {path.name}")
+
+        def parse(record: dict) -> SimJob:
             job = job_from_payload(record["job"])
             if job.fingerprint != fingerprint:
-                raise BrokerError(f"job record {path.name} hash mismatch")
+                raise ValueError("hash mismatch")
             trace_id = record.get("trace_id")
             if trace_id is not None:
-                self.trace_context[fingerprint] = (
-                    str(trace_id),
-                    record.get("span_id"),
-                )
+                self.trace_context[fingerprint] = (str(trace_id), record.get("span_id"))
             return job
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, BrokerError) as error:
+
+        job = self._read(self.job_path(fingerprint), parse)
+        if isinstance(job, records.Skip):
             self._skip.add(fingerprint)
             if self.progress is not None:
                 self.progress(
                     f"[broker] skipping unusable job record "
-                    f"{fingerprint[:12]}: {error}"
+                    f"{fingerprint[:12]}: {job.reason}"
                 )
             return None
+        return job
+
+    def _read(
+        self, path: Path, parse: Callable[[dict], _T]
+    ) -> _T | records.Skip | None:
+        """``parse`` of the record at ``path``, ``None`` if absent, or a
+        :class:`~repro.records.Skip` if it is bad or ``parse`` raises
+        ``KeyError``/``TypeError``/``ValueError``; each bad file counts
+        once per process in ``exec.broker_skips``, however often read."""
+        record = records.read_record(path, BROKER_SCHEMA)
+        if isinstance(record, dict):
+            try:
+                return parse(record)
+            except (KeyError, TypeError, ValueError) as error:
+                record = records.Skip(f"{type(error).__name__}: {error}")
+        if record is not None:
+            key: tuple[int, int, int, int] | None
+            try:
+                stat = path.stat()
+                key = (stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size)
+            except OSError:
+                key = None  # gone already: count it, it cannot be re-read
+            if key not in self._counted:
+                probe.counter("exec.broker_skips")
+                if key is not None:
+                    self._counted.add(key)
+        return record
 
     def read_lease(self, fingerprint: str) -> Lease | None:
         """The current lease, or ``None`` (absent, torn, or foreign)."""
         return self._read_lease_file(self.lease_path(fingerprint))
 
-    @staticmethod
-    def _read_lease_file(path: Path) -> Lease | None:
-        try:
-            return Lease.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-        except (OSError, ValueError, BrokerError):
-            # Absent, torn mid-write, or not a lease at all: every one
-            # of these means "no live claim" to a reader.
-            return None
+    def _read_lease_file(self, path: Path) -> Lease | None:
+        # Absent or bad (a counted skip), it means "no live claim".
+        lease = self._read(path, Lease.from_dict)
+        return lease if isinstance(lease, Lease) else None
 
     def claim(self, worker_id: str) -> Claim | None:
         """Try to acquire one pending job; ``None`` when nothing claimable.
@@ -598,12 +615,8 @@ class BrokerStore:
             "by": by,
         }
         path = self.config.reclaims_dir / f"{fingerprint}.{generation}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            records.write_atomic(path, records.dumps(record))
         except OSError:  # lint: disable=R007
             pass  # counting evidence only; the reclaim itself happened
         if self.telemetry is not None:
@@ -622,25 +635,22 @@ class BrokerStore:
         it, so two coordinators on one broker directory never double
         count an event.
         """
-        records = []
+        consumed = []
         for path in sorted(self.config.reclaims_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):  # lint: disable=R007
-                continue  # torn mid-write; picked up next poll
-            if record.get("schema") != BROKER_SCHEMA:
+            record = self._read(path, _evidence)  # bad: left for the janitor
+            if not isinstance(record, dict):
                 continue
             try:
                 path.unlink()
             except OSError:  # lint: disable=R007
                 continue  # consumed by someone else, or counted next poll
-            records.append(record)
-        return records
+            consumed.append(record)
+        return consumed
 
     def _create_lease(self, lease: Lease) -> bool:
         """``O_CREAT | O_EXCL`` acquisition; False when someone beat us."""
         data = faults.mangle_lease_write(
-            lease.fingerprint, json.dumps(lease.to_dict(), sort_keys=True)
+            lease.fingerprint, records.dumps(lease.to_dict())
         )
         try:
             fd = os.open(
@@ -677,12 +687,10 @@ class BrokerStore:
         )
         path = self.lease_path(claim.lease.fingerprint)
         data = faults.mangle_lease_write(
-            renewed.fingerprint, json.dumps(renewed.to_dict(), sort_keys=True)
+            renewed.fingerprint, records.dumps(renewed.to_dict())
         )
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
-            tmp.write_text(data, encoding="utf-8")
-            os.replace(tmp, path)
+            records.write_atomic(path, data)
         except OSError:
             return False
         self.counters.lease_renewals += 1
@@ -705,13 +713,8 @@ class BrokerStore:
             deadline=_wall_now() - 1.0,
             renewals=claim.lease.renewals,
         )
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(expired.to_dict(), sort_keys=True),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+            records.write_atomic(path, records.dumps(expired.to_dict()))
         except OSError:  # lint: disable=R007
             pass  # worst case the lease expires by TTL instead
 
@@ -749,13 +752,10 @@ class BrokerStore:
             "reason": reason,
             "job": job.describe(),
         }
-        path = self.quarantine_path(job.fingerprint)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
+            records.write_atomic(
+                self.quarantine_path(job.fingerprint), records.dumps(record)
             )
-            os.replace(tmp, path)
         except OSError:  # lint: disable=R007
             pass  # the coordinator watchdog will re-reach the verdict
         self.finish_job(job.fingerprint)
@@ -779,15 +779,9 @@ class BrokerStore:
 
     def quarantined(self) -> list[dict]:
         """Every readable quarantine record (coordinator consumption)."""
-        records = []
-        for path in sorted(self.config.quarantine_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):  # lint: disable=R007
-                continue  # torn mid-write; the writer retries or TTL reaps
-            if record.get("schema") == BROKER_SCHEMA:
-                records.append(record)
-        return records
+        paths = sorted(self.config.quarantine_dir.glob("*.json"))
+        found = [self._read(path, _evidence) for path in paths]
+        return [record for record in found if isinstance(record, dict)]
 
     # -------------------------------------------------------------- #
     # hygiene
@@ -802,12 +796,14 @@ class BrokerStore:
         swept = sweep_stale(
             self.config.leases_dir, "*.steal.*", STALE_LEASE_TTL_S
         )
-        swept += sweep_stale(
-            self.config.leases_dir, "*.tmp.*", STALE_LEASE_TTL_S
-        )
-        swept += sweep_stale(
-            self.config.reclaims_dir, "*.tmp.*", STALE_LEASE_TTL_S
-        )
+        for directory in (
+            self.config.jobs_dir,
+            self.config.leases_dir,
+            self.config.quarantine_dir,
+            self.config.reclaims_dir,
+            telemetry_dir(self.config.root),
+        ):
+            swept += sweep_stale(directory, "*.tmp.*", STALE_LEASE_TTL_S)
         swept += sweep_stale(
             self.config.reclaims_dir, "*.json", STALE_LEASE_TTL_S
         )

@@ -12,37 +12,35 @@ Layout (unchanged from the engine's original cache)::
     <directory>/<fp[:2]>/<fp>.json    one JSON document per result:
         {"schema": ..., "fingerprint": ..., "job": {...}, "payload": {...}}
 
-Atomicity discipline: every write lands in ``<name>.tmp.<pid>`` first
-and is published with ``os.replace`` — concurrent writers of the same
-fingerprint race benignly (last writer wins with an identical document,
-because results are content-addressed).  A file that fails to parse is
-quarantined aside as ``<name>.corrupt``, never deleted in the hot path:
-the evidence (torn write? disk fault? foreign writer?) survives until
-the startup janitor's TTL reaps it.
+Entries are written and read through :mod:`repro.records` (atomic
+temp-file publish; one validation rule) — concurrent writers of the
+same fingerprint race benignly (last writer wins with an identical
+document, because results are content-addressed).  A file that fails to
+parse is quarantined aside as ``<name>.corrupt``, never deleted in the
+hot path: the evidence (torn write? disk fault? foreign writer?)
+survives until the startup janitor's TTL reaps it.
 
-The janitor (:meth:`ResultStore.sweep`) generalizes the old
-``_sweep_stale_tmps``: orphaned ``*.tmp.<pid>`` files (crashed mid
-write), aged ``*.corrupt`` quarantine files (observed, diagnosed or
-not, either way stale) and — via :func:`sweep_stale`, which the broker
-reuses for lease litter — any other crash residue, each with its own
-TTL and counter class.
+The janitor (:meth:`ResultStore.sweep`) reaps orphaned ``*.tmp.*``
+files (crashed mid write), aged ``*.corrupt`` quarantine files
+(observed, diagnosed or not, either way stale) and — via
+:func:`sweep_stale`, which the broker reuses for its own litter — any
+other crash residue, each with its own TTL and counter class.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro import faults
+from repro import faults, records
 from repro.exec.job import ENGINE_SCHEMA, SimJob
 from repro.exec.result import ExecResult
 from repro.obs import probe
 
-#: Orphaned ``*.tmp.<pid>`` cache files older than this are swept on
+#: Orphaned ``*.tmp.*`` cache files older than this are swept on
 #: engine startup (crashed writers leave them behind); younger ones may
 #: belong to a live concurrent run sharing the cache directory.
 STALE_TMP_TTL_S = 3600.0
@@ -179,11 +177,6 @@ def sweep_stale(directory: Path, pattern: str, ttl_s: float) -> int:
     return swept
 
 
-def _load_text(path: Path) -> str:
-    """Read one cache file (module-level so tests can fake I/O faults)."""
-    return path.read_text(encoding="utf-8")
-
-
 class ResultStore:
     """The content-addressed on-disk result cache (shared, multi-writer)."""
 
@@ -204,39 +197,28 @@ class ResultStore:
     def read(self, job: SimJob) -> ExecResult | None:
         """The cached result of ``job``, or ``None`` on any kind of miss.
 
-        Three miss flavours, all non-fatal: the file does not exist
-        (plain miss), it is unreadable (``OSError`` — counted in
-        ``exec.cache_read_errors`` and announced, because a permissions
-        or disk problem on a shared cache deserves telemetry, then
-        treated as a miss), or it does not parse (quarantined aside as
-        ``<name>.corrupt``).
+        An absent file or a valid document of another schema or
+        fingerprint is a plain miss; an unreadable one (``OSError``) is
+        counted in ``exec.cache_read_errors`` and announced; anything
+        else is quarantined aside as ``<name>.corrupt``.
         """
         path = self.path_for(job.fingerprint)
-        if not path.is_file():
-            return None
-        try:
-            text = _load_text(path)
-        except OSError as error:
+        entry = records.read_record(path, ENGINE_SCHEMA)
+        if isinstance(entry, dict) and entry.get("fingerprint") == job.fingerprint:
+            try:
+                return ExecResult.from_payload(job, entry["payload"], "cache")
+            except (ValueError, KeyError, TypeError) as error:
+                entry = records.Skip(f"malformed payload: {error}")
+        if isinstance(entry, records.Skip) and entry.cause == records.CORRUPT:
+            self.quarantine(path)
+        elif isinstance(entry, records.Skip) and entry.cause == records.UNREADABLE:
             self.counters.cache_read_errors += 1
             probe.counter("exec.cache_read_errors")
             if self.progress is not None:
                 self.progress(
-                    f"[exec] cache read failed for {job.label}: {error}"
+                    f"[exec] cache read failed for {job.label}: {entry.reason}"
                 )
-            return None
-        try:
-            document = json.loads(text)
-            if (
-                document.get("schema") != ENGINE_SCHEMA
-                or document.get("fingerprint") != job.fingerprint
-            ):
-                # A valid document from another schema/code version: a
-                # plain miss, overwritten by the fresh result.
-                return None
-            return ExecResult.from_payload(job, document["payload"], "cache")
-        except (ValueError, KeyError, TypeError):
-            self.quarantine(path)
-            return None
+        return None
 
     def quarantine(self, path: Path) -> None:
         """Move an unparseable cache file aside as ``<name>.corrupt``.
@@ -256,11 +238,10 @@ class ResultStore:
             pass  # racing reader already moved or removed it
 
     def write(self, job: SimJob, result: ExecResult) -> None:
-        """Persist ``result`` atomically (tmp + ``os.replace``).
+        """Persist ``result`` atomically (:func:`repro.records.write_atomic`).
 
         Write failures are tolerated and counted — the cache is an
-        accelerator, not a correctness dependency — and the tmp file is
-        cleaned so a flaky disk cannot litter the directory.
+        accelerator, not a correctness dependency.
         """
         path = self.path_for(job.fingerprint)
         document = {
@@ -269,15 +250,11 @@ class ResultStore:
             "job": job.describe(),
             "payload": result.payload(),
         }
-        data = faults.mangle_cache_write(
-            job.fingerprint, json.dumps(document, sort_keys=True)
-        )
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        data = faults.mangle_cache_write(job.fingerprint, records.dumps(document))
         try:
             faults.maybe_cache_write_error(job.fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(data, encoding="utf-8")
-            os.replace(tmp, path)  # atomic: concurrent runs share a cache
+            records.write_atomic(path, data)
         except OSError as error:
             self.counters.cache_write_errors += 1
             probe.counter("exec.cache_write_errors")
@@ -285,15 +262,11 @@ class ResultStore:
                 self.progress(
                     f"[exec] cache write failed for {job.label}: {error}"
                 )
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:  # lint: disable=R007
-                pass  # best-effort cleanup on an already-failing disk
 
     def sweep(self) -> None:
         """The startup janitor: reap aged crash residue, per class.
 
-        * ``*.tmp.<pid>`` older than :data:`STALE_TMP_TTL_S` — a writer
+        * ``*.tmp.*`` older than :data:`STALE_TMP_TTL_S` — a writer
           crashed between ``write_text`` and ``os.replace``;
         * ``*.corrupt`` older than :data:`STALE_CORRUPT_TTL_S` —
           quarantined evidence nobody came back for.

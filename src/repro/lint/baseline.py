@@ -14,11 +14,11 @@ not churn the baseline.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import records
 from repro.lint.engine import LintError
 from repro.lint.findings import Finding
 from repro.schemas import BASELINE
@@ -59,37 +59,21 @@ class BaselineResult:
 
 def load_baseline(path: Path) -> list[BaselineEntry]:
     """Parse a baseline file (raises :class:`LintError` on any defect)."""
+    payload = records.read_record(path, BASELINE.tag)
+    if payload is None:
+        raise LintError(f"cannot read baseline {path}: no such file")
+    if isinstance(payload, records.Skip):
+        raise LintError(f"malformed baseline {path}: {payload.reason}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise LintError(f"cannot read baseline {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LintError(f"malformed baseline {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != BASELINE.tag:
+        return [
+            BaselineEntry(str(raw["path"]), str(raw["rule"]), str(raw["message"]))
+            for raw in payload["entries"]
+        ]
+    except (KeyError, TypeError) as exc:
         raise LintError(
-            f"baseline {path} does not declare schema {BASELINE.tag!r}"
-        )
-    raw_entries = payload.get("entries")
-    if not isinstance(raw_entries, list):
-        raise LintError(f"baseline {path} has no 'entries' list")
-    entries: list[BaselineEntry] = []
-    for raw in raw_entries:
-        if not isinstance(raw, dict) or not {
-            "path",
-            "rule",
-            "message",
-        } <= raw.keys():
-            raise LintError(
-                f"baseline {path}: each entry needs path/rule/message keys"
-            )
-        entries.append(
-            BaselineEntry(
-                path=str(raw["path"]),
-                rule=str(raw["rule"]),
-                message=str(raw["message"]),
-            )
-        )
-    return entries
+            f"baseline {path} needs an 'entries' list of objects with "
+            "path/rule/message keys"
+        ) from exc
 
 
 def apply_baseline(
@@ -132,7 +116,7 @@ def write_baseline(findings: list[Finding], path: Path) -> int:
         "schema": BASELINE.tag,
         "entries": [entry.to_dict() for entry in entries],
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    records.write_atomic(path, records.dumps(payload, indent=2) + "\n")
     return len(entries)
 
 

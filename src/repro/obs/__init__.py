@@ -71,7 +71,6 @@ from repro.obs.telemetry import (
     make_trace_id,
     prometheus_lines,
     read_all_frames,
-    read_frames,
     span_for,
     telemetry_dir,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "profile_experiments",
     "prometheus_lines",
     "read_all_frames",
-    "read_frames",
     "read_manifest",
     "recording",
     "span_for",

@@ -22,17 +22,18 @@ the flags into a non-zero exit for CI.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import platform
 import re
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import median
 from typing import Callable, Iterable
 
+from repro import records
+from repro.obs import probe
 from repro.schemas import BENCH
 
 #: Record format tag; bump the version in :mod:`repro.schemas` when
@@ -152,20 +153,10 @@ class BenchRecord:
 
     def to_dict(self) -> dict:
         """JSON-ready dump; inverse of :meth:`from_dict`."""
-        return {
-            "schema": BENCH_SCHEMA,
-            "index": self.index,
-            "git_sha": self.git_sha,
-            "timestamp": self.timestamp,
-            "machine": self.machine,
-            "size": self.size,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "metrics": dict(self.metrics),
-        }
+        return {"schema": BENCH_SCHEMA, **asdict(self)}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "BenchRecord":
+    def from_dict(cls, payload: object) -> "BenchRecord":
         """Rebuild a record; raises :class:`BenchError` on malformed input."""
         if not isinstance(payload, dict):
             raise BenchError(f"bench record must be a dict: {payload!r}")
@@ -175,8 +166,10 @@ class BenchRecord:
                 f"{BENCH_SCHEMA!r}"
             )
         metrics = payload.get("metrics")
-        if not isinstance(metrics, dict):
-            raise BenchError("bench record metrics must be a dict")
+        if not isinstance(metrics, dict) or not all(
+            type(value) in (int, float) for value in metrics.values()
+        ):
+            raise BenchError("bench record metrics must map names to numbers")
         try:
             return cls(
                 index=int(payload["index"]),
@@ -356,22 +349,24 @@ def collect(
 def load_trajectory(directory: str | Path) -> list[BenchRecord]:
     """Parse every ``BENCH_<n>.json`` in ``directory``, index order.
 
-    Unparseable or foreign-schema files are skipped (a trajectory
-    survives a torn write); a missing directory is an empty trajectory.
+    A bad file is a skip counted under ``bench.skipped_records``; a
+    missing directory is an empty trajectory.
     """
     directory = Path(directory)
     if not directory.is_dir():
         return []
-    records: list[BenchRecord] = []
+    trajectory: list[BenchRecord] = []
     for path in sorted(directory.iterdir()):
         if _RECORD_RE.match(path.name) is None:
             continue
-        try:
-            records.append(BenchRecord.from_dict(json.loads(path.read_text())))
-        except (OSError, ValueError):
-            continue
-    records.sort(key=lambda record: record.index)
-    return records
+        payload = records.read_record(path, BENCH_SCHEMA)
+        try:  # a Skip is not a dict: from_dict refuses it
+            if payload is not None:
+                trajectory.append(BenchRecord.from_dict(payload))
+        except BenchError:
+            probe.counter("bench.skipped_records")
+    trajectory.sort(key=lambda record: record.index)
+    return trajectory
 
 
 def next_index(directory: str | Path) -> int:
@@ -414,10 +409,7 @@ def append_record(record: BenchRecord, directory: str | Path) -> Path:
     path = directory / f"BENCH_{record.index:04d}.json"
     if path.exists():
         raise BenchError(f"trajectory record already exists: {path}")
-    path.write_text(
-        json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    records.write_atomic(path, records.dumps(record.to_dict(), indent=2) + "\n")
     return path
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro import faults
+from repro import faults, records
 from repro.obs import probe
 from repro.schemas import MANIFEST
 
@@ -185,61 +185,18 @@ class ManifestWriter:
 # ------------------------------------------------------------------ #
 # reader / merger
 # ------------------------------------------------------------------ #
-def read_manifest(path: str | Path, on_error: str = "raise") -> list[dict]:
-    """Parse one manifest; validates the header and every line.
+def read_manifest(path: str | Path) -> list[dict]:
+    """Parse one manifest; raises :class:`ManifestError` without a header.
 
-    ``on_error`` selects the policy for malformed *complete* lines
-    (poisoned entries): ``"raise"`` (the default) raises
-    :class:`ManifestError` at the first bad line; ``"skip"`` drops bad
-    lines and keeps the parseable rest — what ``cntcache profile`` uses,
-    so one corrupt line cannot blank a whole run's telemetry.  A bad
-    header is fatal under both policies.
-
-    A *torn* final line — unterminated (no trailing newline) and
-    unparseable, i.e. a live writer caught mid-append — is different
-    from corruption: under **both** policies it is skipped and counted
-    (``obs.torn_lines``), so tailing a manifest that is still being
-    written never raises on the write in flight.  An unterminated final
-    line that *does* parse is kept — the writer merely died between
-    the payload and its newline.
+    A line that is not a JSON object with a ``type`` is skipped and
+    counted under ``obs.torn_lines``, so one bad line cannot blank a run.
+    The file is read once; a newline is added so that an unterminated
+    final line is kept if it parses whole.
     """
-    if on_error not in ("raise", "skip"):
-        raise ManifestError(f"on_error must be 'raise' or 'skip': {on_error!r}")
-    path = Path(path)
-    entries: list[dict] = []
-    with path.open("r", encoding="utf-8") as stream:
-        text = stream.read()
-    lines = text.split("\n")
-    torn_tail = None
-    if lines and lines[-1] != "":
-        torn_tail = lines[-1]  # final line lacks its newline: maybe torn
-    lines = lines[:-1]
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError as error:
-            if on_error == "skip":
-                continue
-            raise ManifestError(
-                f"{path}:{lineno}: not JSON: {error}"
-            ) from None
-        if not isinstance(entry, dict) or "type" not in entry:
-            if on_error == "skip":
-                continue
-            raise ManifestError(f"{path}:{lineno}: entry without 'type'")
-        entries.append(entry)
-    if torn_tail is not None and torn_tail.strip():
-        try:
-            entry = json.loads(torn_tail)
-        except ValueError:
-            entry = None
-        if isinstance(entry, dict) and "type" in entry:
-            entries.append(entry)
-        else:
-            probe.counter("obs.torn_lines")
+    lines, _, _ = records.parse_lines(Path(path).read_bytes() + b"\n", None)
+    entries = [entry for entry in lines if "type" in entry]
+    if len(entries) < len(lines):
+        probe.counter("obs.torn_lines", len(lines) - len(entries))
     if not entries:
         raise ManifestError(f"{path}: empty manifest")
     head = entries[0]
@@ -250,13 +207,11 @@ def read_manifest(path: str | Path, on_error: str = "raise") -> list[dict]:
     return entries
 
 
-def merge_manifests(
-    paths: Iterable[str | Path], on_error: str = "raise"
-) -> list[dict]:
+def merge_manifests(paths: Iterable[str | Path]) -> list[dict]:
     """Concatenate several manifests (a batch) into one entry stream."""
     merged: list[dict] = []
     for path in paths:
-        merged.extend(read_manifest(path, on_error=on_error))
+        merged.extend(read_manifest(path))
     return merged
 
 

@@ -29,6 +29,8 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "cache.hits",
         "cache.misses",
         "cache.writebacks",
+        # bench trajectory
+        "bench.skipped_records",
         # exec engine
         "exec.batch",
         "exec.cache_corrupt",
@@ -46,6 +48,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "exec.timeouts",
         # exec broker (distributed backend: leases, reclaim, quarantine)
         "exec.broker_published",
+        "exec.broker_skips",
         "exec.lease_acquired",
         "exec.lease_released",
         "exec.lease_renewals",
@@ -56,6 +59,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "broker.queue_depth",
         "obs.torn_lines",
         "telemetry.frames",
+        "telemetry.state_resets",
         "telemetry.suppressed",
         "telemetry.write_errors",
         # worker self-reported gauges (repro.exec.broker.run_worker)

@@ -25,8 +25,8 @@ a measurement, so byte-identity of brokered runs is untouched) and the
 writer is deliberately loss-tolerant: a failed write disables the
 writer rather than ever failing the run.
 
-The read side tails those files *live*: :func:`read_frames` consumes
-complete lines only (a torn, mid-write final line is skipped and
+The read side tails those files *live*
+(:func:`repro.records.tail_jsonl`: complete lines only; a bad line is
 counted under ``obs.torn_lines``), and :class:`TelemetryCollector`
 incrementally merges every stream into a :class:`FleetSnapshot` —
 persisting per-file offsets so a restarted collector resumes without
@@ -51,10 +51,11 @@ import re
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, TextIO
 
+from repro import records
 from repro.obs import probe
 from repro.schemas import TELEMETRY
 
@@ -332,60 +333,18 @@ class TelemetryWriter:
 # --------------------------------------------------------------------- #
 # reader
 # --------------------------------------------------------------------- #
-def read_frames(
-    path: str | Path, offset: int = 0
-) -> tuple[list[dict[str, Any]], int, int]:
-    """Parse frames from ``path`` starting at byte ``offset``.
-
-    Returns ``(frames, new_offset, skipped)``.  Only *complete* lines
-    (terminated by a newline) are consumed — ``new_offset`` never splits
-    a record, so a live writer's torn final line is simply left for the
-    next poll.  A complete line that fails to parse (poisoned, foreign
-    schema) is skipped and counted, both in the returned ``skipped`` and
-    under the ``obs.torn_lines`` probe counter.
-    """
-    path = Path(path)
-    try:
-        with path.open("rb") as stream:
-            stream.seek(offset)
-            blob = stream.read()
-    except OSError:
-        return [], offset, 0
-    end = blob.rfind(b"\n")
-    if end < 0:
-        return [], offset, 0  # nothing complete yet (mid-write tail)
-    complete, new_offset = blob[: end + 1], offset + end + 1
-    frames: list[dict[str, Any]] = []
-    skipped = 0
-    for line in complete.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            frame = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            skipped += 1
-            probe.counter("obs.torn_lines")
-            continue
-        if (
-            not isinstance(frame, dict)
-            or frame.get("schema") != TELEMETRY_SCHEMA
-        ):
-            skipped += 1
-            probe.counter("obs.torn_lines")
-            continue
-        frames.append(frame)
-    return frames, new_offset, skipped
+def _frame_ok(frame: dict[str, Any]) -> bool:
+    """True when the fields readers do arithmetic on are numbers (``pid``
+    and ``energy_fj`` may also be null); anything else is a skip."""
+    values = [frame.get("ts", 0), frame.get("interval", 0)]
+    values += [frame.get("pid") or 0, frame.get("energy_fj") or 0]
+    return all(type(value) in (int, float) for value in values)
 
 
 def read_all_frames(directory: str | Path) -> list[dict[str, Any]]:
     """Every complete frame under ``directory``, merged and time-ordered
     (the batch entry point the fleet Chrome-trace exporter uses)."""
-    frames: list[dict[str, Any]] = []
-    for path in sorted(Path(directory).glob(f"*{SUFFIX}")):
-        found, _, _ = read_frames(path)
-        frames.extend(found)
-    frames.sort(key=lambda frame: float(frame.get("ts", 0.0)))
-    return frames
+    return TelemetryCollector(directory, persist=False).poll()
 
 
 # --------------------------------------------------------------------- #
@@ -451,20 +410,7 @@ class ProcessView:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready dump; inverse of :meth:`from_dict`."""
-        return {
-            "identity": self.identity,
-            "role": self.role,
-            "pid": self.pid,
-            "host": self.host,
-            "state": self.state,
-            "first_ts": self.first_ts,
-            "last_ts": self.last_ts,
-            "interval": self.interval,
-            "trace_id": self.trace_id,
-            "gauges": dict(self.gauges),
-            "events": dict(self.events),
-            "frames": self.frames,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ProcessView":
@@ -480,14 +426,9 @@ class ProcessView:
         view.interval = float(payload.get("interval", DEFAULT_INTERVAL_S))
         trace_id = payload.get("trace_id")
         view.trace_id = None if trace_id is None else str(trace_id)
-        gauges = payload.get("gauges")
-        view.gauges = dict(gauges) if isinstance(gauges, dict) else {}
-        events = payload.get("events")
-        view.events = (
-            {str(k): int(v) for k, v in events.items()}
-            if isinstance(events, dict)
-            else {}
-        )
+        view.gauges = dict(payload.get("gauges", {}))
+        events = payload.get("events", {})
+        view.events = {str(k): int(v) for k, v in events.items()}
         view.frames = int(payload.get("frames", 0))
         return view
 
@@ -733,8 +674,9 @@ class TelemetryCollector:
     directory after every :meth:`poll`, so a restarted collector — a new
     ``cntcache status`` invocation, a resumed dashboard — continues
     exactly where the last one stopped and never re-counts a frame.
-    Only complete lines are consumed (see :func:`read_frames`), so an
-    offset can never land mid-record.
+    Only complete lines are consumed (see :func:`repro.records.tail_jsonl`),
+    so an offset can never land mid-record.  With ``persist=False`` the
+    state is neither loaded nor saved: every stream is read from byte 0.
     """
 
     def __init__(
@@ -763,43 +705,35 @@ class TelemetryCollector:
         #: Fingerprints whose energy is already counted (dedupe across
         #: at-least-once re-executions).
         self._energy_seen: set[str] = set()
-        self._load_state()
+        if persist:
+            self._load_state()
 
     # -------------------------------------------------------------- #
     # persisted state
     # -------------------------------------------------------------- #
     def _load_state(self) -> None:
-        try:
-            payload = json.loads(self.state_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):  # lint: disable=R007
+        payload = records.read_record(self.state_path, TELEMETRY_SCHEMA)
+        if payload is None:
             return  # fresh collector: no prior state to resume
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != TELEMETRY_SCHEMA
-        ):
-            return
-        offsets = payload.get("offsets")
-        if isinstance(offsets, dict):
-            self.offsets = {
-                str(name): int(value) for name, value in offsets.items()
-            }
-        self.frames = int(payload.get("frames", 0))
-        self.torn_lines = int(payload.get("torn_lines", 0))
-        energy = payload.get("energy_by_scheme")
-        if isinstance(energy, dict):
-            self.energy_by_scheme = {
-                str(name): float(value) for name, value in energy.items()
-            }
-        seen = payload.get("energy_seen")
-        if isinstance(seen, list):
-            self._energy_seen = {str(item) for item in seen}
-        views = payload.get("procs")
-        if isinstance(views, dict):
-            self.views = {
+        try:  # a bad state is a counted fresh start
+            if isinstance(payload, records.Skip):
+                raise ValueError(payload.reason)
+            offsets = {str(k): v for k, v in payload["offsets"].items()}
+            counts = [*offsets.values(), payload["frames"], payload["torn_lines"]]
+            if not all(type(count) is int and count >= 0 for count in counts):
+                raise ValueError(f"not counts: {counts!r}")
+            energy = {str(k): float(v) for k, v in payload["energy_by_scheme"].items()}
+            seen = {str(item) for item in payload["energy_seen"]}
+            views = {
                 str(name): ProcessView.from_dict(view)
-                for name, view in views.items()
-                if isinstance(view, dict)
+                for name, view in payload["procs"].items()
             }
+        except (AttributeError, KeyError, TypeError, ValueError):
+            probe.counter("telemetry.state_resets")
+            return
+        self.offsets, self.energy_by_scheme = offsets, energy
+        self.frames, self.torn_lines = payload["frames"], payload["torn_lines"]
+        self._energy_seen, self.views = seen, views
 
     def _save_state(self) -> None:
         if not self.persist:
@@ -815,14 +749,8 @@ class TelemetryCollector:
                 name: view.to_dict() for name, view in self.views.items()
             },
         }
-        tmp = self.state_path.with_name(
-            f"{self.state_path.name}.{os.getpid()}.tmp"
-        )
         try:
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, self.state_path)
+            records.write_atomic(self.state_path, records.dumps(payload))
         except OSError:  # lint: disable=R007
             pass  # observation-side persistence is best-effort
 
@@ -845,18 +773,22 @@ class TelemetryCollector:
                 continue
             if size < offset:
                 offset = 0  # truncated/rotated underneath us: restart
-            frames, new_offset, skipped = read_frames(path, offset)
+            frames, new_offset, skipped = records.tail_jsonl(
+                path, offset, TELEMETRY_SCHEMA
+            )
             self.offsets[key] = new_offset
             self.torn_lines += skipped
-            for frame in frames:
-                self._absorb(frame)
-            fresh.extend(frames)
-        if fresh:
-            fresh.sort(key=lambda frame: float(frame.get("ts", 0.0)))
+            fresh.extend(frame for frame in frames if self._absorb(frame))
+        fresh.sort(key=lambda frame: frame.get("ts", 0.0))
         self._save_state()
         return fresh
 
-    def _absorb(self, frame: dict[str, Any]) -> None:
+    def _absorb(self, frame: dict[str, Any]) -> bool:
+        """Fold one frame in, or count it as a skip (returns False)."""
+        if not _frame_ok(frame):
+            self.torn_lines += 1
+            probe.counter("obs.torn_lines")
+            return False
         self.frames += 1
         identity = str(frame.get("proc", "?"))
         view = self.views.get(identity)
@@ -886,6 +818,7 @@ class TelemetryCollector:
                 self.energy_by_scheme[key] = (
                     self.energy_by_scheme.get(key, 0.0) + float(energy)
                 )
+        return True
 
     # -------------------------------------------------------------- #
     # snapshots
@@ -935,7 +868,6 @@ __all__ = [
     "make_trace_id",
     "prometheus_lines",
     "read_all_frames",
-    "read_frames",
     "span_for",
     "telemetry_dir",
 ]

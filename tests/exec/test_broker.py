@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro import faults
+from repro import faults, records
 from repro.exec import (
     BrokerConfig,
     BrokerError,
@@ -25,7 +25,7 @@ from repro.exec import (
     trace_job,
 )
 from repro.exec.broker import BROKER_SCHEMA, BrokerStore, Lease, _wall_now
-from repro.obs import Obs
+from repro.obs import Obs, probe
 from repro.obs.manifest import summarize
 from repro.resilience import PoisonJobError
 
@@ -178,6 +178,53 @@ class TestPublish:
         assert store.publish([job]) == 0
         assert store.pending() == []
 
+    def test_cached_jobs_are_not_republished(self, tmp_path):
+        store = BrokerStore(fast_config(tmp_path))
+        job = cheap_jobs(1)[0]
+        store.cache.write(job, ExecEngine().run_jobs([job])[0])
+        assert store.publish([job]) == 0
+
+    @pytest.mark.parametrize("entry", ["foreign", "corrupt", "unreadable"])
+    def test_unusable_cache_entries_are_still_published(
+        self, tmp_path, monkeypatch, entry
+    ):
+        # Only a readable result settles a job: a cache file that reads
+        # as a miss must not stop the job reaching the fleet.
+        store = BrokerStore(fast_config(tmp_path))
+        job = cheap_jobs(1)[0]
+        path = store.cache.path_for(job.fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"schema": "other-v0"}' if entry == "foreign" else "{")
+        if entry == "unreadable":
+            real = records._load_text
+
+            def deny(target):
+                if target == path:
+                    raise PermissionError(13, "Permission denied")
+                return real(target)
+
+            monkeypatch.setattr(records, "_load_text", deny)
+        assert store.publish([job]) == 1
+        assert store.pending() == [job.fingerprint]
+
+    @pytest.mark.parametrize("content", ["null", "[]", '"x"', "1", "{"])
+    def test_bad_records_are_counted_skips(self, tmp_path, content):
+        store = BrokerStore(fast_config(tmp_path))
+        job = cheap_jobs(1)[0]
+        fingerprint = job.fingerprint
+        store.publish([job])
+        store.job_path(fingerprint).write_text(content)
+        reclaim = store.config.reclaims_dir / f"{fingerprint}.2.json"
+        reclaim.write_text(content)
+        store.quarantine_path(fingerprint).write_text(content)
+        with probe.recording(probe.ObsScope()) as scope:
+            assert store.load_job(fingerprint) is None
+            assert store.consume_reclaims() == []
+            assert store.quarantined() == []
+        assert scope.counters == {"exec.broker_skips": 3}
+        assert store.pending() == []  # the bad job is skipped for good
+        assert reclaim.exists()  # left for the janitor
+
 
 # ------------------------------------------------------------------ #
 # claim / steal / renew
@@ -235,6 +282,53 @@ class TestClaim:
         assert claim is not None
         assert claim.lease.generation == 2  # unknown prior -> gen 1 + 1
         assert store.consume_reclaims()[0]["lost_worker"] == "unknown"
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ("generation", "1e999"),
+            ("generation", "Infinity"),
+            ("generation", "NaN"),
+            ("deadline", "NaN"),
+            ("deadline", "1e999"),
+            ("deadline", "-Infinity"),
+            ("deadline", '"nan"'),
+            ("renewals", "1.5"),
+        ],
+    )
+    def test_non_finite_lease_is_no_live_claim(self, tmp_path, field, literal):
+        store = BrokerStore(fast_config(tmp_path, lease_ttl_s=30.0))
+        job = cheap_jobs(1)[0]
+        store.publish([job])
+        live = Lease(job.fingerprint, "w0", 1, _wall_now() + 30.0).to_dict()
+        live[field] = "@"
+        text = json.dumps(live).replace('"@"', literal)
+        store.lease_path(job.fingerprint).write_text(text, encoding="utf-8")
+        with probe.recording(probe.ObsScope()) as scope:
+            assert store.read_lease(job.fingerprint) is None
+        assert scope.counters == {"exec.broker_skips": 1}
+        claim = store.claim("w1")  # no live claim: stolen at generation 2
+        assert claim is not None and claim.lease.generation == 2
+
+    def test_a_bad_file_counts_once_however_often_it_is_read(self, tmp_path):
+        store = BrokerStore(fast_config(tmp_path))
+        job = cheap_jobs(1)[0]
+        store.publish([job])
+        store.lease_path(job.fingerprint).write_text("{", encoding="utf-8")
+        reclaim = store.config.reclaims_dir / f"{job.fingerprint}.2.json"
+        reclaim.write_text("[]", encoding="utf-8")
+        with probe.recording(probe.ObsScope()) as scope:
+            for _ in range(3):  # three coordinator polls
+                assert store.read_lease(job.fingerprint) is None
+                assert store.consume_reclaims() == []
+            # The claim reads the torn lease, steals it (a rename) and
+            # reads it again under its private name.
+            assert store.claim("w1") is not None
+        assert scope.counters["exec.broker_skips"] == 2
+        store.lease_path(job.fingerprint).write_text("[]", encoding="utf-8")
+        with probe.recording(probe.ObsScope()) as scope:
+            assert store.read_lease(job.fingerprint) is None
+        assert scope.counters == {"exec.broker_skips": 1}  # a new bad file
 
     def test_generation_past_the_fuse_quarantines(self, tmp_path):
         config = fast_config(tmp_path, max_generations=2)
@@ -494,6 +588,27 @@ class TestDrain:
         # Unknown entry types must not break aggregation.
         summary = summarize(obs.entries)
         assert summary.jobs == 2
+
+    def test_foreign_cache_entry_still_drains(self, tmp_path):
+        config = fast_config(tmp_path)
+        jobs = cheap_jobs(2)
+        reference = reference_canonicals(jobs)
+        path = BrokerStore(config).cache.path_for(jobs[0].fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"schema": "other-v0"}', encoding="utf-8")
+        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        outcome = []
+        coordinator = threading.Thread(
+            target=lambda: outcome.append(
+                self.run_with_background_worker(engine, jobs, config)
+            ),
+            daemon=True,
+        )
+        coordinator.start()
+        coordinator.join(timeout=60.0)
+        assert outcome, "the drain never finished"
+        assert [r.canonical() for r in outcome[0]] == reference
+        assert engine.counters.executed == 2
 
     def test_resume_executes_only_the_unfinished_remainder(self, tmp_path):
         config = fast_config(tmp_path)

@@ -22,8 +22,10 @@ from repro.exec import (
     trace_job,
 )
 from repro.exec.backends import ExecBackendError
+from repro.exec.broker import BrokerStore
 from repro.exec.store import (
     STALE_CORRUPT_TTL_S,
+    STALE_LEASE_TTL_S,
     STALE_TMP_TTL_S,
     ResultStore,
     sweep_stale,
@@ -160,11 +162,35 @@ class TestJanitor:
         assert engine.counters.corrupt_swept == 0
 
 
+    @pytest.mark.parametrize(
+        "subdir, name",
+        [
+            ("jobs", "ab.json.tmp.7.8"),
+            ("leases", "ab.json.tmp.7.8"),
+            ("quarantine", "ab.json.tmp.7.8"),
+            ("reclaims", "ab.2.json.tmp.7.8"),
+            ("telemetry", ".collector-state.json.tmp.7.8"),
+        ],
+    )
+    def test_broker_sweep_reaps_orphaned_tmps(self, tmp_path, subdir, name):
+        store = BrokerStore(BrokerConfig(root=tmp_path))
+        (tmp_path / subdir).mkdir(exist_ok=True)
+        stale = tmp_path / subdir / name
+        fresh = stale.with_name(name.replace(".7.8", ".9.9"))
+        stale.write_text("{")
+        fresh.write_text("{")
+        age(stale, STALE_LEASE_TTL_S + 60)
+        store.sweep()
+        assert not stale.exists()
+        assert fresh.exists()
+        assert store.counters.lease_swept == 1
+
+
 class TestCacheReadErrors:
     def test_oserror_counts_and_reports_instead_of_raising(
         self, tmp_path, monkeypatch
     ):
-        import repro.exec.store as store_module
+        import repro.records as records_module
 
         job = cheap_jobs(1)[0]
         cache_dir = tmp_path / "cache"
@@ -173,7 +199,7 @@ class TestCacheReadErrors:
         def denied(path):
             raise PermissionError(f"injected EACCES for {path}")
 
-        monkeypatch.setattr(store_module, "_load_text", denied)
+        monkeypatch.setattr(records_module, "_load_text", denied)
         lines: list[str] = []
         engine = ExecEngine(cache_dir=cache_dir, progress=lines.append)
         results = engine.run_jobs([job])  # falls back to executing
@@ -185,13 +211,13 @@ class TestCacheReadErrors:
     def test_unreadable_cache_is_a_miss_not_a_quarantine(
         self, tmp_path, monkeypatch
     ):
-        import repro.exec.store as store_module
+        import repro.records as records_module
 
         job = cheap_jobs(1)[0]
         cache_dir = tmp_path / "cache"
         ExecEngine(cache_dir=cache_dir).run_jobs([job])
         monkeypatch.setattr(
-            store_module,
+            records_module,
             "_load_text",
             lambda path: (_ for _ in ()).throw(OSError("io stall")),
         )

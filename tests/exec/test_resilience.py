@@ -36,6 +36,7 @@ from repro.resilience import (
     classify_transient,
     failure_for,
 )
+from repro.schemas import EXEC
 
 CONFIG = CNTCacheConfig()
 
@@ -344,6 +345,31 @@ class TestCacheFaults:
         assert third.run_job(job).source == "cache"
         assert third.counters.cache_corrupt == 0
 
+    @pytest.mark.parametrize(
+        "content, corrupt",
+        [
+            ("null", 1),
+            ("[]", 1),
+            ('"x"', 1),
+            ("1", 1),
+            ("{}", 1),
+            ('{"schema": "%s", "payload": NaN}' % EXEC.tag, 1),
+            ('{"schema": "exec-v0"}', 0),  # foreign: a plain miss
+        ],
+    )
+    def test_bad_cache_entries_miss_and_heal(self, tmp_path, content, corrupt):
+        job = cheap_jobs(1)[0]
+        warm = ExecEngine(cache_dir=tmp_path).run_job(job)
+        path = tmp_path / job.fingerprint[:2] / f"{job.fingerprint}.json"
+        path.write_text(content)
+        healer = ExecEngine(cache_dir=tmp_path, resilience=FAST)
+        healed = healer.run_job(job)
+        assert healed.source == "run"
+        assert healed.canonical() == warm.canonical()
+        assert healer.counters.cache_corrupt == corrupt
+        assert len(list(tmp_path.glob("*/*.corrupt"))) == corrupt
+        assert ExecEngine(cache_dir=tmp_path).run_job(job).source == "cache"
+
     def test_cache_write_oserror_is_tolerated_and_leaves_no_tmp(self, tmp_path):
         job = workload_job(CONFIG, "records", "tiny", 3)
         with faults.injected("seed=1,write_os=1.0"):
@@ -410,7 +436,7 @@ class TestPoolResilience:
 # ------------------------------------------------------------------ #
 class TestManifestPoison:
     def test_poisoned_manifest_skips_cleanly_in_skip_mode(self, tmp_path):
-        from repro.obs import ManifestError
+        from repro.obs import probe
 
         jobs = cheap_jobs(2)
         manifest = tmp_path / "run.jsonl"
@@ -420,15 +446,14 @@ class TestManifestPoison:
             engine.run_jobs(jobs)
             obs.record_summary(engine.counters.to_dict(), wall_s=0.0)
             obs.close()
-        with pytest.raises(ManifestError):
-            read_manifest(manifest)
-        entries = read_manifest(manifest, on_error="skip")
+        with probe.recording(probe.ObsScope()) as scope:
+            entries = read_manifest(manifest)
         types = [entry["type"] for entry in entries]
         assert types[0] == "header"
         assert types.count("job") == len(jobs)
         assert types.count("summary") == 1
-        with pytest.raises(ManifestError):
-            read_manifest(manifest, on_error="sometimes")
+        # One poison line precedes every entry after the header.
+        assert scope.counters["obs.torn_lines"] == len(entries) - 1
 
 
 # ------------------------------------------------------------------ #

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.config import CNTCacheConfig
+from repro.obs import probe
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     ManifestError,
@@ -15,6 +16,13 @@ from repro.obs.manifest import (
     read_manifest,
     summarize,
 )
+
+
+def read_counting(path):
+    """``read_manifest(path)`` plus how many lines it counted as torn."""
+    with probe.recording(probe.ObsScope()) as scope:
+        entries = read_manifest(path)
+    return entries, scope.counters.get("obs.torn_lines", 0)
 
 
 def job(
@@ -87,11 +95,10 @@ class TestWriterReader:
         with pytest.raises(ManifestError):
             read_manifest(path)
 
-    def test_read_rejects_non_json(self, tmp_path):
+    def test_read_skips_and_counts_non_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(header_entry()) + "\nnot json\n")
-        with pytest.raises(ManifestError):
-            read_manifest(path)
+        assert read_counting(path) == ([header_entry()], 1)
 
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -106,19 +113,17 @@ class TestWriterReader:
             + '{"type": <injected manifest poison>\n'
             + json.dumps(job()) + "\n"
             + '["not", "a", "dict"]\n'
+            + '{"no": "type"}\n'
         )
-        with pytest.raises(ManifestError):
-            read_manifest(path)
-        entries = read_manifest(path, on_error="skip")
+        entries, torn = read_counting(path)
         assert [e["type"] for e in entries] == ["header", "job"]
-        with pytest.raises(ManifestError):
-            read_manifest(path, on_error="ignore")
+        assert torn == 3
 
     def test_skip_mode_still_rejects_a_bad_header(self, tmp_path):
         path = tmp_path / "headerless.jsonl"
         path.write_text(json.dumps(job()) + "\n")
         with pytest.raises(ManifestError):
-            read_manifest(path, on_error="skip")
+            read_manifest(path)
 
     def test_merge_concatenates(self, tmp_path):
         paths = []
@@ -295,14 +300,14 @@ class TestTornTail:
 
     def test_truncated_final_record_skipped_under_both_policies(self, tmp_path):
         # Regression: a reader racing a live writer (or a crash mid-write)
-        # sees half a record with no newline; that tail is torn, not
-        # poisoned, so even the strict policy keeps the complete prefix.
+        # sees half a record with no newline; the complete prefix is kept
+        # and the torn tail is one counted skip.
         path = tmp_path / "torn.jsonl"
         entry = json.dumps(job())
         path.write_text(self.header_and_job() + entry[: len(entry) // 2])
-        for policy in ("raise", "skip"):
-            entries = read_manifest(path, on_error=policy)
-            assert [e["type"] for e in entries] == ["header", "job"]
+        entries, torn = read_counting(path)
+        assert [e["type"] for e in entries] == ["header", "job"]
+        assert torn == 1
 
     def test_unterminated_but_complete_final_record_is_kept(self, tmp_path):
         # A writer that simply hasn't flushed the newline yet: the record
@@ -313,13 +318,14 @@ class TestTornTail:
         assert [e["type"] for e in entries] == ["header", "job", "job"]
         assert entries[-1]["wall_s"] == 9.0
 
-    def test_complete_garbage_lines_still_raise_strictly(self, tmp_path):
-        # The torn-tail tolerance must not weaken the old contract for
-        # newline-terminated poison.
+    def test_complete_garbage_lines_are_counted_skips(self, tmp_path):
+        # Newline-terminated poison is skipped like a torn tail, and
+        # counted the same way.
         path = tmp_path / "poison.jsonl"
         path.write_text(self.header_and_job() + "not json\n")
-        with pytest.raises(ManifestError):
-            read_manifest(path)
+        entries, torn = read_counting(path)
+        assert [e["type"] for e in entries] == ["header", "job"]
+        assert torn == 1
 
 
 class TestTraceCorrelationIds:

@@ -19,9 +19,11 @@ import json
 
 import pytest
 
+from repro import records
 from repro.exec import BrokerConfig, trace_job
 from repro.exec.broker import BrokerStore
 from repro.harness.cli import main as cli_main
+from repro.obs import probe
 from repro.obs.export import fleet_chrome_trace
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
@@ -32,7 +34,7 @@ from repro.obs.telemetry import (
     locate,
     make_trace_id,
     prometheus_lines,
-    read_frames,
+    read_all_frames,
     span_for,
     telemetry_dir,
 )
@@ -40,7 +42,7 @@ from repro.obs.telemetry import (
 
 def frames_on_disk(writer):
     """Every complete frame in the writer's stream, parsed."""
-    frames, _, skipped = read_frames(writer.path)
+    frames, _, skipped = records.tail_jsonl(writer.path, 0, TELEMETRY_SCHEMA)
     assert skipped == 0
     return frames
 
@@ -116,13 +118,13 @@ class TestReadFrames:
         whole = json.dumps(self.frame()) + "\n"
         torn = json.dumps(self.frame(ts=2.0))
         path.write_text(whole + torn[: len(torn) // 2])
-        frames, offset, skipped = read_frames(path)
+        frames, offset, skipped = records.tail_jsonl(path, 0, TELEMETRY_SCHEMA)
         assert len(frames) == 1
         assert skipped == 0  # torn, not poisoned: simply not consumed
         assert offset == len(whole.encode())
         # The writer finishes the record: the next poll picks it up.
         path.write_text(whole + torn + "\n")
-        frames, offset, skipped = read_frames(path, offset)
+        frames, offset, skipped = records.tail_jsonl(path, offset, TELEMETRY_SCHEMA)
         assert [f["ts"] for f in frames] == [2.0]
         assert skipped == 0
 
@@ -134,12 +136,14 @@ class TestReadFrames:
             + json.dumps({"schema": "other-v1", "type": "heartbeat"}) + "\n"
             + json.dumps(self.frame(ts=2.0)) + "\n"
         )
-        frames, _, skipped = read_frames(path)
+        frames, _, skipped = records.tail_jsonl(path, 0, TELEMETRY_SCHEMA)
         assert [f["ts"] for f in frames] == [1.0, 2.0]
         assert skipped == 2
 
     def test_missing_file_reads_empty(self, tmp_path):
-        frames, offset, skipped = read_frames(tmp_path / "absent.ndjson")
+        frames, offset, skipped = records.tail_jsonl(
+            tmp_path / "absent.ndjson", 0, TELEMETRY_SCHEMA
+        )
         assert (frames, offset, skipped) == ([], 0, 0)
 
 
@@ -210,6 +214,81 @@ class TestCollector:
         writer.close()
         collector.poll()
         assert not view.alive(view.last_ts)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frames", None),
+            ("frames", "x"),
+            ("torn_lines", -1),
+            ("offsets", None),
+            ("offsets", {"w1.ndjson": "x"}),
+            ("offsets", {"w1.ndjson": -5}),
+            ("energy_by_scheme", {"cnt": "x"}),
+            ("energy_seen", 7),
+            ("procs", {"w1": None}),
+            ("procs", {"w1": {"first_ts": "x"}}),
+        ],
+    )
+    def test_bad_state_is_a_counted_fresh_start(self, tmp_path, field, value):
+        writer = TelemetryWriter(tmp_path, identity="w1")
+        writer.lifecycle("finish", fingerprint="a" * 16, scheme="cnt",
+                         energy_fj=100.0)
+        writer.close()
+        TelemetryCollector(tmp_path).poll()  # persists a good state
+        state_path = tmp_path / ".collector-state.json"
+        state = json.loads(state_path.read_text())
+        state[field] = value
+        state_path.write_text(json.dumps(state))
+        with probe.recording(probe.ObsScope()) as scope:
+            collector = TelemetryCollector(tmp_path)
+        assert scope.counters == {"telemetry.state_resets": 1}
+        assert (collector.offsets, collector.frames, collector.views) == (
+            {}, 0, {},
+        )
+        assert len(collector.poll()) == 2  # re-reads from the start
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '"ts": "x"',
+            '"ts": null',
+            '"interval": "x"',
+            '"pid": "x"',
+            '"pid": true',
+            '"energy_fj": "x"',
+            '"energy_fj": NaN',
+            '"energy_fj": 1e999',
+            '"ts": -Infinity',
+        ],
+    )
+    def test_frames_with_unusable_numbers_are_counted_skips(
+        self, tmp_path, bad
+    ):
+        good = {
+            "schema": TELEMETRY_SCHEMA,
+            "type": "lifecycle",
+            "event": "finish",
+            "proc": "w1",
+            "ts": 1.0,
+            "fingerprint": "a" * 16,
+            "scheme": "cnt",
+            "energy_fj": 100.0,
+        }
+        poisoned = json.dumps(dict(good, fingerprint="b" * 16))
+        poisoned = poisoned[:-1] + ", " + bad + "}"
+        (tmp_path / "w1.ndjson").write_text(
+            json.dumps(good) + "\n" + poisoned + "\n"
+        )
+        collector = TelemetryCollector(tmp_path, persist=False)
+        with probe.recording(probe.ObsScope()) as scope:
+            fresh = collector.poll()
+            merged = read_all_frames(tmp_path)
+        assert fresh == merged == [good]
+        assert scope.counters == {"obs.torn_lines": 2}
+        assert collector.torn_lines == 1
+        assert collector.energy_by_scheme == {"cnt": 100.0}
 
 
 # ------------------------------------------------------------------ #
