@@ -21,21 +21,25 @@ surface and docs/OBSERVABILITY.md for probes/manifests/profiling.
 """
 
 import warnings
+from typing import TYPE_CHECKING
 
-from repro import api
-from repro.cnfet import BitEnergyModel, LeakageModel, Sram6TCell, render_table1
-from repro.core import (
-    CNTCacheConfig,
-    EnergyStats,
-    SCHEMES,
-    preset,
-    preset_names,
-)
-from repro.harness import compare_schemes, oracle_bound, replay, run_suite
-from repro.harness.experiments import EXPERIMENTS, run_experiment
-from repro.obs import Obs
-from repro.trace import Access, Op, read_trace, write_trace
-from repro.workloads import WORKLOADS, get_workload, workload_names
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro import api
+    from repro.cnfet import BitEnergyModel, LeakageModel, Sram6TCell, render_table1
+    from repro.core import (
+        CNTCacheConfig,
+        EnergyStats,
+        SCHEMES,
+        preset,
+        preset_names,
+    )
+    from repro.harness import compare_schemes, oracle_bound, replay, run_suite
+    from repro.harness.experiments import EXPERIMENTS, run_experiment
+    from repro.obs import Obs
+    from repro.trace import Access, Op, read_trace, write_trace
+    from repro.workloads import WORKLOADS, get_workload, workload_names
 
 __version__ = "1.0.0"
 
@@ -69,6 +73,37 @@ __all__ = [
 ]
 
 
+_exports_getattr, __dir__ = lazy_exports(
+    __name__,
+    {
+        "api": "repro.api",
+        "BitEnergyModel": "repro.cnfet.energy",
+        "LeakageModel": "repro.cnfet.leakage",
+        "Sram6TCell": "repro.cnfet.sram",
+        "render_table1": "repro.cnfet.energy",
+        "CNTCacheConfig": "repro.core.config",
+        "EnergyStats": "repro.core.stats",
+        "Obs": "repro.obs.session",
+        "SCHEMES": "repro.core.config",
+        "preset": "repro.core.presets",
+        "preset_names": "repro.core.presets",
+        "Access": "repro.trace.record",
+        "Op": "repro.trace.record",
+        "read_trace": "repro.trace.io",
+        "write_trace": "repro.trace.io",
+        "WORKLOADS": "repro.workloads.registry",
+        "get_workload": "repro.workloads.program",
+        "workload_names": "repro.workloads.program",
+        "replay": "repro.harness.runner",
+        "compare_schemes": "repro.harness.runner",
+        "run_suite": "repro.harness.runner",
+        "oracle_bound": "repro.harness.oracle",
+        "EXPERIMENTS": "repro.harness.experiments",
+        "run_experiment": "repro.harness.experiments",
+    },
+)
+
+
 def __getattr__(name: str):
     # Deprecation shim: the top-level simulator class moved behind the
     # facade.  `repro.core.CNTCache` stays warning-free for internal and
@@ -84,4 +119,4 @@ def __getattr__(name: str):
         from repro.core import CNTCache
 
         return CNTCache
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return _exports_getattr(name)

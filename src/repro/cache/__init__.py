@@ -16,24 +16,29 @@ Layout:
 * :mod:`~repro.cache.hierarchy` — a small L1/L2 composition helper.
 """
 
-from repro.cache.address import AddressMapper
-from repro.cache.cache import (
-    AccessResult,
-    ArrayEvent,
-    EventKind,
-    SetAssociativeCache,
-)
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.line import CacheLine
-from repro.cache.memory import MainMemory
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-    make_replacement_policy,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cache.address import AddressMapper
+    from repro.cache.cache import (
+        AccessResult,
+        ArrayEvent,
+        EventKind,
+        SetAssociativeCache,
+    )
+    from repro.cache.hierarchy import CacheHierarchy
+    from repro.cache.line import CacheLine
+    from repro.cache.memory import MainMemory
+    from repro.cache.replacement import (
+        FIFOPolicy,
+        LRUPolicy,
+        RandomPolicy,
+        ReplacementPolicy,
+        TreePLRUPolicy,
+        make_replacement_policy,
+    )
 
 __all__ = [
     "AddressMapper",
@@ -51,3 +56,23 @@ __all__ = [
     "TreePLRUPolicy",
     "make_replacement_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "AddressMapper": "repro.cache.address",
+        "CacheLine": "repro.cache.line",
+        "MainMemory": "repro.cache.memory",
+        "SetAssociativeCache": "repro.cache.cache",
+        "AccessResult": "repro.cache.cache",
+        "ArrayEvent": "repro.cache.cache",
+        "EventKind": "repro.cache.cache",
+        "CacheHierarchy": "repro.cache.hierarchy",
+        "ReplacementPolicy": "repro.cache.replacement",
+        "LRUPolicy": "repro.cache.replacement",
+        "FIFOPolicy": "repro.cache.replacement",
+        "RandomPolicy": "repro.cache.replacement",
+        "TreePLRUPolicy": "repro.cache.replacement",
+        "make_replacement_policy": "repro.cache.replacement",
+    },
+)

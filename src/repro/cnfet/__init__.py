@@ -18,18 +18,23 @@ The public surface is:
 All energies in this package are expressed in **femtojoules (fJ)**.
 """
 
-from repro.cnfet.corners import (
-    CMOS_REFERENCE,
-    Corner,
-    cmos_reference_model,
-    scale_to_corner,
-    scale_to_vdd,
-)
-from repro.cnfet.device import CNFETDevice
-from repro.cnfet.energy import BitEnergyModel, render_table1
-from repro.cnfet.leakage import LeakageModel
-from repro.cnfet.sram import Sram6TCell, SramArrayGeometry
-from repro.cnfet.timing import AccessTiming, SramTimingModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cnfet.corners import (
+        CMOS_REFERENCE,
+        Corner,
+        cmos_reference_model,
+        scale_to_corner,
+        scale_to_vdd,
+    )
+    from repro.cnfet.device import CNFETDevice
+    from repro.cnfet.energy import BitEnergyModel, render_table1
+    from repro.cnfet.leakage import LeakageModel
+    from repro.cnfet.sram import Sram6TCell, SramArrayGeometry
+    from repro.cnfet.timing import AccessTiming, SramTimingModel
 
 __all__ = [
     "CNFETDevice",
@@ -46,3 +51,22 @@ __all__ = [
     "cmos_reference_model",
     "CMOS_REFERENCE",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CNFETDevice": "repro.cnfet.device",
+        "Sram6TCell": "repro.cnfet.sram",
+        "SramArrayGeometry": "repro.cnfet.sram",
+        "BitEnergyModel": "repro.cnfet.energy",
+        "render_table1": "repro.cnfet.energy",
+        "SramTimingModel": "repro.cnfet.timing",
+        "AccessTiming": "repro.cnfet.timing",
+        "LeakageModel": "repro.cnfet.leakage",
+        "Corner": "repro.cnfet.corners",
+        "scale_to_corner": "repro.cnfet.corners",
+        "scale_to_vdd": "repro.cnfet.corners",
+        "cmos_reference_model": "repro.cnfet.corners",
+        "CMOS_REFERENCE": "repro.cnfet.corners",
+    },
+)

@@ -17,21 +17,26 @@ Public entry points:
 * :class:`~repro.core.stats.EnergyStats` — the measured energy breakdown.
 """
 
-from repro.core.config import CNTCacheConfig, SCHEMES
-from repro.core.cntcache import CNTCache
-from repro.core.presets import preset, preset_names
-from repro.core.policy import (
-    AdaptivePolicy,
-    BaselinePolicy,
-    DBIPolicy,
-    EncodingPolicy,
-    FillGreedyPolicy,
-    QuantizedAdaptivePolicy,
-    StaticInvertPolicy,
-    make_policy,
-)
-from repro.core.stats import EnergyStats
-from repro.core.update_queue import PendingUpdate, UpdateQueue
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import CNTCacheConfig, SCHEMES
+    from repro.core.cntcache import CNTCache
+    from repro.core.presets import preset, preset_names
+    from repro.core.policy import (
+        AdaptivePolicy,
+        BaselinePolicy,
+        DBIPolicy,
+        EncodingPolicy,
+        FillGreedyPolicy,
+        QuantizedAdaptivePolicy,
+        StaticInvertPolicy,
+        make_policy,
+    )
+    from repro.core.stats import EnergyStats
+    from repro.core.update_queue import PendingUpdate, UpdateQueue
 
 __all__ = [
     "CNTCache",
@@ -51,3 +56,25 @@ __all__ = [
     "preset",
     "preset_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CNTCache": "repro.core.cntcache",
+        "CNTCacheConfig": "repro.core.config",
+        "SCHEMES": "repro.core.config",
+        "EnergyStats": "repro.core.stats",
+        "EncodingPolicy": "repro.core.policy",
+        "BaselinePolicy": "repro.core.policy",
+        "StaticInvertPolicy": "repro.core.policy",
+        "FillGreedyPolicy": "repro.core.policy",
+        "DBIPolicy": "repro.core.policy",
+        "AdaptivePolicy": "repro.core.policy",
+        "QuantizedAdaptivePolicy": "repro.core.policy",
+        "make_policy": "repro.core.policy",
+        "UpdateQueue": "repro.core.update_queue",
+        "PendingUpdate": "repro.core.update_queue",
+        "preset": "repro.core.presets",
+        "preset_names": "repro.core.presets",
+    },
+)

@@ -11,51 +11,56 @@ batches collect structured :class:`FailureRecord` results — see
 for the job model, hash scheme, cache layout and invalidation rules.
 """
 
-from repro.exec.backends import (
-    ExecBackendError,
-    ExecBackendSpec,
-    exec_backend_names,
-    exec_backends,
-    make_exec_backend,
-)
-from repro.exec.broker import (
-    BrokerConfig,
-    BrokerError,
-    WorkerStats,
-    run_worker,
-)
-from repro.exec.engine import (
-    EngineCounters,
-    EngineError,
-    ExecEngine,
-    run_selftest,
-)
-from repro.exec.job import (
-    ENGINE_SCHEMA,
-    JOB_KINDS,
-    JobError,
-    SimJob,
-    audit_job,
-    code_fingerprint,
-    job_from_payload,
-    l2_job,
-    normalize_config,
-    oracle_job,
-    trace_job,
-    workload_job,
-)
-from repro.exec.planner import Plan, Planner, plan_jobs
-from repro.exec.result import ExecResult, ResultError
-from repro.exec.store import ResultStore
-from repro.exec.worker import execute_job, execute_payload
-from repro.resilience import (
-    FailureRecord,
-    JobFailure,
-    PermanentJobFailure,
-    PoisonJobError,
-    ResilienceConfig,
-    TransientJobFailure,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.exec.backends import (
+        ExecBackendError,
+        ExecBackendSpec,
+        exec_backend_names,
+        exec_backends,
+        make_exec_backend,
+    )
+    from repro.exec.broker import (
+        BrokerConfig,
+        BrokerError,
+        WorkerStats,
+        run_worker,
+    )
+    from repro.exec.engine import (
+        EngineCounters,
+        EngineError,
+        ExecEngine,
+        run_selftest,
+    )
+    from repro.exec.job import (
+        ENGINE_SCHEMA,
+        JOB_KINDS,
+        JobError,
+        SimJob,
+        audit_job,
+        code_fingerprint,
+        job_from_payload,
+        l2_job,
+        normalize_config,
+        oracle_job,
+        trace_job,
+        workload_job,
+    )
+    from repro.exec.planner import Plan, Planner, plan_jobs
+    from repro.exec.result import ExecResult, ResultError
+    from repro.exec.store import ResultStore
+    from repro.exec.worker import execute_job, execute_payload
+    from repro.resilience import (
+        FailureRecord,
+        JobFailure,
+        PermanentJobFailure,
+        PoisonJobError,
+        ResilienceConfig,
+        TransientJobFailure,
+    )
 
 __all__ = [
     "ENGINE_SCHEMA",
@@ -98,3 +103,48 @@ __all__ = [
     "trace_job",
     "workload_job",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ENGINE_SCHEMA": "repro.exec.job",
+        "JOB_KINDS": "repro.exec.job",
+        "BrokerConfig": "repro.exec.broker",
+        "BrokerError": "repro.exec.broker",
+        "EngineCounters": "repro.exec.engine",
+        "EngineError": "repro.exec.engine",
+        "ExecBackendError": "repro.exec.backends",
+        "ExecBackendSpec": "repro.exec.backends",
+        "ExecEngine": "repro.exec.engine",
+        "ExecResult": "repro.exec.result",
+        "FailureRecord": "repro.resilience",
+        "JobError": "repro.exec.job",
+        "JobFailure": "repro.resilience",
+        "PermanentJobFailure": "repro.resilience",
+        "Plan": "repro.exec.planner",
+        "Planner": "repro.exec.planner",
+        "PoisonJobError": "repro.resilience",
+        "ResilienceConfig": "repro.resilience",
+        "ResultError": "repro.exec.result",
+        "ResultStore": "repro.exec.store",
+        "SimJob": "repro.exec.job",
+        "TransientJobFailure": "repro.resilience",
+        "WorkerStats": "repro.exec.broker",
+        "audit_job": "repro.exec.job",
+        "code_fingerprint": "repro.exec.job",
+        "exec_backend_names": "repro.exec.backends",
+        "exec_backends": "repro.exec.backends",
+        "execute_job": "repro.exec.worker",
+        "execute_payload": "repro.exec.worker",
+        "job_from_payload": "repro.exec.job",
+        "l2_job": "repro.exec.job",
+        "make_exec_backend": "repro.exec.backends",
+        "normalize_config": "repro.exec.job",
+        "oracle_job": "repro.exec.job",
+        "plan_jobs": "repro.exec.planner",
+        "run_selftest": "repro.exec.engine",
+        "run_worker": "repro.exec.broker",
+        "trace_job": "repro.exec.job",
+        "workload_job": "repro.exec.job",
+    },
+)

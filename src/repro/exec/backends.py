@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,6 +41,8 @@ from repro.obs import probe, trace
 from repro.resilience import backoff_delay
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.exec.engine import ExecEngine
     from repro.exec.job import SimJob
 
@@ -132,6 +131,9 @@ class LocalPoolBackend(ExecBackend):
 
     def execute(self, engine: "ExecEngine", pending: "list[SimJob]") -> None:
         """Run the jobs in worker-pool rounds (see the class docstring)."""
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         config = engine.resilience
         workers = min(engine.jobs, len(pending))
         # Force-enable probes/tracing in the workers iff they are on
@@ -234,6 +236,8 @@ class LocalPoolBackend(ExecBackend):
         workers: int, initializer, initargs
     ) -> ProcessPoolExecutor:
         """Build a worker pool, arming observability when requested."""
+        from concurrent.futures import ProcessPoolExecutor
+
         if initializer is None:
             return ProcessPoolExecutor(max_workers=workers)
         return ProcessPoolExecutor(

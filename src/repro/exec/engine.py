@@ -41,12 +41,11 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.exec.backends import exec_backend_names, make_exec_backend
-from repro.exec.broker import BrokerConfig
 from repro.exec.job import SimJob
 from repro.exec.planner import plan_jobs
 from repro.exec.result import ExecResult
@@ -57,13 +56,6 @@ from repro.exec.store import (  # noqa: F401  (re-exported compat names)
 )
 from repro.exec.worker import execute_job, execute_payload
 from repro.obs import probe, trace
-from repro.obs.telemetry import (
-    TelemetryWriter,
-    default_identity,
-    make_trace_id,
-    span_for,
-    telemetry_dir,
-)
 from repro.resilience import (
     FailureRecord,
     ResilienceConfig,
@@ -71,9 +63,43 @@ from repro.resilience import (
     failure_for,
 )
 
+if TYPE_CHECKING:
+    from repro.exec.broker import BrokerConfig
+    from repro.obs.telemetry import TelemetryWriter
+
 
 class EngineError(RuntimeError):
     """Raised on invalid engine configuration or use."""
+
+
+def _coordinator_telemetry(
+    telemetry: str | Path | TelemetryWriter | None,
+    broker: BrokerConfig | None,
+) -> TelemetryWriter:
+    """The coordinator's telemetry writer, with a minted trace id.
+
+    ``telemetry`` defaults to the broker's telemetry directory.  The
+    telemetry module loads here, only for engines that stream frames.
+    """
+    from repro.obs.telemetry import (
+        TelemetryWriter,
+        default_identity,
+        make_trace_id,
+        telemetry_dir,
+    )
+
+    if telemetry is None:
+        assert broker is not None
+        telemetry = telemetry_dir(broker.root)
+    if not isinstance(telemetry, TelemetryWriter):
+        telemetry = TelemetryWriter(
+            telemetry,
+            identity=default_identity("coordinator"),
+            role="coordinator",
+        )
+    if telemetry.trace_id is None:
+        telemetry.trace_id = make_trace_id(telemetry.identity)
+    return telemetry
 
 
 class ExecEngine:
@@ -98,12 +124,16 @@ class ExecEngine:
             raise EngineError(
                 f"resilience must be a ResilienceConfig, got {resilience!r}"
             )
-        if isinstance(broker, (str, Path)):
-            broker = BrokerConfig(root=broker)
-        elif broker is not None and not isinstance(broker, BrokerConfig):
-            raise EngineError(
-                f"broker must be a BrokerConfig or directory, got {broker!r}"
-            )
+        if broker is not None:
+            # The broker module loads only for engines configured with one.
+            from repro.exec.broker import BrokerConfig
+
+            if isinstance(broker, (str, Path)):
+                broker = BrokerConfig(root=broker)
+            elif not isinstance(broker, BrokerConfig):
+                raise EngineError(
+                    f"broker must be a BrokerConfig or directory, got {broker!r}"
+                )
         if broker is not None and exec_backend is None:
             exec_backend = "broker"
         if exec_backend is not None and exec_backend not in exec_backend_names():
@@ -157,24 +187,12 @@ class ExecEngine:
         # what `cntcache top` tails); any engine can point it elsewhere
         # with an explicit directory.  `None` here means no frames, no
         # trace ids, no wall-clock reads — byte-for-byte the old engine.
-        if telemetry is None and broker is not None:
-            telemetry = telemetry_dir(broker.root)
-        if telemetry is None or isinstance(telemetry, TelemetryWriter):
-            self.telemetry = telemetry
-        else:
-            self.telemetry = TelemetryWriter(
-                telemetry,
-                identity=default_identity("coordinator"),
-                role="coordinator",
-            )
+        self.telemetry: TelemetryWriter | None = None
         #: Fleet correlation id for this coordinator's published jobs
         #: (``None`` without telemetry — serial runs stay wall-clock-free).
         self.trace_id: str | None = None
-        if self.telemetry is not None:
-            if self.telemetry.trace_id is None:
-                self.telemetry.trace_id = make_trace_id(
-                    self.telemetry.identity
-                )
+        if telemetry is not None or broker is not None:
+            self.telemetry = _coordinator_telemetry(telemetry, broker)
             self.trace_id = self.telemetry.trace_id
         #: Running accesses/energy tallies for telemetry heartbeats only;
         #: per-job fJ totals stay unsummed until report time (D005/R001:
@@ -430,6 +448,8 @@ class ExecEngine:
         """The (trace_id, span_id) pair for one job, or ``(None, None)``."""
         if self.trace_id is None:
             return (None, None)
+        from repro.obs.telemetry import span_for
+
         return (self.trace_id, span_for(self.trace_id, job.fingerprint))
 
     def _account_telemetry(
@@ -546,7 +566,7 @@ def run_selftest(
     leg of the same contract.
     """
     import tempfile
-
+    from concurrent.futures import ProcessPoolExecutor
     from dataclasses import replace
 
     from repro.core.config import CNTCacheConfig

@@ -131,11 +131,13 @@ FINGERPRINT_PACKAGES = (
 )
 
 #: Individual semantics-bearing modules outside those packages: the
-#: public facade (``api.py`` constructs the simulator), the harness
-#: compute modules jobs dispatch to and the exec worker itself.
-#: Repo-relative to ``src/repro``, hashed in this order.
+#: public facade (``api.py`` constructs the simulator), the lazy
+#: namespace helper the packages above resolve their exports through,
+#: the harness compute modules jobs dispatch to and the exec worker
+#: itself.  Repo-relative to ``src/repro``, hashed in this order.
 FINGERPRINT_MODULES = (
     "api.py",
+    "_lazy.py",
     "harness/oracle.py",
     "harness/multilevel.py",
     "harness/runner.py",

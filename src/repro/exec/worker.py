@@ -7,6 +7,12 @@ L1-filtered streams, which are equally expensive to build) are memoized
 per process, so a sweep of N configs over one workload builds its trace
 once per worker, not N times.
 
+The job kinds' modules (runner, oracle, L1 filter, audit, the default
+simulation engine) are imported here at module level: running them is
+this module's purpose, and a pool forked from a parent that imported it
+inherits them instead of importing them again in every worker.  Call
+sites still look their entry points up on those modules at call time.
+
 Everything here is deterministic: traces are rebuilt from
 (name, size, seed), the simulator is seeded from the config, and results
 travel as JSON-exact payloads — a worker-process result is bit-identical
@@ -19,9 +25,12 @@ import hashlib
 import time
 from collections.abc import Iterable
 
-from repro import faults
+from repro import api, faults
+from repro.analysis import accuracy
+from repro.backends import array  # noqa: F401  (the default engine, see above)
 from repro.exec.job import SimJob
 from repro.exec.result import ExecResult
+from repro.harness import multilevel, oracle, runner
 from repro.obs import probe, trace
 from repro.workloads.program import WorkloadRun, get_workload
 
@@ -66,11 +75,9 @@ def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
 # kind dispatch
 # --------------------------------------------------------------------- #
 def _execute_workload(job: SimJob) -> ExecResult:
-    from repro.harness.runner import replay
-
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
-    sim = replay(job.config, run.trace, run.preloads, backend=job.backend)
+    sim = runner.replay(job.config, run.trace, run.preloads, backend=job.backend)
     return ExecResult(
         job=job,
         stats=sim.stats,
@@ -82,18 +89,13 @@ def _execute_workload(job: SimJob) -> ExecResult:
 
 
 def _execute_oracle(job: SimJob) -> ExecResult:
-    from repro.harness.oracle import oracle_bound
-
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
-    bound = oracle_bound(job.config, run.trace, run.preloads)
+    bound = oracle.oracle_bound(job.config, run.trace, run.preloads)
     return ExecResult(job=job, values={"oracle_fj": bound, "accesses": run.stats.accesses})
 
 
 def _execute_l2(job: SimJob) -> ExecResult:
-    from repro.harness.multilevel import l1_filtered_stream
-    from repro.harness.runner import replay
-
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
     geometry = dict(job.params)
@@ -104,7 +106,7 @@ def _execute_l2(job: SimJob) -> ExecResult:
         # measurement; pause probes so cache.* counters stay per-job
         # deterministic whatever the worker-process topology.
         with probe.timer("phase.l1_filter"), probe.paused():
-            stream = l1_filtered_stream(
+            stream = multilevel.l1_filtered_stream(
                 run.trace,
                 run.preloads,
                 l1_size=geometry["l1_size"],
@@ -118,18 +120,15 @@ def _execute_l2(job: SimJob) -> ExecResult:
     }
     if not stream:
         return ExecResult(job=job, stats=None, values=values)
-    sim = replay(job.config, stream, run.preloads, backend=job.backend)
+    sim = runner.replay(job.config, stream, run.preloads, backend=job.backend)
     return ExecResult(job=job, stats=sim.stats, values=values)
 
 
 def _execute_audit(job: SimJob) -> ExecResult:
-    from repro.analysis.accuracy import audit_predictions
-    from repro.api import make_cache
-
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
-    audit = audit_predictions(
-        make_cache(config=job.config, backend=job.backend),
+    audit = accuracy.audit_predictions(
+        api.make_cache(config=job.config, backend=job.backend),
         run.trace,
         run.preloads,
     )

@@ -40,7 +40,6 @@ installed, so the hooks live permanently in the engine paths.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
@@ -230,7 +229,11 @@ _FORCED_WORKER = False
 
 
 def _in_worker_process() -> bool:
-    return _FORCED_WORKER or multiprocessing.parent_process() is not None
+    if _FORCED_WORKER:
+        return True
+    import multiprocessing
+
+    return multiprocessing.parent_process() is not None
 
 
 def mark_worker_process(flag: bool = True) -> None:

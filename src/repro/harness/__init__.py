@@ -16,23 +16,28 @@ values and resolve them through an :class:`repro.exec.ExecEngine`
 of any experiment without running it.
 """
 
-from repro.harness.experiments import (
-    EXPERIMENT_PLANS,
-    EXPERIMENTS,
-    ExperimentResult,
-    plan_experiment,
-    run_experiment,
-)
-from repro.harness.oracle import oracle_bound
-from repro.harness.runner import (
-    RunResult,
-    compare_schemes,
-    replay,
-    run_suite,
-    run_workload,
-)
-from repro.harness.sweep import sweep_configs
-from repro.harness.tables import render_markdown, render_table
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.harness.experiments import (
+        EXPERIMENT_PLANS,
+        EXPERIMENTS,
+        ExperimentResult,
+        plan_experiment,
+        run_experiment,
+    )
+    from repro.harness.oracle import oracle_bound
+    from repro.harness.runner import (
+        RunResult,
+        compare_schemes,
+        replay,
+        run_suite,
+        run_workload,
+    )
+    from repro.harness.sweep import sweep_configs
+    from repro.harness.tables import render_markdown, render_table
 
 __all__ = [
     "replay",
@@ -50,3 +55,23 @@ __all__ = [
     "plan_experiment",
     "run_experiment",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "replay": "repro.harness.runner",
+        "run_workload": "repro.harness.runner",
+        "compare_schemes": "repro.harness.runner",
+        "run_suite": "repro.harness.runner",
+        "RunResult": "repro.harness.runner",
+        "oracle_bound": "repro.harness.oracle",
+        "sweep_configs": "repro.harness.sweep",
+        "render_table": "repro.harness.tables",
+        "render_markdown": "repro.harness.tables",
+        "EXPERIMENTS": "repro.harness.experiments",
+        "EXPERIMENT_PLANS": "repro.harness.experiments",
+        "ExperimentResult": "repro.harness.experiments",
+        "plan_experiment": "repro.harness.experiments",
+        "run_experiment": "repro.harness.experiments",
+    },
+)

@@ -5,6 +5,15 @@ array event, the posteriori-minimal data energy (per-partition free choice
 of direction, no history, no switch cost, no metadata).  The result lower-
 bounds every realisable encoding policy with the same codec geometry.
 
+Each event is priced from two precomputed tables, one per access kind:
+entry ``n`` is ``min(E(n, pb - n), E(pb - n, n))``, the cheaper direction
+of a ``pb``-bit partition holding ``n`` 1-bits, built from the same
+:class:`~repro.cnfet.energy.BitEnergyModel` calls as the reference
+:func:`repro.predictor.oracle.oracle_access_energy`.  A partition's
+1-bit count is a shift, a mask and ``int.bit_count``, and the per-access
+sub-total folds the partitions in line order, so the bound is
+bit-identical to the reference (a Hypothesis test pins that).
+
 Experiments don't call :func:`oracle_bound` directly: they declare an
 ``oracle`` :class:`repro.exec.SimJob` (see :func:`repro.exec.oracle_job`)
 and read ``values["oracle_fj"]`` off the :class:`repro.exec.ExecResult`,
@@ -17,10 +26,41 @@ from collections.abc import Iterable
 
 from repro.cache.cache import EventKind, SetAssociativeCache
 from repro.cache.memory import MainMemory
+from repro.cnfet.energy import BitEnergyModel
 from repro.core.config import CNTCacheConfig
 from repro.encoding.partitioned import PartitionedInvertCodec
-from repro.predictor.oracle import oracle_access_energy
 from repro.trace.record import Access
+
+
+def min_energy_table(
+    model: BitEnergyModel, partition_bits: int, is_write: bool
+) -> list[float]:
+    """Cheaper-direction energy (fJ) of one partition, by its 1-bit count."""
+    return [
+        min(
+            model.access_energy(is_write, ones, partition_bits - ones),
+            model.access_energy(is_write, partition_bits - ones, ones),
+        )
+        for ones in range(partition_bits + 1)
+    ]
+
+
+def table_access_energy(
+    table: list[float], logical: bytes, partitions: int, partition_bits: int
+) -> float:
+    """Minimum data-array energy (fJ) of one access, priced from ``table``.
+
+    Partition ``i`` is bytes ``[i * w, (i + 1) * w)`` of the line, which
+    are bits ``[i * partition_bits, (i + 1) * partition_bits)`` of its
+    little-endian integer.
+    """
+    value = int.from_bytes(logical, "little")
+    mask = (1 << partition_bits) - 1
+    energy = 0.0
+    for _ in range(partitions):
+        energy += table[(value & mask).bit_count()]
+        value >>= partition_bits
+    return energy
 
 
 def oracle_bound(
@@ -46,7 +86,11 @@ def oracle_bound(
         seed=config.seed,
     )
     codec = PartitionedInvertCodec(config.line_size, config.partitions)
-    model = config.energy
+    partitions, partition_bits = codec.n_partitions, codec.partition_bits
+    tables = {
+        is_write: min_energy_table(config.energy, partition_bits, is_write)
+        for is_write in (False, True)
+    }
     peripheral = config.peripheral_fj_per_access
 
     total = 0.0
@@ -73,7 +117,9 @@ def oracle_bound(
                     logical = event.payload
                     is_write = False
                     total += peripheral
-                total += oracle_access_energy(codec, logical, is_write, model)
+                total += table_access_energy(
+                    tables[is_write], logical, partitions, partition_bits
+                )
             position += chunk
             consumed += chunk
             remaining -= chunk

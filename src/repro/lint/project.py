@@ -3,11 +3,14 @@
 Before any rule runs, the engine builds a :class:`ProjectIndex` over
 every parsed module: dotted module names (derived from ``__init__.py``
 package structure, never imports), a top-level symbol table per module
-and the import graph with per-edge source locations.  Project-scope
-rules — fingerprint coverage (S002), registry/export coverage (R003) —
-consume the index instead of re-walking every tree; module-scope rules
-use it to place a file in the package topology (e.g. "is this module
-simulation semantics?").
+and the import graph with per-edge source locations.  The graph also
+holds one edge per entry of a package's lazy export table
+(``lazy_exports(__name__, {name: module, ...})``, see
+:mod:`repro._lazy`): the package imports that module on first use of
+the name.  Project-scope rules — fingerprint coverage (S002),
+registry/export coverage (R003) — consume the index instead of
+re-walking every tree; module-scope rules use it to place a file in the
+package topology (e.g. "is this module simulation semantics?").
 
 Everything here is purely static: files are parsed, never imported, so
 the index is safe to build over fixture trees that seed deliberate
@@ -54,8 +57,8 @@ class ImportEdge:
     target: str
     line: int
     #: True for module-level (eagerly executed) imports; False for
-    #: imports nested inside a function — those are lazy by design and
-    #: excluded from reachability walks.
+    #: imports nested inside a function and for lazy export-table
+    #: entries — both run only when the code that needs them does.
     toplevel: bool
 
 
@@ -79,12 +82,38 @@ class ModuleSymbols:
         )
 
 
+#: The helper whose dict-literal argument is a lazy export table.
+_LAZY_EXPORTS = "lazy_exports"
+
+
 class _ImportCollector(ast.NodeVisitor):
-    """Collects raw import statements, tagging function-nested ones."""
+    """Collects raw import statements, tagging function-nested ones.
+
+    Also collects the ``(module, line)`` entries of lazy export tables:
+    every string value of a dict literal passed to ``lazy_exports``.
+    """
 
     def __init__(self) -> None:
         self.imports: list[tuple[ast.Import | ast.ImportFrom, bool]] = []
+        self.lazy: list[tuple[str, int]] = []
         self._function_depth = 0
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            called = func.attr
+        else:
+            called = getattr(func, "id", None)
+        if called == _LAZY_EXPORTS:
+            for argument in node.args:
+                if isinstance(argument, ast.Dict):
+                    self.lazy.extend(
+                        (value.value, value.lineno)
+                        for value in argument.values
+                        if isinstance(value, ast.Constant)
+                        and isinstance(value.value, str)
+                    )
+        self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._function_depth += 1
@@ -196,6 +225,10 @@ class ProjectIndex:
                 candidate = f"{base}.{alias.name}"
                 if candidate in self.modules and candidate != base_target:
                     yield ImportEdge(importer, candidate, node.lineno, toplevel)
+        for dotted, line in collector.lazy:
+            target = self._known_target(dotted)
+            if target is not None:
+                yield ImportEdge(importer, target, line, False)
 
     @staticmethod
     def _absolute_base(node: ast.ImportFrom, package: str) -> str | None:

@@ -131,9 +131,12 @@ class FingerprintCoverageRule(LintRule):
     """S002: the exec fingerprint transitively covers the import graph.
 
     Every module reachable from the simulation roots (``repro.cache``,
-    ``repro.encoding``, ``repro.cnfet``) through module-level imports
-    must be hashed into the exec code fingerprint — otherwise editing it
-    would change simulation results without invalidating cached ones.
+    ``repro.encoding``, ``repro.cnfet``) through imports (module-level,
+    function-level or a package's lazy export table) must be hashed into
+    the exec code fingerprint — otherwise editing it would change
+    simulation results without invalidating cached ones.  Deferring an
+    import into the function that uses it does not make it result
+    neutral, so the walk follows every edge.
     Exempt prefixes (``repro.obs``: result-neutral observability;
     ``repro.faults``: transient-only, healed byte-identically) terminate
     the walk but are reported if *they* import uncovered modules at the
@@ -159,7 +162,9 @@ class FingerprintCoverageRule(LintRule):
         if spec is None or context.project is None:
             return
         index = context.project
-        reached = index.reachable_from(spec.roots, stop_prefixes=spec.exempt)
+        reached = index.reachable_from(
+            spec.roots, toplevel_only=False, stop_prefixes=spec.exempt
+        )
         for name in sorted(reached):
             if name in spec.covered or matches_prefix(name, spec.exempt):
                 continue

@@ -27,59 +27,64 @@ helper accepts through the uniform ``obs=`` keyword:
     print(obs.summary().to_dict())
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchError,
-    BenchRecord,
-    append_record,
-    compare,
-    load_trajectory,
-)
-from repro.obs.export import (
-    chrome_trace,
-    collapsed_stacks,
-    fleet_chrome_trace,
-    write_chrome,
-    write_collapsed,
-    write_fleet_chrome,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    ManifestError,
-    ManifestSummary,
-    ManifestWriter,
-    merge_manifests,
-    read_manifest,
-    summarize,
-)
-from repro.obs.names import METRIC_NAMES, is_registered
-from repro.obs.probe import ObsScope, counter, event, gauge, recording, timer
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    ProfileError,
-    ProfileReport,
-    profile_experiments,
-)
-from repro.obs.session import Obs
-from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA,
-    FleetSnapshot,
-    ProcessView,
-    TelemetryCollector,
-    TelemetryError,
-    TelemetryWriter,
-    make_trace_id,
-    prometheus_lines,
-    read_all_frames,
-    span_for,
-    telemetry_dir,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA,
-    TraceSink,
-    canonical_access_events,
-    tracing,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.bench import (
+        BENCH_SCHEMA,
+        BenchError,
+        BenchRecord,
+        append_record,
+        compare,
+        load_trajectory,
+    )
+    from repro.obs.export import (
+        chrome_trace,
+        collapsed_stacks,
+        fleet_chrome_trace,
+        write_chrome,
+        write_collapsed,
+        write_fleet_chrome,
+    )
+    from repro.obs.manifest import (
+        MANIFEST_SCHEMA,
+        ManifestError,
+        ManifestSummary,
+        ManifestWriter,
+        merge_manifests,
+        read_manifest,
+        summarize,
+    )
+    from repro.obs.names import METRIC_NAMES, is_registered
+    from repro.obs.probe import ObsScope, counter, event, gauge, recording, timer
+    from repro.obs.profile import (
+        PROFILE_SCHEMA,
+        ProfileError,
+        ProfileReport,
+        profile_experiments,
+    )
+    from repro.obs.session import Obs
+    from repro.obs.telemetry import (
+        TELEMETRY_SCHEMA,
+        FleetSnapshot,
+        ProcessView,
+        TelemetryCollector,
+        TelemetryError,
+        TelemetryWriter,
+        make_trace_id,
+        prometheus_lines,
+        read_all_frames,
+        span_for,
+        telemetry_dir,
+    )
+    from repro.obs.trace import (
+        TRACE_SCHEMA,
+        TraceSink,
+        canonical_access_events,
+        tracing,
+    )
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -130,3 +135,56 @@ __all__ = [
     "write_collapsed",
     "write_fleet_chrome",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "BENCH_SCHEMA": "repro.obs.bench",
+        "MANIFEST_SCHEMA": "repro.obs.manifest",
+        "METRIC_NAMES": "repro.obs.names",
+        "PROFILE_SCHEMA": "repro.obs.profile",
+        "TELEMETRY_SCHEMA": "repro.obs.telemetry",
+        "TRACE_SCHEMA": "repro.obs.trace",
+        "BenchError": "repro.obs.bench",
+        "BenchRecord": "repro.obs.bench",
+        "FleetSnapshot": "repro.obs.telemetry",
+        "ManifestError": "repro.obs.manifest",
+        "ManifestSummary": "repro.obs.manifest",
+        "ManifestWriter": "repro.obs.manifest",
+        "Obs": "repro.obs.session",
+        "ObsScope": "repro.obs.probe",
+        "ProcessView": "repro.obs.telemetry",
+        "ProfileError": "repro.obs.profile",
+        "ProfileReport": "repro.obs.profile",
+        "TelemetryCollector": "repro.obs.telemetry",
+        "TelemetryError": "repro.obs.telemetry",
+        "TelemetryWriter": "repro.obs.telemetry",
+        "TraceSink": "repro.obs.trace",
+        "append_record": "repro.obs.bench",
+        "canonical_access_events": "repro.obs.trace",
+        "chrome_trace": "repro.obs.export",
+        "collapsed_stacks": "repro.obs.export",
+        "compare": "repro.obs.bench",
+        "counter": "repro.obs.probe",
+        "event": "repro.obs.probe",
+        "fleet_chrome_trace": "repro.obs.export",
+        "gauge": "repro.obs.probe",
+        "is_registered": "repro.obs.names",
+        "load_trajectory": "repro.obs.bench",
+        "make_trace_id": "repro.obs.telemetry",
+        "merge_manifests": "repro.obs.manifest",
+        "profile_experiments": "repro.obs.profile",
+        "prometheus_lines": "repro.obs.telemetry",
+        "read_all_frames": "repro.obs.telemetry",
+        "read_manifest": "repro.obs.manifest",
+        "recording": "repro.obs.probe",
+        "span_for": "repro.obs.telemetry",
+        "summarize": "repro.obs.manifest",
+        "telemetry_dir": "repro.obs.telemetry",
+        "timer": "repro.obs.probe",
+        "tracing": "repro.obs.trace",
+        "write_chrome": "repro.obs.export",
+        "write_collapsed": "repro.obs.export",
+        "write_fleet_chrome": "repro.obs.export",
+    },
+)

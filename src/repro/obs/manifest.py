@@ -148,24 +148,30 @@ class ManifestWriter:
         self._file = None
 
     def write(self, entry: dict) -> None:
-        """Append one typed entry (opens the file and emits the header first)."""
+        """Append one typed entry (opens the file and emits the header first).
+
+        The entry is serialized before anything is written: a non-finite
+        number raises ``ValueError`` (readers would skip the line) and
+        leaves the file as it was.
+        """
         if not isinstance(entry, dict) or "type" not in entry:
             raise ManifestError(f"manifest entries need a 'type': {entry!r}")
+        line = records.dumps(entry)
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self.path.open("w", encoding="utf-8")
-            self._emit(header_entry())
+            self._emit(records.dumps(header_entry()))
         poison = faults.poison_manifest_line(
             f"{self.path.name}:{self.entries_written}"
         )
         if poison is not None:
             assert self._file is not None
             self._file.write(poison + "\n")
-        self._emit(entry)
+        self._emit(line)
 
-    def _emit(self, entry: dict) -> None:
+    def _emit(self, line: str) -> None:
         assert self._file is not None
-        self._file.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._file.write(line + "\n")
         self._file.flush()
         self.entries_written += 1
 

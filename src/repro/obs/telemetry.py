@@ -45,7 +45,6 @@ entries and trace snapshots all agree on ids without a handshake.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import socket
@@ -298,10 +297,17 @@ class TelemetryWriter:
         frame.setdefault("proc", self.identity)
         frame.setdefault("role", self.role)
         try:
+            line = records.dumps(frame)
+        except ValueError:
+            # A non-finite number: readers would skip the line, so the
+            # frame is dropped (and counted) and the writer stays live.
+            probe.counter("telemetry.write_errors")
+            return
+        try:
             if self._file is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 self._file = self.path.open("a", encoding="utf-8")
-            self._file.write(json.dumps(frame, sort_keys=True) + "\n")
+            self._file.write(line + "\n")
             self._file.flush()
         except OSError:
             # Telemetry must never fail the run it observes: first write

@@ -25,8 +25,7 @@ same faulted batch behave identically.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+import sys
 from dataclasses import dataclass
 
 from repro.faults import FaultInjected
@@ -34,9 +33,9 @@ from repro.faults import FaultInjected
 #: Error types worth retrying: infrastructure died, not the job itself.
 #: ``OSError`` covers the broken-pipe/connection-reset family a dying
 #: worker leaves behind; ``EOFError`` is a torn multiprocessing channel.
+#: The process pool's own ``BrokenProcessPool`` and futures
+#: ``TimeoutError`` are transient too (see :func:`classify_transient`).
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
-    BrokenProcessPool,
-    FuturesTimeoutError,
     TimeoutError,
     OSError,
     EOFError,
@@ -46,7 +45,16 @@ TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
 
 def classify_transient(error: BaseException) -> bool:
     """True if ``error`` is transient (retryable), False if permanent."""
-    return isinstance(error, TRANSIENT_ERRORS)
+    if isinstance(error, TRANSIENT_ERRORS):
+        return True
+    # The pool's error types exist only once ``concurrent.futures`` is
+    # loaded, so a process that never built a pool need not import it.
+    if "concurrent.futures" not in sys.modules:
+        return False
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
+    return isinstance(error, (BrokenProcessPool, FuturesTimeoutError))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 # lint: skip-file
-"""Core simulation module: imports a covered helper eagerly, a lazy one."""
+"""Core simulation module: imports a covered helper eagerly, one lazily."""
 from minipkg import helper
 
 
 def simulate(n):
-    """Lazy import below must NOT count as reachability."""
+    """The function-level import below still counts as reachability."""
     from minipkg import lazy
 
     return helper.assist(n) + lazy.fallback(n)

@@ -1,7 +1,7 @@
 # lint: skip-file
-"""Only ever imported inside a function body: not eagerly reachable."""
+"""Only ever imported inside a function body: reachable all the same."""
 
 
 def fallback(n):
-    """Still uncovered, but lazy imports do not poison results eagerly."""
+    """Uncovered: a deferred import changes results like an eager one."""
     return n - 1

@@ -82,6 +82,24 @@ class TestImportGraph:
         ]
         assert lazy_edges and all(not edge.toplevel for edge in lazy_edges)
 
+    def test_lazy_export_table_entries_are_lazy_edges(self):
+        index = build_index(FIXTURES / "lazypkg")
+        lazy = {
+            (edge.target, edge.line)
+            for edge in index.imports["lazypkg.facade"]
+            if not edge.toplevel
+        }
+        assert lazy == {
+            ("lazypkg.facade.covered", 10),
+            ("lazypkg.facade.hidden", 11),
+        }
+        # A walk over module-level edges alone would miss the module.
+        reached = index.reachable_from(["lazypkg.simroot"], toplevel_only=False)
+        assert "lazypkg.facade.hidden" in reached
+        assert "lazypkg.facade.hidden" not in index.reachable_from(
+            ["lazypkg.simroot"]
+        )
+
     def test_stdlib_imports_are_dropped(self, tmp_path):
         module = tmp_path / "only_stdlib.py"
         module.write_text("import json\nimport os.path\n")

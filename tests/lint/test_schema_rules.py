@@ -42,17 +42,21 @@ class TestS001:
         assert lint_paths([SRC / "repro" / "schemas.py"], config) == []
 
 
-def minipkg_context() -> LintContext:
-    modules = []
-    for path in sorted((FIXTURES / "minipkg").rglob("*.py")):
-        parsed = parse_module(path)
-        modules.append(parsed)
+def fixture_context(package: str) -> LintContext:
+    modules = [
+        parse_module(path)
+        for path in sorted((FIXTURES / package).rglob("*.py"))
+    ]
     context = LintContext(
         config=LintConfig(honor_skip_file=False, scope_to_source=False),
         modules=modules,
     )
     context.project = ProjectIndex.build(modules)
     return context
+
+
+def minipkg_context() -> LintContext:
+    return fixture_context("minipkg")
 
 
 MINI_SPEC = FingerprintSpec(
@@ -70,32 +74,46 @@ MINI_SPEC = FingerprintSpec(
 )
 
 
+def flagged_modules(findings) -> dict:
+    """Findings keyed by the module each one flags."""
+    return {finding.message.split("'")[1]: finding for finding in findings}
+
+
 class TestS002OnTheMiniPackage:
     def test_uncovered_reachable_module_is_flagged_with_witness(self):
         rule = FingerprintCoverageRule(spec=MINI_SPEC)
-        findings = list(rule.check_project(minipkg_context()))
-        assert len(findings) == 1
-        finding = findings[0]
+        findings = flagged_modules(rule.check_project(minipkg_context()))
+        finding = findings["minipkg.uncovered"]
         assert finding.rule_id == "S002"
-        assert "minipkg.uncovered" in finding.message
         assert "imported by minipkg.helper" in finding.message
         # Anchored at the witness import in helper.py, line 3.
         assert finding.path.endswith("helper.py")
         assert finding.line == 3
 
-    def test_exempt_and_lazy_modules_are_not_flagged(self):
+    def test_exempt_modules_are_not_flagged(self):
         rule = FingerprintCoverageRule(spec=MINI_SPEC)
         messages = [
             finding.message
             for finding in rule.check_project(minipkg_context())
         ]
         assert not any("exemptpkg" in message for message in messages)
-        assert not any("minipkg.lazy" in message for message in messages)
+
+    def test_function_level_import_is_flagged(self):
+        """Deferring an import into a function keeps it reachable."""
+        rule = FingerprintCoverageRule(spec=MINI_SPEC)
+        findings = flagged_modules(rule.check_project(minipkg_context()))
+        assert set(findings) == {"minipkg.uncovered", "minipkg.lazy"}
+        finding = findings["minipkg.lazy"]
+        assert "imported by minipkg.cachepkg.core" in finding.message
+        assert finding.path.endswith("core.py")
+        assert finding.line == 8
 
     def test_covering_the_module_clears_the_finding(self):
         spec = FingerprintSpec(
             roots=MINI_SPEC.roots,
-            covered=frozenset(MINI_SPEC.covered | {"minipkg.uncovered"}),
+            covered=frozenset(
+                MINI_SPEC.covered | {"minipkg.uncovered", "minipkg.lazy"}
+            ),
             exempt=MINI_SPEC.exempt,
         )
         rule = FingerprintCoverageRule(spec=spec)
@@ -113,6 +131,43 @@ class TestS002OnTheMiniPackage:
             for finding in rule.check_project(minipkg_context())
         }
         assert "minipkg.cachepkg.core" in flagged
+
+
+LAZY_SPEC = FingerprintSpec(
+    roots=("lazypkg.simroot",),
+    covered=frozenset(
+        {
+            "lazypkg",
+            "lazypkg.simroot",
+            "lazypkg.facade",
+            "lazypkg.facade.covered",
+        }
+    ),
+    exempt=(),
+    declared_in="lazypkg/spec.py",
+)
+
+
+class TestS002LazyExports:
+    def test_lazy_export_of_an_uncovered_module_is_flagged(self):
+        rule = FingerprintCoverageRule(spec=LAZY_SPEC)
+        findings = list(rule.check_project(fixture_context("lazypkg")))
+        assert len(findings) == 1
+        finding = findings[0]
+        assert "'lazypkg.facade.hidden'" in finding.message
+        assert "imported by lazypkg.facade" in finding.message
+        # Anchored at the table entry that names the module.
+        assert finding.path.endswith("__init__.py")
+        assert finding.line == 11
+
+    def test_covering_the_lazy_export_clears_the_finding(self):
+        spec = FingerprintSpec(
+            roots=LAZY_SPEC.roots,
+            covered=LAZY_SPEC.covered | {"lazypkg.facade.hidden"},
+            exempt=(),
+        )
+        rule = FingerprintCoverageRule(spec=spec)
+        assert list(rule.check_project(fixture_context("lazypkg"))) == []
 
 
 class TestS002Live:

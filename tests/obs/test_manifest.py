@@ -89,6 +89,23 @@ class TestWriterReader:
         with pytest.raises(ManifestError):
             writer.write({"no": "type"})
 
+    def test_non_finite_entry_is_refused_before_anything_is_written(
+        self, tmp_path
+    ):
+        path = tmp_path / "run.jsonl"
+        writer = ManifestWriter(path)
+        with pytest.raises(ValueError):
+            writer.write(job(wall_s=float("nan")))
+        assert not path.exists()  # not even the header
+        writer.write(job())
+        with pytest.raises(ValueError):
+            writer.write(job(total_fj=float("inf")))
+        writer.close()
+        entries, torn = read_counting(path)
+        assert [e["type"] for e in entries] == ["header", "job"]
+        assert torn == 0
+        assert writer.entries_written == 2
+
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"type": "job"}) + "\n")

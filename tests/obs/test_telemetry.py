@@ -93,6 +93,20 @@ class TestWriter:
         assert writer.heartbeat("idle", force=True) is False
         assert writer.frames_written == 0
 
+    def test_non_finite_frame_is_dropped_counted_and_the_writer_stays_live(
+        self, tmp_path
+    ):
+        writer = TelemetryWriter(tmp_path, identity="w1")
+        with probe.recording(probe.ObsScope()) as scope:
+            writer.lifecycle("finish", fingerprint="f" * 16, wall_s=float("nan"))
+            writer.lifecycle("finish", fingerprint="f" * 16, wall_s=1.5)
+        writer.close()
+        assert scope.counters.get("telemetry.write_errors") == 1
+        frames = frames_on_disk(writer)  # every line on disk reads back
+        assert [f["type"] for f in frames] == ["hello", "lifecycle"]
+        assert frames[1]["wall_s"] == 1.5
+        assert writer.frames_written == 2
+
     def test_negative_interval_rejected(self, tmp_path):
         with pytest.raises(TelemetryError):
             TelemetryWriter(tmp_path, interval_s=-1.0)
