@@ -29,12 +29,8 @@ if TYPE_CHECKING:
         WorkerStats,
         run_worker,
     )
-    from repro.exec.engine import (
-        EngineCounters,
-        EngineError,
-        ExecEngine,
-        run_selftest,
-    )
+    from repro.exec.engine import EngineError, ExecEngine, run_selftest
+    from repro.exec.events import EngineCounters, ExecEvent
     from repro.exec.job import (
         ENGINE_SCHEMA,
         JOB_KINDS,
@@ -72,6 +68,7 @@ __all__ = [
     "ExecBackendError",
     "ExecBackendSpec",
     "ExecEngine",
+    "ExecEvent",
     "ExecResult",
     "FailureRecord",
     "JobError",
@@ -111,11 +108,12 @@ __getattr__, __dir__ = lazy_exports(
         "JOB_KINDS": "repro.exec.job",
         "BrokerConfig": "repro.exec.broker",
         "BrokerError": "repro.exec.broker",
-        "EngineCounters": "repro.exec.engine",
+        "EngineCounters": "repro.exec.events",
         "EngineError": "repro.exec.engine",
         "ExecBackendError": "repro.exec.backends",
         "ExecBackendSpec": "repro.exec.backends",
         "ExecEngine": "repro.exec.engine",
+        "ExecEvent": "repro.exec.events",
         "ExecResult": "repro.exec.result",
         "FailureRecord": "repro.resilience",
         "JobError": "repro.exec.job",

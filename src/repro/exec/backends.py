@@ -18,7 +18,9 @@ not serve — varies.  This registry names those strategies, mirroring
     drain them through the shared result cache.
 
 Every backend routes outcomes through the same engine helpers
-(``_store`` / ``_fail`` / ``_should_retry``), so the resilience policy
+(``_store`` / ``_fail`` / ``_should_retry``) and reports its own
+transitions (timeouts, pool rebuilds, serial fallback) through
+``engine.emit``, so the resilience policy
 (:class:`repro.resilience.ResilienceConfig`) and the failure taxonomy
 transfer unchanged — a retry is a retry whether the attempt died in a
 pool worker or on a leased broker worker.
@@ -31,6 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.exec.events import ExecEvent
 from repro.exec.result import ExecResult
 from repro.exec.worker import (
     execute_job,
@@ -172,8 +175,7 @@ class LocalPoolBackend(ExecBackend):
                         payload = future.result(timeout=config.job_timeout_s)
                     except FuturesTimeoutError:
                         condemned = True
-                        engine.counters.timeouts += 1
-                        probe.counter("exec.timeouts")
+                        engine.emit(ExecEvent("timeout", job))
                         engine._retry_or_fail(
                             job,
                             attempts,
@@ -207,12 +209,10 @@ class LocalPoolBackend(ExecBackend):
                     pool.shutdown(wait=False, cancel_futures=True)
                     if remaining and rebuilds_left > 0:
                         rebuilds_left -= 1
-                        engine.counters.pool_rebuilds += 1
-                        probe.counter("exec.pool_rebuilds")
+                        engine.emit(ExecEvent("pool_rebuild"))
                         pool = self._make_pool(workers, initializer, initargs)
                     elif remaining:
-                        engine.counters.serial_fallbacks += 1
-                        probe.counter("exec.serial_fallbacks")
+                        engine.emit(ExecEvent("serial_fallback"))
                         LocalSerialBackend().execute(engine, remaining)
                         remaining = []
                 elif remaining:

@@ -6,7 +6,7 @@ queue next to the content-addressed result cache::
 
     <root>/cache/                the shared ResultStore (source of truth)
     <root>/jobs/<fp>.json        claimable job records (describe() docs)
-    <root>/leases/<fp>.json      lease files (O_EXCL claim, heartbeat renew)
+    <root>/leases/<fp>.json      lease files (exclusive claim, heartbeat renew)
     <root>/quarantine/<fp>.json  poison jobs (outlived K straight workers)
 
 Lifecycle
@@ -15,10 +15,11 @@ A *coordinator* (an :class:`~repro.exec.engine.ExecEngine` running
 :func:`drain`) publishes one job record per unresolved job, optionally
 spawns a local worker fleet, and polls the shared cache for results.  A
 *worker* (:func:`run_worker`, the ``cntcache worker`` subcommand) claims
-a job by creating its lease file with ``O_CREAT | O_EXCL`` — the
-filesystem arbitrates the race — renews the lease's deadline from a
-heartbeat thread while the job simulates, writes the result into the
-shared cache, and removes job record and lease.
+a job by creating its lease file exclusively (a hard link that fails
+when the name exists — the filesystem arbitrates the race), renews the
+lease's deadline from a heartbeat thread while the job simulates,
+writes the result into the shared cache, and removes job record and
+lease.
 
 Crash recovery is lease-based and **at-least-once**: a worker that is
 SIGKILLed mid-job stops heartbeating, its lease deadline passes, and the
@@ -55,22 +56,29 @@ import subprocess
 import sys
 import threading
 import time
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TypeVar
 
 import repro.exec.worker as _worker
 from repro import faults, records
-from repro.exec.job import SimJob, job_from_payload
-from repro.exec.store import (
-    STALE_LEASE_TTL_S,
+from repro.exec.events import (
     EngineCounters,
-    ResultStore,
-    sweep_stale,
+    ExecEvent,
+    progress_line,
+    summary_line,
 )
+from repro.exec.job import SimJob, job_from_payload
+from repro.exec.store import STALE_LEASE_TTL_S, ResultStore, sweep_stale
 from repro.obs import probe
-from repro.obs.telemetry import TelemetryWriter, span_for, telemetry_dir
+from repro.obs.telemetry import (
+    TelemetryWriter,
+    lifecycle_frame,
+    span_for,
+    telemetry_dir,
+)
 from repro.resilience import (
     PoisonJobError,
     ResilienceConfig,
@@ -93,6 +101,12 @@ def _wall_now() -> float:
     where monotonic clocks are meaningless.  Coordination only — never a
     measurement input."""
     return time.time()  # lint: disable=D001
+
+
+#: The evidence fields of a reclaim and of a quarantine record: what
+#: their manifest entries and telemetry frames carry.
+RECLAIM_FIELDS = ("fingerprint", "generation", "lost_worker", "by")
+QUARANTINE_FIELDS = ("fingerprint", "label", "generation", "reason")
 
 
 def _evidence(record: dict) -> dict:
@@ -295,9 +309,21 @@ class Claim:
     span_id: str | None = None
 
 
+#: Worker event kind -> the :class:`WorkerStats` field it bumps.
+WORKER_COUNTED = {
+    "claim": "claimed",
+    "finish": "executed",
+    "attempt_failed": "failures",
+    "quarantine": "quarantined",
+    "steal": "reclaims",
+    "renew": "renewals",
+}
+
+
 @dataclass
 class WorkerStats:
-    """What one :func:`run_worker` loop did (its exit summary)."""
+    """What one :func:`run_worker` loop did: a fold of its events (the
+    exit summary and the gauges of its telemetry heartbeats)."""
 
     claimed: int = 0
     executed: int = 0
@@ -305,23 +331,45 @@ class WorkerStats:
     quarantined: int = 0
     reclaims: int = 0
     renewals: int = 0
+    accesses: int = 0
+    busy_s: float = 0.0
+    #: Per-job fJ totals, order-safely summed at report time (D005).
+    energy_parts: list[float] = field(default_factory=list)
+
+    def apply(self, event: ExecEvent) -> None:
+        """Fold one worker event in (:data:`WORKER_COUNTED`)."""
+        name = WORKER_COUNTED.get(event.kind)
+        if name is None:
+            return
+        setattr(self, name, getattr(self, name) + 1)
+        result = event.result
+        if event.kind == "finish" and result is not None:
+            self.accesses += result.accesses
+            self.busy_s += result.wall_s
+            if result.stats is not None:
+                self.energy_parts.append(result.stats.total_fj)
+
+    def gauges(self) -> dict:
+        """The worker's heartbeat gauges."""
+        rate = self.accesses / self.busy_s if self.busy_s > 0 else 0.0
+        return {
+            "jobs_done": self.executed,
+            "claimed": self.claimed,
+            "failures": self.failures,
+            "accesses": self.accesses,
+            "accesses_per_s": round(rate, 1),
+            "energy_fj": math.fsum(self.energy_parts),
+        }
 
     def describe(self) -> str:
         """One human-readable exit line for the worker CLI."""
-        text = f"{self.claimed} claimed, {self.executed} executed"
-        extras = [
-            f"{value} {name}"
-            for name, value in (
-                ("failed attempt(s)", self.failures),
-                ("quarantined", self.quarantined),
-                ("reclaimed", self.reclaims),
-                ("heartbeat renewal(s)", self.renewals),
-            )
-            if value
-        ]
-        if extras:
-            text += ", " + ", ".join(extras)
-        return text
+        return summary_line(
+            f"{self.claimed} claimed, {self.executed} executed",
+            ("failed attempt(s)", self.failures),
+            ("quarantined", self.quarantined),
+            ("reclaimed", self.reclaims),
+            ("heartbeat renewal(s)", self.renewals),
+        )
 
 
 class BrokerStore:
@@ -329,34 +377,27 @@ class BrokerStore:
 
     Every mutation is a single atomic filesystem arbitration, no locks:
     documents are published with :func:`repro.records.write_atomic`,
-    claims with ``O_CREAT | O_EXCL``, steals with ``os.replace`` to a
+    claims with an exclusive hard link, steals with ``os.replace`` to a
     private name.  A bad record is a skip, each bad file counted once
-    per process in ``exec.broker_skips``.
+    per process in ``exec.broker_skips``.  Every transition (publish,
+    claim, steal, renewal, quarantine...) goes to ``emit`` as one
+    :class:`~repro.exec.events.ExecEvent` (default: a private counter
+    fold).
     """
 
     def __init__(
         self,
         config: BrokerConfig,
         resilience: ResilienceConfig | None = None,
-        counters: EngineCounters | None = None,
-        progress: Callable[[str], None] | None = None,
+        emit: Callable[[ExecEvent], None] | None = None,
         cache: ResultStore | None = None,
-        telemetry: TelemetryWriter | None = None,
     ) -> None:
         self.config = config
         self.resilience = (
             ResilienceConfig() if resilience is None else resilience
         )
-        self.counters = EngineCounters() if counters is None else counters
-        self.progress = progress
-        #: Optional telemetry writer: store-level lifecycle events
-        #: (reclaims, quarantines) are announced through it.
-        self.telemetry = telemetry
-        self.cache = (
-            ResultStore(config.cache_dir, self.counters, progress)
-            if cache is None
-            else cache
-        )
+        self.emit = EngineCounters().apply if emit is None else emit
+        self.cache = ResultStore(config.cache_dir, self.emit) if cache is None else cache
         self.max_generations = config.generations(self.resilience)
         #: fingerprint -> (trace_id, span_id) read off published records,
         #: so claims carry the coordinator's correlation ids.
@@ -426,9 +467,8 @@ class BrokerStore:
                 record["span_id"] = span_for(trace_id, fingerprint)
             records.write_atomic(path, records.dumps(record))
             published += 1
-        self.counters.published += published
-        if published:
-            probe.counter("exec.broker_published", published)
+        evidence = {"jobs": len(jobs), "published": published}
+        self.emit(ExecEvent("publish", n=published, detail=evidence))
         return published
 
     # -------------------------------------------------------------- #
@@ -465,11 +505,8 @@ class BrokerStore:
         job = self._read(self.job_path(fingerprint), parse)
         if isinstance(job, records.Skip):
             self._skip.add(fingerprint)
-            if self.progress is not None:
-                self.progress(
-                    f"[broker] skipping unusable job record "
-                    f"{fingerprint[:12]}: {job.reason}"
-                )
+            evidence = {"fingerprint": fingerprint, "reason": job.reason}
+            self.emit(ExecEvent("skip", detail=evidence))
             return None
         return job
 
@@ -500,12 +537,9 @@ class BrokerStore:
         return record
 
     def read_lease(self, fingerprint: str) -> Lease | None:
-        """The current lease, or ``None`` (absent, torn, or foreign)."""
-        return self._read_lease_file(self.lease_path(fingerprint))
-
-    def _read_lease_file(self, path: Path) -> Lease | None:
-        # Absent or bad (a counted skip), it means "no live claim".
-        lease = self._read(path, Lease.from_dict)
+        """The current lease, or ``None`` (absent, torn, or foreign: no
+        live claim either way)."""
+        lease = self._read(self.lease_path(fingerprint), Lease.from_dict)
         return lease if isinstance(lease, Lease) else None
 
     def claim(self, worker_id: str) -> Claim | None:
@@ -516,8 +550,9 @@ class BrokerStore:
         *stolen* (renamed to a private name — exactly one stealer wins
         the ``os.replace`` race) and the job re-claimed at the next
         generation; a generation past the poison fuse quarantines the
-        job instead.  The acquisition itself is an ``O_CREAT | O_EXCL``
-        create of the lease file.
+        job instead.  An absent lease is never stolen: the claim creates
+        it at generation 1, and the exclusive create settles any race
+        with a peer doing the same (see :meth:`_create_lease`).
         """
         for fingerprint in self.pending():
             claim = self._try_claim(fingerprint, worker_id)
@@ -527,27 +562,21 @@ class BrokerStore:
 
     def _try_claim(self, fingerprint: str, worker_id: str) -> Claim | None:
         lease_path = self.lease_path(fingerprint)
-        prior = self._read_lease_file(lease_path)
-        if prior is not None and not prior.expired:
+        # None: no lease file (create one below).  A Skip: a torn or
+        # foreign lease, stolen like an expired one.
+        prior = self._read(lease_path, Lease.from_dict)
+        if isinstance(prior, Lease) and not prior.expired:
             return None  # live claim: someone's working on it
         generation = 1
-        if lease_path.exists():
+        if prior is not None:
             stolen = self._steal(lease_path, worker_id)
             if stolen is None:
                 return None  # lost the steal race
             lost_worker, stolen_generation = stolen
             generation = stolen_generation + 1
-            self.counters.reclaims += 1
-            probe.counter("exec.reclaims")
             self._record_reclaim(
                 fingerprint, generation, lost_worker, worker_id
             )
-            if self.progress is not None:
-                self.progress(
-                    f"[broker] reclaimed expired lease "
-                    f"{fingerprint[:12]} from {lost_worker} "
-                    f"(generation {generation})"
-                )
         job = self.load_job(fingerprint)
         if job is None:
             return None  # completed elsewhere, or unusable (now skipped)
@@ -571,9 +600,17 @@ class BrokerStore:
         )
         if not self._create_lease(lease):
             return None  # lost the claim race
-        self.counters.claims += 1
-        probe.counter("exec.lease_acquired")
         trace_id, span_id = self.trace_context.get(fingerprint, (None, None))
+        self.emit(
+            ExecEvent(
+                "claim",
+                job,
+                generation=generation,
+                trace_id=trace_id,
+                span_id=span_id,
+                detail={"worker": worker_id},
+            )
+        )
         return Claim(
             job=job, lease=lease, trace_id=trace_id, span_id=span_id
         )
@@ -594,39 +631,31 @@ class BrokerStore:
             os.replace(lease_path, private)
         except OSError:
             return None
-        stolen = self._read_lease_file(private)
+        stolen = self._read(private, Lease.from_dict)
         try:
             private.unlink(missing_ok=True)
         except OSError:  # lint: disable=R007
             pass  # leftover steal litter; the janitor TTL-sweeps it
-        if stolen is None:
+        if not isinstance(stolen, Lease):
             return ("unknown", 1)
         return (stolen.worker, stolen.generation)
 
     def _record_reclaim(
         self, fingerprint: str, generation: int, lost_worker: str, by: str
     ) -> None:
-        """Persist one reclaim event for the coordinator to consume."""
-        record = {
-            "schema": BROKER_SCHEMA,
-            "fingerprint": fingerprint,
-            "generation": generation,
-            "lost_worker": lost_worker,
-            "by": by,
-        }
+        """Persist one reclaim for the coordinator to consume, and emit
+        the ``steal``."""
+        evidence = dict(
+            zip(RECLAIM_FIELDS, (fingerprint, generation, lost_worker, by))
+        )
         path = self.config.reclaims_dir / f"{fingerprint}.{generation}.json"
         try:
-            records.write_atomic(path, records.dumps(record))
+            records.write_atomic(
+                path, records.dumps({"schema": BROKER_SCHEMA, **evidence})
+            )
         except OSError:  # lint: disable=R007
             pass  # counting evidence only; the reclaim itself happened
-        if self.telemetry is not None:
-            self.telemetry.lifecycle(
-                "reclaim",
-                fingerprint=fingerprint,
-                generation=generation,
-                lost_worker=lost_worker,
-                by=by,
-            )
+        self.emit(ExecEvent("steal", detail=evidence))
 
     def consume_reclaims(self) -> list[dict]:
         """Take (and delete) every readable reclaim record, exactly once.
@@ -648,19 +677,28 @@ class BrokerStore:
         return consumed
 
     def _create_lease(self, lease: Lease) -> bool:
-        """``O_CREAT | O_EXCL`` acquisition; False when someone beat us."""
+        """Exclusive acquisition; False when someone beat us.
+
+        The lease is written whole under a private name and hard-linked
+        into place.  Like an ``O_EXCL`` create the link fails when the
+        name exists; unlike one, no reader ever sees the file before its
+        content (an empty lease reads as torn, and a torn lease is
+        stolen).
+        """
+        path = self.lease_path(lease.fingerprint)
+        private = path.with_name(
+            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         data = faults.mangle_lease_write(
             lease.fingerprint, records.dumps(lease.to_dict())
         )
+        private.write_text(data, encoding="utf-8")
         try:
-            fd = os.open(
-                self.lease_path(lease.fingerprint),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
+            os.link(private, path)
         except FileExistsError:
             return False
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
+        finally:
+            private.unlink(missing_ok=True)
         return True
 
     def renew(self, claim: Claim) -> bool:
@@ -678,10 +716,8 @@ class BrokerStore:
             or current.generation != claim.lease.generation
         ):
             return False
-        renewed = Lease(
-            fingerprint=claim.lease.fingerprint,
-            worker=claim.lease.worker,
-            generation=claim.lease.generation,
+        renewed = replace(
+            current,
             deadline=_wall_now() + self.config.lease_ttl_s,
             renewals=current.renewals + 1,
         )
@@ -693,8 +729,9 @@ class BrokerStore:
             records.write_atomic(path, data)
         except OSError:
             return False
-        self.counters.lease_renewals += 1
-        probe.counter("exec.lease_renewals")
+        self.emit(
+            ExecEvent("renew", claim.job, generation=claim.lease.generation)
+        )
         return True
 
     def fail_attempt(self, claim: Claim) -> None:
@@ -706,13 +743,7 @@ class BrokerStore:
         had crashed.
         """
         path = self.lease_path(claim.lease.fingerprint)
-        expired = Lease(
-            fingerprint=claim.lease.fingerprint,
-            worker=claim.lease.worker,
-            generation=claim.lease.generation,
-            deadline=_wall_now() - 1.0,
-            renewals=claim.lease.renewals,
-        )
+        expired = replace(claim.lease, deadline=_wall_now() - 1.0)
         try:
             records.write_atomic(path, records.dumps(expired.to_dict()))
         except OSError:  # lint: disable=R007
@@ -740,18 +771,14 @@ class BrokerStore:
     def quarantine_job(self, job: SimJob, generation: int, reason: str) -> None:
         """Mark ``job`` poison: persist the evidence, retire the record.
 
-        Pure storage — callers do their own counting, so a record is
-        never double-counted when both a worker and the coordinator
-        watchdog reach the same verdict.
+        Emits ``quarantine``, which counts nothing on the coordinator:
+        it counts the quarantine record once, when it consumes it
+        (``quarantined``), however many processes reached the verdict.
         """
-        record = {
-            "schema": BROKER_SCHEMA,
-            "fingerprint": job.fingerprint,
-            "label": job.label,
-            "generation": generation,
-            "reason": reason,
-            "job": job.describe(),
-        }
+        evidence = dict(
+            zip(QUARANTINE_FIELDS, (job.fingerprint, job.label, generation, reason))
+        )
+        record = {"schema": BROKER_SCHEMA, **evidence, "job": job.describe()}
         try:
             records.write_atomic(
                 self.quarantine_path(job.fingerprint), records.dumps(record)
@@ -764,18 +791,7 @@ class BrokerStore:
         except OSError:  # lint: disable=R007
             pass  # racing stealer holds it; it will hit the quarantine too
         self._skip.add(job.fingerprint)
-        if self.telemetry is not None:
-            self.telemetry.lifecycle(
-                "quarantine",
-                fingerprint=job.fingerprint,
-                label=job.label,
-                generation=generation,
-                reason=reason,
-            )
-        if self.progress is not None:
-            self.progress(
-                f"[broker] quarantined poison job {job.label}: {reason}"
-            )
+        self.emit(ExecEvent("quarantine", job, detail=evidence))
 
     def quarantined(self) -> list[dict]:
         """Every readable quarantine record (coordinator consumption)."""
@@ -807,62 +823,39 @@ class BrokerStore:
         swept += sweep_stale(
             self.config.reclaims_dir, "*.json", STALE_LEASE_TTL_S
         )
-        self.counters.lease_swept += swept
+        self.emit(ExecEvent("lease_swept", n=swept))
 
 
-class _Heartbeat(threading.Thread):
-    """Renews one claim's lease every ``interval`` while the job runs.
+@contextmanager
+def _renewing(
+    store: BrokerStore, claim: Claim, interval: float, budget_s: float | None
+) -> Iterator[None]:
+    """Renew ``claim``'s lease every ``interval`` while the block runs.
 
-    Stops renewing when the lease is stolen (we were presumed dead) or
+    Renewal stops when the lease is stolen (we were presumed dead) or
     once a ``budget_s`` wall budget is exhausted — the hang protection:
     a worker stuck inside a job stops refreshing its claim, the lease
     expires, and the fleet reclaims the job even though this process
     never returns.
     """
+    done = threading.Event()
 
-    def __init__(
-        self,
-        store: BrokerStore,
-        claim: Claim,
-        interval: float,
-        budget_s: float | None = None,
-        telemetry: TelemetryWriter | None = None,
-    ) -> None:
-        super().__init__(
-            daemon=True,
-            name=f"lease-heartbeat-{claim.lease.fingerprint[:8]}",
-        )
-        self.store = store
-        self.claim = claim
-        self.interval = interval
-        self.budget_s = budget_s
-        self.telemetry = telemetry
-        self._done = threading.Event()
-
-    def run(self) -> None:
+    def renew() -> None:
         started = time.monotonic()
-        while not self._done.wait(self.interval):
-            if (
-                self.budget_s is not None
-                and time.monotonic() - started >= self.budget_s
-            ):
+        while not done.wait(interval):
+            if budget_s is not None and time.monotonic() - started >= budget_s:
                 return  # over budget: let the lease lapse (hang guard)
-            if not self.store.renew(self.claim):
+            if not store.renew(claim):
                 return  # stolen: the job belongs to someone else now
-            if self.telemetry is not None:
-                # The telemetry heartbeat rides the lease renewal: this
-                # thread is the only thing running while a long job
-                # simulates, so it is what keeps the dashboard live.
-                self.telemetry.heartbeat(
-                    "running",
-                    job=self.claim.job.label,
-                    kind=self.claim.job.kind,
-                    generation=self.claim.lease.generation,
-                )
 
-    def stop(self) -> None:
-        self._done.set()
-        self.join(timeout=5.0)
+    name = f"lease-heartbeat-{claim.lease.fingerprint[:8]}"
+    thread = threading.Thread(target=renew, daemon=True, name=name)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(timeout=5.0)
 
 
 def run_worker(
@@ -902,111 +895,90 @@ def run_worker(
         role="worker",
         declared_interval_s=max(1.0, config.heartbeat_interval),
     )
-    store = BrokerStore(
-        config, resilience=resilience, progress=progress, telemetry=telemetry
-    )
+    counters = EngineCounters()
+    stats = WorkerStats()
+
+    def emit(event: ExecEvent) -> None:
+        """This worker's one sink list: folds, telemetry, progress."""
+        counters.apply(event)
+        stats.apply(event)
+        frame = lifecycle_frame(event)
+        if frame is not None:
+            telemetry.lifecycle(frame[0], **frame[1])
+        job = event.job
+        if event.kind in ("claim", "renew"):
+            # A claim announces the job at once; renewals ride the lease
+            # heartbeat thread, the only thing running while a long job
+            # simulates, so they are what keeps the dashboard live.
+            claimed = event.kind == "claim"
+            telemetry.heartbeat(
+                "running",
+                force=claimed,
+                job=job.label,
+                kind=job.kind,
+                generation=event.generation,
+                **(stats.gauges() if claimed else {}),
+            )
+        elif event.kind == "finish" and probe.ENABLED:
+            probe.gauge("worker.jobs_done", stats.executed)
+            probe.gauge("worker.claimed", stats.claimed)
+            probe.gauge("worker.failures", stats.failures)
+        if progress is not None:
+            line = progress_line(event, counters)
+            if line is not None:
+                progress(line)
+
+    store = BrokerStore(config, resilience=resilience, emit=emit)
     idle_budget = (
         config.idle_timeout_s if idle_timeout_s is None else idle_timeout_s
     )
-    stats = WorkerStats()
-    accesses_total = 0
-    #: Per-job fJ totals, order-safely summed at report time (D005).
-    energy_parts: list[float] = []
-    busy_s = 0.0
-
-    def gauges() -> dict:
-        rate = accesses_total / busy_s if busy_s > 0 else 0.0
-        return {
-            "jobs_done": stats.executed,
-            "claimed": stats.claimed,
-            "failures": stats.failures,
-            "accesses": accesses_total,
-            "accesses_per_s": round(rate, 1),
-            "energy_fj": math.fsum(energy_parts),
-        }
-
     if hard_faults:
         faults.mark_worker_process(True)
     try:
-        reclaims_before = store.counters.reclaims
         idle_since = time.monotonic()
-        telemetry.heartbeat("idle", force=True, **gauges())
+        telemetry.heartbeat("idle", force=True, **stats.gauges())
         while stop is None or not stop.is_set():
             claim = store.claim(identity)
             if claim is None:
                 if time.monotonic() - idle_since >= idle_budget:
                     break
-                telemetry.heartbeat("idle", **gauges())
+                telemetry.heartbeat("idle", **stats.gauges())
                 time.sleep(config.poll_s)
                 continue
             idle_since = time.monotonic()
-            stats.claimed += 1
-            telemetry.lifecycle(
-                "claim",
-                fingerprint=claim.lease.fingerprint,
-                label=claim.job.label,
-                kind=claim.job.kind,
-                generation=claim.lease.generation,
-                trace_id=claim.trace_id,
-                span_id=claim.span_id,
-            )
-            telemetry.heartbeat(
-                "running",
-                force=True,
-                job=claim.job.label,
-                kind=claim.job.kind,
-                generation=claim.lease.generation,
-                **gauges(),
-            )
-            if progress is not None:
-                progress(
-                    f"[worker {identity}] claimed {claim.job.label} "
-                    f"(generation {claim.lease.generation})"
-                )
-            heartbeat = _Heartbeat(
-                store,
-                claim,
-                config.heartbeat_interval,
-                budget_s=resilience.job_timeout_s,
-                telemetry=telemetry,
-            )
-            heartbeat.start()
+            generation = claim.lease.generation
             try:
-                result = _worker.execute_job(
-                    claim.job, attempt=claim.lease.generation - 1
-                )
+                with _renewing(
+                    store, claim, config.heartbeat_interval, resilience.job_timeout_s
+                ):
+                    result = _worker.execute_job(claim.job, attempt=generation - 1)
             # Sanctioned broad catch: classified below into the same
             # transient/permanent taxonomy the local backends use.
             except Exception as error:  # lint: disable=R007
-                heartbeat.stop()
-                stats.failures += 1
-                telemetry.lifecycle(
-                    "fail",
-                    fingerprint=claim.lease.fingerprint,
-                    label=claim.job.label,
-                    generation=claim.lease.generation,
-                    error=type(error).__name__,
-                    transient=classify_transient(error),
-                    trace_id=claim.trace_id,
-                    span_id=claim.span_id,
+                transient = classify_transient(error)
+                emit(
+                    ExecEvent(
+                        "attempt_failed",
+                        claim.job,
+                        generation=generation,
+                        trace_id=claim.trace_id,
+                        span_id=claim.span_id,
+                        detail={
+                            "worker": identity,
+                            "error": type(error).__name__,
+                            "transient": transient,
+                        },
+                    )
                 )
-                if classify_transient(error):
+                if transient:
                     store.fail_attempt(claim)
-                    if progress is not None:
-                        progress(
-                            f"[worker {identity}] transient "
-                            f"{type(error).__name__} on {claim.job.label}; "
-                            "lease released for retry"
-                        )
                 else:
-                    stats.quarantined += 1
                     store.quarantine_job(
                         claim.job,
-                        claim.lease.generation,
+                        generation,
                         f"permanent {type(error).__name__}: {error}",
                     )
             else:
-                heartbeat.stop()
                 if claim.trace_id is not None and result.trace:
                     # Correlation ids ride the trace snapshot (transport
                     # observability, excluded from the canonical
@@ -1016,46 +988,24 @@ def run_worker(
                     result.trace.setdefault("span_id", claim.span_id)
                 store.cache.write(claim.job, result)
                 store.complete(claim)
-                stats.executed += 1
-                accesses_total += result.accesses
-                busy_s += result.wall_s
-                if result.stats is not None:
-                    energy_parts.append(result.stats.total_fj)
-                telemetry.lifecycle(
-                    "finish",
-                    fingerprint=claim.lease.fingerprint,
-                    label=claim.job.label,
-                    kind=claim.job.kind,
-                    scheme=(
-                        None
-                        if claim.job.config is None
-                        else claim.job.config.scheme
-                    ),
-                    generation=claim.lease.generation,
-                    wall_s=result.wall_s,
-                    accesses=result.accesses,
-                    energy_fj=(
-                        None
-                        if result.stats is None
-                        else result.stats.total_fj
-                    ),
-                    trace_id=claim.trace_id,
-                    span_id=claim.span_id,
+                emit(
+                    ExecEvent(
+                        "finish",
+                        claim.job,
+                        result,
+                        generation=generation,
+                        trace_id=claim.trace_id,
+                        span_id=claim.span_id,
+                    )
                 )
-                if probe.ENABLED:
-                    probe.gauge("worker.jobs_done", stats.executed)
-                    probe.gauge("worker.claimed", stats.claimed)
-                    probe.gauge("worker.failures", stats.failures)
             if max_jobs is not None and stats.claimed >= max_jobs:
                 break
     finally:
         if hard_faults:
             faults.mark_worker_process(False)
         telemetry.lifecycle("exit", claimed=stats.claimed, executed=stats.executed)
-        telemetry.heartbeat("exited", force=True, **gauges())
+        telemetry.heartbeat("exited", force=True, **stats.gauges())
         telemetry.close()
-    stats.reclaims = store.counters.reclaims - reclaims_before
-    stats.renewals = store.counters.lease_renewals
     return stats
 
 
@@ -1164,48 +1114,28 @@ def drain(engine, pending: list[SimJob]) -> None:
         raise BrokerError("broker backend selected without a BrokerConfig")
     if engine.store is None:
         raise BrokerError("broker engine has no result store")
-    telemetry = getattr(engine, "telemetry", None)
+    telemetry = engine.telemetry
     store = BrokerStore(
         config,
         resilience=engine.resilience,
-        counters=engine.counters,
-        progress=engine.progress,
+        emit=engine.emit,
         cache=engine.store,
-        telemetry=telemetry,
     )
     store.sweep()
-    published = store.publish(
-        pending, trace_id=getattr(engine, "trace_id", None)
-    )
-    if engine.obs is not None:
-        engine.obs.record_broker(
-            "publish", jobs=len(pending), published=published
-        )
-    if telemetry is not None:
-        telemetry.lifecycle(
-            "publish", jobs=len(pending), published=published
-        )
+    store.publish(pending, trace_id=engine.trace_id)
     unresolved: dict[str, SimJob] = {job.fingerprint: job for job in pending}
     lost_workers: set[str] = set()
 
     def account_reclaims() -> None:
-        """Fold every durable reclaim record into the engine, once each."""
+        """Emit every durable reclaim record into the engine, once each."""
         for record in store.consume_reclaims():
-            engine.counters.reclaims += 1
-            probe.counter("exec.reclaims")
             lost = record.get("lost_worker") or "unknown"
+            evidence = {key: record.get(key) for key in RECLAIM_FIELDS}
+            evidence["lost_worker"] = lost
+            engine.emit(ExecEvent("reclaim", detail=evidence))
             if lost not in lost_workers:
                 lost_workers.add(lost)
-                engine.counters.workers_lost += 1
-                probe.counter("exec.workers_lost")
-            if engine.obs is not None:
-                engine.obs.record_broker(
-                    "reclaim",
-                    fingerprint=record.get("fingerprint"),
-                    generation=record.get("generation"),
-                    lost_worker=lost,
-                    by=record.get("by"),
-                )
+                engine.emit(ExecEvent("worker_lost"))
     fleet = (
         _Fleet(
             config,
@@ -1238,16 +1168,8 @@ def drain(engine, pending: list[SimJob]) -> None:
                 if job is None:
                     continue
                 progressed = True
-                engine.counters.quarantined += 1
-                probe.counter("exec.quarantined")
-                if engine.obs is not None:
-                    engine.obs.record_broker(
-                        "quarantine",
-                        fingerprint=fingerprint,
-                        label=record.get("label"),
-                        generation=record.get("generation"),
-                        reason=record.get("reason"),
-                    )
+                evidence = {key: record.get(key) for key in QUARANTINE_FIELDS}
+                engine.emit(ExecEvent("quarantined", detail=evidence))
                 attempts = int(
                     record.get("generation") or store.max_generations
                 )
@@ -1297,22 +1219,15 @@ def drain(engine, pending: list[SimJob]) -> None:
         # Final accounting pass: the loop exits the moment the last job
         # is adopted, which can leave that job's reclaim record unread.
         account_reclaims()
-        if engine.obs is not None:
-            engine.obs.record_broker(
-                "drain",
-                jobs=len(pending),
-                reclaims=engine.counters.reclaims,
-                workers_lost=engine.counters.workers_lost,
-                quarantined=engine.counters.quarantined,
-            )
+        counters = engine.counters
+        evidence = {
+            "jobs": len(pending),
+            "reclaims": counters.reclaims,
+            "workers_lost": counters.workers_lost,
+            "quarantined": counters.quarantined,
+        }
+        engine.emit(ExecEvent("drain", detail=evidence))
         if telemetry is not None:
-            telemetry.lifecycle(
-                "drain",
-                jobs=len(pending),
-                reclaims=engine.counters.reclaims,
-                workers_lost=engine.counters.workers_lost,
-                quarantined=engine.counters.quarantined,
-            )
             telemetry.heartbeat(
                 "draining", force=True, queue_depth=0, unresolved=0
             )

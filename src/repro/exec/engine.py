@@ -20,15 +20,15 @@ simulation results (lint rule R006 enforces this for
    (or through the shared cache), so every backend is bit-identical to
    serial execution.
 
-Observability: per-job wall time, accesses/second and result source flow
-through the optional ``progress`` callback, and :attr:`ExecEngine.counters`
-aggregates requested/unique/memo/cache/executed totals.  Attaching an
-``obs`` session (:class:`repro.obs.Obs`) additionally turns the probes on
-for the duration of every batch: the engine publishes ``exec.*`` counters
-and queue-wait timings, instrumented simulation code publishes
+Observability: every job transition is one :class:`ExecEvent` passed to
+:meth:`ExecEngine.emit`, which folds it into :attr:`ExecEngine.counters`
+(and the ``exec.*`` probe counters) and hands it to each attached
+channel: the ``obs`` session's run manifest, the telemetry stream and
+the ``progress`` callback (see :mod:`repro.exec.events`).  Attaching an
+``obs`` session (:class:`repro.obs.Obs`) also turns the probes on for
+the duration of every batch: instrumented simulation code publishes
 ``cache.*``/``codec.*``/``workload.*`` traffic (captured per job in the
-workers and shipped home through the result payload), and every unique
-job resolution plus a batch summary lands in the session's run manifest.
+workers and shipped home through the result payload).
 
 The cache layout and its atomicity/quarantine discipline are documented
 in :mod:`repro.exec.store`; a mismatching schema tag or code fingerprint
@@ -40,18 +40,24 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.exec.backends import exec_backend_names, make_exec_backend
+from repro.exec.events import (
+    RESOLUTIONS,
+    EngineCounters,
+    ExecEvent,
+    progress_line,
+)
 from repro.exec.job import SimJob
 from repro.exec.planner import plan_jobs
 from repro.exec.result import ExecResult
-from repro.exec.store import (  # noqa: F401  (re-exported compat names)
+from repro.exec.store import (  # noqa: F401  (re-exported compat name)
     STALE_TMP_TTL_S,
-    EngineCounters,
     ResultStore,
 )
 from repro.exec.worker import execute_job, execute_payload
@@ -176,12 +182,6 @@ class ExecEngine:
         self.counters = EngineCounters()
         #: Every :class:`FailureRecord` this engine collected (keep-going).
         self.failures: list[FailureRecord] = []
-        #: The shared on-disk result store (None = memo-only engine).
-        self.store = (
-            None
-            if self.cache_dir is None
-            else ResultStore(self.cache_dir, self.counters, progress)
-        )
         # Telemetry is opt-in and otherwise zero-cost: a broker engine
         # streams into the broker's telemetry/ bus automatically (that is
         # what `cntcache top` tails); any engine can point it elsewhere
@@ -204,7 +204,14 @@ class ExecEngine:
         #: fingerprint -> failed placeholder, valid for the current batch
         #: only — a later batch gets a fresh shot at the job.
         self._failed: dict[str, ExecResult] = {}
-        if self.store is not None:
+        #: The shared on-disk result store (None = memo-only engine).
+        self.store: ResultStore | None = None
+        if self.cache_dir is not None:
+            # It reports through a weak proxy: a bound ``self.emit`` would
+            # put every engine in a reference cycle that only the cyclic
+            # collector frees, holding its whole memo until then.
+            engine = weakref.proxy(self)
+            self.store = ResultStore(self.cache_dir, lambda e: engine.emit(e))
             self.store.sweep()
 
     # ------------------------------------------------------------------ #
@@ -242,31 +249,22 @@ class ExecEngine:
 
     def _resolve(self, ordered: list[SimJob]) -> list[ExecResult]:
         plan = plan_jobs(ordered)
-        self.counters.requested += len(plan.requested)
-        probe.counter("exec.requested", len(plan.requested))
+        self.emit(ExecEvent("requested", n=len(plan.requested)))
         self._failed.clear()
 
         pending: list[SimJob] = []
         for job in plan.unique:
-            if job.fingerprint in self._memo:
-                self.counters.memo_hits += 1
-                probe.counter("exec.memo_hits")
-                self._emit(job, self._memo[job.fingerprint], source="memo")
+            memo = self._memo.get(job.fingerprint)
+            if memo is not None:
+                self.emit(ExecEvent("memo", job, memo))
                 continue
-            self.counters.unique += 1
-            cached = self._cache_read(job)
-            if cached is not None:
-                self.counters.cache_hits += 1
-                probe.counter("exec.cache_hits")
-                self._memo[job.fingerprint] = cached
-                if self.obs is not None:
-                    trace_id, span_id = self._trace_ids(job)
-                    self.obs.record_job(
-                        job, cached, trace_id=trace_id, span_id=span_id
-                    )
-                self._emit(job, cached)
-            else:
+            cached = None if self.store is None else self.store.read(job)
+            if cached is None:
+                self.emit(ExecEvent("miss", job))
                 pending.append(job)
+            else:
+                self._memo[job.fingerprint] = cached
+                self.emit(ExecEvent("cache_hit", job, cached))
 
         self._execute(pending)
         return [
@@ -320,13 +318,17 @@ class ExecEngine:
             or attempt >= self.resilience.max_retries
         ):
             return False
-        self.counters.retries += 1
-        probe.counter("exec.retries")
-        if self.progress is not None:
-            self.progress(
-                f"[exec] retry {attempt + 1}/{self.resilience.max_retries} "
-                f"{job.label}: {type(error).__name__}: {error}"
+        self.emit(
+            ExecEvent(
+                "retry",
+                job,
+                generation=attempt + 1,
+                detail={
+                    "of": self.resilience.max_retries,
+                    "error": f"{type(error).__name__}: {error}",
+                },
             )
+        )
         return True
 
     def _retry_or_fail(
@@ -346,27 +348,14 @@ class ExecEngine:
     def _fail(self, job: SimJob, error: BaseException, attempts: int) -> None:
         """A job exhausted its attempts: record it, or raise (fail-fast)."""
         record = FailureRecord.from_error(job, error, attempts)
-        self.counters.failures += 1
-        probe.counter("exec.failures")
-        if self.obs is not None:
-            self.obs.record_failure(record)
-        if self.telemetry is not None:
-            trace_id, span_id = self._trace_ids(job)
-            self.telemetry.lifecycle(
-                "fail",
-                fingerprint=job.fingerprint,
-                label=job.label,
-                error=record.error,
-                attempts=attempts,
-                trace_id=trace_id,
-                span_id=span_id,
-            )
-        if not self.resilience.keep_going:
+        placeholder = (
+            ExecResult.failed(job, record) if self.resilience.keep_going else None
+        )
+        self.emit(ExecEvent("fail", job, placeholder, detail=record.to_dict()))
+        if placeholder is None:
             raise failure_for(record) from error
         self.failures.append(record)
-        placeholder = ExecResult.failed(job, record)
         self._failed[job.fingerprint] = placeholder
-        self._emit(job, placeholder)
 
     def _store(
         self,
@@ -375,34 +364,19 @@ class ExecEngine:
         queue_wait_s: float = 0.0,
         absorb: bool = False,
     ) -> None:
-        self.counters.executed += 1
-        if probe.ENABLED:
-            probe.counter("exec.executed")
-            if queue_wait_s:
-                probe.timing("exec.queue_wait", queue_wait_s)
-            # Serial results recorded their probe traffic live; worker
-            # results carry it in the payload snapshot and must be merged
-            # here, exactly once.
-            if absorb:
-                probe.absorb(result.obs)
+        if queue_wait_s and probe.ENABLED:
+            probe.timing("exec.queue_wait", queue_wait_s)
+        # Serial results recorded their probe traffic and trace events
+        # live; worker results carry them in the payload snapshots, which
+        # merge into the parent scope and sink here, exactly once.
+        if absorb and probe.ENABLED:
+            probe.absorb(result.obs)
         if absorb and trace.ACTIVE:
-            # Same contract for trace events: worker sinks ship their
-            # snapshot home and it merges into the parent sink once.
             trace.absorb(result.trace)
-        trace_id, span_id = self._trace_ids(job)
-        if self.obs is not None:
-            self.obs.record_job(
-                job,
-                result,
-                queue_wait_s=queue_wait_s,
-                trace_id=trace_id,
-                span_id=span_id,
-            )
-        if self.telemetry is not None:
-            self._account_telemetry(job, result, "finish", trace_id, span_id)
         self._memo[job.fingerprint] = result
-        self._cache_write(job, result)
-        self._emit(job, result)
+        if self.store is not None:
+            self.store.write(job, result)
+        self.emit(ExecEvent("run", job, result, queue_wait_s=queue_wait_s))
 
     def _adopt(self, job: SimJob, result: ExecResult) -> None:
         """Install a result another process produced (distributed path).
@@ -412,86 +386,72 @@ class ExecEngine:
         them for this batch) but are *not* re-written to the cache —
         the worker's write is the authoritative copy.
         """
-        self.counters.executed += 1
-        probe.counter("exec.executed")
-        trace_id, span_id = self._trace_ids(job)
-        if self.obs is not None:
-            self.obs.record_job(
-                job, result, trace_id=trace_id, span_id=span_id
-            )
-        if self.telemetry is not None:
-            self._account_telemetry(job, result, "adopt", trace_id, span_id)
         self._memo[job.fingerprint] = result
-        self._emit(job, result)
-
-    # ------------------------------------------------------------------ #
-    # on-disk cache (delegates to the shared ResultStore)
-    # ------------------------------------------------------------------ #
-    def _cache_path(self, job: SimJob) -> Path | None:
-        if self.store is None:
-            return None
-        return self.store.path_for(job.fingerprint)
-
-    def _cache_read(self, job: SimJob) -> ExecResult | None:
-        if self.store is None:
-            return None
-        return self.store.read(job)
-
-    def _cache_write(self, job: SimJob, result: ExecResult) -> None:
-        if self.store is not None:
-            self.store.write(job, result)
+        self.emit(ExecEvent("adopt", job, result))
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
-    def _trace_ids(self, job: SimJob) -> tuple[str | None, str | None]:
-        """The (trace_id, span_id) pair for one job, or ``(None, None)``."""
-        if self.trace_id is None:
-            return (None, None)
-        from repro.obs.telemetry import span_for
+    def emit(self, event: ExecEvent) -> None:
+        """Record one transition: fold it into :attr:`counters`, then hand
+        it to every attached channel (manifest, telemetry, progress)."""
+        self.counters.apply(event)
+        if self.trace_id is not None and event.job is not None:
+            from repro.obs.telemetry import span_for
 
-        return (self.trace_id, span_for(self.trace_id, job.fingerprint))
+            event.trace_id = self.trace_id
+            event.span_id = span_for(self.trace_id, event.job.fingerprint)
+        if self.obs is not None:
+            self.obs.record(event)
+        if self.telemetry is not None:
+            self._stream(event)
+        if self.progress is not None:
+            line = progress_line(event, self.counters)
+            if line is not None:
+                self.progress(line)
 
-    def _account_telemetry(
-        self,
-        job: SimJob,
-        result: ExecResult,
-        event: str,
-        trace_id: str | None,
-        span_id: str | None,
-    ) -> None:
-        """One unique resolution landed: tally it and stream a lifecycle
-        frame (``finish`` for local executions, ``adopt`` for results a
-        fleet worker produced — the worker already streamed the
-        ``finish``, so the collector's energy accounting stays
-        exactly-once)."""
-        self._tele_accesses += result.accesses
-        if result.stats is not None:
-            self._tele_energy.append(result.stats.total_fj)
+    def _stream(self, event: ExecEvent) -> None:
+        """The telemetry channel: the event's lifecycle frame, then — for a
+        resolution, when one is due — a gauge heartbeat.
+
+        Local executions stream ``finish`` and adopted fleet results
+        ``adopt`` (the worker already streamed the ``finish``), so the
+        collector's energy accounting stays exactly-once.
+        """
+        from repro.obs.telemetry import lifecycle_frame
+
         assert self.telemetry is not None
-        self.telemetry.lifecycle(
-            event,
-            fingerprint=job.fingerprint,
-            label=job.label,
-            kind=job.kind,
-            scheme=None if job.config is None else job.config.scheme,
-            wall_s=result.wall_s,
-            accesses=result.accesses,
-            energy_fj=None if result.stats is None else result.stats.total_fj,
-            trace_id=trace_id,
-            span_id=span_id,
-        )
+        frame = lifecycle_frame(event)
+        if frame is not None:
+            self.telemetry.lifecycle(frame[0], **frame[1])
+        result = event.result
+        if event.kind not in RESOLUTIONS or result is None:
+            return
+        if event.kind in ("run", "adopt"):
+            self._tele_accesses += result.accesses
+            if result.stats is not None:
+                self._tele_energy.append(result.stats.total_fj)
+        if self.telemetry.due:
+            counters = self.counters
+            self.telemetry.heartbeat(
+                "running",
+                job=event.job.label,
+                kind=event.job.kind,
+                jobs_done=counters.resolved,
+                executed=counters.executed,
+                cache_hits=counters.cache_hits,
+                memo_hits=counters.memo_hits,
+                failures=counters.failures,
+                accesses=self._tele_accesses,
+                energy_fj=math.fsum(self._tele_energy),
+            )
 
     def close_telemetry(self) -> None:
         """Stream the final ``exit`` frames and close the writer (no-op
         without telemetry; called by the CLI when a run ends)."""
         if self.telemetry is None:
             return
-        resolved = (
-            self.counters.memo_hits
-            + self.counters.cache_hits
-            + self.counters.executed
-        )
+        resolved = self.counters.resolved
         self.telemetry.lifecycle(
             "exit", jobs_done=resolved, failures=self.counters.failures
         )
@@ -503,41 +463,6 @@ class ExecEngine:
             energy_fj=math.fsum(self._tele_energy),
         )
         self.telemetry.close()
-
-    def _emit(
-        self, job: SimJob, result: ExecResult, source: str | None = None
-    ) -> None:
-        if self.telemetry is not None and self.telemetry.due:
-            resolved = (
-                self.counters.memo_hits
-                + self.counters.cache_hits
-                + self.counters.executed
-            )
-            self.telemetry.heartbeat(
-                "running",
-                job=job.label,
-                kind=job.kind,
-                jobs_done=resolved,
-                executed=self.counters.executed,
-                cache_hits=self.counters.cache_hits,
-                memo_hits=self.counters.memo_hits,
-                failures=self.counters.failures,
-                accesses=self._tele_accesses,
-                energy_fj=math.fsum(self._tele_energy),
-            )
-        if self.progress is None:
-            return
-        resolved = (
-            self.counters.memo_hits
-            + self.counters.cache_hits
-            + self.counters.executed
-        )
-        rate = result.accesses_per_s
-        rate_text = f"{rate / 1000:.1f}k acc/s" if rate else "-"
-        self.progress(
-            f"[exec {resolved}] {source or result.source:<5} "
-            f"{result.wall_s:7.3f}s {rate_text:>12}  {job.label}"
-        )
 
     def summary(self) -> str:
         """One-line counters summary."""
@@ -598,7 +523,7 @@ def run_selftest(
             with tempfile.TemporaryDirectory() as tmp:
                 writer = ExecEngine(cache_dir=tmp)
                 writer._memo[job.fingerprint] = inproc
-                writer._cache_write(job, inproc)
+                writer.store.write(job, inproc)
                 reader = ExecEngine(cache_dir=tmp)
                 cached = reader.run_job(job)
             ok = (

@@ -32,13 +32,12 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro import faults, records
+from repro.exec.events import EngineCounters, ExecEvent
 from repro.exec.job import ENGINE_SCHEMA, SimJob
 from repro.exec.result import ExecResult
-from repro.obs import probe
 
 #: Orphaned ``*.tmp.*`` cache files older than this are swept on
 #: engine startup (crashed writers leave them behind); younger ones may
@@ -53,104 +52,6 @@ STALE_CORRUPT_TTL_S = 86400.0
 #: Stale broker-lease litter (``*.steal.*`` rename residue, lease tmp
 #: files) older than this is swept when a coordinator starts a drain.
 STALE_LEASE_TTL_S = 3600.0
-
-
-@dataclass
-class EngineCounters:
-    """Running totals of everything the engine resolved."""
-
-    requested: int = 0
-    unique: int = 0
-    memo_hits: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    serial_fallbacks: int = 0
-    failures: int = 0
-    cache_corrupt: int = 0
-    cache_read_errors: int = 0
-    cache_write_errors: int = 0
-    tmp_swept: int = 0
-    corrupt_swept: int = 0
-    lease_swept: int = 0
-    # broker backend (coordinator side unless noted)
-    published: int = 0
-    claims: int = 0  # worker side: leases acquired
-    lease_renewals: int = 0  # worker side: heartbeat renewals
-    reclaims: int = 0
-    workers_lost: int = 0
-    quarantined: int = 0
-
-    @property
-    def resolved(self) -> int:
-        """Total resolutions, however they were served."""
-        return self.memo_hits + self.cache_hits + self.executed
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of resolutions served without simulating (0 if none)."""
-        resolved = self.resolved
-        if not resolved:
-            return 0.0
-        return (self.memo_hits + self.cache_hits) / resolved
-
-    def to_dict(self) -> dict:
-        """JSON-ready totals (manifest summaries, ``profile --json``)."""
-        return {
-            "requested": self.requested,
-            "unique": self.unique,
-            "memo_hits": self.memo_hits,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "resolved": self.resolved,
-            "cache_hit_rate": self.cache_hit_rate,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-            "failures": self.failures,
-            "cache_corrupt": self.cache_corrupt,
-            "cache_read_errors": self.cache_read_errors,
-            "cache_write_errors": self.cache_write_errors,
-            "tmp_swept": self.tmp_swept,
-            "corrupt_swept": self.corrupt_swept,
-            "lease_swept": self.lease_swept,
-            "published": self.published,
-            "claims": self.claims,
-            "lease_renewals": self.lease_renewals,
-            "reclaims": self.reclaims,
-            "workers_lost": self.workers_lost,
-            "quarantined": self.quarantined,
-        }
-
-    def describe(self) -> str:
-        """One-line summary for logs and the CLI."""
-        text = (
-            f"{self.requested} requested, {self.unique} unique, "
-            f"{self.memo_hits} memo hit(s), {self.cache_hits} cache "
-            f"hit(s), {self.executed} simulated"
-        )
-        extras = [
-            f"{value} {name}"
-            for name, value in (
-                ("retried", self.retries),
-                ("timed out", self.timeouts),
-                ("pool rebuild(s)", self.pool_rebuilds),
-                ("serial fallback(s)", self.serial_fallbacks),
-                ("failed", self.failures),
-                ("corrupt cache entr(ies)", self.cache_corrupt),
-                ("cache read error(s)", self.cache_read_errors),
-                ("reclaimed", self.reclaims),
-                ("worker(s) lost", self.workers_lost),
-                ("quarantined", self.quarantined),
-            )
-            if value
-        ]
-        if extras:
-            text += ", " + ", ".join(extras)
-        return text
 
 
 def sweep_stale(directory: Path, pattern: str, ttl_s: float) -> int:
@@ -183,12 +84,11 @@ class ResultStore:
     def __init__(
         self,
         directory: str | Path,
-        counters: EngineCounters | None = None,
-        progress: Callable[[str], None] | None = None,
+        emit: Callable[[ExecEvent], None] | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.counters = EngineCounters() if counters is None else counters
-        self.progress = progress
+        #: Where cache transitions go (default: a private counter fold).
+        self.emit = EngineCounters().apply if emit is None else emit
 
     def path_for(self, fingerprint: str) -> Path:
         """Where a result with ``fingerprint`` lives (or would live)."""
@@ -212,12 +112,9 @@ class ResultStore:
         if isinstance(entry, records.Skip) and entry.cause == records.CORRUPT:
             self.quarantine(path)
         elif isinstance(entry, records.Skip) and entry.cause == records.UNREADABLE:
-            self.counters.cache_read_errors += 1
-            probe.counter("exec.cache_read_errors")
-            if self.progress is not None:
-                self.progress(
-                    f"[exec] cache read failed for {job.label}: {entry.reason}"
-                )
+            self.emit(
+                ExecEvent("cache_read_error", job, detail={"reason": entry.reason})
+            )
         return None
 
     def quarantine(self, path: Path) -> None:
@@ -228,10 +125,7 @@ class ResultStore:
         the entry as a miss.  The startup janitor reaps quarantine files
         after :data:`STALE_CORRUPT_TTL_S`.
         """
-        self.counters.cache_corrupt += 1
-        probe.counter("exec.cache_corrupt")
-        if self.progress is not None:
-            self.progress(f"[exec] quarantined corrupt cache entry {path.name}")
+        self.emit(ExecEvent("cache_corrupt", detail={"entry": path.name}))
         try:
             os.replace(path, path.with_suffix(".corrupt"))
         except OSError:  # lint: disable=R007
@@ -256,12 +150,9 @@ class ResultStore:
             path.parent.mkdir(parents=True, exist_ok=True)
             records.write_atomic(path, data)
         except OSError as error:
-            self.counters.cache_write_errors += 1
-            probe.counter("exec.cache_write_errors")
-            if self.progress is not None:
-                self.progress(
-                    f"[exec] cache write failed for {job.label}: {error}"
-                )
+            self.emit(
+                ExecEvent("cache_write_error", job, detail={"error": str(error)})
+            )
 
     def sweep(self) -> None:
         """The startup janitor: reap aged crash residue, per class.
@@ -274,19 +165,16 @@ class ResultStore:
         Counted per class (``tmp_swept`` / ``corrupt_swept``) so a cache
         that keeps accumulating residue is visible in summaries.
         """
-        self.counters.tmp_swept += sweep_stale(
-            self.directory, "*/*.tmp.*", STALE_TMP_TTL_S
-        )
-        self.counters.corrupt_swept += sweep_stale(
-            self.directory, "*/*.corrupt", STALE_CORRUPT_TTL_S
-        )
+        tmp = sweep_stale(self.directory, "*/*.tmp.*", STALE_TMP_TTL_S)
+        self.emit(ExecEvent("tmp_swept", n=tmp))
+        corrupt = sweep_stale(self.directory, "*/*.corrupt", STALE_CORRUPT_TTL_S)
+        self.emit(ExecEvent("corrupt_swept", n=corrupt))
 
 
 __all__ = [
     "STALE_CORRUPT_TTL_S",
     "STALE_LEASE_TTL_S",
     "STALE_TMP_TTL_S",
-    "EngineCounters",
     "ResultStore",
     "sweep_stale",
 ]

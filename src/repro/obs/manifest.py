@@ -104,11 +104,6 @@ def job_entry(
     return entry
 
 
-def failure_entry(record) -> dict:
-    """One exhausted job (a :class:`repro.resilience.FailureRecord`)."""
-    return {"type": "failure", **record.to_dict()}
-
-
 def broker_entry(event: str, **fields) -> dict:
     """One distributed-broker lifecycle event (``repro.exec.broker``).
 
@@ -120,6 +115,34 @@ def broker_entry(event: str, **fields) -> dict:
     predate them (or :func:`summarize`) skip unknown types untouched.
     """
     return {"type": "broker", "event": event, **fields}
+
+
+#: Event kind (:mod:`repro.exec.events`) -> the broker entry it writes;
+#: the entry's fields are the event's evidence (``event.detail``).
+BROKER_ENTRIES = {
+    "publish": "publish",
+    "reclaim": "reclaim",
+    "quarantined": "quarantine",
+    "drain": "drain",
+}
+
+
+def entry_for(event) -> dict | None:
+    """The manifest entry of one job transition, or ``None`` (memo hits
+    write none: they resolve a job already recorded)."""
+    kind = event.kind
+    if kind in ("cache_hit", "run", "adopt"):
+        return job_entry(
+            event.job,
+            event.result,
+            queue_wait_s=event.queue_wait_s,
+            trace_id=event.trace_id,
+            span_id=event.span_id,
+        )
+    if kind == "fail":
+        return {"type": "failure", **event.detail}
+    name = BROKER_ENTRIES.get(kind)
+    return None if name is None else broker_entry(name, **event.detail)
 
 
 def summary_entry(engine: dict, wall_s: float, scope=None) -> dict:

@@ -16,9 +16,7 @@ from pathlib import Path
 from repro.obs.manifest import (
     ManifestSummary,
     ManifestWriter,
-    broker_entry,
-    failure_entry,
-    job_entry,
+    entry_for,
     summarize,
     summary_entry,
 )
@@ -49,40 +47,12 @@ class Obs(ObsScope):
     # -------------------------------------------------------------- #
     # reporting (called by the engine)
     # -------------------------------------------------------------- #
-    def record_job(
-        self,
-        job,
-        result,
-        queue_wait_s: float = 0.0,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-    ) -> dict:
-        """Append one resolved-job entry; returns it.
-
-        ``trace_id``/``span_id`` are the fleet correlation ids a broker
-        coordinator stamps (see :mod:`repro.obs.telemetry`); omitted
-        from the entry when ``None``.
-        """
-        entry = job_entry(
-            job,
-            result,
-            queue_wait_s=queue_wait_s,
-            trace_id=trace_id,
-            span_id=span_id,
-        )
-        self._append(entry)
-        return entry
-
-    def record_failure(self, record) -> dict:
-        """Append one exhausted-job entry (a ``FailureRecord``); returns it."""
-        entry = failure_entry(record)
-        self._append(entry)
-        return entry
-
-    def record_broker(self, event: str, **fields) -> dict:
-        """Append one broker lifecycle entry (publish/reclaim/quarantine/drain)."""
-        entry = broker_entry(event, **fields)
-        self._append(entry)
+    def record(self, event) -> dict | None:
+        """Append the manifest entry of one job transition (an
+        :class:`~repro.exec.events.ExecEvent`), if it has one; returns it."""
+        entry = entry_for(event)
+        if entry is not None:
+            self._append(entry)
         return entry
 
     def record_summary(self, engine_counters: dict, wall_s: float) -> dict:

@@ -17,7 +17,9 @@ Three frame types, all JSON objects tagged ``obs-telemetry-v1``:
   accesses/s, energy so far, resource snapshot (RSS, CPU seconds);
 * ``lifecycle`` — one event per state transition: ``publish``,
   ``claim``, ``reclaim``, ``finish``, ``fail``, ``quarantine``,
-  ``adopt``, ``drain``, ``exit``.
+  ``adopt``, ``drain``, ``exit``; every job transition's frame is built
+  from its :class:`~repro.exec.events.ExecEvent` by
+  :func:`lifecycle_frame`.
 
 Frames are wall-clock stamped (sanctioned: this module is coordination
 and display only — nothing here may feed a fingerprint, a cache key or
@@ -72,20 +74,27 @@ DEFAULT_INTERVAL_S = 1.0
 STALE_INTERVALS = 3.0
 STALE_SLACK_S = 2.0
 
+#: Event kind (:mod:`repro.exec.events`) -> the lifecycle frame it
+#: streams.  A coordinator's local execution and a worker's both stream
+#: ``finish``; a coordinator adopting a fleet result streams ``adopt``.
+FRAMES = {
+    "run": "finish",
+    "finish": "finish",
+    "adopt": "adopt",
+    "claim": "claim",
+    "fail": "fail",
+    "attempt_failed": "fail",
+    "steal": "reclaim",
+    "quarantine": "quarantine",
+    "publish": "publish",
+    "drain": "drain",
+}
+
+#: Kinds whose frame is their evidence (``event.detail``), verbatim.
+EVIDENCE_FRAMES = frozenset({"steal", "quarantine", "publish", "drain"})
+
 #: The sanctioned lifecycle event vocabulary (typo guard).
-LIFECYCLE_EVENTS = frozenset(
-    {
-        "publish",
-        "claim",
-        "reclaim",
-        "finish",
-        "fail",
-        "quarantine",
-        "adopt",
-        "drain",
-        "exit",
-    }
-)
+LIFECYCLE_EVENTS = frozenset(FRAMES.values()) | {"exit"}
 
 #: Collector state file (offsets + merged views); the leading dot keeps
 #: it out of the ``*.ndjson`` stream glob.
@@ -144,6 +153,50 @@ def _resource_snapshot() -> dict[str, float]:
         "rss_kb": float(usage.ru_maxrss),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
     }
+
+
+# --------------------------------------------------------------------- #
+# frames of job transitions (shared by coordinator and workers)
+# --------------------------------------------------------------------- #
+def lifecycle_frame(event) -> tuple[str, dict[str, Any]] | None:
+    """``(lifecycle event, fields)`` for one job transition, or ``None``."""
+    kind = event.kind
+    name = FRAMES.get(kind)
+    if name is None:
+        return None
+    detail = event.detail or {}
+    if kind in EVIDENCE_FRAMES:
+        return name, detail
+    job = event.job
+    fields: dict[str, Any] = {
+        "fingerprint": job.fingerprint,
+        "label": job.label,
+        "trace_id": event.trace_id,
+        "span_id": event.span_id,
+    }
+    if kind == "fail":  # the coordinator gave up on the job
+        fields.update(error=detail["error"], attempts=detail["attempts"])
+    elif kind == "attempt_failed":  # a worker's attempt died
+        fields.update(
+            generation=event.generation,
+            error=detail["error"],
+            transient=detail["transient"],
+        )
+    elif kind == "claim":
+        fields.update(kind=job.kind, generation=event.generation)
+    else:  # a resolution: run/adopt (coordinator) or finish (worker)
+        result = event.result
+        stats = result.stats
+        fields.update(
+            kind=job.kind,
+            scheme=None if job.config is None else job.config.scheme,
+            wall_s=result.wall_s,
+            accesses=result.accesses,
+            energy_fj=None if stats is None else stats.total_fj,
+        )
+        if kind == "finish":
+            fields["generation"] = event.generation
+    return name, fields
 
 
 # --------------------------------------------------------------------- #
@@ -218,11 +271,6 @@ class TelemetryWriter:
             return True
         return time.monotonic() - self._last_heartbeat >= self.interval_s
 
-    def hello(self, **fields: object) -> None:
-        """Introduce this process (emitted once, before any other frame)."""
-        with self._lock:
-            self._hello_locked(fields)
-
     def heartbeat(
         self, state: str, force: bool = False, **gauges: object
     ) -> bool:
@@ -245,7 +293,7 @@ class TelemetryWriter:
                 self.heartbeats_suppressed += 1
                 probe.counter("telemetry.suppressed")
                 return False
-            self._hello_locked({})
+            self._hello_locked()
             frame: dict[str, Any] = {
                 "type": "heartbeat",
                 "state": str(state),
@@ -268,7 +316,7 @@ class TelemetryWriter:
         with self._lock:
             if self._broken:
                 return
-            self._hello_locked({})
+            self._hello_locked()
             frame: dict[str, Any] = {"type": "lifecycle", "event": event}
             frame.update(fields)
             self._emit(frame)
@@ -276,7 +324,7 @@ class TelemetryWriter:
     # -------------------------------------------------------------- #
     # internals
     # -------------------------------------------------------------- #
-    def _hello_locked(self, fields: dict[str, object]) -> None:
+    def _hello_locked(self) -> None:
         if self._hello_sent or self._broken:
             return
         self._hello_sent = True  # before _emit: a broken pipe stays quiet
@@ -288,7 +336,6 @@ class TelemetryWriter:
         }
         if self.trace_id is not None:
             frame["trace_id"] = self.trace_id
-        frame.update(fields)
         self._emit(frame)
 
     def _emit(self, frame: dict[str, Any]) -> None:
@@ -870,6 +917,7 @@ __all__ = [
     "TelemetryError",
     "TelemetryWriter",
     "default_identity",
+    "lifecycle_frame",
     "locate",
     "make_trace_id",
     "prometheus_lines",

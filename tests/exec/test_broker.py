@@ -25,6 +25,7 @@ from repro.exec import (
     trace_job,
 )
 from repro.exec.broker import BROKER_SCHEMA, BrokerStore, Lease, _wall_now
+from repro.exec.events import EngineCounters
 from repro.obs import Obs, probe
 from repro.obs.manifest import summarize
 from repro.resilience import PoisonJobError
@@ -64,6 +65,12 @@ def fast_config(tmp_path, **overrides):
     )
     settings.update(overrides)
     return BrokerConfig(**settings)
+
+
+def counted_store(config):
+    """A store folding its events into counters the test can read."""
+    counters = EngineCounters()
+    return BrokerStore(config, emit=counters.apply), counters
 
 
 def expire_lease(store, fingerprint):
@@ -162,10 +169,10 @@ class TestJobPayload:
 # ------------------------------------------------------------------ #
 class TestPublish:
     def test_publish_is_idempotent(self, tmp_path):
-        store = BrokerStore(fast_config(tmp_path))
+        store, counters = counted_store(fast_config(tmp_path))
         jobs = cheap_jobs(3)
         assert store.publish(jobs) == 3
-        assert store.counters.published == 3
+        assert counters.published == 3
         assert store.publish(jobs) == 0  # records already on disk
         assert sorted(store.pending()) == sorted(
             job.fingerprint for job in jobs
@@ -231,7 +238,7 @@ class TestPublish:
 # ------------------------------------------------------------------ #
 class TestClaim:
     def test_claim_acquires_generation_one(self, tmp_path):
-        store = BrokerStore(fast_config(tmp_path))
+        store, counters = counted_store(fast_config(tmp_path))
         job = cheap_jobs(1)[0]
         store.publish([job])
         claim = store.claim("w1")
@@ -239,7 +246,7 @@ class TestClaim:
         assert claim.job == job
         assert claim.lease.generation == 1
         assert claim.lease.worker == "w1"
-        assert store.counters.claims == 1
+        assert counters.claims == 1
         assert not claim.lease.expired
 
     def test_live_lease_blocks_other_claimers(self, tmp_path):
@@ -257,18 +264,43 @@ class TestClaim:
         store.publish([job])
         claim = store.claim("w1")
         expire_lease(store, job.fingerprint)
-        rival = BrokerStore(config)
+        rival, counters = counted_store(config)
         stolen = rival.claim("w2")
         assert stolen is not None
         assert stolen.lease.generation == claim.lease.generation + 1
         assert stolen.lease.worker == "w2"
-        assert rival.counters.reclaims == 1
+        assert counters.reclaims == 1
         # The reclaim left durable evidence naming the lost worker.
         records = rival.consume_reclaims()
         assert len(records) == 1
         assert records[0]["lost_worker"] == "w1"
         assert records[0]["generation"] == 2
         assert rival.consume_reclaims() == []  # consumed exactly once
+
+    def test_a_peer_create_after_the_lease_read_is_never_stolen(
+        self, tmp_path, monkeypatch
+    ):
+        # The worker reads no lease; a peer's exclusive create lands
+        # before the worker decides whether to steal.  The peer's live
+        # lease must stand: no steal, no reclaim, no lost worker.
+        config = fast_config(tmp_path, lease_ttl_s=30.0)
+        store = BrokerStore(config)
+        job = cheap_jobs(1)[0]
+        store.publish([job])
+        lease_path = store.lease_path(job.fingerprint)
+        peer = BrokerStore(config)
+        read = store._read
+
+        def read_then_peer_claims(path, parse):
+            found = read(path, parse)
+            if path == lease_path and found is None:
+                assert peer.claim("peer") is not None
+            return found
+
+        monkeypatch.setattr(store, "_read", read_then_peer_claims)
+        assert store.claim("w1") is None
+        assert store.read_lease(job.fingerprint).worker == "peer"
+        assert list(config.reclaims_dir.glob("*.json")) == []
 
     def test_torn_lease_counts_as_generation_one(self, tmp_path):
         config = fast_config(tmp_path)
@@ -358,7 +390,7 @@ class TestClaim:
 
     def test_renew_extends_and_steal_refuses_renewal(self, tmp_path):
         config = fast_config(tmp_path, lease_ttl_s=5.0)
-        store = BrokerStore(config)
+        store, counters = counted_store(config)
         job = cheap_jobs(1)[0]
         store.publish([job])
         claim = store.claim("w1")
@@ -367,7 +399,7 @@ class TestClaim:
         after = store.read_lease(job.fingerprint)
         assert after.renewals == before.renewals + 1
         assert after.deadline >= before.deadline
-        assert store.counters.lease_renewals == 1
+        assert counters.lease_renewals == 1
         # A stealer takes over; the original claim can no longer renew.
         expire_lease(store, job.fingerprint)
         rival = BrokerStore(config)

@@ -23,6 +23,7 @@ from repro.exec import (
 )
 from repro.exec.backends import ExecBackendError
 from repro.exec.broker import BrokerStore
+from repro.exec.events import EngineCounters
 from repro.exec.store import (
     STALE_CORRUPT_TTL_S,
     STALE_LEASE_TTL_S,
@@ -173,7 +174,8 @@ class TestJanitor:
         ],
     )
     def test_broker_sweep_reaps_orphaned_tmps(self, tmp_path, subdir, name):
-        store = BrokerStore(BrokerConfig(root=tmp_path))
+        counters = EngineCounters()
+        store = BrokerStore(BrokerConfig(root=tmp_path), emit=counters.apply)
         (tmp_path / subdir).mkdir(exist_ok=True)
         stale = tmp_path / subdir / name
         fresh = stale.with_name(name.replace(".7.8", ".9.9"))
@@ -183,7 +185,7 @@ class TestJanitor:
         store.sweep()
         assert not stale.exists()
         assert fresh.exists()
-        assert store.counters.lease_swept == 1
+        assert counters.lease_swept == 1
 
 
 class TestCacheReadErrors:
