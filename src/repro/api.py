@@ -125,7 +125,10 @@ def simulate(
     as a job — deduplicated, cacheable, parallelizable; without one it
     replays in-process.  ``obs`` follows the harness-wide convention
     documented in :mod:`repro.harness.runner`.  ``backend`` selects the
-    simulation engine (bit-identical stats across backends).
+    simulation engine (bit-identical stats across backends).  In-process
+    calls on one built run share its recorded substrate
+    (:meth:`WorkloadRun.substrate`): consecutive configs of one geometry
+    record the cache once and only price each config.
     """
     from repro.core.config import CNTCacheConfig
     from repro.harness.runner import _run_workload

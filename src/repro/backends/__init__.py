@@ -11,12 +11,13 @@ both stdlib-only:
     differential-tested against, and the only engine that emits
     per-access trace events.
 ``array`` (the default)
-    :class:`repro.backends.array.ArrayCNTCache` — packs cache lines,
-    direction words and the backing store into integers, precomputes the
-    Algorithm 1 ``Th_bit1num`` rows and the Table I per-bit energies into
-    popcount-indexed lookup tables, and decodes trace batches up front.
-    Produces bit-identical ``EnergyStats`` at an order of magnitude
-    higher replay throughput.
+    :class:`repro.backends.array.ArrayCNTCache` — records what the
+    substrate cache decides once per (trace, geometry) and prices each
+    config as a fold over that record.  Packs cache lines, direction
+    words and the backing store into integers and precomputes the
+    Algorithm 1 ``Th_bit1num`` rows and the Table I per-bit energies
+    into popcount-indexed lookup tables.  Produces bit-identical
+    ``EnergyStats`` at an order of magnitude higher replay throughput.
 
 This module is the selection surface: :func:`make_backend` is what
 :func:`repro.api.make_cache` delegates to, and it is the only sanctioned
@@ -86,6 +87,18 @@ def backend_names() -> tuple[str, ...]:
     return _BACKEND_NAMES
 
 
+def folds_substrates(name: str) -> bool:
+    """Whether the engine :func:`make_backend` builds for ``name`` prices
+    a recorded substrate (``ArrayCNTCache.run(trace, substrate=...)``).
+
+    The array engine does; the scalar oracle, which tracing forces,
+    replays every config on its own.
+    """
+    from repro.obs import trace
+
+    return name == "array" and not trace.ACTIVE
+
+
 def make_backend(
     name: str,
     config: "CNTCacheConfig",
@@ -126,5 +139,6 @@ __all__ = [
     "BackendError",
     "CacheBackend",
     "backend_names",
+    "folds_substrates",
     "make_backend",
 ]

@@ -1,9 +1,35 @@
-"""The array simulation backend: integer-packed, table-driven replay.
+"""The array simulation backend: a substrate recorder and a pricing fold.
 
 :class:`ArrayCNTCache` reproduces :class:`repro.core.cntcache.CNTCache`
 bit for bit — same hit/miss sequences, same per-component femtojoules,
 same floating-point addition chains — at an order of magnitude higher
-throughput.  The representation changes, the arithmetic does not:
+throughput.  A replay runs in two stages:
+
+1. **Record** (:class:`Recorder` -> :class:`Substrate`): decode, line
+   split, tag lookup, replacement, fill and victim choice, and the
+   backing store.  Geometry, replacement and write policy decide every
+   hit, fill and eviction; no encoding knob (scheme, W, K, ΔT, FIFO
+   depth, drain rate, granularity, fill policy, metadata, logic,
+   peripheral or leakage energies) changes one.  So a substrate is keyed
+   by :func:`substrate_key` alone, and one recording serves every
+   encoding config of that geometry.  The record is compact: one packed
+   ``array('i')`` entry per access (``lid << 3 | code``), per-miss
+   victim flags, the filled lines in one ``bytearray``, and popcount
+   streams (the line after every access, every fill and every
+   writeback).
+2. **Fold** (:class:`ArrayCNTCache`): the pricing — codec,
+   Algorithm 1 windows, the deferred FIFO, energies and leakage.  It
+   walks the substrate zipped with the trace it was recorded from,
+   reads write payloads from that trace, and never touches a tag map or
+   a replacement policy.
+
+:meth:`ArrayCNTCache.run` is record + fold.  A caller pricing many
+configs over one trace records once and folds each config over the same
+substrate: :meth:`repro.workloads.program.WorkloadRun.substrate` keeps
+one recorded substrate per run, so workload jobs, ``simulate`` calls and
+oracle bounds that share a run and a geometry record it once.
+
+Representation:
 
 * Cache-line payloads, the sparse backing store and the XOR masks of
   every direction word are little-endian Python big integers, so codec
@@ -17,16 +43,26 @@ throughput.  The representation changes, the arithmetic does not:
   Table I vector: ``E[n1] = n1*e_x1 + (L-n1)*e_x0`` in Python floats,
   which is IEEE-identical to the scalar expressions in
   :meth:`repro.cnfet.energy.BitEnergyModel.read_energy`/``write_energy``.
-* The replay loop decodes tag, set, offset and line crossing inline and
-  runs the hit path without a single method call.
 
 Exactness contract: every energy component is accumulated in a local
 float with the *same addition sequence* the scalar oracle feeds through
 ``EnergyStats.add`` (left-fold from 0.0), then assigned — not re-added —
 into :attr:`stats`, so the flush is idempotent and the totals match the
-oracle to the last ulp.  The Hypothesis differential suite in
-``tests/backends`` enforces this across schemes, geometries and write
-policies.
+oracle to the last ulp.  The fold visits the array events in the
+oracle's order (writeback, fill, data access, per-access tail).
+
+The ``baseline`` scheme at line granularity without leakage folds as
+table lookups over the popcount streams alone, without the trace.  That
+is exact because each energy component is its own left-fold: the data
+read and data write chains take ``E[popcount]`` of the line after each
+read or write in access order, fill and writeback chains take the fill
+and victim popcounts in miss order, and the peripheral chain adds one
+constant per activation, so its value depends only on how many there
+were.  No other component is charged under ``baseline``.
+
+The Hypothesis differential suite in ``tests/backends`` enforces all of
+this across schemes, geometries and write policies, for one-off runs and
+for many configs folded over one shared substrate.
 
 Observability: the engine emits the same aggregate ``cache.*`` and
 ``codec.*`` probe counters as the scalar oracle.  Per-access trace
@@ -38,8 +74,9 @@ Construct instances through ``repro.api.make_cache``.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.cache.replacement import (
     FIFOPolicy,
@@ -66,13 +103,460 @@ from repro.trace.record import Access, Op
 # Fill-time direction modes.
 _FILL_ZERO, _FILL_ONE, _FILL_GREEDY0, _FILL_GREEDY1 = range(4)
 
+# Substrate entry codes (the low three bits of an entry): bit 0 is a
+# write, bit 1 a miss, bit 2 a special access.  A line-crossing access
+# keeps its chunk count where a line id would be; its chunks are entries
+# of ``Substrate.splits``.
+_WRITE, _MISS_BIT, _SPECIAL = 1, 2, 4
+_CROSS = _SPECIAL
+_BYPASS = _SPECIAL | _MISS_BIT | _WRITE
+
+# Per-miss flags.
+_VICTIM, _DIRTY = 1, 2
+
+
+def substrate_key(config: CNTCacheConfig) -> tuple:
+    """Everything of ``config`` a recorded substrate depends on.
+
+    Two configs with equal keys see the same hits, fills, evictions and
+    backing-store contents on the same trace.  The seed only reaches
+    the random replacement policy.
+    """
+    return (
+        config.size,
+        config.assoc,
+        config.line_size,
+        config.replacement,
+        config.seed if config.replacement == "random" else 0,
+        config.write_policy,
+    )
+
+
+class Substrate:
+    """What one replay of a trace decided at one geometry, recorded once.
+
+    Read-only once recorded: any number of folds can walk it.  Counts are
+    per line access (a line-crossing access counts once per line).
+    """
+
+    __slots__ = (
+        "key", "line_size", "assoc", "tag_shift", "counted",
+        "entries", "pcs", "splits", "split_pcs",
+        "flags", "fills", "fill_pcs", "wb_pcs",
+        "accesses", "writes", "misses", "evictions", "writebacks",
+        "bypasses",
+    )
+
+    def __init__(
+        self, key: tuple, line_size: int, n_sets: int, assoc: int, counted: bool
+    ) -> None:
+        self.key = key
+        #: Whether the popcount streams were recorded.
+        self.counted = counted
+        self.line_size = line_size
+        self.assoc = assoc
+        self.tag_shift = (line_size.bit_length() - 1) + (n_sets.bit_length() - 1)
+        wide = n_sets * assoc >= 1 << 28
+        count = "I" if line_size * 8 > 0xFFFF else "H"
+        #: Per trace access: ``lid << 3 | code``.
+        self.entries = array("q" if wide else "i")
+        #: Per trace access: popcount of the line after it (0 when special).
+        self.pcs = array(count)
+        #: Per chunk of a line-crossing access, in order: as ``entries``.
+        self.splits = array("q" if wide else "i")
+        self.split_pcs = array(count)
+        #: Per fill: ``_VICTIM``/``_DIRTY`` flags of the line it replaced.
+        self.flags = bytearray()
+        #: Per fill: the installed line, ``line_size`` little-endian bytes.
+        self.fills = bytearray()
+        self.fill_pcs = array(count)
+        #: Per writeback: popcount of the evicted line.
+        self.wb_pcs = array(count)
+        self.accesses = self.writes = self.misses = 0
+        self.evictions = self.writebacks = self.bypasses = 0
+
+    @property
+    def hits(self) -> int:
+        """Line accesses that hit."""
+        return self.accesses - self.misses
+
+    def cache_counts(self) -> list[tuple[str, int]]:
+        """The ``cache.*`` probe counters the scalar substrate emits."""
+        return _cache_counts(
+            self.accesses, self.hits, self.misses, self.accesses - self.writes,
+            self.writes, self.writebacks, self.bypasses,
+        )
+
+    def walk(
+        self, trace: Sequence[Access]
+    ) -> Iterator[tuple[bool, int, int | None, int | None, int | None, int]]:
+        """Replay the logical line contents, one tuple per line access.
+
+        Yields ``(is_write, addr, line, fill, victim, victim_addr)``:
+        ``line`` is the line after the access (``None`` for a bypassed
+        store), ``fill`` the line a miss installed, and ``victim`` the
+        dirty line it evicted (written back from ``victim_addr``), each
+        ``None`` when absent.  ``trace`` must be the recorded trace.
+        """
+        _check_length(self, trace)
+        line_size = self.line_size
+        off_mask = line_size - 1
+        tag_shift, assoc = self.tag_shift, self.assoc
+        ob = line_size.bit_length() - 1
+        splits, flags, fills = self.splits, self.flags, self.fills
+        data: dict[int, int] = {}
+        tags: dict[int, int] = {}
+        chunk_cur = miss_cur = 0
+        for access, entry in zip(trace, self.entries):
+            payload = access.data
+            addr = access.addr
+            if entry & 6 == _CROSS:
+                chunks = []
+                remaining, consumed = len(payload), 0
+                while remaining > 0:
+                    size = min(remaining, line_size - (addr & off_mask))
+                    chunks.append(
+                        (addr, payload[consumed : consumed + size],
+                         splits[chunk_cur])
+                    )
+                    chunk_cur += 1
+                    addr += size
+                    consumed += size
+                    remaining -= size
+            else:
+                chunks = [(addr, payload, entry)]
+            for addr, payload, code in chunks:
+                is_write = bool(code & _WRITE)
+                if code & 7 == _BYPASS:
+                    yield is_write, addr, None, None, None, 0
+                    continue
+                lid = code >> 3
+                fill = victim = None
+                victim_addr = 0
+                if code & _MISS_BIT:
+                    flag = flags[miss_cur]
+                    pos = miss_cur * line_size
+                    miss_cur += 1
+                    if flag & _DIRTY:
+                        victim = data[lid]
+                        victim_addr = (tags[lid] << tag_shift) | (
+                            (lid // assoc) << ob
+                        )
+                    fill = int.from_bytes(fills[pos : pos + line_size], "little")
+                    data[lid] = fill
+                    tags[lid] = addr >> tag_shift
+                if is_write:
+                    shift = (addr & off_mask) * 8
+                    smask = ((1 << (len(payload) * 8)) - 1) << shift
+                    data[lid] = (data[lid] & ~smask) | (
+                        int.from_bytes(payload, "little") << shift
+                    )
+                yield is_write, addr, data[lid], fill, victim, victim_addr
+
+
+def _check_length(substrate: Substrate, trace: Sequence[Access]) -> None:
+    if len(trace) != len(substrate.entries):
+        raise ValueError(
+            f"the substrate records {len(substrate.entries)} accesses but "
+            f"the trace has {len(trace)}; fold it over the trace it was "
+            "recorded from"
+        )
+
+
+def _cache_counts(
+    accesses: int, hits: int, misses: int, reads: int, writes: int,
+    writebacks: int, bypasses: int,
+) -> list[tuple[str, int]]:
+    """Aggregate ``cache.*`` counters (bypassed stores are write misses
+    that touch neither the demand nor the fill counters)."""
+    return [
+        ("cache.accesses", accesses),
+        ("cache.hits", hits),
+        ("cache.misses", misses),
+        ("cache.demand_reads", reads),
+        ("cache.demand_writes", writes - bypasses),
+        ("cache.fills", misses - bypasses),
+        ("cache.writebacks", writebacks),
+        ("cache.bypass_writes", bypasses),
+    ]
+
+
+class Recorder:
+    """Stage 1: the substrate cache, recording what it decides.
+
+    Stateful across :meth:`record` calls, so a trace can be recorded in
+    pieces (the per-access API does); each call returns the
+    :class:`Substrate` of that piece.
+    """
+
+    def __init__(self, config: CNTCacheConfig, popcounts: bool = True) -> None:
+        self.key = substrate_key(config)
+        self._counted = popcounts
+        line = config.line_size
+        self._line = line
+        self._off_bits = line.bit_length() - 1
+        self._n_sets = config.n_sets
+        self._idx_bits = self._n_sets.bit_length() - 1
+        self._assoc = config.assoc
+        self._wt = config.write_through
+        self._wa = config.write_allocate
+        n_lines = self._n_sets * self._assoc
+        self._valid = [False] * n_lines
+        self._dirty = [False] * n_lines
+        self._tags = [0] * n_lines
+        #: Logical line contents.
+        self.data = [0] * n_lines
+        self._tmaps: list[dict[int, int]] = [{} for _ in range(self._n_sets)]
+        self._repl = make_replacement_policy(
+            config.replacement, self._n_sets, self._assoc, seed=config.seed
+        )
+        # Hit-path specialization: exact-LRU recency stacks are mutated
+        # inline in record (set_index/way are internal, already valid);
+        # FIFO and random ignore hits entirely.
+        self._lru_stacks = (
+            self._repl._stacks if isinstance(self._repl, LRUPolicy) else None
+        )
+        self._touch_noop = isinstance(self._repl, (FIFOPolicy, RandomPolicy))
+        #: Sparse backing store: line-aligned address -> line integer.
+        self._mem: dict[int, int] = {}
+
+    def preload(self, addr: int, payload: bytes) -> None:
+        """Install initial memory contents (program image) before a run."""
+        line = self._line
+        pos, size = 0, len(payload)
+        while pos < size:
+            cur = addr + pos
+            base = cur & -line
+            chunk = min(size - pos, base + line - cur)
+            self._mem_write(
+                cur, chunk, int.from_bytes(payload[pos : pos + chunk], "little")
+            )
+            pos += chunk
+
+    def record(self, trace: Iterable[Access]) -> Substrate:
+        """Replay ``trace`` through the substrate and record every decision."""
+        line = self._line
+        sub = Substrate(
+            self.key, line, self._n_sets, self._assoc, self._counted
+        )
+        counted = self._counted
+        off_mask = line - 1
+        ob = self._off_bits
+        tag_shift = ob + self._idx_bits
+        set_mask = self._n_sets - 1
+        tmaps = self._tmaps
+        assoc = self._assoc
+        data_l, dirty_l = self.data, self._dirty
+        touch = self._repl.touch
+        lru_stacks = self._lru_stacks
+        touch_noop = self._touch_noop
+        wt = self._wt
+        mem_write = self._mem_write
+        miss = self._miss
+        split = self._split
+        write_op = Op.WRITE
+        entries, pcs = sub.entries, sub.pcs
+        put, put_pc = entries.append, pcs.append
+        writes = 0
+        for a in trace:
+            addr = a.addr
+            payload = a.data
+            size = len(payload)
+            offset = addr & off_mask
+            if offset + size > line:
+                split(sub, a)
+                continue
+            set_index = (addr >> ob) & set_mask
+            way = tmaps[set_index].get(addr >> tag_shift)
+            if way is None:
+                miss(
+                    sub, entries, pcs, a.op is write_op, addr,
+                    addr >> tag_shift, set_index, offset, size, payload,
+                )
+                continue
+            if lru_stacks is not None:
+                stack = lru_stacks[set_index]
+                stack.remove(way)
+                stack.append(way)
+            elif not touch_noop:
+                touch(set_index, way)
+            lid = set_index * assoc + way
+            if a.op is write_op:
+                writes += 1
+                value = int.from_bytes(payload, "little")
+                shift = offset * 8
+                after = (
+                    data_l[lid] & ~(((1 << (size * 8)) - 1) << shift)
+                ) | (value << shift)
+                data_l[lid] = after
+                if wt:
+                    mem_write(addr, size, value)
+                else:
+                    dirty_l[lid] = True
+                put(lid << 3 | 1)
+                if counted:
+                    put_pc(after.bit_count())
+            else:
+                put(lid << 3)
+                if counted:
+                    put_pc(data_l[lid].bit_count())
+        sub.accesses += len(entries)
+        sub.writes += writes
+        return sub
+
+    def _split(self, sub: Substrate, a: Access) -> None:
+        """Line-crossing access: record it chunk by chunk."""
+        line = self._line
+        ob, ib = self._off_bits, self._idx_bits
+        set_mask = self._n_sets - 1
+        is_write = a.op is Op.WRITE
+        payload = a.data
+        addr, remaining, consumed = a.addr, len(payload), 0
+        chunks = 0
+        while remaining > 0:
+            offset = addr & (line - 1)
+            chunk = min(remaining, line - offset)
+            self._one(
+                sub, is_write, addr, addr >> (ob + ib), (addr >> ob) & set_mask,
+                offset, chunk, payload[consumed : consumed + chunk],
+            )
+            chunks += 1
+            addr += chunk
+            consumed += chunk
+            remaining -= chunk
+        sub.entries.append(chunks << 3 | _CROSS | is_write)
+        if self._counted:
+            sub.pcs.append(0)
+        # The chunks count one by one; the entry itself counts none.
+        sub.accesses -= 1
+
+    def _one(
+        self, sub, is_write, addr, tag, set_index, offset, size, payload
+    ) -> None:
+        """One chunk of a line-crossing access, hit or miss."""
+        sub.accesses += 1
+        way = self._tmaps[set_index].get(tag)
+        if way is None:
+            self._miss(
+                sub, sub.splits, sub.split_pcs, is_write, addr, tag,
+                set_index, offset, size, payload,
+            )
+            return
+        self._repl.touch(set_index, way)
+        lid = set_index * self._assoc + way
+        code = lid << 3
+        if is_write:
+            sub.writes += 1
+            self._write(lid, addr, offset, size, payload)
+            code |= _WRITE
+        sub.splits.append(code)
+        if self._counted:
+            sub.split_pcs.append(self.data[lid].bit_count())
+
+    def _miss(
+        self, sub, entries, pcs, is_write, addr, tag, set_index, offset,
+        size, payload,
+    ) -> None:
+        sub.misses += 1
+        if is_write:
+            sub.writes += 1
+            if not self._wa:
+                # No-write-allocate: the store bypasses the data array.
+                sub.bypasses += 1
+                self._mem_write(addr, size, int.from_bytes(payload, "little"))
+                entries.append(_BYPASS)
+                if self._counted:
+                    pcs.append(0)
+                return
+        else:
+            # Valued traces are self-contained: seed the backing store
+            # so all schemes see identical bit streams.
+            self._mem_write(addr, size, int.from_bytes(payload, "little"))
+        base = set_index * self._assoc
+        valid = self._valid
+        tmap = self._tmaps[set_index]
+        flags = 0
+        for way in range(self._assoc):
+            if not valid[base + way]:
+                break
+        else:
+            way = self._repl.victim(set_index)
+            flags = _VICTIM
+            sub.evictions += 1
+            victim_tag = self._tags[base + way]
+            del tmap[victim_tag]
+            if self._dirty[base + way]:
+                flags |= _DIRTY
+                sub.writebacks += 1
+                victim = self.data[base + way]
+                self._mem[
+                    (victim_tag << (self._off_bits + self._idx_bits))
+                    | (set_index << self._off_bits)
+                ] = victim
+                if self._counted:
+                    sub.wb_pcs.append(victim.bit_count())
+        lid = base + way
+        fill = self._mem.get(addr - offset, 0)
+        valid[lid] = True
+        self._dirty[lid] = False
+        self._tags[lid] = tag
+        self.data[lid] = fill
+        tmap[tag] = way
+        self._repl.fill(set_index, way)
+        sub.flags.append(flags)
+        sub.fills += fill.to_bytes(self._line, "little")
+        if self._counted:
+            sub.fill_pcs.append(fill.bit_count())
+        code = lid << 3 | _MISS_BIT
+        if is_write:
+            self._write(lid, addr, offset, size, payload)
+            code |= _WRITE
+        entries.append(code)
+        if self._counted:
+            pcs.append(self.data[lid].bit_count())
+
+    def _write(self, lid, addr, offset, size, payload) -> None:
+        value = int.from_bytes(payload, "little")
+        shift = offset * 8
+        smask = ((1 << (size * 8)) - 1) << shift
+        self.data[lid] = (self.data[lid] & ~smask) | (value << shift)
+        if self._wt:
+            # The store is mirrored to memory; the line stays clean.
+            self._mem_write(addr, size, value)
+        else:
+            self._dirty[lid] = True
+
+    def _mem_write(self, addr: int, size: int, value: int) -> None:
+        base = addr & -self._line
+        shift = (addr - base) * 8
+        smask = ((1 << (size * 8)) - 1) << shift
+        self._mem[base] = (self._mem.get(base, 0) & ~smask) | (value << shift)
+
+
+def record_substrate(
+    config: CNTCacheConfig,
+    trace: Iterable[Access],
+    preloads: Iterable[tuple[int, bytes]] = (),
+) -> Substrate:
+    """Record ``trace`` over ``preloads`` at ``config``'s geometry."""
+    recorder = Recorder(config)
+    for addr, payload in preloads:
+        recorder.preload(addr, payload)
+    return recorder.record(trace)
+
+
+#: The recorder of an instance that folded a shared substrate.
+_SPENT = object()
+
 
 class ArrayCNTCache:
     """Bit-exact integer-packed replay engine for one encoding scheme.
 
     Implements the :class:`repro.backends.CacheBackend` protocol; the
     scalar :class:`~repro.core.cntcache.CNTCache` is the oracle it is
-    differential-tested against.
+    differential-tested against.  The substrate recorder is built on
+    first use, so an instance that only folds a shared substrate never
+    builds replacement state, tag maps or a backing store.
     """
 
     backend_name = "array"
@@ -86,13 +570,13 @@ class ArrayCNTCache:
         #: Optional analysis hook, same contract as the scalar backend.
         self.window_observer: Callable[[WindowEvent], None] | None = None
         self._window_events = 0
+        self._recorder: Recorder | object | None = None
 
         # --- geometry -------------------------------------------------- #
         line = config.line_size
         self._line = line
-        self._off_bits = line.bit_length() - 1
         self._n_sets = config.n_sets
-        self._idx_bits = self._n_sets.bit_length() - 1
+        self._tag_shift = (line.bit_length() - 1) + (self._n_sets.bit_length() - 1)
         self._assoc = config.assoc
         self._lbits = line * 8
 
@@ -112,8 +596,6 @@ class ArrayCNTCache:
         self._perline_hist = self._uses_pred and not self._shared
         self._gran_line = config.access_granularity == "line"
         self._meta = config.account_metadata
-        self._wt = config.write_through
-        self._wa = config.write_allocate
         self._depth = config.fifo_depth
         self._drain_budget = config.drain_per_access
         self._peri = config.peripheral_fj_per_access
@@ -124,6 +606,9 @@ class ArrayCNTCache:
         self._stored_ones = 0
         self._total_bits = config.size * 8
         self._window = config.window
+        self._table_fold = (
+            self._is_baseline and self._gran_line and not self._track
+        )
 
         if scheme == "baseline":
             self._fill_mode = _FILL_ZERO
@@ -211,32 +696,16 @@ class ArrayCNTCache:
             _energy_tables(model, 2 * self._cb)[1] if self._cb else None
         )
 
-        # --- cache state ------------------------------------------------ #
-        self._valid = [False] * n_lines
-        self._dirty = [False] * n_lines
+        # --- pricing state (the substrate's lines as the fold sees them) #
         self._tags = [0] * n_lines
         self._data = [0] * n_lines
         self._dirval = [0] * n_lines
-        self._tmaps: list[dict[int, int]] = [
-            {} for _ in range(self._n_sets)
-        ]
-        self._repl = make_replacement_policy(
-            config.replacement, self._n_sets, self._assoc, seed=config.seed
-        )
-        # Hit-path specialization: exact-LRU recency stacks are mutated
-        # inline in _replay (set_index/way are internal, already valid);
-        # FIFO and random ignore hits entirely.
-        self._lru_stacks = (
-            self._repl._stacks
-            if isinstance(self._repl, LRUPolicy)
-            else None
-        )
-        self._touch_noop = isinstance(self._repl, (FIFOPolicy, RandomPolicy))
-        #: Pending re-encodes: (set_index, way, tag, new_dirval) tuples.
-        self._queue: deque[tuple[int, int, int, int]] = deque()
-        #: Sparse backing store: line-aligned address -> line integer.
-        self._mem: dict[int, int] = {}
+        #: Pending re-encodes: (lid, tag, new_dirval) tuples.
+        self._queue: deque[tuple[int, int, int]] = deque()
         self._p_bypass = 0
+        # Cursors into the substrate being folded (slow paths).
+        self._sub: Substrate | None = None
+        self._fill_cur = self._split_cur = 0
 
         # --- accumulators (flushed into stats by _sync) ----------------- #
         self._C = [0] * 13
@@ -247,45 +716,53 @@ class ArrayCNTCache:
     # ------------------------------------------------------------------ #
     def access(self, access: Access) -> bytes:
         """Apply one valued access; returns the logical data read/written."""
+        recorder = self._own_recorder()
         line = self._line
-        ob, ib = self._off_bits, self._idx_bits
-        set_mask = self._n_sets - 1
-        data = access.data
-        is_write = access.op is Op.WRITE
-        addr, remaining, consumed = access.addr, access.size, 0
+        payload = access.data
+        addr, consumed = access.addr, 0
         chunks: list[bytes] = []
-        while remaining > 0:
+        # One line at a time, so each read chunk is taken from its line
+        # before the next chunk's fill can evict it.
+        while consumed < len(payload):
             offset = addr & (line - 1)
-            chunk = min(remaining, line - offset)
-            payload = data[consumed : consumed + chunk]
-            tag = addr >> (ob + ib)
-            set_index = (addr >> ob) & set_mask
-            self._access_one(
-                is_write, addr, tag, set_index, offset, chunk, payload
-            )
-            if is_write:
-                chunks.append(payload)
-            else:
-                way = self._tmaps[set_index].get(tag)
-                if way is None:  # unreachable: reads always allocate
-                    chunks.append(payload)
-                else:
-                    lid = set_index * self._assoc + way
-                    word = (self._data[lid] >> (offset * 8)) & (
-                        (1 << (chunk * 8)) - 1
-                    )
-                    chunks.append(word.to_bytes(chunk, "little"))
-            addr += chunk
-            consumed += chunk
-            remaining -= chunk
+            size = min(len(payload) - consumed, line - offset)
+            one = (Access(access.op, addr, payload[consumed : consumed + size]),)
+            substrate = recorder.record(one)
+            self._price(substrate, one)
+            if not access.is_write:
+                lid = substrate.entries[0] >> 3
+                word = (recorder.data[lid] >> (offset * 8)) & (
+                    (1 << (size * 8)) - 1
+                )
+                chunks.append(word.to_bytes(size, "little"))
+            addr += size
+            consumed += size
         self._sync()
-        return b"".join(chunks)
+        return payload if access.is_write else b"".join(chunks)
 
     def run(
-        self, trace: Iterable[Access], finalize: bool = True
+        self,
+        trace: Iterable[Access],
+        finalize: bool = True,
+        substrate: Substrate | None = None,
     ) -> EnergyStats:
-        """Replay a whole trace; optionally drain pending updates at the end."""
-        self._replay(trace)
+        """Replay a whole trace; optionally drain pending updates at the end.
+
+        With ``substrate`` — ``trace`` recorded over the run's preloads at
+        this config's geometry (:func:`record_substrate`) — this fresh
+        instance only folds it; nothing is recorded again.
+        """
+        accesses = trace if isinstance(trace, Sequence) else list(trace)
+        if substrate is None:
+            substrate = self._own_recorder().record(accesses)
+        elif self._recorder is not None:
+            raise ValueError(
+                "a shared substrate folds only into a fresh instance (no "
+                "preload, access or run before it)"
+            )
+        else:
+            self._recorder = _SPENT
+        self._price(substrate, accesses)
         if finalize:
             self.finalize()
         else:
@@ -303,21 +780,27 @@ class ArrayCNTCache:
 
     def preload(self, addr: int, payload: bytes) -> None:
         """Install initial memory contents (program image) before a run."""
-        line = self._line
-        pos, size = 0, len(payload)
-        while pos < size:
-            cur = addr + pos
-            base = cur & -line
-            chunk = min(size - pos, base + line - cur)
-            self._mem_write(
-                cur, chunk, int.from_bytes(payload[pos : pos + chunk], "little")
-            )
-            pos += chunk
+        self._own_recorder().preload(addr, payload)
 
     def preload_all(self, preloads: Iterable[tuple[int, bytes]]) -> None:
         """Install a whole initial memory image (see :meth:`preload`)."""
         for addr, payload in preloads:
             self.preload(addr, payload)
+
+    def _own_recorder(self) -> Recorder:
+        recorder = self._recorder
+        if recorder is None:
+            # A one-off run records the popcount streams only when its
+            # own config folds them.
+            recorder = self._recorder = Recorder(
+                self.config, popcounts=self._table_fold
+            )
+        elif not isinstance(recorder, Recorder):
+            raise ValueError(
+                "this instance folded a shared substrate and has no "
+                "substrate state of its own; replay on a fresh instance"
+            )
+        return recorder
 
     # ------------------------------------------------------------------ #
     # inspection helpers (tests, verification, reports)
@@ -325,12 +808,14 @@ class ArrayCNTCache:
     def logical_line(self, set_index: int, way: int) -> bytes:
         """Program-visible contents of a resident line."""
         lid = set_index * self._assoc + way
-        return self._data[lid].to_bytes(self._line, "little")
+        return self._own_recorder().data[lid].to_bytes(self._line, "little")
 
     def stored_line(self, set_index: int, way: int) -> bytes:
         """Array contents of a resident line (encoded domain)."""
         lid = set_index * self._assoc + way
-        stored = self._data[lid] ^ self._mask_for(self._dirval[lid])
+        stored = self._own_recorder().data[lid] ^ self._mask_for(
+            self._dirval[lid]
+        )
         return stored.to_bytes(self._line, "little")
 
     def directions_of(self, set_index: int, way: int) -> tuple[bool, ...]:
@@ -344,23 +829,82 @@ class ArrayCNTCache:
         return len(self._queue)
 
     # ------------------------------------------------------------------ #
-    # the replay loop (decode and hit path inlined)
+    # stage 2: the pricing fold
     # ------------------------------------------------------------------ #
-    def _replay(self, trace: Iterable[Access]) -> None:
+    def _price(self, substrate: Substrate, trace: Sequence[Access]) -> None:
+        """Price ``substrate``, recorded from ``trace``, into the totals."""
+        if substrate.key != substrate_key(self.config):
+            raise ValueError(
+                f"substrate geometry {substrate.key} does not match "
+                f"{substrate_key(self.config)}"
+            )
+        _check_length(substrate, trace)
+        if self._table_fold and substrate.counted:
+            self._fold_tables(substrate)
+        else:
+            self._sub = substrate
+            self._fill_cur = self._split_cur = 0
+            self._fold(substrate, trace)
+            self._sub = None
+        C = self._C
+        C[_ACC] += substrate.accesses
+        C[_RDC] += substrate.accesses - substrate.writes
+        C[_WRC] += substrate.writes
+        C[_HIT] += substrate.hits
+        C[_MISS] += substrate.misses
+        C[_EVC] += substrate.evictions
+        C[_WBC] += substrate.writebacks
+        self._p_bypass += substrate.bypasses
+
+    def _fold_tables(self, sub: Substrate) -> None:
+        """``baseline`` at line granularity: table lookups per event."""
+        E = self._E
+        rd_full, wr_full = self._rd_full, self._wr_full
+        splits, split_pcs = sub.splits, sub.split_pcs
+        e_dr, e_dw = E[_DR], E[_DW]
+        cur = 0
+        # Literal code bits in the loop (4 special, 2 miss, 1 write):
+        # a module constant is a global lookup per access.
+        for entry, ones in zip(sub.entries, sub.pcs):
+            if entry & 4:
+                if entry & 2:  # a bypassed store: no array event
+                    continue
+                end = cur + (entry >> 3)
+                for chunk in range(cur, end):
+                    code = splits[chunk]
+                    if code & _SPECIAL:
+                        continue
+                    if code & _WRITE:
+                        e_dw = e_dw + wr_full[split_pcs[chunk]]
+                    else:
+                        e_dr = e_dr + rd_full[split_pcs[chunk]]
+                cur = end
+            elif entry & 1:
+                e_dw = e_dw + wr_full[ones]
+            else:
+                e_dr = e_dr + rd_full[ones]
+        E[_DR], E[_DW] = e_dr, e_dw
+        e_fi = E[_FI]
+        for ones in sub.fill_pcs:
+            e_fi = e_fi + wr_full[ones]
+        E[_FI] = e_fi
+        e_wb = E[_WB]
+        for ones in sub.wb_pcs:
+            e_wb = e_wb + rd_full[ones]
+        E[_WB] = e_wb
+        peri = self._peri
+        e_pe = E[_PE]
+        for _ in range(sub.accesses + len(sub.fill_pcs) + len(sub.wb_pcs)):
+            e_pe = e_pe + peri
+        E[_PE] = e_pe
+
+    def _fold(self, sub: Substrate, trace: Sequence[Access]) -> None:
         C, E = self._C, self._E
-        line = self._line
-        off_mask = line - 1
-        ob = self._off_bits
-        tag_shift = ob + self._idx_bits
-        set_mask = self._n_sets - 1
-        tmaps = self._tmaps
+        off_mask = self._line - 1
         assoc = self._assoc
-        data_l, dirval_l, dirty_l = self._data, self._dirval, self._dirty
+        data_l, dirval_l = self._data, self._dirval
         masks = self._masks
         mask_for = self._mask_for
-        touch = self._repl.touch
-        lru_stacks = self._lru_stacks
-        touch_noop = self._touch_noop
         rd_full, wr_full = self._rd_full, self._wr_full
         mr, mwd = self._mr, self._mwd
         hwt = self._hwt
@@ -369,82 +913,56 @@ class ArrayCNTCache:
         peri, enc_logic = self._peri, self._enc_logic
         e_rd0, e_rd1 = self._e_rd0, self._e_rd1
         e_wr0, e_wr1 = self._e_wr0, self._e_wr1
-        baseline = self._is_baseline
         is_dbi = self._is_dbi
         uses_pred, shared = self._uses_pred, self._shared
         gran_line, meta = self._gran_line, self._meta
-        track, wt = self._track, self._wt
+        track = self._track
         window, cb, cm = self._window, self._cb, self._cmask
         queue = self._queue
         drain_budget = self._drain_budget
         leak = self._leak
         total_bits = self._total_bits
-        access_one = self._access_one
-        write_op = Op.WRITE
+        slow = self._fold_slow
         meta_read = meta and mr is not None
-        logic = not baseline
+        logic = not self._is_baseline
 
-        # Hot counters and energy components live in locals while the
-        # loop runs.  Each local holds the *running total* (loaded from
-        # C/E, not a delta), so inline additions extend the exact same
-        # left-fold chains the scalar oracle builds; around every call
-        # that touches the shared slots (miss path, window completion,
-        # drains) the locals are stored back and reloaded, preserving
-        # the global addition order bit for bit.
-        c_acc, c_rd, c_wr, c_hit = C[_ACC], C[_RDC], C[_WRC], C[_HIT]
+        # Hot energy components live in locals while the loop runs.
+        # Each local holds the *running total* (loaded from E, not a
+        # delta), so inline additions extend the exact same left-fold
+        # chains the scalar oracle builds; around every call that touches
+        # the shared slots (miss path, window completion, drains) the
+        # locals are stored back and reloaded, preserving the global
+        # addition order bit for bit.
         c_inv = C[_INV]
         e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
         e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
 
-        for a in trace:
-            addr = a.addr
-            size = len(a.data)
-            offset = addr & off_mask
-            tag = addr >> tag_shift
-            set_index = (addr >> ob) & set_mask
-            cr = offset + size > line
-            way = None if cr else tmaps[set_index].get(tag)
-            if way is None:
-                C[_ACC], C[_RDC], C[_WRC], C[_HIT] = c_acc, c_rd, c_wr, c_hit
+        for a, entry in zip(trace, sub.entries):
+            if entry & 6:  # a miss, a bypassed store or a line crossing
+                # (literal code bits, as in _fold_tables)
                 C[_INV] = c_inv
                 E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
                 E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
-                if cr:
-                    self._access_split(a)
-                else:
-                    access_one(
-                        a.op is write_op, addr, tag, set_index, offset,
-                        size, a.data,
-                    )
-                c_acc, c_rd, c_wr, c_hit = C[_ACC], C[_RDC], C[_WRC], C[_HIT]
+                slow(a, entry)
                 c_inv = C[_INV]
                 e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
                 e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
                 continue
             # ---- hit path, inlined ------------------------------------ #
-            is_write = a.op is write_op
-            c_acc += 1
-            c_hit += 1
-            if lru_stacks is not None:
-                stack = lru_stacks[set_index]
-                stack.remove(way)
-                stack.append(way)
-            elif not touch_noop:
-                touch(set_index, way)
-            lid = set_index * assoc + way
+            lid = entry >> 3
             dirval = dirval_l[lid]
+            is_write = entry & 1
             if is_write:
-                c_wr += 1
-                value = int.from_bytes(a.data, "little")
+                payload = a.data
+                size = len(payload)
+                offset = a.addr & off_mask
                 shift = offset * 8
                 smask = ((1 << (size * 8)) - 1) << shift
                 before = data_l[lid]
-                after = (before & ~smask) | (value << shift)
+                after = (before & ~smask) | (
+                    int.from_bytes(payload, "little") << shift
+                )
                 data_l[lid] = after
-                if wt:
-                    self._mem_write(addr, size, value)
-                else:
-                    dirty_l[lid] = True
                 if is_dbi:
                     new_dirval = self._dbi_new_dirval(
                         dirval, after, offset, size
@@ -478,7 +996,6 @@ class ArrayCNTCache:
                     e_dw = e_dw + (ones * e_wr1 + (size * 8 - ones) * e_wr0)
                 dirval = new_dirval
             else:
-                c_rd += 1
                 mask = masks.get(dirval)
                 if mask is None:
                     mask = mask_for(dirval)
@@ -488,7 +1005,8 @@ class ArrayCNTCache:
                     if dirval:
                         c_inv += 1
                 else:
-                    shift = offset * 8
+                    size = len(a.data)
+                    shift = (a.addr & off_mask) * 8
                     word = ((data_l[lid] ^ mask) >> shift) & (
                         (1 << (size * 8)) - 1
                     )
@@ -499,6 +1017,7 @@ class ArrayCNTCache:
                 mones = dirval.bit_count()
                 if uses_pred:
                     if shared:
+                        set_index = lid // assoc
                         mones += (sha_l[set_index] & cm).bit_count() + (
                             shw_l[set_index] & cm
                         ).bit_count()
@@ -514,6 +1033,7 @@ class ArrayCNTCache:
                 e_lg = e_lg + enc_logic
             if uses_pred:
                 if shared:
+                    set_index = lid // assoc
                     h_a = sha_l[set_index] + 1
                     h_w = shw_l[set_index] + 1 if is_write else shw_l[set_index]
                     sha_l[set_index] = h_a
@@ -527,11 +1047,10 @@ class ArrayCNTCache:
                     hv = (h_a & cm) | ((h_w & cm) << cb)
                     e_mwr = e_mwr + hwt[hv.bit_count()]
                 if h_a == window:
-                    C[_ACC], C[_RDC] = c_acc, c_rd
-                    C[_WRC], C[_HIT], C[_INV] = c_wr, c_hit, c_inv
-                    E[_DR], E[_DW], E[_MRD] = e_dr, e_dw, e_mrd
-                    E[_MWR], E[_LG], E[_PE], E[_LK] = e_mwr, e_lg, e_pe, e_lk
-                    self._window_complete(lid, set_index, way, h_w)
+                    C[_INV] = c_inv
+                    E[_MRD], E[_MWR] = e_mrd, e_mwr
+                    E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
+                    self._window_complete(lid, h_w)
                     c_inv = C[_INV]
                     e_mrd, e_mwr = E[_MRD], E[_MWR]
                     e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
@@ -543,128 +1062,82 @@ class ArrayCNTCache:
                 so = self._stored_ones
                 e_lk = e_lk + leak.cycle_energy(so, total_bits - so)
 
-        C[_ACC], C[_RDC], C[_WRC], C[_HIT] = c_acc, c_rd, c_wr, c_hit
         C[_INV] = c_inv
         E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
         E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
 
-    def _access_split(self, a: Access) -> None:
-        """Line-crossing access: decode and apply it chunk by chunk."""
-        line = self._line
-        ob, ib = self._off_bits, self._idx_bits
-        set_mask = self._n_sets - 1
-        is_write = a.op is Op.WRITE
-        data = a.data
-        addr, remaining, consumed = a.addr, a.size, 0
-        while remaining > 0:
-            offset = addr & (line - 1)
-            chunk = min(remaining, line - offset)
-            self._access_one(
-                is_write,
-                addr,
-                addr >> (ob + ib),
-                (addr >> ob) & set_mask,
-                offset,
-                chunk,
-                data[consumed : consumed + chunk],
+    def _fold_slow(self, a: Access, entry: int) -> None:
+        """Misses, bypassed stores and line-crossing accesses."""
+        is_write = bool(entry & _WRITE)
+        if entry & 6 == _CROSS:
+            sub = self._sub
+            assert sub is not None
+            line = self._line
+            payload = a.data
+            addr, remaining, consumed = a.addr, len(payload), 0
+            while remaining > 0:
+                offset = addr & (line - 1)
+                chunk = min(remaining, line - offset)
+                code = sub.splits[self._split_cur]
+                self._split_cur += 1
+                self._fold_one(
+                    is_write, addr, offset, chunk,
+                    payload[consumed : consumed + chunk], code,
+                )
+                addr += chunk
+                consumed += chunk
+                remaining -= chunk
+        else:
+            self._fold_one(
+                is_write, a.addr, a.addr & (self._line - 1), len(a.data),
+                a.data, entry,
             )
-            addr += chunk
-            consumed += chunk
-            remaining -= chunk
 
     # ------------------------------------------------------------------ #
-    # one access, general path (misses, bypasses, slow paths)
+    # one line access, general path (misses, bypasses, slow paths)
     # ------------------------------------------------------------------ #
-    def _access_one(
-        self, is_write, addr, tag, set_index, offset, size, payload
-    ) -> None:
+    def _fold_one(self, is_write, addr, offset, size, payload, code) -> None:
         C, E = self._C, self._E
-        C[_ACC] += 1
-        if is_write:
-            C[_WRC] += 1
-        else:
-            C[_RDC] += 1
-        tmap = self._tmaps[set_index]
-        way = tmap.get(tag)
+        if code & 7 == _BYPASS:
+            self._finish_access(is_write=True, lid=-1)
+            return
+        lid = code >> 3
         had_victim = victim_dirty = False
         victim_data = victim_dirval = victim_a = victim_w = 0
         fill_int = 0
         filled = False
-        if way is not None:
-            C[_HIT] += 1
-            self._repl.touch(set_index, way)
-            lid = set_index * self._assoc + way
-        else:
-            C[_MISS] += 1
-            if is_write and not self._wa:
-                # No-write-allocate: the store bypasses the data array.
-                self._p_bypass += 1
-                self._mem_write(
-                    addr, size, int.from_bytes(payload, "little")
-                )
-                self._finish_access(is_write=True, lid=-1, set_index=set_index,
-                                    way=-1)
-                return
-            value = int.from_bytes(payload, "little")
-            if not is_write:
-                # Valued traces are self-contained: seed the backing
-                # store so all schemes see identical bit streams.
-                self._mem_write(addr, size, value)
-            base = set_index * self._assoc
-            valid = self._valid
-            way = None
-            for cand in range(self._assoc):
-                if not valid[base + cand]:
-                    way = cand
-                    break
-            if way is None:
-                way = self._repl.victim(set_index)
-                lid = base + way
+        if code & _MISS_BIT:
+            sub = self._sub
+            assert sub is not None
+            line = self._line
+            pos = self._fill_cur
+            self._fill_cur = pos + line
+            flags = sub.flags[pos // line]
+            if flags & _VICTIM:
                 had_victim = True
-                victim_tag = self._tags[lid]
-                victim_dirty = self._dirty[lid]
+                victim_dirty = bool(flags & _DIRTY)
                 victim_data = self._data[lid]
                 victim_dirval = self._dirval[lid]
                 if self._perline_hist:
                     victim_a = self._ha[lid]
                     victim_w = self._hwn[lid]
-                del tmap[victim_tag]
-                if victim_dirty:
-                    self._mem[
-                        (victim_tag << (self._off_bits + self._idx_bits))
-                        | (set_index << self._off_bits)
-                    ] = victim_data
-            else:
-                lid = base + way
-            fill_int = self._mem.get(addr - offset, 0)
-            valid[lid] = True
-            self._dirty[lid] = False
-            self._tags[lid] = tag
+            fill_int = int.from_bytes(sub.fills[pos : pos + line], "little")
+            self._tags[lid] = addr >> self._tag_shift
             self._data[lid] = fill_int
-            tmap[tag] = way
-            self._repl.fill(set_index, way)
             filled = True
-        if had_victim:
-            C[_EVC] += 1
-            if victim_dirty:
-                C[_WBC] += 1
-            if self._track:
-                self._stored_ones -= (
-                    victim_data ^ self._mask_for(victim_dirval)
-                ).bit_count()
-                if victim_dirval:
-                    C[_INV] += 1
+        set_index = lid // self._assoc
+        if had_victim and self._track:
+            self._stored_ones -= (
+                victim_data ^ self._mask_for(victim_dirval)
+            ).bit_count()
+            if victim_dirval:
+                C[_INV] += 1
         before = self._data[lid]
         if is_write:
             value = int.from_bytes(payload, "little")
             shift = offset * 8
             smask = ((1 << (size * 8)) - 1) << shift
             self._data[lid] = (before & ~smask) | (value << shift)
-            if self._wt:
-                # The store is mirrored to memory; the line stays clean.
-                self._mem_write(addr, size, value)
-            else:
-                self._dirty[lid] = True
         # Array events, in substrate order: WRITEBACK -> FILL -> DATA.
         if victim_dirty:
             stored = victim_data ^ self._mask_for(victim_dirval)
@@ -687,23 +1160,22 @@ class ArrayCNTCache:
                         ).bit_count()
                 E[_MRD] = E[_MRD] + self._mr[mones]
         if filled:
-            self._on_fill(lid, set_index, way, fill_int)
+            self._on_fill(lid, fill_int)
         if is_write:
             self._on_data_write(lid, set_index, before, offset, size)
         else:
             self._on_data_read(lid, set_index, offset, size)
-        self._finish_access(
-            is_write=is_write, lid=lid, set_index=set_index, way=way
-        )
+        self._finish_access(is_write=is_write, lid=lid)
 
-    def _finish_access(self, *, is_write, lid, set_index, way) -> None:
+    def _finish_access(self, *, is_write, lid) -> None:
         """Per-access tail: peripheral, logic, history, drain, leakage."""
         E = self._E
         E[_PE] = E[_PE] + self._peri
         if not self._is_baseline:
             E[_LG] = E[_LG] + self._enc_logic
-        if self._uses_pred and way >= 0:
+        if self._uses_pred and lid >= 0:
             if self._shared:
+                set_index = lid // self._assoc
                 h_a = self._sha[set_index] + 1
                 h_w = self._shw[set_index] + 1 if is_write else self._shw[set_index]
                 self._sha[set_index] = h_a
@@ -718,7 +1190,7 @@ class ArrayCNTCache:
                 hv = (h_a & cm) | ((h_w & cm) << self._cb)
                 E[_MWR] = E[_MWR] + self._hwt[hv.bit_count()]
             if h_a == self._window:
-                self._window_complete(lid, set_index, way, h_w)
+                self._window_complete(lid, h_w)
         if self._queue and self._drain_budget:
             self._drain(self._drain_budget)
         if self._track:
@@ -730,16 +1202,12 @@ class ArrayCNTCache:
     # ------------------------------------------------------------------ #
     # array events
     # ------------------------------------------------------------------ #
-    def _on_fill(self, lid, set_index, way, fill_int) -> None:
+    def _on_fill(self, lid, fill_int) -> None:
         C, E = self._C, self._E
-        # Any pending update for the way this line replaced is now stale.
+        # Any pending update for the line this fill replaced is now stale.
         queue = self._queue
         if queue:
-            kept = [
-                entry
-                for entry in queue
-                if not (entry[0] == set_index and entry[1] == way)
-            ]
+            kept = [entry for entry in queue if entry[0] != lid]
             if len(kept) != len(queue):
                 C[_PDR] += len(queue) - len(kept)
                 queue.clear()
@@ -840,7 +1308,7 @@ class ArrayCNTCache:
     # ------------------------------------------------------------------ #
     # history window + prediction
     # ------------------------------------------------------------------ #
-    def _window_complete(self, lid, set_index, way, wr_num) -> None:
+    def _window_complete(self, lid, wr_num) -> None:
         C, E = self._C, self._E
         C[_WIN] += 1
         E[_LG] = E[_LG] + self._pred_logic
@@ -859,6 +1327,7 @@ class ArrayCNTCache:
                 ones_list.append(n1)
                 if row[n1]:
                     flipbits |= 1 << p
+            set_index, way = divmod(lid, self._assoc)
             observer(
                 WindowEvent(
                     index=self._window_events,
@@ -882,6 +1351,7 @@ class ArrayCNTCache:
                 if row[((stored >> (p * pb)) & pm).bit_count()]:
                     flipbits |= 1 << p
         if self._shared:
+            set_index = lid // self._assoc
             self._sha[set_index] = 0
             self._shw[set_index] = 0
         else:
@@ -897,7 +1367,7 @@ class ArrayCNTCache:
         forced = None
         if len(queue) >= self._depth:
             forced = queue.popleft()
-        queue.append((set_index, way, self._tags[lid], dirval ^ flipbits))
+        queue.append((lid, self._tags[lid], dirval ^ flipbits))
         if forced is not None:
             C[_FDR] += 1
             self._apply_update(forced)
@@ -915,10 +1385,13 @@ class ArrayCNTCache:
                 applied += 1
 
     def _apply_update(self, entry) -> bool:
-        """Re-encode a line per a queued update; False if it went stale."""
-        set_index, way, tag, new_dirval = entry
-        lid = set_index * self._assoc + way
-        if not self._valid[lid] or self._tags[lid] != tag:
+        """Re-encode a line per a queued update; False if it went stale.
+
+        Lines are never invalidated, so a queued line id is always
+        resident: the update is stale once another tag filled it.
+        """
+        lid, tag, new_dirval = entry
+        if self._tags[lid] != tag:
             self._C[_PDR] += 1
             return False
         dirval = self._dirval[lid]
@@ -990,15 +1463,6 @@ class ArrayCNTCache:
         return (dirval & ~covered) | (greedy & covered)
 
     # ------------------------------------------------------------------ #
-    # backing store (line-aligned integer map)
-    # ------------------------------------------------------------------ #
-    def _mem_write(self, addr: int, size: int, value: int) -> None:
-        base = addr & -self._line
-        shift = (addr - base) * 8
-        smask = ((1 << (size * 8)) - 1) << shift
-        self._mem[base] = (self._mem.get(base, 0) & ~smask) | (value << shift)
-
-    # ------------------------------------------------------------------ #
     # stats flush + observability
     # ------------------------------------------------------------------ #
     def _sync(self) -> None:
@@ -1019,20 +1483,12 @@ class ArrayCNTCache:
 
     def _flush_probes(self) -> None:
         """Emit the aggregate ``cache.*`` and ``codec.*`` counters the
-        scalar oracle emits per access (bypassed stores are write misses
-        that touch neither the demand nor the fill counters)."""
+        scalar oracle emits per access."""
         C = self._C
         bypass = self._p_bypass
-        counts = [
-            ("cache.accesses", C[_ACC]),
-            ("cache.hits", C[_HIT]),
-            ("cache.misses", C[_MISS]),
-            ("cache.demand_reads", C[_RDC]),
-            ("cache.demand_writes", C[_WRC] - bypass),
-            ("cache.fills", C[_MISS] - bypass),
-            ("cache.writebacks", C[_WBC]),
-            ("cache.bypass_writes", bypass),
-        ]
+        counts = _cache_counts(
+            C[_ACC], C[_HIT], C[_MISS], C[_RDC], C[_WRC], C[_WBC], bypass
+        )
         if not self._is_baseline:  # the identity codec counts nothing
             # The scalar engine encodes a whole line at every fill,
             # writeback and window completion, at every line-granularity

@@ -485,10 +485,13 @@ def run_selftest(
     is the determinism contract the parallel executor and the result
     cache both rest on.
 
-    Every simulating candidate (workload, l2, audit) is additionally
-    re-executed under ``backend="scalar"`` and its canonical measurement
-    must match the default engine's byte for byte — the cross-backend
-    leg of the same contract.
+    Every simulating candidate (workload, oracle, l2, audit) is
+    additionally re-executed under ``backend="scalar"`` and its canonical
+    measurement must match the default engine's byte for byte — the
+    cross-backend leg of the same contract.  The scalar mirror of an
+    ``l2`` job filters its own L1 stream through the reference substrate
+    cache, and that of an ``oracle`` job replays the reference substrate,
+    so the default engine's substrate projections are cross-checked too.
     """
     import tempfile
     from concurrent.futures import ProcessPoolExecutor
@@ -508,7 +511,9 @@ def run_selftest(
         workload_job(config, "stream", size, seed),
         workload_job(config.variant(scheme="baseline"), "stream", size, seed),
         oracle_job(config, "crc32", size, seed),
-        l2_job(config, "stream", size, seed),
+        # A 1 KiB L1 evicts dirty lines even at the smallest size, so
+        # the L2 stream carries writebacks as well as refills.
+        l2_job(config, "stream", size, seed, l1_size=1024),
         audit_job(config, "records", size, seed),
         trace_job("crc32", size, seed),
     ]
@@ -534,7 +539,7 @@ def run_selftest(
                 failures.append(
                     f"{job.label}: in-process/subprocess/cache results differ"
                 )
-            if job.kind in ("workload", "l2", "audit"):
+            if job.kind in ("workload", "oracle", "l2", "audit"):
                 mirrored = execute_job(replace(job, backend="scalar"))
                 if mirrored.canonical() != inproc.canonical():
                     ok = False

@@ -365,9 +365,9 @@ def oracle_job(
 ) -> SimJob:
     """The posteriori oracle bound of one workload (F8).
 
-    Only geometry, codec partitioning, energy model and the peripheral
-    constant reach the oracle, so the config is canonicalised down to a
-    ``cnt`` scheme with default algorithm knobs.
+    Only geometry, replacement, write policy, codec partitioning, energy
+    model and the peripheral constant reach the oracle, so the config is
+    canonicalised down to a ``cnt`` scheme with default algorithm knobs.
     """
     canonical = config.variant(
         scheme="cnt",

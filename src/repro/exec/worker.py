@@ -13,6 +13,11 @@ this module's purpose, and a pool forked from a parent that imported it
 inherits them instead of importing them again in every worker.  Call
 sites still look their entry points up on those modules at call time.
 
+A workload run also keeps the substrate of its last geometry
+(:meth:`~repro.workloads.program.WorkloadRun.substrate`): consecutive
+workload and oracle jobs of one (trace, geometry) group record the cache
+once and fold each config over it.
+
 Everything here is deterministic: traces are rebuilt from
 (name, size, seed), the simulator is seeded from the config, and results
 travel as JSON-exact payloads — a worker-process result is bit-identical
@@ -28,6 +33,7 @@ from collections.abc import Iterable
 from repro import api, faults
 from repro.analysis import accuracy
 from repro.backends import array  # noqa: F401  (the default engine, see above)
+from repro.backends import folds_substrates
 from repro.exec.job import SimJob
 from repro.exec.result import ExecResult
 from repro.harness import multilevel, oracle, runner
@@ -37,7 +43,8 @@ from repro.workloads.program import WorkloadRun, get_workload
 #: Per-process workload memo: (name, size, seed) -> built run.
 _RUNS: dict[tuple[str, str, int], WorkloadRun] = {}
 
-#: Per-process L1-filtered stream memo (streams cost a full L1 replay).
+#: Per-process L1-filtered stream memo (streams cost a full L1 replay),
+#: keyed by backend too so a scalar mirror builds its own stream.
 _STREAMS: dict[tuple, list] = {}
 
 
@@ -74,10 +81,23 @@ def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
 # --------------------------------------------------------------------- #
 # kind dispatch
 # --------------------------------------------------------------------- #
+def _substrate(run: WorkloadRun, job: SimJob):
+    """The run's recorded substrate at the job's geometry, when its
+    engine folds one."""
+    assert job.config is not None
+    return run.substrate(job.config) if folds_substrates(job.backend) else None
+
+
 def _execute_workload(job: SimJob) -> ExecResult:
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
-    sim = runner.replay(job.config, run.trace, run.preloads, backend=job.backend)
+    sim = runner.replay(
+        job.config,
+        run.trace,
+        run.preloads,
+        backend=job.backend,
+        substrate=_substrate(run, job),
+    )
     return ExecResult(
         job=job,
         stats=sim.stats,
@@ -91,7 +111,13 @@ def _execute_workload(job: SimJob) -> ExecResult:
 def _execute_oracle(job: SimJob) -> ExecResult:
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
-    bound = oracle.oracle_bound(job.config, run.trace, run.preloads)
+    bound = oracle.oracle_bound(
+        job.config,
+        run.trace,
+        run.preloads,
+        backend=job.backend,
+        substrate=_substrate(run, job),
+    )
     return ExecResult(job=job, values={"oracle_fj": bound, "accesses": run.stats.accesses})
 
 
@@ -99,7 +125,7 @@ def _execute_l2(job: SimJob) -> ExecResult:
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
     geometry = dict(job.params)
-    stream_key = (job.workload, job.size, job.seed, job.params)
+    stream_key = (job.workload, job.size, job.seed, job.params, job.backend)
     stream = _STREAMS.get(stream_key)
     if stream is None:
         # The substrate-L1 replay is memoized infrastructure, not the
@@ -112,6 +138,7 @@ def _execute_l2(job: SimJob) -> ExecResult:
                 l1_size=geometry["l1_size"],
                 l1_assoc=geometry["l1_assoc"],
                 line_size=geometry["l1_line_size"],
+                backend=job.backend,
             )
         _STREAMS[stream_key] = stream
     values = {

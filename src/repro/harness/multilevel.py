@@ -11,6 +11,13 @@ line-granular read and every dirty writeback a line-granular write, in
 program order.  The stream then drives any :class:`~repro.core.CNTCache`
 configuration as the L2.
 
+The default engine projects the stream from a substrate recorded at the
+L1 geometry (:func:`repro.backends.array.record_substrate`): its fills
+and dirty evictions are the L2's reads and writes.
+``backend="scalar"`` replays the reference
+:class:`~repro.cache.cache.SetAssociativeCache` instead; the two streams
+are identical.
+
 Experiments declare this as an ``l2`` :class:`repro.exec.SimJob` (see
 :func:`repro.exec.l2_job`, which carries the L1 geometry in the job
 params); the exec worker memoizes the filtered stream per process, so a
@@ -19,8 +26,9 @@ scheme comparison replays each workload's L1 once, not per scheme.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
+from repro.backends import DEFAULT_BACKEND, folds_substrates
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.memory import MainMemory
 from repro.core.config import CNTCacheConfig
@@ -28,18 +36,48 @@ from repro.trace.record import Access
 
 
 def l1_filtered_stream(
-    trace: Iterable[Access],
+    trace: Sequence[Access],
     preloads: Iterable[tuple[int, bytes]] = (),
     l1_size: int = 8 * 1024,
     l1_assoc: int = 2,
     line_size: int = 64,
+    backend: str = DEFAULT_BACKEND,
 ) -> list[Access]:
     """The L2-visible access stream of a workload behind a small L1.
 
     Returns line-granular accesses: a read per L1 refill (carrying the
     true line contents at that moment) and a write per dirty writeback
-    (carrying the written-back line).
+    (carrying the written-back line).  The L1 is LRU, write-back and
+    write-allocate.
     """
+    if folds_substrates(backend):
+        from repro.backends.array import record_substrate
+
+        substrate = record_substrate(
+            CNTCacheConfig(
+                size=l1_size,
+                assoc=l1_assoc,
+                line_size=line_size,
+                scheme="baseline",
+                partitions=1,
+                dbi_word_bytes=1,
+            ),
+            trace,
+            preloads,
+        )
+        stream = []
+        for _, addr, _, fill, victim, victim_addr in substrate.walk(trace):
+            if victim is not None:
+                stream.append(
+                    Access.write(victim_addr, victim.to_bytes(line_size, "little"))
+                )
+            if fill is not None:
+                stream.append(
+                    Access.read(
+                        addr & -line_size, fill.to_bytes(line_size, "little")
+                    )
+                )
+        return stream
     memory = MainMemory()
     for addr, payload in preloads:
         memory.poke(addr, payload)

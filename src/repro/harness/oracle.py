@@ -5,6 +5,13 @@ array event, the posteriori-minimal data energy (per-partition free choice
 of direction, no history, no switch cost, no metadata).  The result lower-
 bounds every realisable encoding policy with the same codec geometry.
 
+The default engine prices the bound as a fold over the recorded
+substrate (:class:`repro.backends.array.Substrate`) of the trace at the
+config's geometry and write policy, the same record the workload jobs of
+that geometry fold; ``backend="scalar"`` replays the reference
+:class:`~repro.cache.cache.SetAssociativeCache` instead.  Both visit the
+same array events in the same order, so they agree bit for bit.
+
 Each event is priced from two precomputed tables, one per access kind:
 entry ``n`` is ``min(E(n, pb - n), E(pb - n, n))``, the cheaper direction
 of a ``pb``-bit partition holding ``n`` 1-bits, built from the same
@@ -22,14 +29,20 @@ so bounds dedupe and cache like any other measurement.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
+from repro.backends import DEFAULT_BACKEND, folds_substrates
 from repro.cache.cache import EventKind, SetAssociativeCache
 from repro.cache.memory import MainMemory
 from repro.cnfet.energy import BitEnergyModel
 from repro.core.config import CNTCacheConfig
 from repro.encoding.partitioned import PartitionedInvertCodec
+from repro.obs import probe
 from repro.trace.record import Access
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.array import Substrate
 
 
 def min_energy_table(
@@ -54,7 +67,15 @@ def table_access_energy(
     are bits ``[i * partition_bits, (i + 1) * partition_bits)`` of its
     little-endian integer.
     """
-    value = int.from_bytes(logical, "little")
+    return _line_energy(
+        table, int.from_bytes(logical, "little"), partitions, partition_bits
+    )
+
+
+def _line_energy(
+    table: list[float], value: int, partitions: int, partition_bits: int
+) -> float:
+    """:func:`table_access_energy` of a line held as an integer."""
     mask = (1 << partition_bits) - 1
     energy = 0.0
     for _ in range(partitions):
@@ -65,15 +86,65 @@ def table_access_energy(
 
 def oracle_bound(
     config: CNTCacheConfig,
-    trace: Iterable[Access],
+    trace: Sequence[Access],
     preloads: Iterable[tuple[int, bytes]] = (),
+    backend: str = DEFAULT_BACKEND,
+    substrate: "Substrate | None" = None,
 ) -> float:
     """Minimum achievable dynamic energy (fJ) with free per-access encoding.
 
-    Uses the same cache geometry and the same peripheral constant as the
-    real schemes, so the gap to CNT-Cache isolates the *encoding policy*
-    headroom (experiment F8).
+    Uses the same cache geometry, write policy and peripheral constant as
+    the real schemes, so the gap to CNT-Cache isolates the *encoding
+    policy* headroom (experiment F8).  ``substrate`` is ``trace`` already
+    recorded over ``preloads`` at ``config``'s geometry
+    (:meth:`repro.workloads.program.WorkloadRun.substrate`); without one
+    the default engine records it here.
     """
+    codec = PartitionedInvertCodec(config.line_size, config.partitions)
+    partitions, partition_bits = codec.n_partitions, codec.partition_bits
+    tables = {
+        is_write: min_energy_table(config.energy, partition_bits, is_write)
+        for is_write in (False, True)
+    }
+    peripheral = config.peripheral_fj_per_access
+    if not folds_substrates(backend):
+        return _scalar_bound(
+            config, trace, preloads, tables, partitions, partition_bits
+        )
+    if substrate is None:
+        from repro.backends.array import record_substrate
+
+        substrate = record_substrate(config, trace, preloads)
+    total = 0.0
+    for is_write, _, line, fill, victim, _ in substrate.walk(trace):
+        total += peripheral
+        if line is None:  # a bypassed store touches no array
+            continue
+        if victim is not None:  # WRITEBACK
+            total += peripheral
+            total += _line_energy(
+                tables[False], victim, partitions, partition_bits
+            )
+        if fill is not None:  # FILL
+            total += peripheral
+            total += _line_energy(tables[True], fill, partitions, partition_bits)
+        total += _line_energy(tables[is_write], line, partitions, partition_bits)
+    if probe.ENABLED:
+        for name, count in substrate.cache_counts():
+            if count:
+                probe.counter(name, count)
+    return total
+
+
+def _scalar_bound(
+    config: CNTCacheConfig,
+    trace: Iterable[Access],
+    preloads: Iterable[tuple[int, bytes]],
+    tables: dict[bool, list[float]],
+    partitions: int,
+    partition_bits: int,
+) -> float:
+    """The bound replayed through the reference substrate cache."""
     memory = MainMemory()
     for addr, payload in preloads:
         memory.poke(addr, payload)
@@ -84,13 +155,9 @@ def oracle_bound(
         memory=memory,
         replacement=config.replacement,
         seed=config.seed,
+        write_through=config.write_through,
+        write_allocate=config.write_allocate,
     )
-    codec = PartitionedInvertCodec(config.line_size, config.partitions)
-    partitions, partition_bits = codec.n_partitions, codec.partition_bits
-    tables = {
-        is_write: min_energy_table(config.energy, partition_bits, is_write)
-        for is_write in (False, True)
-    }
     peripheral = config.peripheral_fj_per_access
 
     total = 0.0

@@ -29,13 +29,17 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.backends import DEFAULT_BACKEND
+from repro.backends import DEFAULT_BACKEND, folds_substrates
 from repro.core.config import CNTCacheConfig
 from repro.core.stats import EnergyStats
 from repro.obs import probe
 from repro.trace.record import Access
 from repro.workloads.program import WorkloadRun
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.array import Substrate
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,24 @@ def replay(
     trace: Iterable[Access],
     preloads: Iterable[tuple[int, bytes]] = (),
     backend: str = DEFAULT_BACKEND,
+    substrate: "Substrate | None" = None,
 ):
     """Replay a trace through a fresh cache; returns the simulator.
 
     ``backend`` selects the engine (see :mod:`repro.backends`); every
-    backend produces bit-identical :class:`EnergyStats`.
+    backend produces bit-identical :class:`EnergyStats`.  ``substrate``
+    is ``trace`` already recorded over ``preloads`` at ``config``'s
+    geometry (:meth:`WorkloadRun.substrate`); an engine that folds
+    substrates then only prices it, and any other engine ignores it.
     """
     from repro.api import make_cache
 
     sim = make_cache(config=config, backend=backend)
-    sim.preload_all(preloads)
-    sim.run(trace)
+    if substrate is not None and folds_substrates(backend):
+        sim.run(trace, substrate=substrate)  # type: ignore[call-arg]
+    else:
+        sim.preload_all(preloads)
+        sim.run(trace)
     return sim
 
 
@@ -99,7 +110,10 @@ def _run_workload(
     First-party code calls this (or better, :func:`repro.api.simulate`);
     the public :func:`run_workload` name is a deprecation shim around it.
     """
-    sim = replay(config, run.trace, run.preloads, backend=backend)
+    substrate = run.substrate(config) if folds_substrates(backend) else None
+    sim = replay(
+        config, run.trace, run.preloads, backend=backend, substrate=substrate
+    )
     return RunResult(
         workload=run.name,
         scheme=config.scheme,

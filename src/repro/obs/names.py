@@ -66,9 +66,10 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "worker.claimed",
         "worker.failures",
         "worker.jobs_done",
-        # per-process workload memo
+        # per-process workload memo (and each run's substrate slot)
         "workload.builds",
         "workload.memo_hits",
+        "workload.substrate_records",
         # phases (the statically-spelled ones; per-kind phases are dynamic)
         "phase.audit",
         "phase.l1_filter",

@@ -206,6 +206,14 @@ class ThresholdEntry:
         return bit1num > self.threshold
 
 
+#: Built table rows, shared by every table of the same parameters: the
+#: rows are pure in (length, window, model, delta_t) and immutable, and
+#: a sweep builds one predictor per config over a handful of them.
+_ENTRIES: dict[
+    tuple[int, int, BitEnergyModel, float], tuple[ThresholdEntry, ...]
+] = {}
+
+
 class ThresholdTable:
     """The precomputed ``Th_bit1num[0..W]`` table of Algorithm 1.
 
@@ -233,9 +241,14 @@ class ThresholdTable:
         self.window = window
         self.model = model
         self.delta_t = delta_t
-        self._entries = tuple(
-            self._build_entry(wr_num) for wr_num in range(window + 1)
-        )
+        key = (length, window, model, delta_t)
+        entries = _ENTRIES.get(key)
+        if entries is None:
+            entries = tuple(
+                self._build_entry(wr_num) for wr_num in range(window + 1)
+            )
+            _ENTRIES[key] = entries
+        self._entries = entries
 
     def _benefit(self, wr_num: int, n1: float) -> float:
         """``(1 - delta_t) * E - E_bar - E_encode`` (switch iff positive)."""

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs import probe
 from repro.trace.record import Access
 from repro.trace.stats import TraceStats, analyze_trace
 from repro.workloads.mem import TracedMemory
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.backends.array import Substrate
+    from repro.core.config import CNTCacheConfig
 
 #: Supported problem sizes.  ``tiny`` keeps unit tests fast, ``small`` suits
 #: pytest-benchmark, ``default`` is what the experiment harness runs.
@@ -34,6 +38,9 @@ class WorkloadRun:
     #: fills fetch true line contents.
     preloads: list[tuple[int, bytes]] = field(default_factory=list)
     _stats: TraceStats | None = field(default=None, repr=False)
+    _substrate: "Substrate | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def stats(self) -> TraceStats:
@@ -41,6 +48,23 @@ class WorkloadRun:
         if self._stats is None:
             self._stats = analyze_trace(self.trace)
         return self._stats
+
+    def substrate(self, config: "CNTCacheConfig") -> "Substrate":
+        """The trace recorded at ``config``'s geometry, kept in one slot.
+
+        Every encoding config of one geometry folds over the same
+        recorded substrate (see :mod:`repro.backends.array`); the slot
+        keeps the last geometry asked for, so consecutive jobs of one
+        (trace, geometry) group record it once.
+        """
+        from repro.backends.array import record_substrate, substrate_key
+
+        key = substrate_key(config)
+        if self._substrate is None or self._substrate.key != key:
+            self._substrate = None  # never hold two substrates at once
+            self._substrate = record_substrate(config, self.trace, self.preloads)
+            probe.counter("workload.substrate_records")
+        return self._substrate
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,223 @@
+"""Grouped differential: many configs folded over one recorded substrate.
+
+The array engine records what the substrate cache decides once per
+(trace, geometry) and prices every encoding config as a fold over that
+record.  Each test here records one substrate, folds a group of configs
+over it and compares every member with the scalar oracle replaying the
+trace on its own: the whole :class:`EnergyStats` with zero tolerance,
+and the ``cache.*``/``codec.*`` probe counters.  The oracle bound and
+the L1-filtered stream, which are projections of the same record, are
+checked against their scalar-substrate references too.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api import make_cache
+from repro.backends.array import record_substrate, substrate_key
+from repro.cnfet.leakage import LeakageModel
+from repro.core.config import SCHEMES, CNTCacheConfig
+from repro.exec import oracle_job
+from repro.exec.worker import clear_memos, execute_job
+from repro.harness.multilevel import l1_filtered_stream
+from repro.harness.oracle import oracle_bound
+from repro.obs import probe
+from repro.trace.record import Access
+
+
+@st.composite
+def traces(draw) -> tuple[list[Access], list[tuple[int, bytes]]]:
+    """A trace over a small footprint (hits and evictions) with optional
+    line-crossing accesses, at a small or a beyond-2**64 base address."""
+    base = draw(st.sampled_from((0, 1 << 64, (1 << 80) + 4096)))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=0, max_value=95),  # 8-byte slot
+                st.sampled_from((1, 4, 8, 12)),  # 12 bytes may cross
+                st.binary(min_size=12, max_size=12),
+            ),
+            min_size=1,
+            max_size=100,
+        )
+    )
+    trace = []
+    for is_write, slot, size, payload in ops:
+        addr = base + slot * 8 + (4 if size == 12 else 0)
+        if is_write:
+            trace.append(Access.write(addr, payload[:size]))
+        else:
+            trace.append(Access.read(addr, payload[:size]))
+    preloads = [(base, bytes(range(64))), (base + 512, b"\xf0" * 40)]
+    return trace, preloads
+
+
+geometries = st.builds(
+    CNTCacheConfig,
+    size=st.sampled_from((512, 1024, 2048)),
+    assoc=st.sampled_from((1, 2, 4)),
+    line_size=st.sampled_from((32, 64)),
+    replacement=st.sampled_from(("lru", "fifo", "random", "plru")),
+    write_policy=st.sampled_from(("wb-wa", "wt-wa", "wt-nwa", "wb-nwa")),
+    seed=st.integers(min_value=0, max_value=3),
+)
+
+#: Encoding knobs, none of which changes a hit, a fill or an eviction.
+encodings = st.fixed_dictionaries(
+    {
+        "scheme": st.sampled_from(SCHEMES),
+        "window": st.sampled_from((2, 4, 16)),
+        "partitions": st.sampled_from((1, 2, 8)),
+        "delta_t": st.sampled_from((0.0, 0.2)),
+        "dbi_word_bytes": st.sampled_from((4, 8)),
+        "fifo_depth": st.sampled_from((1, 8)),
+        "drain_per_access": st.sampled_from((0, 1, 4)),
+        "access_granularity": st.sampled_from(("line", "word")),
+        "account_metadata": st.booleans(),
+        "fill_policy": st.sampled_from(("neutral", "read-greedy", "write-greedy")),
+        "leakage": st.sampled_from((None, LeakageModel.cnfet())),
+    }
+)
+
+
+def counters(run_sim) -> tuple[dict, dict[str, int]]:
+    """The stats of ``run_sim()`` and the cache/codec counters it emitted."""
+    with probe.recording(probe.ObsScope()) as scope:
+        stats = run_sim()
+    emitted = {
+        name: count
+        for name, count in scope.counters.items()
+        if name.startswith(("cache.", "codec."))
+    }
+    return stats.to_dict(), emitted
+
+
+def scalar_run(config, trace, preloads):
+    sim = make_cache(config=config, backend="scalar")
+    sim.preload_all(preloads)
+    return sim.run(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=geometries,
+    recorded=traces(),
+    group=st.lists(encodings, min_size=1, max_size=6),
+)
+def test_every_config_of_a_group_folds_to_the_oracle(geometry, recorded, group):
+    trace, preloads = recorded
+    substrate = record_substrate(geometry, trace, preloads)
+    for knobs in group:
+        config = replace(geometry, **knobs)
+        assert substrate_key(config) == substrate.key
+
+        def fold(config=config):
+            return make_cache(config=config).run(trace, substrate=substrate)
+
+        assert counters(fold) == counters(
+            lambda config=config: scalar_run(config, trace, preloads)
+        ), knobs
+
+
+@settings(max_examples=30, deadline=None)
+@given(geometry=geometries, recorded=traces())
+def test_the_oracle_fold_equals_the_scalar_substrate_oracle(geometry, recorded):
+    trace, preloads = recorded
+    config = replace(geometry, partitions=4)
+    substrate = record_substrate(config, trace, preloads)
+    with probe.recording(probe.ObsScope()) as folded:
+        fast = oracle_bound(config, trace, preloads, substrate=substrate)
+    with probe.recording(probe.ObsScope()) as replayed:
+        reference = oracle_bound(config, trace, preloads, backend="scalar")
+    assert fast.hex() == reference.hex()
+    assert folded.counters == replayed.counters
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    recorded=traces(),
+    l1=st.sampled_from(((512, 1, 32), (1024, 2, 64), (2048, 4, 32))),
+)
+def test_the_l1_projection_equals_the_scalar_stream(recorded, l1):
+    trace, preloads = recorded
+    size, assoc, line_size = l1
+    geometry = dict(l1_size=size, l1_assoc=assoc, line_size=line_size)
+    assert l1_filtered_stream(trace, preloads, **geometry) == l1_filtered_stream(
+        trace, preloads, **geometry, backend="scalar"
+    )
+
+
+@pytest.mark.parametrize("write_policy", ("wt-wa", "wt-nwa", "wb-nwa"))
+def test_the_oracle_bound_honours_the_write_policy(tiny_runs, write_policy):
+    """Both engines replay the config's write policy, which moves the
+    bound away from the write-back, write-allocate one."""
+    run = tiny_runs["stream"]
+    config = CNTCacheConfig(size=1024, write_policy=write_policy)
+    bound = oracle_bound(config, run.trace, run.preloads)
+    reference = oracle_bound(config, run.trace, run.preloads, backend="scalar")
+    assert bound.hex() == reference.hex()
+    default = oracle_bound(
+        replace(config, write_policy="wb-wa"), run.trace, run.preloads
+    )
+    assert bound != default
+
+
+def test_oracle_jobs_emit_the_scalar_cache_counters():
+    job = oracle_job(CNTCacheConfig(), "qsort", "tiny", 7)
+
+    def job_counters(job):
+        clear_memos()
+        with probe.recording(probe.ObsScope()) as scope:
+            result = execute_job(job)
+        return result.values, {
+            name: count
+            for name, count in scope.counters.items()
+            if name.startswith("cache.")
+        }
+
+    values, emitted = job_counters(job)
+    assert (values, emitted) == job_counters(replace(job, backend="scalar"))
+    assert emitted["cache.accesses"] > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    recorded=traces(),
+    geometry=st.sampled_from(((64, 1, 64), (128, 1, 64), (512, 2, 32))),
+    scheme=st.sampled_from(("baseline", "dbi", "cnt")),
+)
+def test_the_per_access_api_matches_on_line_crossings(recorded, geometry, scheme):
+    """``access`` records and folds one line at a time, so a crossing
+    read returns each chunk before the next fill can evict its line."""
+    trace, preloads = recorded
+    size, assoc, line_size = geometry
+    config = CNTCacheConfig(
+        scheme=scheme, size=size, assoc=assoc, line_size=line_size, partitions=4
+    )
+    scalar = make_cache(config=config, backend="scalar")
+    array = make_cache(config=config)
+    for sim in (scalar, array):
+        sim.preload_all(preloads)
+    for access in trace:
+        assert array.access(access) == scalar.access(access)
+    scalar.finalize()
+    array.finalize()
+    assert array.stats.to_dict() == scalar.stats.to_dict()
+
+
+def test_a_shared_substrate_folds_only_into_a_fresh_instance():
+    config = CNTCacheConfig(size=1024, assoc=2)
+    trace = [Access.write(0, b"\x01" * 8), Access.read(64, bytes(8))]
+    substrate = record_substrate(config, trace)
+    preloaded = make_cache(config=config)
+    preloaded.preload(0, b"\x02")
+    with pytest.raises(ValueError, match="fresh instance"):
+        preloaded.run(trace, substrate=substrate)
+    other = record_substrate(replace(config, assoc=1), trace)
+    with pytest.raises(ValueError, match="geometry"):
+        make_cache(config=config).run(trace, substrate=other)
+    with pytest.raises(ValueError, match="accesses"):
+        make_cache(config=config).run(trace[:1], substrate=substrate)

@@ -20,6 +20,7 @@ from repro.exec import (
     run_worker,
     trace_job,
 )
+from repro.exec import job as job_module
 from repro.exec.events import COUNTED, EngineCounters
 from repro.obs import Obs
 from repro.obs.names import is_registered
@@ -27,6 +28,12 @@ from repro.obs.telemetry import read_all_frames, telemetry_dir
 
 #: Fast policy for tests: no real sleeping between attempts.
 FAST = ResilienceConfig(backoff_base_s=0.0, backoff_jitter=0.0)
+
+#: The simulator-source hash the crashing-pool scenario was written at.
+#: A fault plan picks its jobs by fingerprint, and fingerprints hash the
+#: simulator sources, so pinning it keeps "two of six jobs crash on both
+#: attempts" true across unrelated source edits.
+SCENARIO_CODE = "12b6e85ba6a0d210bdefa2f977321ffcb2a47c97e6d7b5608bb4be786dd3fc18"
 
 #: Every (counter field, probe counter) pair the fold keeps in step.
 PAIRS = sorted(
@@ -109,6 +116,7 @@ def test_crashing_pool_under_keep_going_channels_agree(tmp_path, monkeypatch):
     # Two of the six jobs crash on both of their attempts and fail.  The
     # first crash breaks the pool, which falls back to serial execution
     # and retries the jobs it lost; the other four heal and run.
+    monkeypatch.setattr(job_module, "code_fingerprint", lambda: SCENARIO_CODE)
     monkeypatch.setenv(faults.ENV_VAR, "seed=3,crash=0.3,fires=2")
     faults.uninstall()
     policy = ResilienceConfig(

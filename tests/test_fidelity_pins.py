@@ -5,15 +5,25 @@ values the reproduction stands on: the Table I write asymmetry (~9.94x),
 the Eq. 3 read/write delta balance (~1.0007) and the F3 average cnt
 saving at ``tiny`` (18.05%, against the paper's 22.2%).  They are
 deterministic, so any relative drift beyond numeric noise fails here.
+
+The energies the figures are built from are pinned exactly:
+``STATS_DIGESTS`` holds a digest of every ``EnergyStats`` field
+(floats by ``float.hex``) of one program's ``simulate`` run under
+``baseline`` and ``cnt``.  A drift of the Table I vector far below the
+1e-6 tolerance of the averages, or a change to any addition order, moves
+it.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.api import simulate
 from repro.cnfet.energy import BitEnergyModel
 from repro.cnfet.sram import Sram6TCell
+from repro.core.config import CNTCacheConfig
 from repro.harness.experiments import run_experiment
 
 RECORD = Path(__file__).resolve().parents[1] / "benchmarks/trajectory/BENCH_0001.json"
@@ -40,6 +50,28 @@ def test_eq3_delta_balance(record):
     model = BitEnergyModel.from_cell(Sram6TCell())
     balance = model.delta_read / model.delta_write
     assert balance == pinned(record, "delta_balance")
+
+
+#: ``simulate(workload="qsort", size="tiny", seed=7)`` digests, by scheme.
+STATS_DIGESTS = {"baseline": "3ed2bea1ca227849", "cnt": "aba7c5b5e0129e87"}
+
+
+def stats_digest(stats) -> str:
+    """Short SHA-256 of every stats field, floats spelled by ``float.hex``."""
+    exact = {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in stats.to_dict().items()
+    }
+    payload = json.dumps(exact, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("scheme", sorted(STATS_DIGESTS))
+def test_simulated_energy_stats_are_bit_pinned(scheme):
+    result = simulate(
+        workload="qsort", config=CNTCacheConfig(scheme=scheme), size="tiny", seed=7
+    )
+    assert stats_digest(result.stats) == STATS_DIGESTS[scheme]
 
 
 def test_f3_cnt_average_saving(record):
