@@ -21,7 +21,9 @@ throughput.  A replay runs in two stages:
    Algorithm 1 windows, the deferred FIFO, energies and leakage.  It
    walks the substrate zipped with the trace it was recorded from,
    reads write payloads from that trace, and never touches a tag map or
-   a replacement policy.
+   a replacement policy.  One loop prices every line access: a miss
+   writes back its victim and installs its fill, then takes the hit
+   path; a line-crossing access folds its chunks through the same loop.
 
 :meth:`ArrayCNTCache.run` is record + fold.  A caller pricing many
 configs over one trace records once and folds each config over the same
@@ -43,6 +45,13 @@ Representation:
   Table I vector: ``E[n1] = n1*e_x1 + (L-n1)*e_x0`` in Python floats,
   which is IEEE-identical to the scalar expressions in
   :meth:`repro.cnfet.energy.BitEnergyModel.read_energy`/``write_energy``.
+* Cached line state: the fold keeps, per line, the ones the array
+  stores, ``popcount(data ^ mask(dirval))``, and updates it wherever
+  the data or the direction word changes (fill, data write, DBI re-vote,
+  re-encode).  A line-granularity read costs one list index, and the
+  leakage tracker's stored-ones total moves by the difference.  History
+  metadata is priced from a table of ``popcount(h & counter_mask)`` for
+  every counter value ``h <= W``, reading each counter once per access.
 
 Exactness contract: every energy component is accumulated in a local
 float with the *same addition sequence* the scalar oracle feeds through
@@ -51,14 +60,20 @@ into :attr:`stats`, so the flush is idempotent and the totals match the
 oracle to the last ulp.  The fold visits the array events in the
 oracle's order (writeback, fill, data access, per-access tail).
 
+The peripheral chain is counted, not accumulated: every addition to it
+is the same constant, once per line access, fill, writeback and applied
+re-encode, so its value depends only on how many there were.  Both
+folds leave it alone, and :meth:`ArrayCNTCache._sync` extends it by the
+activations counted since the last sync, one addition each, so it stays
+the oracle's left-fold from 0.0.
+
 The ``baseline`` scheme at line granularity without leakage folds as
 table lookups over the popcount streams alone, without the trace.  That
 is exact because each energy component is its own left-fold: the data
 read and data write chains take ``E[popcount]`` of the line after each
 read or write in access order, fill and writeback chains take the fill
-and victim popcounts in miss order, and the peripheral chain adds one
-constant per activation, so its value depends only on how many there
-were.  No other component is charged under ``baseline``.
+and victim popcounts in miss order, and the peripheral chain is
+counted.  No other component is charged under ``baseline``.
 
 The Hypothesis differential suite in ``tests/backends`` enforces all of
 this across schemes, geometries and write policies, for one-off runs and
@@ -77,6 +92,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
 
 from repro.cache.replacement import (
     FIFOPolicy,
@@ -93,9 +109,10 @@ from repro.predictor.history import history_bits
 from repro.trace.record import Access, Op
 
 # Counter slots of self._C: EnergyStats field order, then the codec
-# applies that inverted at least one partition (probe-only).
+# applies that inverted at least one partition (probe-only) and the
+# re-encodes applied (peripheral activations).
 (_ACC, _RDC, _WRC, _HIT, _MISS, _EVC, _WBC,
- _WIN, _DSW, _PFL, _PDR, _FDR, _INV) = range(13)
+ _WIN, _DSW, _PFL, _PDR, _FDR, _INV, _REN) = range(14)
 
 # Energy slots of self._E, in ENERGY_COMPONENTS order.
 (_DR, _DW, _FI, _WB, _MRD, _MWR, _RE, _LG, _PE, _LK) = range(10)
@@ -585,6 +602,8 @@ class ArrayCNTCache:
         self._pbits = self.codec.partition_bits
         self._pbytes = self.codec.partition_bytes
         self._pmask = (1 << self._pbits) - 1
+        #: Bit offset of every partition, in partition order.
+        self._pshifts = range(0, self._k * self._pbits, self._pbits)
         self._masks: dict[int, int] = {0: 0}
 
         # --- scheme flags ---------------------------------------------- #
@@ -629,6 +648,9 @@ class ArrayCNTCache:
         else:
             self._cb = 0
         self._cmask = (1 << self._cb) - 1
+        #: Ones a counter value stores in its ``_cb``-bit field.  Counters
+        #: never exceed the window: they reset when they reach it.
+        self._hpc = [(h & self._cmask).bit_count() for h in range(self._window + 1)]
         n_lines = self._n_sets * self._assoc
         if self._perline_hist:
             self._ha = [0] * n_lines
@@ -700,6 +722,8 @@ class ArrayCNTCache:
         self._tags = [0] * n_lines
         self._data = [0] * n_lines
         self._dirval = [0] * n_lines
+        #: Per line: ones stored in the array, popcount(data ^ mask(dirval)).
+        self._ones = [0] * n_lines
         #: Pending re-encodes: (lid, tag, new_dirval) tuples.
         self._queue: deque[tuple[int, int, int]] = deque()
         self._p_bypass = 0
@@ -708,8 +732,10 @@ class ArrayCNTCache:
         self._fill_cur = self._split_cur = 0
 
         # --- accumulators (flushed into stats by _sync) ----------------- #
-        self._C = [0] * 13
+        self._C = [0] * 14
         self._E = [0.0] * 10
+        #: Peripheral activations already added into ``_E[_PE]``.
+        self._pe_count = 0
 
     # ------------------------------------------------------------------ #
     # demand path
@@ -844,7 +870,7 @@ class ArrayCNTCache:
         else:
             self._sub = substrate
             self._fill_cur = self._split_cur = 0
-            self._fold(substrate, trace)
+            self._fold(trace, substrate.entries)
             self._sub = None
         C = self._C
         C[_ACC] += substrate.accesses
@@ -892,318 +918,225 @@ class ArrayCNTCache:
         for ones in sub.wb_pcs:
             e_wb = e_wb + rd_full[ones]
         E[_WB] = e_wb
-        peri = self._peri
-        e_pe = E[_PE]
-        for _ in range(sub.accesses + len(sub.fill_pcs) + len(sub.wb_pcs)):
-            e_pe = e_pe + peri
-        E[_PE] = e_pe
 
-    def _fold(self, sub: Substrate, trace: Sequence[Access]) -> None:
+    def _fold(self, trace: Sequence[Access], entries: Sequence[int]) -> None:
+        """Price line accesses: ``entries`` are their codes in ``self._sub``.
+
+        One path prices every array event: a miss writes back and fills
+        (:meth:`_fill`), then takes the hit path for its data access.
+        """
         C, E = self._C, self._E
         off_mask = self._line - 1
-        assoc = self._assoc
-        data_l, dirval_l = self._data, self._dirval
+        data_l, dirval_l, ones_l = self._data, self._dirval, self._ones
         masks = self._masks
         mask_for = self._mask_for
         rd_full, wr_full = self._rd_full, self._wr_full
         mr, mwd = self._mr, self._mwd
-        hwt = self._hwt
-        ha_l, hw_l = self._ha, self._hwn
-        sha_l, shw_l = self._sha, self._shw
-        peri, enc_logic = self._peri, self._enc_logic
+        hwt, hpc = self._hwt, self._hpc
+        enc_logic = self._enc_logic
         e_rd0, e_rd1 = self._e_rd0, self._e_rd1
         e_wr0, e_wr1 = self._e_wr0, self._e_wr1
         is_dbi = self._is_dbi
-        uses_pred, shared = self._uses_pred, self._shared
+        uses_pred = self._uses_pred
         gran_line, meta = self._gran_line, self._meta
         track = self._track
-        window, cb, cm = self._window, self._cb, self._cmask
+        window = self._window
         queue = self._queue
         drain_budget = self._drain_budget
         leak = self._leak
         total_bits = self._total_bits
-        slow = self._fold_slow
+        fill, special = self._fill, self._fold_special
         meta_read = meta and mr is not None
         logic = not self._is_baseline
+        # History counters: per line, or per set (cnt-shared).
+        if self._shared:
+            ha_l, hw_l, hdiv = self._sha, self._shw, self._assoc
+        else:
+            ha_l, hw_l, hdiv = self._ha, self._hwn, 1
 
         # Hot energy components live in locals while the loop runs.
         # Each local holds the *running total* (loaded from E, not a
         # delta), so inline additions extend the exact same left-fold
         # chains the scalar oracle builds; around every call that touches
-        # the shared slots (miss path, window completion, drains) the
-        # locals are stored back and reloaded, preserving the global
-        # addition order bit for bit.
+        # the shared slots (fills, special accesses, window completion,
+        # drains) the locals are stored back and reloaded, preserving the
+        # global addition order bit for bit.  The peripheral chain is
+        # counted, not added (see _sync).
         c_inv = C[_INV]
         e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
-        e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
+        e_lg, e_lk = E[_LG], E[_LK]
 
-        for a, entry in zip(trace, sub.entries):
+        for a, entry in zip(trace, entries):
             if entry & 6:  # a miss, a bypassed store or a line crossing
                 # (literal code bits, as in _fold_tables)
                 C[_INV] = c_inv
                 E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
-                E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
-                slow(a, entry)
+                E[_LG], E[_LK] = e_lg, e_lk
+                if entry & 4:
+                    special(a, entry)
+                else:
+                    fill(entry >> 3, a.addr)
                 c_inv = C[_INV]
                 e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
-                e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
-                continue
-            # ---- hit path, inlined ------------------------------------ #
+                e_lg, e_lk = E[_LG], E[_LK]
+                if entry & 4:
+                    continue
+            # ---- the data access (every miss is a hit once filled) ---- #
             lid = entry >> 3
             dirval = dirval_l[lid]
-            is_write = entry & 1
-            if is_write:
+            if entry & 1:  # a write
                 payload = a.data
                 size = len(payload)
                 offset = a.addr & off_mask
                 shift = offset * 8
                 smask = ((1 << (size * 8)) - 1) << shift
-                before = data_l[lid]
-                after = (before & ~smask) | (
+                after = (data_l[lid] & ~smask) | (
                     int.from_bytes(payload, "little") << shift
                 )
                 data_l[lid] = after
+                new_dirval = dirval
                 if is_dbi:
                     new_dirval = self._dbi_new_dirval(
                         dirval, after, offset, size
                     )
                     if new_dirval != dirval:
                         dirval_l[lid] = new_dirval
-                        changed = True
-                    else:
-                        changed = False
-                else:
-                    new_dirval = dirval
-                    changed = False
-                new_mask = masks.get(new_dirval)
-                if new_mask is None:
-                    new_mask = mask_for(new_dirval)
+                        if meta and mwd is not None:
+                            e_mwr = e_mwr + mwd[new_dirval.bit_count()]
+                mask = masks.get(new_dirval)
+                if mask is None:
+                    mask = mask_for(new_dirval)
+                stored = after ^ mask
+                ones = stored.bit_count()
                 if track:
-                    old_mask = masks.get(dirval)
-                    if old_mask is None:
-                        old_mask = mask_for(dirval)
-                    self._stored_ones += (after ^ new_mask).bit_count() - (
-                        before ^ old_mask
-                    ).bit_count()
+                    self._stored_ones += ones - ones_l[lid]
                     c_inv += (new_dirval != 0) + (dirval != 0)
+                ones_l[lid] = ones
                 if gran_line:
-                    ones = (after ^ new_mask).bit_count()
                     e_dw = e_dw + wr_full[ones]
                     if new_dirval:
                         c_inv += 1
                 else:
-                    ones = (((after ^ new_mask) & smask) >> shift).bit_count()
+                    ones = ((stored & smask) >> shift).bit_count()
                     e_dw = e_dw + (ones * e_wr1 + (size * 8 - ones) * e_wr0)
                 dirval = new_dirval
+            elif gran_line:
+                e_dr = e_dr + rd_full[ones_l[lid]]
+                if dirval:
+                    c_inv += 1
             else:
                 mask = masks.get(dirval)
                 if mask is None:
                     mask = mask_for(dirval)
-                if gran_line:
-                    ones = (data_l[lid] ^ mask).bit_count()
-                    e_dr = e_dr + rd_full[ones]
-                    if dirval:
-                        c_inv += 1
-                else:
-                    size = len(a.data)
-                    shift = (a.addr & off_mask) * 8
-                    word = ((data_l[lid] ^ mask) >> shift) & (
-                        (1 << (size * 8)) - 1
-                    )
-                    ones = word.bit_count()
-                    e_dr = e_dr + (ones * e_rd1 + (size * 8 - ones) * e_rd0)
-                changed = False
-            if meta_read:
-                mones = dirval.bit_count()
-                if uses_pred:
-                    if shared:
-                        set_index = lid // assoc
-                        mones += (sha_l[set_index] & cm).bit_count() + (
-                            shw_l[set_index] & cm
-                        ).bit_count()
-                    else:
-                        mones += (ha_l[lid] & cm).bit_count() + (
-                            hw_l[lid] & cm
-                        ).bit_count()
-                e_mrd = e_mrd + mr[mones]
-            if changed and meta and mwd is not None:
-                e_mwr = e_mwr + mwd[dirval.bit_count()]
-            e_pe = e_pe + peri
+                size = len(a.data)
+                shift = (a.addr & off_mask) * 8
+                word = ((data_l[lid] ^ mask) >> shift) & ((1 << (size * 8)) - 1)
+                ones = word.bit_count()
+                e_dr = e_dr + (ones * e_rd1 + (size * 8 - ones) * e_rd0)
+            # ---- per-access tail: logic, metadata, history ------------ #
             if logic:
                 e_lg = e_lg + enc_logic
             if uses_pred:
-                if shared:
-                    set_index = lid // assoc
-                    h_a = sha_l[set_index] + 1
-                    h_w = shw_l[set_index] + 1 if is_write else shw_l[set_index]
-                    sha_l[set_index] = h_a
-                    shw_l[set_index] = h_w
-                else:
-                    h_a = ha_l[lid] + 1
-                    h_w = hw_l[lid] + 1 if is_write else hw_l[lid]
-                    ha_l[lid] = h_a
-                    hw_l[lid] = h_w
+                hidx = lid // hdiv
+                h_a = ha_l[hidx]
+                h_w = hw_l[hidx]
                 if meta:
-                    hv = (h_a & cm) | ((h_w & cm) << cb)
-                    e_mwr = e_mwr + hwt[hv.bit_count()]
+                    e_mrd = e_mrd + mr[dirval.bit_count() + hpc[h_a] + hpc[h_w]]
+                h_a += 1
+                ha_l[hidx] = h_a
+                if entry & 1:
+                    h_w += 1
+                    hw_l[hidx] = h_w
+                if meta:
+                    e_mwr = e_mwr + hwt[hpc[h_a] + hpc[h_w]]
                 if h_a == window:
                     C[_INV] = c_inv
-                    E[_MRD], E[_MWR] = e_mrd, e_mwr
-                    E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
+                    E[_MWR], E[_LG] = e_mwr, e_lg
                     self._window_complete(lid, h_w)
                     c_inv = C[_INV]
-                    e_mrd, e_mwr = E[_MRD], E[_MWR]
-                    e_lg, e_pe, e_lk = E[_LG], E[_PE], E[_LK]
+                    e_mwr, e_lg = E[_MWR], E[_LG]
+            elif meta_read:
+                e_mrd = e_mrd + mr[dirval.bit_count()]
             if queue and drain_budget:
-                E[_MWR], E[_PE] = e_mwr, e_pe
+                E[_MWR] = e_mwr
                 self._drain(drain_budget)
-                e_mwr, e_pe = E[_MWR], E[_PE]
+                e_mwr = E[_MWR]
             if track:
                 so = self._stored_ones
                 e_lk = e_lk + leak.cycle_energy(so, total_bits - so)
 
         C[_INV] = c_inv
         E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
-        E[_LG], E[_PE], E[_LK] = e_lg, e_pe, e_lk
+        E[_LG], E[_LK] = e_lg, e_lk
 
-    def _fold_slow(self, a: Access, entry: int) -> None:
-        """Misses, bypassed stores and line-crossing accesses."""
-        is_write = bool(entry & _WRITE)
-        if entry & 6 == _CROSS:
-            sub = self._sub
-            assert sub is not None
-            line = self._line
-            payload = a.data
-            addr, remaining, consumed = a.addr, len(payload), 0
-            while remaining > 0:
-                offset = addr & (line - 1)
-                chunk = min(remaining, line - offset)
-                code = sub.splits[self._split_cur]
-                self._split_cur += 1
-                self._fold_one(
-                    is_write, addr, offset, chunk,
-                    payload[consumed : consumed + chunk], code,
+    def _fold_special(self, a: Access, entry: int) -> None:
+        """A bypassed store, or a line-crossing access folded by chunk."""
+        if entry & 7 == _BYPASS:
+            # No array event: only the per-access tail, without history.
+            E = self._E
+            if not self._is_baseline:
+                E[_LG] = E[_LG] + self._enc_logic
+            if self._queue and self._drain_budget:
+                self._drain(self._drain_budget)
+            if self._track:
+                so = self._stored_ones
+                E[_LK] = E[_LK] + self._leak.cycle_energy(
+                    so, self._total_bits - so
                 )
-                addr += chunk
-                consumed += chunk
-                remaining -= chunk
-        else:
-            self._fold_one(
-                is_write, a.addr, a.addr & (self._line - 1), len(a.data),
-                a.data, entry,
-            )
-
-    # ------------------------------------------------------------------ #
-    # one line access, general path (misses, bypasses, slow paths)
-    # ------------------------------------------------------------------ #
-    def _fold_one(self, is_write, addr, offset, size, payload, code) -> None:
-        C, E = self._C, self._E
-        if code & 7 == _BYPASS:
-            self._finish_access(is_write=True, lid=-1)
             return
-        lid = code >> 3
-        had_victim = victim_dirty = False
-        victim_data = victim_dirval = victim_a = victim_w = 0
-        fill_int = 0
-        filled = False
-        if code & _MISS_BIT:
-            sub = self._sub
-            assert sub is not None
-            line = self._line
-            pos = self._fill_cur
-            self._fill_cur = pos + line
-            flags = sub.flags[pos // line]
-            if flags & _VICTIM:
-                had_victim = True
-                victim_dirty = bool(flags & _DIRTY)
-                victim_data = self._data[lid]
-                victim_dirval = self._dirval[lid]
-                if self._perline_hist:
-                    victim_a = self._ha[lid]
-                    victim_w = self._hwn[lid]
-            fill_int = int.from_bytes(sub.fills[pos : pos + line], "little")
-            self._tags[lid] = addr >> self._tag_shift
-            self._data[lid] = fill_int
-            filled = True
-        set_index = lid // self._assoc
-        if had_victim and self._track:
-            self._stored_ones -= (
-                victim_data ^ self._mask_for(victim_dirval)
-            ).bit_count()
-            if victim_dirval:
-                C[_INV] += 1
-        before = self._data[lid]
-        if is_write:
-            value = int.from_bytes(payload, "little")
-            shift = offset * 8
-            smask = ((1 << (size * 8)) - 1) << shift
-            self._data[lid] = (before & ~smask) | (value << shift)
-        # Array events, in substrate order: WRITEBACK -> FILL -> DATA.
-        if victim_dirty:
-            stored = victim_data ^ self._mask_for(victim_dirval)
-            ones = stored.bit_count()
-            E[_WB] = E[_WB] + self._rd_full[ones]
-            if victim_dirval:
-                C[_INV] += 1
-            E[_PE] = E[_PE] + self._peri
-            if self._meta and self._mr is not None:
-                mones = victim_dirval.bit_count()
-                if self._uses_pred:
-                    cm = self._cmask
-                    if self._shared:
-                        mones += (self._sha[set_index] & cm).bit_count() + (
-                            self._shw[set_index] & cm
-                        ).bit_count()
-                    else:
-                        mones += (victim_a & cm).bit_count() + (
-                            victim_w & cm
-                        ).bit_count()
-                E[_MRD] = E[_MRD] + self._mr[mones]
-        if filled:
-            self._on_fill(lid, fill_int)
-        if is_write:
-            self._on_data_write(lid, set_index, before, offset, size)
-        else:
-            self._on_data_read(lid, set_index, offset, size)
-        self._finish_access(is_write=is_write, lid=lid)
-
-    def _finish_access(self, *, is_write, lid) -> None:
-        """Per-access tail: peripheral, logic, history, drain, leakage."""
-        E = self._E
-        E[_PE] = E[_PE] + self._peri
-        if not self._is_baseline:
-            E[_LG] = E[_LG] + self._enc_logic
-        if self._uses_pred and lid >= 0:
-            if self._shared:
-                set_index = lid // self._assoc
-                h_a = self._sha[set_index] + 1
-                h_w = self._shw[set_index] + 1 if is_write else self._shw[set_index]
-                self._sha[set_index] = h_a
-                self._shw[set_index] = h_w
-            else:
-                h_a = self._ha[lid] + 1
-                h_w = self._hwn[lid] + 1 if is_write else self._hwn[lid]
-                self._ha[lid] = h_a
-                self._hwn[lid] = h_w
-            if self._meta:
-                cm = self._cmask
-                hv = (h_a & cm) | ((h_w & cm) << self._cb)
-                E[_MWR] = E[_MWR] + self._hwt[hv.bit_count()]
-            if h_a == self._window:
-                self._window_complete(lid, h_w)
-        if self._queue and self._drain_budget:
-            self._drain(self._drain_budget)
-        if self._track:
-            so = self._stored_ones
-            E[_LK] = E[_LK] + self._leak.cycle_energy(
-                so, self._total_bits - so
-            )
+        sub = self._sub
+        assert sub is not None
+        line = self._line
+        payload = a.data
+        addr, remaining, consumed = a.addr, len(payload), 0
+        chunks = []
+        while remaining > 0:
+            size = min(remaining, line - (addr & (line - 1)))
+            chunks.append(Access(a.op, addr, payload[consumed : consumed + size]))
+            addr += size
+            consumed += size
+            remaining -= size
+        cur = self._split_cur
+        self._split_cur = cur + len(chunks)
+        self._fold(chunks, sub.splits[cur : cur + len(chunks)])
 
     # ------------------------------------------------------------------ #
     # array events
     # ------------------------------------------------------------------ #
-    def _on_fill(self, lid, fill_int) -> None:
+    def _fill(self, lid: int, addr: int) -> None:
+        """A miss: write the dirty victim back, then install the fill."""
         C, E = self._C, self._E
+        sub = self._sub
+        assert sub is not None
+        line = self._line
+        pos = self._fill_cur
+        self._fill_cur = pos + line
+        flags = sub.flags[pos // line]
+        if flags & _VICTIM:
+            dirval = self._dirval[lid]
+            ones = self._ones[lid]
+            if self._track:
+                self._stored_ones -= ones
+                if dirval:
+                    C[_INV] += 1
+            if flags & _DIRTY:
+                E[_WB] = E[_WB] + self._rd_full[ones]
+                if dirval:
+                    C[_INV] += 1
+                if self._meta and self._mr is not None:
+                    mones = dirval.bit_count()
+                    if self._uses_pred:
+                        # The victim's own counters, or its set's.
+                        hpc = self._hpc
+                        if self._shared:
+                            hidx = lid // self._assoc
+                            mones += hpc[self._sha[hidx]] + hpc[self._shw[hidx]]
+                        else:
+                            mones += hpc[self._ha[lid]] + hpc[self._hwn[lid]]
+                    E[_MRD] = E[_MRD] + self._mr[mones]
+        fill_int = int.from_bytes(sub.fills[pos : pos + line], "little")
+        self._tags[lid] = addr >> self._tag_shift
+        self._data[lid] = fill_int
         # Any pending update for the line this fill replaced is now stale.
         queue = self._queue
         if queue:
@@ -1226,84 +1159,15 @@ class ArrayCNTCache:
             self._ha[lid] = 0
             self._hwn[lid] = 0
         ones = (fill_int ^ self._mask_for(dirval)).bit_count()
+        self._ones[lid] = ones
         E[_FI] = E[_FI] + self._wr_full[ones]
         if dirval:
             C[_INV] += 1
         if self._track:
             self._stored_ones += ones
-        E[_PE] = E[_PE] + self._peri
         if self._meta and self._mwf is not None:
             # Fresh history counters are zero; only the D bits carry ones.
             E[_MWR] = E[_MWR] + self._mwf[dirval.bit_count()]
-
-    def _on_data_write(self, lid, set_index, before, offset, size) -> None:
-        C, E = self._C, self._E
-        after = self._data[lid]
-        dirval = self._dirval[lid]
-        if self._is_dbi:
-            new_dirval = self._dbi_new_dirval(dirval, after, offset, size)
-        else:
-            new_dirval = dirval
-        changed = new_dirval != dirval
-        if changed:
-            self._dirval[lid] = new_dirval
-        if self._track:
-            self._stored_ones += (
-                after ^ self._mask_for(new_dirval)
-            ).bit_count() - (before ^ self._mask_for(dirval)).bit_count()
-            C[_INV] += (new_dirval != 0) + (dirval != 0)
-        new_mask = self._mask_for(new_dirval)
-        if self._gran_line:
-            ones = (after ^ new_mask).bit_count()
-            E[_DW] = E[_DW] + self._wr_full[ones]
-            if new_dirval:
-                C[_INV] += 1
-        else:
-            shift = offset * 8
-            word = ((after ^ new_mask) >> shift) & ((1 << (size * 8)) - 1)
-            ones = word.bit_count()
-            E[_DW] = E[_DW] + (
-                ones * self._e_wr1 + (size * 8 - ones) * self._e_wr0
-            )
-        self._charge_meta_read(new_dirval, lid, set_index)
-        if changed and self._meta and self._mwd is not None:
-            E[_MWR] = E[_MWR] + self._mwd[new_dirval.bit_count()]
-
-    def _on_data_read(self, lid, set_index, offset, size) -> None:
-        E = self._E
-        dirval = self._dirval[lid]
-        mask = self._mask_for(dirval)
-        if self._gran_line:
-            ones = (self._data[lid] ^ mask).bit_count()
-            E[_DR] = E[_DR] + self._rd_full[ones]
-            if dirval:
-                self._C[_INV] += 1
-        else:
-            shift = offset * 8
-            word = ((self._data[lid] ^ mask) >> shift) & (
-                (1 << (size * 8)) - 1
-            )
-            ones = word.bit_count()
-            E[_DR] = E[_DR] + (
-                ones * self._e_rd1 + (size * 8 - ones) * self._e_rd0
-            )
-        self._charge_meta_read(dirval, lid, set_index)
-
-    def _charge_meta_read(self, dirval, lid, set_index) -> None:
-        if not self._meta or self._mr is None:
-            return
-        ones = dirval.bit_count()
-        if self._uses_pred:
-            cm = self._cmask
-            if self._shared:
-                ones += (self._sha[set_index] & cm).bit_count() + (
-                    self._shw[set_index] & cm
-                ).bit_count()
-            else:
-                ones += (self._ha[lid] & cm).bit_count() + (
-                    self._hwn[lid] & cm
-                ).bit_count()
-        self._E[_MRD] = self._E[_MRD] + self._mr[ones]
 
     # ------------------------------------------------------------------ #
     # history window + prediction
@@ -1317,13 +1181,13 @@ class ArrayCNTCache:
             C[_INV] += 1
         stored = self._data[lid] ^ self._mask_for(dirval)
         row = self._th[wr_num]
-        pb, pm, k = self._pbits, self._pmask, self._k
+        pm, k = self._pmask, self._k
         flipbits = 0
         observer = self.window_observer
         if observer is not None:
             ones_list = []
-            for p in range(k):
-                n1 = ((stored >> (p * pb)) & pm).bit_count()
+            for p, shift in enumerate(self._pshifts):
+                n1 = ((stored >> shift) & pm).bit_count()
                 ones_list.append(n1)
                 if row[n1]:
                     flipbits |= 1 << p
@@ -1347,8 +1211,8 @@ class ArrayCNTCache:
             )
             self._window_events += 1
         else:
-            for p in range(k):
-                if row[((stored >> (p * pb)) & pm).bit_count()]:
+            for p, shift in enumerate(self._pshifts):
+                if row[((stored >> shift) & pm).bit_count()]:
                     flipbits |= 1 << p
         if self._shared:
             set_index = lid // self._assoc
@@ -1400,21 +1264,19 @@ class ArrayCNTCache:
             return True  # nothing to rewrite, but the slot was used
         E = self._E
         enc = self._data[lid] ^ self._mask_for(new_dirval)
-        pb, pm = self._pbits, self._pmask
+        pm = self._pmask
         wr_part = self._wr_part
-        track = self._track
         energy = 0.0
-        for p in range(self._k):
-            if not (flips >> p) & 1:
-                continue
-            ones = ((enc >> (p * pb)) & pm).bit_count()
-            energy += wr_part[ones]
-            if track:
-                # The partition inverted: new ones replace old ones.
-                self._stored_ones += 2 * ones - pb
+        for p, shift in enumerate(self._pshifts):
+            if (flips >> p) & 1:
+                energy += wr_part[((enc >> shift) & pm).bit_count()]
         self._dirval[lid] = new_dirval
+        ones = enc.bit_count()
+        if self._track:
+            self._stored_ones += ones - self._ones[lid]
+        self._ones[lid] = ones
+        self._C[_REN] += 1
         E[_RE] = E[_RE] + energy
-        E[_PE] = E[_PE] + self._peri
         if self._meta and self._mwd is not None:
             E[_MWR] = E[_MWR] + self._mwd[new_dirval.bit_count()]
         return True
@@ -1425,14 +1287,11 @@ class ArrayCNTCache:
     def _mask_for(self, dirval: int) -> int:
         mask = self._masks.get(dirval)
         if mask is None:
+            pm = self._pmask
             mask = 0
-            pb, pm = self._pbits, self._pmask
-            d, p = dirval, 0
-            while d:
-                if d & 1:
-                    mask |= pm << (p * pb)
-                d >>= 1
-                p += 1
+            for p, shift in enumerate(self._pshifts):
+                if (dirval >> p) & 1:
+                    mask |= pm << shift
             self._masks[dirval] = mask
         return mask
 
@@ -1442,12 +1301,12 @@ class ArrayCNTCache:
         pb, pm = self._pbits, self._pmask
         dirval = 0
         if prefer_ones:
-            for p in range(self._k):
-                if 2 * ((value >> (p * pb)) & pm).bit_count() < pb:
+            for p, shift in enumerate(self._pshifts):
+                if 2 * ((value >> shift) & pm).bit_count() < pb:
                     dirval |= 1 << p
         else:
-            for p in range(self._k):
-                if 2 * ((value >> (p * pb)) & pm).bit_count() > pb:
+            for p, shift in enumerate(self._pshifts):
+                if 2 * ((value >> shift) & pm).bit_count() > pb:
                     dirval |= 1 << p
         return dirval
 
@@ -1456,11 +1315,13 @@ class ArrayCNTCache:
         word = self._pbytes
         first_full = (offset + word - 1) // word
         last_full = (offset + size) // word  # exclusive
-        if first_full >= last_full:
-            return dirval
-        greedy = self._greedy(after, False)
-        covered = ((1 << (last_full - first_full)) - 1) << first_full
-        return (dirval & ~covered) | (greedy & covered)
+        pb, pm = self._pbits, self._pmask
+        for p in range(first_full, last_full):
+            if 2 * ((after >> (p * pb)) & pm).bit_count() > pb:
+                dirval |= 1 << p
+            else:
+                dirval &= ~(1 << p)
+        return dirval
 
     # ------------------------------------------------------------------ #
     # stats flush + observability
@@ -1471,8 +1332,19 @@ class ArrayCNTCache:
         Each slot holds the same left-fold-from-zero addition chain the
         scalar oracle built through ``EnergyStats.add``, so assignment —
         not re-accumulation — reproduces the oracle bit for bit no matter
-        how often it runs.
+        how often it runs.  The peripheral chain adds one constant per
+        activation (every line access, fill, writeback and applied
+        re-encode), so the folds only count activations and the chain is
+        extended here, one addition per activation since the last sync.
         """
+        C, E = self._C, self._E
+        count = C[_ACC] + C[_MISS] - self._p_bypass + C[_WBC] + C[_REN]
+        peri = self._peri
+        e_pe = E[_PE]
+        for _ in repeat(None, count - self._pe_count):
+            e_pe = e_pe + peri
+        E[_PE] = e_pe
+        self._pe_count = count
         s = self.stats
         (s.accesses, s.reads, s.writes, s.hits, s.misses, s.evictions,
          s.writebacks, s.windows_completed, s.direction_switches,

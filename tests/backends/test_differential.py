@@ -19,6 +19,7 @@ from repro.exec.worker import execute_job
 from repro.obs import probe
 from repro.trace.record import Access
 from repro.workloads.program import get_workload
+from tests.backends.strategies import examples
 
 SCHEMES = (
     "baseline",
@@ -67,14 +68,14 @@ def assert_identical(config, trace, preloads=()):
     return scalar, array
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(scheme=schemes, ops=operations)
 def test_stats_identical_across_schemes(scheme, ops):
     config = CNTCacheConfig(scheme=scheme, size=1024, assoc=2, line_size=64)
     assert_identical(config, trace_of(ops))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(
     scheme=st.sampled_from(("baseline", "dbi", "cnt")),
     ops=operations,
@@ -93,7 +94,7 @@ def test_stats_identical_across_policies(scheme, ops, write_policy, replacement)
     assert_identical(config, trace_of(ops))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(
     ops=operations,
     window=st.sampled_from((2, 4, 8, 16)),
@@ -115,7 +116,7 @@ def test_stats_identical_across_cnt_knobs(ops, window, granularity, fill, drain)
     assert_identical(config, trace_of(ops))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(scheme=st.sampled_from(("invert", "cnt")), ops=operations)
 def test_access_returns_identical_bytes(scheme, ops):
     """The per-access API agrees byte-for-byte, not just in aggregate."""
@@ -129,7 +130,7 @@ def test_access_returns_identical_bytes(scheme, ops):
     assert array.stats.to_dict() == scalar.stats.to_dict()
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(ops=operations)
 def test_preloads_identical(ops):
     preloads = [(0, bytes(range(64))), (512, b"\xff" * 64)]
@@ -166,7 +167,7 @@ def test_leakage_identical():
     assert array.stats.leakage_fj > 0
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(
     scheme=schemes,
     base=st.sampled_from((1 << 64, (1 << 64) + 4096, 1 << 80)),
@@ -211,7 +212,7 @@ def test_probe_counters_identical(scheme):
         assert scalar[f"codec.{make_cache(config=config).codec.name}.applies"]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(
     scheme=schemes,
     ops=operations,

@@ -17,70 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import make_cache
 from repro.backends.array import record_substrate, substrate_key
-from repro.cnfet.leakage import LeakageModel
-from repro.core.config import SCHEMES, CNTCacheConfig
+from repro.core.config import CNTCacheConfig
 from repro.exec import oracle_job
 from repro.exec.worker import clear_memos, execute_job
 from repro.harness.multilevel import l1_filtered_stream
 from repro.harness.oracle import oracle_bound
 from repro.obs import probe
 from repro.trace.record import Access
-
-
-@st.composite
-def traces(draw) -> tuple[list[Access], list[tuple[int, bytes]]]:
-    """A trace over a small footprint (hits and evictions) with optional
-    line-crossing accesses, at a small or a beyond-2**64 base address."""
-    base = draw(st.sampled_from((0, 1 << 64, (1 << 80) + 4096)))
-    ops = draw(
-        st.lists(
-            st.tuples(
-                st.booleans(),
-                st.integers(min_value=0, max_value=95),  # 8-byte slot
-                st.sampled_from((1, 4, 8, 12)),  # 12 bytes may cross
-                st.binary(min_size=12, max_size=12),
-            ),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    trace = []
-    for is_write, slot, size, payload in ops:
-        addr = base + slot * 8 + (4 if size == 12 else 0)
-        if is_write:
-            trace.append(Access.write(addr, payload[:size]))
-        else:
-            trace.append(Access.read(addr, payload[:size]))
-    preloads = [(base, bytes(range(64))), (base + 512, b"\xf0" * 40)]
-    return trace, preloads
-
-
-geometries = st.builds(
-    CNTCacheConfig,
-    size=st.sampled_from((512, 1024, 2048)),
-    assoc=st.sampled_from((1, 2, 4)),
-    line_size=st.sampled_from((32, 64)),
-    replacement=st.sampled_from(("lru", "fifo", "random", "plru")),
-    write_policy=st.sampled_from(("wb-wa", "wt-wa", "wt-nwa", "wb-nwa")),
-    seed=st.integers(min_value=0, max_value=3),
-)
-
-#: Encoding knobs, none of which changes a hit, a fill or an eviction.
-encodings = st.fixed_dictionaries(
-    {
-        "scheme": st.sampled_from(SCHEMES),
-        "window": st.sampled_from((2, 4, 16)),
-        "partitions": st.sampled_from((1, 2, 8)),
-        "delta_t": st.sampled_from((0.0, 0.2)),
-        "dbi_word_bytes": st.sampled_from((4, 8)),
-        "fifo_depth": st.sampled_from((1, 8)),
-        "drain_per_access": st.sampled_from((0, 1, 4)),
-        "access_granularity": st.sampled_from(("line", "word")),
-        "account_metadata": st.booleans(),
-        "fill_policy": st.sampled_from(("neutral", "read-greedy", "write-greedy")),
-        "leakage": st.sampled_from((None, LeakageModel.cnfet())),
-    }
-)
+from tests.backends.strategies import encodings, examples, geometries, traces
 
 
 def counters(run_sim) -> tuple[dict, dict[str, int]]:
@@ -101,7 +45,7 @@ def scalar_run(config, trace, preloads):
     return sim.run(trace)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     geometry=geometries,
     recorded=traces(),
@@ -122,7 +66,7 @@ def test_every_config_of_a_group_folds_to_the_oracle(geometry, recorded, group):
         ), knobs
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(geometry=geometries, recorded=traces())
 def test_the_oracle_fold_equals_the_scalar_substrate_oracle(geometry, recorded):
     trace, preloads = recorded
@@ -136,7 +80,7 @@ def test_the_oracle_fold_equals_the_scalar_substrate_oracle(geometry, recorded):
     assert folded.counters == replayed.counters
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     recorded=traces(),
     l1=st.sampled_from(((512, 1, 32), (1024, 2, 64), (2048, 4, 32))),
@@ -183,7 +127,7 @@ def test_oracle_jobs_emit_the_scalar_cache_counters():
     assert emitted["cache.accesses"] > 0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     recorded=traces(),
     geometry=st.sampled_from(((64, 1, 64), (128, 1, 64), (512, 2, 32))),

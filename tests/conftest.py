@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cnfet.energy import BitEnergyModel
 from repro.core.config import CNTCacheConfig
 from repro.workloads.program import get_workload, workload_names
+
+#: The deeper differential leg: ``pytest --hypothesis-profile=ci`` runs
+#: every test sized with ``tests.backends.strategies.examples`` at four
+#: times its examples.  The default profile is left as it is.
+settings.register_profile(
+    "ci", max_examples=4 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,12 @@ deterministic, so any relative drift beyond numeric noise fails here.
 The energies the figures are built from are pinned exactly:
 ``STATS_DIGESTS`` holds a digest of every ``EnergyStats`` field
 (floats by ``float.hex``) of one program's ``simulate`` run under
-``baseline`` and ``cnt``.  A drift of the Table I vector far below the
-1e-6 tolerance of the averages, or a change to any addition order, moves
-it.
+``baseline`` and ``cnt``, and under configs that reach the other paths
+of the pricing fold: DBI re-votes, shared and quantised history
+counters, leakage tracking, word-granularity accounting and a
+no-write-allocate write-through cache.  A drift of the Table I vector
+far below the 1e-6 tolerance of the averages, or a change to any
+addition order, moves it.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ import pytest
 
 from repro.api import simulate
 from repro.cnfet.energy import BitEnergyModel
+from repro.cnfet.leakage import LeakageModel
 from repro.cnfet.sram import Sram6TCell
 from repro.core.config import CNTCacheConfig
 from repro.harness.experiments import run_experiment
@@ -52,8 +56,29 @@ def test_eq3_delta_balance(record):
     assert balance == pinned(record, "delta_balance")
 
 
-#: ``simulate(workload="qsort", size="tiny", seed=7)`` digests, by scheme.
-STATS_DIGESTS = {"baseline": "3ed2bea1ca227849", "cnt": "aba7c5b5e0129e87"}
+#: The pinned configs, by test id.
+PINNED_CONFIGS = {
+    "baseline": CNTCacheConfig(scheme="baseline"),
+    "cnt": CNTCacheConfig(scheme="cnt"),
+    "dbi": CNTCacheConfig(scheme="dbi"),
+    "cnt-shared": CNTCacheConfig(scheme="cnt-shared"),
+    "cnt-quant": CNTCacheConfig(scheme="cnt-quant"),
+    "cnt-leakage": CNTCacheConfig(scheme="cnt", leakage=LeakageModel.cnfet()),
+    "cnt-word": CNTCacheConfig(scheme="cnt", access_granularity="word"),
+    "cnt-wt-nwa": CNTCacheConfig(scheme="cnt", write_policy="wt-nwa"),
+}
+
+#: ``simulate(workload="qsort", size="tiny", seed=7)`` digests, by config.
+STATS_DIGESTS = {
+    "baseline": "3ed2bea1ca227849",
+    "cnt": "aba7c5b5e0129e87",
+    "dbi": "6219ae5922b19029",
+    "cnt-shared": "dd9799e290ee641d",
+    "cnt-quant": "a96062584f7f5fcc",
+    "cnt-leakage": "dc7df6937f244ef2",
+    "cnt-word": "db3aec491e2da6cc",
+    "cnt-wt-nwa": "aab4d767596a2ac3",
+}
 
 
 def stats_digest(stats) -> str:
@@ -66,12 +91,12 @@ def stats_digest(stats) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("scheme", sorted(STATS_DIGESTS))
-def test_simulated_energy_stats_are_bit_pinned(scheme):
+@pytest.mark.parametrize("name", sorted(STATS_DIGESTS))
+def test_simulated_energy_stats_are_bit_pinned(name):
     result = simulate(
-        workload="qsort", config=CNTCacheConfig(scheme=scheme), size="tiny", seed=7
+        workload="qsort", config=PINNED_CONFIGS[name], size="tiny", seed=7
     )
-    assert stats_digest(result.stats) == STATS_DIGESTS[scheme]
+    assert stats_digest(result.stats) == STATS_DIGESTS[name]
 
 
 def test_f3_cnt_average_saving(record):
