@@ -12,7 +12,7 @@ Examples::
     cntcache profile --size smoke --jobs 2   # pipeline breakdown + manifest
     cntcache profile --json --manifest run.jsonl  # machine-readable
     cntcache trace --export chrome --out trace.json   # per-access events
-    cntcache bench --size smoke --check      # perf/fidelity regression gate
+    cntcache bench                # fidelity pins + array speedup floor
     cntcache f3 --jobs 3 --broker /shared/broker  # distributed coordinator
     cntcache worker --broker /shared/broker       # extra fleet worker
     cntcache top --broker /shared/broker          # live fleet dashboard
@@ -421,91 +421,35 @@ def _worker_main(argv: list[str]) -> int:
 
 
 def _bench_main(argv: list[str]) -> int:
-    """``cntcache bench``: measure the suite, append a trajectory record."""
+    """``cntcache bench``: check every fidelity pin and the speedup floor."""
     from repro.obs import bench as bench_module
 
     parser = argparse.ArgumentParser(
         prog="cntcache bench",
         description=(
-            "measure the declared benchmark suite (sim/exec throughput + "
-            "paper-fidelity numbers), append a BENCH_<n>.json record to the "
-            "trajectory and flag regressions against its recent history"
+            "measure the paper-fidelity pins (Table I asymmetry, Eq. 3 "
+            "balance, F3 average saving, EnergyStats digests) and the "
+            "array/scalar speedup; exit 1 when one misses the committed "
+            "record or the 5x floor"
         ),
     )
     parser.add_argument(
-        "--size", default="tiny", choices=SIZE_CHOICES,
-        help="workload problem size (default: tiny; smoke = tiny)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload seed (default: 7)"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker processes for the parallel metric (default: 2)",
-    )
-    parser.add_argument(
-        "--bench-dir", default="benchmarks/trajectory", metavar="DIR",
-        help=(
-            "trajectory directory holding BENCH_<n>.json records "
-            "(default: benchmarks/trajectory)"
-        ),
-    )
-    parser.add_argument(
-        "--window", type=int, default=5, metavar="K",
-        help="baseline = median of the last K comparable records (default: 5)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when any metric regresses (the CI gate)",
-    )
-    parser.add_argument(
-        "--progress", action="store_true", help="print suite progress"
+        "--record", default=str(bench_module.RECORD), metavar="PATH",
+        help=f"the pin record (default: {bench_module.RECORD})",
     )
     args = parser.parse_args(argv)
-    size = SIZE_ALIASES.get(args.size, args.size)
-    progress = (lambda line: print(line, flush=True)) if args.progress else None
     try:
-        metrics = bench_module.collect(
-            size=size,
-            seed=args.seed,
-            jobs=args.jobs,
-            progress=progress,
-        )
-        record = bench_module.make_record(
-            metrics,
-            directory=args.bench_dir,
-            size=size,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-        trajectory = bench_module.load_trajectory(args.bench_dir)
-        regressions = bench_module.compare(
-            record, trajectory, window=args.window
-        )
-        path = bench_module.append_record(record, args.bench_dir)
+        verdicts = bench_module.check(args.record)
     except bench_module.BenchError as error:
         print(str(error), file=sys.stderr)
         return 2
-    except JobFailure as error:
-        print(f"job failed: {error}", file=sys.stderr)
+    for verdict in verdicts:
+        print(verdict.describe())
+    failed = [verdict.pin for verdict in verdicts if not verdict.ok]
+    if failed:
+        print(f"bench check failed: {', '.join(failed)}", file=sys.stderr)
         return 1
-    for spec in bench_module.METRICS:
-        value = record.metrics.get(spec.name)
-        if value is None:
-            continue
-        print(f"  {spec.name:32} {value:>14.4f}  ({spec.description})")
-    print(
-        f"record {record.index} appended to {path} "
-        f"(git {record.git_sha[:12]}, machine {record.machine})"
-    )
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION {regression.describe()}", file=sys.stderr)
-        if args.check:
-            return 1
-        print("(informational: run with --check to gate on regressions)")
-    elif args.check:
-        print("bench check passed: no regressions against the trajectory")
+    print(f"bench check passed: {len(verdicts)} pins")
     return 0
 
 

@@ -15,10 +15,10 @@ Layers (see docs/STATIC_ANALYSIS.md for the full rule catalog):
   BitEnergyModel` over all process corners and the Vdd sweep range
   (checks P001-P006);
 * gate infrastructure: a ratcheting baseline
-  (:mod:`repro.lint.baseline`), mechanical autofixes
-  (:mod:`repro.lint.fixes`), SARIF output (:mod:`repro.lint.sarif`);
+  (:mod:`repro.lint.baseline`) and mechanical autofixes
+  (:mod:`repro.lint.fixes`);
 * CLI wiring: ``cntcache lint`` and ``python -m repro.lint``, with
-  ``--changed`` incremental mode, ``--fix`` and ``--format sarif``.
+  ``--changed`` incremental mode, ``--fix`` and ``--format json``.
 """
 
 from repro.lint.engine import (

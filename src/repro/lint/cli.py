@@ -3,9 +3,8 @@
 Exit codes: 0 = clean, 1 = findings / physics violations / stale
 baseline entries, 2 = usage error (bad paths, malformed baseline,
 ``--changed`` outside a git checkout).  Output is one
-``file:line: R00X severity message`` line per finding, or JSON /
-SARIF 2.1.0 with ``--format``; ``--output`` redirects the report to a
-file (the CI SARIF artifact path).
+``file:line: R00X severity message`` line per finding, or JSON with
+``--format``; ``--output`` redirects the report to a file.
 
 Modes
 -----
@@ -61,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -249,10 +248,6 @@ def main(argv: list[str] | None = None) -> int:
             },
             indent=2,
         )
-    elif args.format == "sarif":
-        from repro.lint.sarif import to_sarif
-
-        report = json.dumps(to_sarif(findings), indent=2)
     else:
         lines = [finding.format() for finding in findings]
         lines.extend(violation.format() for violation in violations)

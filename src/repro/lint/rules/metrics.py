@@ -1,12 +1,11 @@
 """Metric-name discipline — rule R008.
 
 Probe and trace metric names are the join keys of the observability
-layer: manifests aggregate them across processes, ``profile --json``
-feeds them to CI trending and the bench trajectory charts them over
-months.  A typo'd or ad-hoc name (``exec.retires``, ``CamelCase``,
-a bare single token) silently forks the time series — the counter
-still increments, nothing errors, and the dashboard quietly shows a
-hole.
+layer: manifests aggregate them across processes and ``profile
+--json`` feeds them to CI trending.  A typo'd or ad-hoc name
+(``exec.retires``, ``CamelCase``, a bare single token) silently forks
+the time series — the counter still increments, nothing errors, and
+the dashboard quietly shows a hole.
 
 R008 therefore requires every *literal* metric name passed to the
 probe/trace emission APIs to be a dotted lowercase identifier that is
@@ -116,5 +115,5 @@ class MetricNameRule(LintRule):
                         arg.lineno,
                         f"{api}({name!r}): unregistered metric name; add it "
                         "to repro.obs.names.METRIC_NAMES (typo'd names fork "
-                        "the manifest/bench time series silently)",
+                        "the manifest time series silently)",
                     )

@@ -1,4 +1,4 @@
-"""Observability: probes, traces, manifests, the profiler and benches.
+"""Observability: probes, traces, manifests, the profiler and the bench gate.
 
 Five layers, cheapest first:
 
@@ -14,9 +14,10 @@ Five layers, cheapest first:
   and a zero-guarded aggregator.
 * :mod:`repro.obs.profile` — ``cntcache profile``: replay experiments
   with probes on and render/export the breakdown.
-* :mod:`repro.obs.bench` — ``cntcache bench``: the recorded benchmark
-  trajectory (``BENCH_<n>.json``) and the CI perf/fidelity regression
-  gate.
+* :mod:`repro.obs.bench` — ``cntcache bench``: the fidelity gate. It
+  checks every paper-fidelity pin of the one committed record
+  (``benchmarks/trajectory/BENCH_0001.json``) and the array/scalar
+  speedup floor.
 
 The :class:`Obs` session ties them together and is what every harness
 helper accepts through the uniform ``obs=`` keyword:
@@ -32,14 +33,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.obs.bench import (
-        BENCH_SCHEMA,
-        BenchError,
-        BenchRecord,
-        append_record,
-        compare,
-        load_trajectory,
-    )
+    from repro.obs.bench import BENCH_SCHEMA, BenchError
     from repro.obs.export import (
         chrome_trace,
         collapsed_stacks,
@@ -94,7 +88,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TRACE_SCHEMA",
     "BenchError",
-    "BenchRecord",
     "FleetSnapshot",
     "ManifestError",
     "ManifestSummary",
@@ -108,17 +101,14 @@ __all__ = [
     "TelemetryError",
     "TelemetryWriter",
     "TraceSink",
-    "append_record",
     "canonical_access_events",
     "chrome_trace",
     "collapsed_stacks",
-    "compare",
     "counter",
     "event",
     "fleet_chrome_trace",
     "gauge",
     "is_registered",
-    "load_trajectory",
     "make_trace_id",
     "merge_manifests",
     "profile_experiments",
@@ -146,7 +136,6 @@ __getattr__, __dir__ = lazy_exports(
         "TELEMETRY_SCHEMA": "repro.obs.telemetry",
         "TRACE_SCHEMA": "repro.obs.trace",
         "BenchError": "repro.obs.bench",
-        "BenchRecord": "repro.obs.bench",
         "FleetSnapshot": "repro.obs.telemetry",
         "ManifestError": "repro.obs.manifest",
         "ManifestSummary": "repro.obs.manifest",
@@ -160,17 +149,14 @@ __getattr__, __dir__ = lazy_exports(
         "TelemetryError": "repro.obs.telemetry",
         "TelemetryWriter": "repro.obs.telemetry",
         "TraceSink": "repro.obs.trace",
-        "append_record": "repro.obs.bench",
         "canonical_access_events": "repro.obs.trace",
         "chrome_trace": "repro.obs.export",
         "collapsed_stacks": "repro.obs.export",
-        "compare": "repro.obs.bench",
         "counter": "repro.obs.probe",
         "event": "repro.obs.probe",
         "fleet_chrome_trace": "repro.obs.export",
         "gauge": "repro.obs.probe",
         "is_registered": "repro.obs.names",
-        "load_trajectory": "repro.obs.bench",
         "make_trace_id": "repro.obs.telemetry",
         "merge_manifests": "repro.obs.manifest",
         "profile_experiments": "repro.obs.profile",

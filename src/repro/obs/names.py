@@ -29,7 +29,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "cache.hits",
         "cache.misses",
         "cache.writebacks",
-        # bench trajectory
+        # bench pin record
         "bench.skipped_records",
         # exec engine
         "exec.batch",

@@ -2,7 +2,7 @@
 
 Every on-disk or cross-process payload the chassis writes — exec cache
 entries and result payloads, run manifests, trace snapshots, bench
-trajectory records, profile reports — carries a version tag so readers
+pin records, profile reports — carries a version tag so readers
 can reject documents written under an incompatible layout.  Before this
 registry existed each owning module kept its own string literal, which
 meant the full set of tags (the project's serialization surface) was
@@ -115,14 +115,14 @@ TRACE = _register(
     ),
 )
 
-#: Benchmark trajectory records (BENCH_<n>.json).
+#: The committed fidelity pin record (benchmarks/trajectory/BENCH_0001.json).
 BENCH = _register(
     "BENCH",
     Schema(
         family="obs-bench",
-        version=1,
+        version=2,
         owner="repro.obs.bench",
-        doc="benchmark suite records appended by `cntcache bench`",
+        doc="fidelity pins checked by `cntcache bench` and tier-1",
     ),
 )
 

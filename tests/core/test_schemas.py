@@ -48,7 +48,7 @@ class TestRegistry:
             "obs-manifest-v1",
             "obs-telemetry-v1",
             "obs-trace-v1",
-            "obs-bench-v1",
+            "obs-bench-v2",
             "obs-profile-v1",
             "lint-baseline-v1",
         }

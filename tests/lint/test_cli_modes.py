@@ -1,4 +1,4 @@
-"""CLI modes: --changed, baselines, SARIF, --fix, empty-path exit codes."""
+"""CLI modes: --changed, baselines, --output, --fix, empty-path exit codes."""
 
 import json
 import subprocess
@@ -162,42 +162,16 @@ class TestChangedMode:
 
 
 class TestOutputFormats:
-    def test_sarif_document_shape(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        write_module(tmp_path, "bad.py")
-        code = lint_main(
-            [
-                "--format",
-                "sarif",
-                "--no-invariants",
-                "--no-baseline",
-                "repro",
-            ]
-        )
-        assert code == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "cntcache-lint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"R001", "D001", "D005", "S001", "S002"} <= rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "D003"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("bad.py")
-        assert location["region"]["startLine"] == 4
-
     def test_output_flag_writes_the_report_to_a_file(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         write_module(tmp_path, "bad.py")
-        report = tmp_path / "lint.sarif"
+        report = tmp_path / "lint.json"
         code = lint_main(
             [
                 "--format",
-                "sarif",
+                "json",
                 "--output",
                 str(report),
                 "--no-invariants",
@@ -207,7 +181,9 @@ class TestOutputFormats:
         )
         assert code == 1
         assert capsys.readouterr().out == ""
-        assert json.loads(report.read_text())["version"] == "2.1.0"
+        (finding,) = json.loads(report.read_text())["findings"]
+        assert finding["rule"] == "D003"
+        assert finding["path"].endswith("bad.py")
 
     def test_json_format_reports_baseline_stats(
         self, tmp_path, monkeypatch, capsys

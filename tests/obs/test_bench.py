@@ -1,256 +1,216 @@
-"""Bench trajectory unit tests: records, baselines, the regression gate."""
+"""The fidelity gate: the pin record, the comparison and ``cntcache bench``."""
 
+import dataclasses
 import json
+import shutil
 
 import pytest
 
-from repro.obs import bench
+from repro import records
+from repro.cnfet.energy import BitEnergyModel
+from repro.obs import bench, probe
 from repro.obs.bench import (
+    FIDELITY,
+    PINNED_CONFIGS,
+    RECORD,
+    SPEEDUP_FLOOR,
     BenchError,
-    BenchRecord,
-    append_record,
     compare,
-    load_trajectory,
-    machine_fingerprint,
-    make_record,
-    next_index,
+    load_pins,
+    measure_digests,
 )
 
-METRICS = {
-    "sim.replay_accesses_per_s": 50_000.0,
-    "exec.serial_accesses_per_s": 60_000.0,
-    "exec.parallel_accesses_per_s": 90_000.0,
-    "exec.warm_cache_jobs_per_s": 400.0,
-    "fidelity.cnt_average_saving": 0.1805,
-    "fidelity.write_asymmetry": 9.9437,
-    "fidelity.delta_balance": 1.0007,
-}
+
+@pytest.fixture(scope="module")
+def pins():
+    return load_pins(RECORD)
 
 
-def record(index=1, machine="m1", size="tiny", seed=7, **overrides):
-    metrics = dict(METRICS)
-    metrics.update(overrides)
-    return BenchRecord(
-        index=index,
-        git_sha="deadbeef",
-        timestamp="2026-01-01T00:00:00Z",
-        machine=machine,
-        size=size,
-        seed=seed,
-        jobs=2,
-        metrics=metrics,
-    )
+def drifted(pins, name, factor):
+    """``pins`` with one fidelity float scaled by ``factor``."""
+    fidelity = dict(pins.fidelity)
+    fidelity[name] *= factor
+    return dataclasses.replace(pins, fidelity=fidelity)
+
+
+def failures(verdicts):
+    return {verdict.pin for verdict in verdicts if not verdict.ok}
+
+
+def read_skipped(path):
+    """``load_pins(path)`` must raise; returns the counters it moved."""
+    with probe.recording(probe.ObsScope()) as scope:
+        with pytest.raises(BenchError):
+            load_pins(path)
+    return dict(scope.counters)
 
 
 class TestRecord:
-    def test_round_trips_through_dict(self):
-        original = record()
-        assert BenchRecord.from_dict(original.to_dict()) == original
+    def test_round_trips_through_dict(self, pins):
+        """The committed record is canonical and reads back whole."""
+        text = RECORD.read_text()
+        payload = json.loads(text)
+        assert records.dumps(payload, indent=2) + "\n" == text
+        assert payload["metrics"] == pins.fidelity
+        assert payload["digests"] == pins.digests
 
-    def test_schema_tagged_and_enforced(self):
-        payload = record().to_dict()
-        assert payload["schema"] == bench.BENCH_SCHEMA
-        payload["schema"] = "something-else"
-        with pytest.raises(BenchError):
-            BenchRecord.from_dict(payload)
+    def test_schema_tagged_and_enforced(self, tmp_path):
+        payload = json.loads(RECORD.read_text())
+        assert payload["schema"] == bench.BENCH_SCHEMA == "obs-bench-v2"
+        payload["schema"] = "obs-bench-v1"
+        path = tmp_path / "BENCH_0001.json"
+        path.write_text(json.dumps(payload))
+        assert read_skipped(path) == {"bench.skipped_records": 1}
 
-    def test_malformed_payloads_rejected(self):
-        with pytest.raises(BenchError):
-            BenchRecord.from_dict("not a dict")
-        bad = record().to_dict()
-        bad["metrics"] = "not a dict"
-        with pytest.raises(BenchError):
-            BenchRecord.from_dict(bad)
-        del (missing := record().to_dict())["index"]
-        with pytest.raises(BenchError):
-            BenchRecord.from_dict(missing)
+    def test_malformed_payloads_rejected(self, tmp_path):
+        original = json.loads(RECORD.read_text())
+        edits = [
+            "not a dict",
+            {**original, "metrics": "not a dict"},
+            {**original, "metrics": {}},
+            {**original, "metrics": dict.fromkeys(original["metrics"], "0.18")},
+            {**original, "digests": {"cnt": original["digests"]["cnt"]}},
+            {**original, "digests": dict.fromkeys(PINNED_CONFIGS, 1)},
+            {key: value for key, value in original.items() if key != "seed"},
+            {**original, "size": 7},
+        ]
+        path = tmp_path / "BENCH_0001.json"
+        for payload in edits:
+            path.write_text(json.dumps(payload))
+            assert read_skipped(path) == {"bench.skipped_records": 1}, payload
 
-    def test_machine_fingerprint_is_stable(self):
-        assert machine_fingerprint() == machine_fingerprint()
-        assert len(machine_fingerprint()) == 16
+    def test_a_torn_record_is_a_counted_skip(self, tmp_path):
+        path = tmp_path / "BENCH_0001.json"
+        path.write_bytes(RECORD.read_bytes()[:40])
+        assert read_skipped(path) == {"bench.skipped_records": 1}
 
-
-class TestTrajectory:
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert load_trajectory(tmp_path / "nope") == []
-        assert next_index(tmp_path / "nope") == 1
-
-    def test_append_load_round_trip_in_index_order(self, tmp_path):
-        append_record(record(index=2), tmp_path)
-        append_record(record(index=1), tmp_path)
-        trajectory = load_trajectory(tmp_path)
-        assert [r.index for r in trajectory] == [1, 2]
-        assert next_index(tmp_path) == 3
-
-    def test_append_refuses_to_overwrite(self, tmp_path):
-        append_record(record(index=1), tmp_path)
-        with pytest.raises(BenchError):
-            append_record(record(index=1), tmp_path)
-
-    def test_unparseable_and_foreign_files_are_skipped(self, tmp_path):
-        append_record(record(index=1), tmp_path)
-        (tmp_path / "BENCH_0002.json").write_text("{torn")
-        (tmp_path / "notes.json").write_text("{}")
-        assert [r.index for r in load_trajectory(tmp_path)] == [1]
-        # The torn file still owns its index slot: no silent overwrite.
-        assert next_index(tmp_path) == 3
-
-    def test_make_record_stamps_the_next_index(self, tmp_path):
-        append_record(record(index=4), tmp_path)
-        fresh = make_record(
-            METRICS, directory=tmp_path, size="tiny", seed=7, jobs=2
-        )
-        assert fresh.index == 5
-        assert fresh.machine == machine_fingerprint()
-        assert fresh.metrics == METRICS
+    def test_a_missing_record_is_an_error_not_a_skip(self, tmp_path):
+        assert read_skipped(tmp_path / "absent.json") == {}
 
 
 class TestCompare:
-    def test_no_baseline_passes_vacuously(self):
-        assert compare(record(index=1), []) == []
-        # Records of another size/seed are not comparable either.
-        history = [record(index=1, size="small")]
-        assert compare(record(index=2), history) == []
+    def test_within_tolerance_passes(self, pins):
+        for name in FIDELITY:
+            assert failures(compare(pins, drifted(pins, name, 1 + 5e-7), 10.0)) == set()
 
-    def test_within_tolerance_passes(self):
-        history = [record(index=1)]
-        fresh = record(
-            index=2, **{"exec.serial_accesses_per_s": 60_000.0 * 0.90}
+    def test_fidelity_drift_flags_across_machines(self, pins):
+        """The record names no machine: a drift flags wherever it is measured."""
+        for name in FIDELITY:
+            verdicts = compare(pins, drifted(pins, name, 1 + 2e-6), 10.0)
+            assert failures(verdicts) == {name}
+            (verdict,) = [v for v in verdicts if v.pin == name]
+            assert verdict.describe().startswith(f"FAIL {name}")
+
+    def test_fidelity_numeric_noise_passes(self, pins):
+        for name in FIDELITY:
+            assert failures(compare(pins, drifted(pins, name, 1 + 1e-9), 10.0)) == set()
+
+
+class TestFloorGate:
+    """The sim.array_speedup hard floor: an absolute bound, no history."""
+
+    def test_below_the_floor_flags_without_history(self, pins):
+        verdicts = compare(pins, pins, 4.2)
+        assert failures(verdicts) == {"sim.array_speedup"}
+        assert verdicts[-1].describe().startswith("FAIL sim.array_speedup")
+
+    def test_at_or_above_the_floor_passes(self, pins):
+        assert failures(compare(pins, pins, SPEEDUP_FLOOR)) == set()
+        assert failures(compare(pins, pins, 10.7)) == set()
+
+
+class TestDrift:
+    """A 1e-6 drift of any Table I entry moves every digest pin."""
+
+    @pytest.mark.parametrize("entry", ["e_rd0", "e_rd1", "e_wr0", "e_wr1"])
+    def test_table1_drift_trips_the_digest_pins(self, pins, entry):
+        table = BitEnergyModel.paper_table1()
+        energy = dataclasses.replace(
+            table, **{entry: getattr(table, entry) * (1 + 1e-6)}
         )
-        assert compare(fresh, history) == []
-
-    def test_throughput_drop_beyond_15_percent_flags(self):
-        history = [record(index=1)]
-        fresh = record(
-            index=2, **{"exec.serial_accesses_per_s": 60_000.0 * 0.80}
+        # CNTCacheConfig.energy's default_factory bound paper_table1 at
+        # import, so the drift goes into each config explicitly.
+        configs = {
+            name: dataclasses.replace(config, energy=energy)
+            for name, config in PINNED_CONFIGS.items()
+        }
+        measured = dataclasses.replace(
+            pins, digests=measure_digests(pins.size, pins.seed, configs)
         )
-        (regression,) = compare(fresh, history)
-        assert regression.metric == "exec.serial_accesses_per_s"
-        assert regression.kind == "perf"
-        assert regression.baseline == pytest.approx(60_000.0)
-        assert "below the baseline" in regression.describe()
-
-    def test_perf_baselines_are_machine_scoped(self):
-        history = [record(index=1, machine="other")]
-        fresh = record(
-            index=2, **{"exec.serial_accesses_per_s": 60_000.0 * 0.5}
-        )
-        assert compare(fresh, history) == []
-
-    def test_fidelity_drift_flags_across_machines(self):
-        history = [record(index=1, machine="other")]
-        fresh = record(index=2, **{"fidelity.cnt_average_saving": 0.1806})
-        (regression,) = compare(fresh, history)
-        assert regression.metric == "fidelity.cnt_average_saving"
-        assert regression.kind == "fidelity"
-        assert "drifted" in regression.describe()
-
-    def test_fidelity_numeric_noise_passes(self):
-        history = [record(index=1)]
-        drift = 0.1805 * (1 + 1e-9)
-        fresh = record(index=2, **{"fidelity.cnt_average_saving": drift})
-        assert compare(fresh, history) == []
-
-    def test_baseline_is_median_of_the_window(self):
-        history = [
-            record(index=i, **{"exec.serial_accesses_per_s": value})
-            for i, value in enumerate([100.0, 90_000.0, 70_000.0, 80_000.0], 1)
-        ]
-        fresh = record(
-            index=5, **{"exec.serial_accesses_per_s": 80_000.0 * 0.84}
-        )
-        # window=3 -> median(90k, 70k, 80k) = 80k; 16% below flags.
-        (regression,) = compare(fresh, history, window=3)
-        assert regression.baseline == pytest.approx(80_000.0)
-        # The full window pulls the 100.0 outlier in; median(4 values)
-        # = 75k and the same record passes.
-        assert compare(fresh, history, window=4) == []
+        assert failures(compare(pins, measured, 10.0)) == {
+            f"digest.{name}" for name in PINNED_CONFIGS
+        }
 
 
 class TestBenchCLI:
-    """``cntcache bench`` with a stubbed collector: fast and targeted."""
+    """``cntcache bench`` end to end; only the speedup timing is stubbed."""
 
-    def run(self, monkeypatch, tmp_path, metrics, check=True):
+    def run(self, monkeypatch, path, speedup=10.0):
         from repro.harness.cli import main
 
-        monkeypatch.setattr(
-            "repro.obs.bench.collect",
-            lambda size, seed, jobs, progress=None: dict(metrics),
-        )
-        argv = ["bench", "--size", "smoke", "--bench-dir", str(tmp_path)]
-        if check:
-            argv.append("--check")
-        return main(argv)
+        monkeypatch.setattr(bench, "array_speedup", lambda size, seed: speedup)
+        return main(["bench", "--record", str(path)])
 
-    def test_appends_records_and_passes_without_history(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        assert self.run(monkeypatch, tmp_path, METRICS) == 0
+    def copy(self, tmp_path, edit=None):
+        path = tmp_path / "BENCH_0001.json"
+        shutil.copyfile(RECORD, path)
+        if edit is not None:
+            payload = json.loads(path.read_text())
+            edit(payload)
+            path.write_text(records.dumps(payload, indent=2) + "\n")
+        return path
+
+    def test_an_unedited_record_passes(self, monkeypatch, tmp_path, capsys):
+        assert self.run(monkeypatch, self.copy(tmp_path)) == 0
         out = capsys.readouterr().out
-        assert "record 1 appended" in out
+        assert len(out.splitlines()) == len(FIDELITY) + len(PINNED_CONFIGS) + 2
+        assert "ok   sim.array_speedup" in out
         assert "bench check passed" in out
-        (path,) = tmp_path.glob("BENCH_*.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == bench.BENCH_SCHEMA
-        assert payload["metrics"] == METRICS
+
+    def test_check_fails_on_fidelity_drift(self, monkeypatch, tmp_path, capsys):
+        def edit(payload):
+            payload["metrics"]["fidelity.write_asymmetry"] *= 1 + 2e-6
+
+        assert self.run(monkeypatch, self.copy(tmp_path, edit)) == 1
+        captured = capsys.readouterr()
+        assert "FAIL fidelity.write_asymmetry" in captured.out
+        assert "fidelity.write_asymmetry" in captured.err
+
+    def test_check_fails_on_an_edited_digest(self, monkeypatch, tmp_path, capsys):
+        def edit(payload):
+            payload["digests"]["dbi"] = "0" * 16
+
+        assert self.run(monkeypatch, self.copy(tmp_path, edit)) == 1
+        captured = capsys.readouterr()
+        assert "FAIL digest.dbi" in captured.out
+        assert "bench check failed: digest.dbi" in captured.err
 
     def test_check_fails_on_injected_throughput_regression(
         self, monkeypatch, tmp_path, capsys
     ):
-        assert self.run(monkeypatch, tmp_path, METRICS) == 0
-        slower = dict(METRICS)
-        slower["exec.serial_accesses_per_s"] *= 0.80
-        assert self.run(monkeypatch, tmp_path, slower) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION exec.serial_accesses_per_s" in err
-        # The regressing record is still appended: the trajectory keeps
-        # the evidence either way.
-        assert len(list(tmp_path.glob("BENCH_*.json"))) == 2
+        assert self.run(monkeypatch, self.copy(tmp_path), speedup=4.2) == 1
+        assert "sim.array_speedup" in capsys.readouterr().err
 
-    def test_check_fails_on_fidelity_drift(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        assert self.run(monkeypatch, tmp_path, METRICS) == 0
-        drifted = dict(METRICS)
-        drifted["fidelity.write_asymmetry"] += 0.001
-        assert self.run(monkeypatch, tmp_path, drifted) == 1
-        assert "fidelity.write_asymmetry" in capsys.readouterr().err
-
-    def test_without_check_regressions_are_informational(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        assert self.run(monkeypatch, tmp_path, METRICS, check=False) == 0
-        slower = dict(METRICS)
-        slower["exec.serial_accesses_per_s"] *= 0.5
-        assert self.run(monkeypatch, tmp_path, slower, check=False) == 0
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[: len(blob) // 2],
+            lambda blob: blob.replace(b"obs-bench-v2", b"obs-bench-v1"),
+            lambda blob: b"[]",
+            lambda blob: b"\xff\xfe",
+        ],
+        ids=["truncated", "foreign-schema", "non-object", "not-utf8"],
+    )
+    def test_an_unreadable_record_exits_2(self, monkeypatch, tmp_path, capsys, damage):
+        path = self.copy(tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        assert self.run(monkeypatch, path) == 2
         captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "informational" in captured.out
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert str(path) in captured.err
 
-
-class TestFloorGate:
-    """The sim.array_speedup hard floor (no trajectory history needed)."""
-
-    def test_below_the_floor_flags_without_history(self):
-        fresh = record(index=1, **{"sim.array_speedup": 4.2})
-        (regression,) = compare(fresh, [])
-        assert regression.metric == "sim.array_speedup"
-        assert regression.kind == "floor"
-        assert regression.baseline == pytest.approx(5.0)
-        assert "hard floor" in regression.describe()
-
-    def test_at_or_above_the_floor_passes(self):
-        assert compare(record(index=1, **{"sim.array_speedup": 5.0}), []) == []
-        assert compare(record(index=1, **{"sim.array_speedup": 10.7}), []) == []
-
-    def test_absent_metric_passes(self):
-        """A record without the floor metric (an older or partial record)
-        has nothing to gate; that is not a regression."""
-        assert compare(record(index=1), []) == []
-
-    def test_floor_ignores_the_trajectory_baseline(self):
-        history = [record(index=1, **{"sim.array_speedup": 11.0})]
-        fresh = record(index=2, **{"sim.array_speedup": 6.0})
-        # 45% below the history median, but above the hard floor: the
-        # perf-style baseline does not apply to floor metrics.
-        assert compare(fresh, history) == []
+    def test_a_missing_record_exits_2(self, monkeypatch, tmp_path, capsys):
+        assert self.run(monkeypatch, tmp_path / "absent.json") == 2
+        assert "no pin record" in capsys.readouterr().err

@@ -1,14 +1,16 @@
 """The on-disk record layer: unit checks plus a corruption fuzzer.
 
 The fuzzer starts from a real record of every kind in
-:data:`repro.records.COUNTERS`, written by that kind's own writer, and
-damages it the ways disks, crashes and foreign writers do: truncation
-at an arbitrary byte offset, a flipped byte, a swapped schema tag,
-non-object JSON, and injected ``NaN``/``Infinity``/``1e999``/5000-digit
-numbers.  The kind's own reader must then
+:data:`repro.records.COUNTERS`, written by that kind's own writer (the
+bench pin record has none: the committed one is copied), and damages
+it the ways disks, crashes and foreign writers do: truncation at an
+arbitrary byte offset, a flipped byte, a swapped schema tag, non-object
+JSON, and injected ``NaN``/``Infinity``/``1e999``/5000-digit numbers.
+The kind's own reader must then
 
-* never raise (a lint baseline's documented ``LintError`` aside, and a
-  manifest's ``ManifestError`` when its header is gone);
+* never raise (a lint baseline's documented ``LintError`` and a bench
+  record's ``BenchError`` aside, and a manifest's ``ManifestError``
+  when its header is gone);
 * return either the original record or a skip;
 * move the kind's registered counter by exactly 1 per skip.
 
@@ -43,7 +45,7 @@ from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.engine import LintError
 from repro.lint.findings import Finding, Severity
 from repro.obs import probe
-from repro.obs.bench import BenchRecord, append_record, load_trajectory
+from repro.obs.bench import RECORD, BenchError, load_pins
 from repro.obs.manifest import (
     ManifestError,
     ManifestWriter,
@@ -251,22 +253,17 @@ def _read_state(root: Path) -> Any:
 
 
 def _write_bench(root: Path) -> Path:
-    record = BenchRecord(
-        index=1,
-        git_sha="abc123",
-        timestamp="2026-01-01T00:00:00Z",
-        machine="m" * 12,
-        size="tiny",
-        seed=7,
-        jobs=1,
-        metrics={"replay.accesses_per_s": 65000.5, "fidelity.x": 0.18},
-    )
-    return append_record(record, root / "trajectory")
+    # The pin record has no writer: its one copy is committed.
+    path = root / RECORD.name
+    path.write_bytes(RECORD.read_bytes())
+    return path
 
 
 def _read_bench(root: Path) -> Any:
-    found = load_trajectory(root / "trajectory")
-    return found[0].to_dict() if found else SKIPPED
+    try:
+        return load_pins(root / RECORD.name)
+    except BenchError:
+        return SKIPPED
 
 
 def _write_baseline(root: Path) -> Path:
