@@ -9,8 +9,11 @@ not serve — varies.  This registry names those strategies, mirroring
     In-process execution with bounded retries; what ``jobs=1`` always
     did, and the degradation target every other backend falls back to.
 ``local-pool``
-    ``ProcessPoolExecutor`` rounds with retries, per-job timeouts, pool
-    rebuilds and serial fallback; what ``jobs > 1`` always did.
+    ``ProcessPoolExecutor`` rounds with retries, timeouts, pool rebuilds
+    and serial fallback; what ``jobs > 1`` selects.  The first round
+    sends every job of one workload trace to one worker
+    (:func:`trace_chunks`), so the pool builds each trace and records
+    each substrate once, as a serial run does.
 ``broker``
     The distributed mode (:mod:`repro.exec.broker`): the engine becomes
     a coordinator publishing claimable job records into a filesystem
@@ -28,6 +31,7 @@ pool worker or on a leased broker worker.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -36,8 +40,8 @@ from typing import TYPE_CHECKING
 from repro.exec.events import ExecEvent
 from repro.exec.result import ExecResult
 from repro.exec.worker import (
+    execute_chunk,
     execute_job,
-    execute_payload,
     init_worker_observability,
 )
 from repro.obs import probe, trace
@@ -118,16 +122,43 @@ class LocalSerialBackend(ExecBackend):
                 break
 
 
+def trace_chunks(pending: "list[SimJob]", workers: int) -> "list[list[SimJob]]":
+    """Cut ``pending`` into trace-affine chunks for ``workers`` workers.
+
+    Jobs group by the trace every kind rebuilds, ``(workload, size,
+    seed)``, keeping plan order inside a group.  A group longer than
+    ``ceil(len(pending) / workers)`` is cut into consecutive pieces of at
+    most that length, so a batch over one trace still uses every worker.
+    Chunks come longest first; ties keep plan order.
+    """
+    groups: dict[tuple[str, str, int], list[SimJob]] = {}
+    for job in pending:
+        groups.setdefault((job.workload, job.size, job.seed), []).append(job)
+    cap = math.ceil(len(pending) / workers)
+    chunks = [
+        group[start : start + cap]
+        for group in groups.values()
+        for start in range(0, len(group), cap)
+    ]
+    chunks.sort(key=len, reverse=True)  # stable, also when reversed
+    return chunks
+
+
 class LocalPoolBackend(ExecBackend):
     """Worker-pool execution: retries, timeouts, rebuilds, fallback.
 
-    Jobs run in rounds.  A round submits everything still unresolved
-    and harvests results in submission order; a failure classified
-    transient re-queues its job for the next round (up to
-    ``max_retries``).  A timeout or a ``BrokenProcessPool`` *condemns*
-    the pool — finished futures are still harvested, the rest re-queue,
-    and the pool is rebuilt (``pool_rebuilds`` times) before the engine
-    degrades to serial in-process execution for whatever remains.
+    Jobs run in rounds of chunks, one :func:`execute_chunk` task each.
+    The first round sends :func:`trace_chunks`, so one worker's memos
+    build each trace and record each substrate once, as a serial run
+    does; retry rounds send one job per chunk, so a sticky failure
+    charges no chunk-mates.  A round harvests results in submission
+    order; a failure classified transient re-queues its job for the
+    next round (up to ``max_retries``).  A timeout (``job_timeout_s``
+    per job of the chunk) or a ``BrokenProcessPool`` charges every job
+    of its chunk and *condemns* the pool — finished chunks are still
+    harvested, the rest re-queue, and the pool is rebuilt
+    (``pool_rebuilds`` times) before the engine degrades to serial
+    in-process execution for whatever remains.
     """
 
     name = "local-pool"
@@ -138,7 +169,8 @@ class LocalPoolBackend(ExecBackend):
         from concurrent.futures.process import BrokenProcessPool
 
         config = engine.resilience
-        workers = min(engine.jobs, len(pending))
+        chunks = trace_chunks(pending, engine.jobs)
+        workers = min(engine.jobs, len(chunks))
         # Force-enable probes/tracing in the workers iff they are on
         # here; per-job captures come back inside the result payloads.
         initializer = initargs = None
@@ -146,18 +178,21 @@ class LocalPoolBackend(ExecBackend):
             initializer = init_worker_observability
             initargs = (probe.ENABLED, trace.ACTIVE, trace.EVERY, trace.CAPACITY)
         attempts: dict[str, int] = {job.fingerprint: 0 for job in pending}
-        remaining = list(pending)
         rebuilds_left = config.pool_rebuilds
         pool = self._make_pool(workers, initializer, initargs)
         try:
-            while remaining:
-                batch, remaining = remaining, []
+            while chunks:
+                remaining: list[SimJob] = []
                 condemned = False
                 done_at: dict[int, float] = {}
                 queued_at = time.perf_counter()
                 futures = [
-                    pool.submit(execute_payload, job, attempts[job.fingerprint])
-                    for job in batch
+                    pool.submit(
+                        execute_chunk,
+                        chunk,
+                        [attempts[job.fingerprint] for job in chunk],
+                    )
+                    for chunk in chunks
                 ]
                 for future in futures:
                     future.add_done_callback(
@@ -165,46 +200,47 @@ class LocalPoolBackend(ExecBackend):
                             id(f), time.perf_counter()
                         )
                     )
-                for job, future in zip(batch, futures):
+                for chunk, future in zip(chunks, futures):
                     if condemned and not future.done():
                         # The pool is already condemned; don't wait on it.
                         future.cancel()
-                        remaining.append(job)
+                        remaining.extend(chunk)
                         continue
+                    budget = (
+                        None
+                        if config.job_timeout_s is None
+                        else config.job_timeout_s * len(chunk)
+                    )
+                    outcomes: list[dict | Exception]
                     try:
-                        payload = future.result(timeout=config.job_timeout_s)
+                        outcomes = future.result(timeout=budget)
                     except FuturesTimeoutError:
                         condemned = True
-                        engine.emit(ExecEvent("timeout", job))
-                        engine._retry_or_fail(
-                            job,
-                            attempts,
-                            remaining,
-                            TimeoutError(
-                                f"{job.label} exceeded the "
-                                f"{config.job_timeout_s}s job timeout"
-                            ),
+                        timeout = TimeoutError(
+                            f"a chunk of {len(chunk)} job(s) exceeded its "
+                            f"{budget}s budget ({config.job_timeout_s}s "
+                            "per job)"
                         )
-                        continue
+                        for job in chunk:
+                            engine.emit(ExecEvent("timeout", job))
+                        outcomes = [timeout for _ in chunk]
                     except BrokenProcessPool as error:
                         condemned = True
-                        engine._retry_or_fail(job, attempts, remaining, error)
-                        continue
-                    # Sanctioned broad catch: a worker raised a real job
-                    # error — classify it, retry or record, never swallow.
+                        outcomes = [error for _ in chunk]
+                    # Sanctioned broad catch: the chunk's transport failed
+                    # — classify it per job, retry or record, never swallow.
                     except Exception as error:  # lint: disable=R007
-                        engine._retry_or_fail(job, attempts, remaining, error)
-                        continue
-                    result = ExecResult.from_payload(job, payload, "run")
+                        outcomes = [error for _ in chunk]
                     finished = done_at.get(id(future), time.perf_counter())
-                    # Turnaround minus worker wall time approximates the
-                    # time the job sat waiting for a worker slot.
-                    queue_wait = max(
-                        0.0, finished - queued_at - result.wall_s
+                    self._harvest(
+                        engine,
+                        chunk,
+                        outcomes,
+                        finished - queued_at,
+                        attempts,
+                        remaining,
                     )
-                    engine._store(
-                        job, result, queue_wait_s=queue_wait, absorb=True
-                    )
+                chunks = [[job] for job in remaining]
                 if condemned:
                     pool.shutdown(wait=False, cancel_futures=True)
                     if remaining and rebuilds_left > 0:
@@ -214,7 +250,7 @@ class LocalPoolBackend(ExecBackend):
                     elif remaining:
                         engine.emit(ExecEvent("serial_fallback"))
                         LocalSerialBackend().execute(engine, remaining)
-                        remaining = []
+                        chunks = []
                 elif remaining:
                     # Pure retries (no pool break): back off before the
                     # next round, by the slowest job's ladder.
@@ -230,6 +266,37 @@ class LocalPoolBackend(ExecBackend):
                     )
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+
+    @staticmethod
+    def _harvest(
+        engine: "ExecEngine",
+        chunk: "list[SimJob]",
+        outcomes: "list[dict | Exception]",
+        turnaround_s: float,
+        attempts: dict[str, int],
+        remaining: "list[SimJob]",
+    ) -> None:
+        """Store or re-queue each job of a chunk, in chunk order."""
+        results = [
+            outcome
+            if isinstance(outcome, Exception)
+            else ExecResult.from_payload(job, outcome, "run")
+            for job, outcome in zip(chunk, outcomes)
+        ]
+        # A worker runs a chunk front to back, so job i waited for a
+        # slot the chunk's turnaround minus the wall time of jobs i..end.
+        waits: list[float] = []
+        tail_s = turnaround_s
+        for result in reversed(results):
+            if isinstance(result, ExecResult):
+                tail_s -= result.wall_s
+            waits.append(max(0.0, tail_s))
+        waits.reverse()
+        for job, result, wait in zip(chunk, results, waits):
+            if isinstance(result, Exception):
+                engine._retry_or_fail(job, attempts, remaining, result)
+            else:
+                engine._store(job, result, queue_wait_s=wait, absorb=True)
 
     @staticmethod
     def _make_pool(
@@ -309,4 +376,5 @@ __all__ = [
     "exec_backend_names",
     "exec_backends",
     "make_exec_backend",
+    "trace_chunks",
 ]

@@ -60,7 +60,7 @@ from repro.exec.store import (  # noqa: F401  (re-exported compat name)
     STALE_TMP_TTL_S,
     ResultStore,
 )
-from repro.exec.worker import execute_job, execute_payload
+from repro.exec.worker import execute_chunk, execute_job
 from repro.obs import probe, trace
 from repro.resilience import (
     FailureRecord,
@@ -522,9 +522,11 @@ def run_selftest(
         for job in candidates:
             started = time.perf_counter()
             inproc = execute_job(job)
-            sub = ExecResult.from_payload(
-                job, pool.submit(execute_payload, job).result(), "run"
-            )
+            # The transport parallel runs take: a chunk, one outcome each.
+            (outcome,) = pool.submit(execute_chunk, [job], [0]).result()
+            if isinstance(outcome, Exception):
+                raise outcome
+            sub = ExecResult.from_payload(job, outcome, "run")
             with tempfile.TemporaryDirectory() as tmp:
                 writer = ExecEngine(cache_dir=tmp)
                 writer._memo[job.fingerprint] = inproc

@@ -1,11 +1,14 @@
 """Job execution: the one place a :class:`SimJob` turns into numbers.
 
 :func:`execute_job` runs in whatever process calls it — the engine uses
-it directly for serial execution and ships :func:`execute_payload` to
-``ProcessPoolExecutor`` workers for parallel execution.  Workloads (and
-L1-filtered streams, which are equally expensive to build) are memoized
-per process, so a sweep of N configs over one workload builds its trace
-once per worker, not N times.
+it directly for serial execution and ships :func:`execute_chunk` to
+``ProcessPoolExecutor`` workers for parallel execution.  A chunk is a
+list of jobs over one workload trace (the pool cuts them, see
+:class:`repro.exec.backends.LocalPoolBackend`), so one worker's memos
+serve the whole group.  Workloads (and L1-filtered streams, which are
+equally expensive to build) are memoized per process, so a sweep of N
+configs over one workload builds its trace once per worker, not N
+times.
 
 The job kinds' modules (runner, oracle, L1 filter, audit, the default
 simulation engine) are imported here at module level: running them is
@@ -253,10 +256,32 @@ def init_worker_observability(
 
 
 def execute_payload(job: SimJob, attempt: int = 0) -> dict:
-    """Pool entry point: run a job, return its serialized payload.
+    """Run a job, return its serialized payload.
 
     Returning the payload (not the :class:`ExecResult`) forces every
     parallel result through the same lossless serialization as the disk
     cache, so parallel and serial runs cannot diverge silently.
     """
     return execute_job(job, attempt=attempt).payload()
+
+
+def execute_chunk(
+    jobs: list[SimJob], attempts: list[int]
+) -> list[dict | Exception]:
+    """Pool entry point: run a chunk of jobs, one outcome per job.
+
+    Each outcome is the job's payload (see :func:`execute_payload`) or
+    the exception it raised; one job's error never stops the rest of
+    its chunk.  ``attempts[i]`` is the engine's retry index of
+    ``jobs[i]``.
+    """
+    outcomes: list[dict | Exception] = []
+    for job, attempt in zip(jobs, attempts):
+        try:
+            outcomes.append(execute_payload(job, attempt))
+        # Sanctioned broad catch: every error is classified and either
+        # retried or surfaced as a structured failure (by the engine,
+        # once the error travels home as this job's outcome).
+        except Exception as error:  # lint: disable=R007
+            outcomes.append(error)
+    return outcomes

@@ -553,7 +553,8 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-job wall-clock budget in the worker pool "
+            "per-job wall-clock budget in the worker pool; a first-round "
+            "chunk of k jobs over one trace gets k times it "
             "(default: wait forever)"
         ),
     )

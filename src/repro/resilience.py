@@ -70,7 +70,10 @@ class ResilienceConfig:
         (deterministically, per job fingerprint).
     ``job_timeout_s``
         Per-job wall-clock budget in the worker pool (``None`` = wait
-        forever).  A timed-out job counts as a transient failure and
+        forever).  A first-round chunk of k jobs (see
+        :func:`repro.exec.backends.trace_chunks`) gets k times the
+        budget; a retry, sent alone, gets exactly the budget.  A timeout
+        counts as a transient failure of every job of its chunk and
         condemns the pool — the hung worker is abandoned, not waited on.
         The serial path cannot preempt a running job, so the budget is
         unenforced there.

@@ -2,8 +2,9 @@
 
 Covers the registry surface (named strategies, unknown-name errors),
 the engine's backend/broker parameter validation, result equivalence
-across explicit backends, and the :mod:`repro.exec.store` satellites:
-the generalized TTL janitor and the cache-read-error counter.
+across explicit backends, the pool's trace-affine chunking, and the
+:mod:`repro.exec.store` satellites: the generalized TTL janitor and the
+cache-read-error counter.
 """
 
 import os
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.core.config import CNTCacheConfig
 from repro.exec import (
     BrokerConfig,
     EngineError,
@@ -19,9 +21,11 @@ from repro.exec import (
     exec_backend_names,
     exec_backends,
     make_exec_backend,
+    oracle_job,
     trace_job,
+    workload_job,
 )
-from repro.exec.backends import ExecBackendError
+from repro.exec.backends import ExecBackendError, trace_chunks
 from repro.exec.broker import BrokerStore
 from repro.exec.events import EngineCounters
 from repro.exec.store import (
@@ -31,6 +35,11 @@ from repro.exec.store import (
     ResultStore,
     sweep_stale,
 )
+from repro.exec.worker import clear_memos
+from repro.obs import Obs
+
+CONFIG = CNTCacheConfig()
+SCHEMES = ("baseline", "invert", "cnt", "dbi")
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +120,75 @@ class TestEngineDispatch:
             cache_dir=tmp_path / "b" / "cache",
         )
         assert engine.cache_dir == tmp_path / "b" / "cache"
+
+
+# ------------------------------------------------------------------ #
+# trace-affine pool dispatch
+# ------------------------------------------------------------------ #
+def scheme_jobs(name, seed=3, **geometry):
+    """One workload job per scheme over one trace."""
+    return [
+        workload_job(CONFIG.variant(scheme=scheme, **geometry), name, "tiny", seed)
+        for scheme in SCHEMES
+    ]
+
+
+def probed_run(jobs, workers):
+    """Resolve ``jobs`` on empty memos: canonicals plus the probe counters
+    summed over every process (forked workers inherit this one's memos)."""
+    clear_memos()
+    obs = Obs()
+    try:
+        results = ExecEngine(jobs=workers, obs=obs).run_jobs(jobs)
+    finally:
+        clear_memos()
+    return [result.canonical() for result in results], obs.counters
+
+
+class TestTraceChunks:
+    def test_groups_by_trace_in_plan_order_longest_first(self):
+        records = scheme_jobs("records")
+        crc = scheme_jobs("crc32")[:2]
+        interleaved = [records[0], crc[0], records[1], crc[1], *records[2:]]
+        assert trace_chunks(interleaved, 1) == [records, crc]
+
+    def test_a_group_longer_than_its_share_is_cut_for_every_worker(self):
+        jobs = scheme_jobs("records") + scheme_jobs("records", seed=4)[:1]
+        chunks = trace_chunks(jobs, 2)  # share: ceil(5 / 2) = 3
+        assert chunks == [jobs[:3], jobs[3:4], jobs[4:]]
+        assert trace_chunks(jobs, 8) == [[job] for job in jobs]
+
+
+class TestTraceAffinity:
+    def test_the_pool_builds_each_trace_and_records_like_serial(self):
+        # Interleaved over two traces, with two geometries per trace.
+        jobs = [
+            job
+            for pair in zip(
+                scheme_jobs("records") + scheme_jobs("records", size=8192),
+                scheme_jobs("crc32") + scheme_jobs("crc32", size=8192),
+            )
+            for job in pair
+        ]
+        jobs += [
+            oracle_job(CONFIG, "crc32", "tiny", 3),
+            trace_job("records", "tiny", 3),
+        ]
+        serial, serial_counters = probed_run(jobs, 1)
+        pool, pool_counters = probed_run(jobs, 2)
+        assert pool == serial
+        assert pool_counters["workload.builds"] == 2
+        assert (
+            pool_counters["workload.substrate_records"]
+            == serial_counters["workload.substrate_records"]
+        )
+
+    def test_a_single_trace_batch_splits_over_both_workers(self):
+        jobs = scheme_jobs("records")
+        serial, _ = probed_run(jobs, 1)
+        pool, counters = probed_run(jobs, 2)
+        assert pool == serial
+        assert counters["workload.builds"] == 2
 
 
 # ------------------------------------------------------------------ #

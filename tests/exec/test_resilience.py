@@ -28,6 +28,8 @@ from repro.exec import (
     trace_job,
     workload_job,
 )
+from repro.exec.backends import trace_chunks
+from repro.exec.worker import execute_chunk
 from repro.faults import FaultError, FaultInjected, FaultPlan
 from repro.obs import Obs, read_manifest
 from repro.resilience import (
@@ -429,6 +431,83 @@ class TestPoolResilience:
         assert engine.counters.timeouts >= 1
         # Recovery must abandon the sleepers, not wait out every 5s nap.
         assert elapsed < 4 * 5.0
+
+
+# ------------------------------------------------------------------ #
+# blast radius of a fault inside a trace-affine chunk
+# ------------------------------------------------------------------ #
+def chunked_jobs():
+    """Two traces of three jobs each: two first-round chunks of three."""
+    return [
+        workload_job(CONFIG.variant(scheme=scheme), name, "tiny", 3)
+        for name in ("records", "crc32")
+        for scheme in ("baseline", "cnt", "dbi")
+    ]
+
+
+def one_doomed_job(jobs, site, **knobs):
+    """The first seed whose ``site`` fault fires on exactly one job, the
+    plan and that job (fingerprints hash the source tree, so no fixed
+    seed works for every revision)."""
+    for seed in range(200):
+        candidate = FaultPlan(seed=seed, **{site: 0.2}, **knobs)
+        doomed = [
+            job for job in jobs if candidate.fires_at(site, job.fingerprint)
+        ]
+        if len(doomed) == 1:
+            return candidate, doomed[0]
+    raise AssertionError(f"no seed dooms exactly one job at {site}")
+
+
+class TestChunkBlastRadius:
+    def test_a_job_error_does_not_stop_its_chunk(self):
+        jobs = chunked_jobs()
+        reference = reference_canonicals(jobs)
+        plan, doomed = one_doomed_job(jobs, "crash")
+        with faults.injected(plan):  # in-process: raises FaultInjected
+            outcomes = execute_chunk(jobs, [0] * len(jobs))
+        for job, outcome, expected in zip(jobs, outcomes, reference):
+            if job == doomed:
+                assert isinstance(outcome, FaultInjected)
+            else:
+                result = ExecResult.from_payload(job, outcome, "run")
+                assert result.canonical() == expected
+
+    def test_a_sticky_crash_fails_only_its_own_job(self, monkeypatch):
+        jobs = chunked_jobs()
+        reference = reference_canonicals(jobs)
+        plan, doomed = one_doomed_job(jobs, "crash", fires=99)
+        (chunk,) = [c for c in trace_chunks(jobs, 2) if doomed in c]
+        assert len(chunk) > 1
+        monkeypatch.setenv(faults.ENV_VAR, plan.describe())
+        faults.uninstall()  # both parent and (forked) workers re-resolve
+        keep = ResilienceConfig(
+            backoff_base_s=0.0, backoff_jitter=0.0, keep_going=True
+        )
+        engine = ExecEngine(jobs=2, resilience=keep)
+        results = engine.run_jobs(jobs)
+        assert [r.job.label for r in results if not r.ok] == [doomed.label]
+        assert [record.label for record in engine.failures] == [doomed.label]
+        for result, expected in zip(results, reference):
+            if result.job != doomed:
+                assert result.canonical() == expected
+
+    def test_a_hung_job_times_out_its_chunk_and_heals(self, monkeypatch):
+        jobs = chunked_jobs()
+        reference = reference_canonicals(jobs)
+        plan, hung = one_doomed_job(jobs, "hang", hang_s=5.0)
+        (chunk,) = [c for c in trace_chunks(jobs, 2) if hung in c]
+        monkeypatch.setenv(faults.ENV_VAR, plan.describe())
+        faults.uninstall()
+        config = ResilienceConfig(
+            backoff_base_s=0.0, backoff_jitter=0.0, job_timeout_s=0.5
+        )
+        engine = ExecEngine(jobs=2, resilience=config)
+        results = engine.run_jobs(jobs)  # chunk budget: 3 x 0.5 s < 5 s
+        assert [r.canonical() for r in results] == reference
+        # The chunk's budget ran out: every job of it was charged.
+        assert engine.counters.timeouts == len(chunk)
+        assert engine.counters.pool_rebuilds == 1
 
 
 # ------------------------------------------------------------------ #
