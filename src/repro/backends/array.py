@@ -14,16 +14,20 @@ throughput.  A replay runs in two stages:
    by :func:`substrate_key` alone, and one recording serves every
    encoding config of that geometry.  The record is compact: one packed
    ``array('i')`` entry per access (``lid << 3 | code``), per-miss
-   victim flags, the filled lines in one ``bytearray``, and popcount
-   streams (the line after every access, every fill and every
-   writeback).
+   victim flags, the line value after every array write (in fold
+   order), the filled lines interned (one id per miss into a table of
+   the distinct lines installed), and popcount streams (the line after
+   every access, every fill and every writeback).
 2. **Fold** (:class:`ArrayCNTCache`): the pricing — codec,
    Algorithm 1 windows, the deferred FIFO, energies and leakage.  It
-   walks the substrate zipped with the trace it was recorded from,
-   reads write payloads from that trace, and never touches a tag map or
-   a replacement policy.  One loop prices every line access: a miss
-   writes back its victim and installs its fill, then takes the hit
-   path; a line-crossing access folds its chunks through the same loop.
+   walks the substrate zipped with the trace it was recorded from and
+   never touches a tag map or a replacement policy.  It takes every
+   line value from the substrate, encodes each distinct fill line once
+   per fold, and reads the trace only for the DBI re-vote, word
+   granularity, line-crossing chunks and fill tags.  One loop prices
+   every line access: a miss writes back its victim and installs its
+   fill, then takes the hit path; a line-crossing access folds its
+   chunks through the same loop.
 
 :meth:`ArrayCNTCache.run` is record + fold.  A caller pricing many
 configs over one trace records once and folds each config over the same
@@ -158,8 +162,8 @@ class Substrate:
 
     __slots__ = (
         "key", "line_size", "assoc", "tag_shift", "counted",
-        "entries", "pcs", "splits", "split_pcs",
-        "flags", "fills", "fill_pcs", "wb_pcs",
+        "entries", "pcs", "splits", "split_pcs", "afters",
+        "flags", "fills", "lines", "fill_pcs", "wb_pcs",
         "accesses", "writes", "misses", "evictions", "writebacks",
         "bypasses",
     )
@@ -182,10 +186,15 @@ class Substrate:
         #: Per chunk of a line-crossing access, in order: as ``entries``.
         self.splits = array("q" if wide else "i")
         self.split_pcs = array(count)
+        #: Per array write, in fold order (a line crossing's written
+        #: chunks in place; a bypassed store has none): the line after it.
+        self.afters: list[int] = []
         #: Per fill: ``_VICTIM``/``_DIRTY`` flags of the line it replaced.
         self.flags = bytearray()
-        #: Per fill: the installed line, ``line_size`` little-endian bytes.
-        self.fills = bytearray()
+        #: Per fill: the index of the installed line in ``lines``.
+        self.fills = array("i")
+        #: The distinct installed lines, in first-fill order.
+        self.lines: list[int] = []
         self.fill_pcs = array(count)
         #: Per writeback: popcount of the evicted line.
         self.wb_pcs = array(count)
@@ -220,29 +229,26 @@ class Substrate:
         off_mask = line_size - 1
         tag_shift, assoc = self.tag_shift, self.assoc
         ob = line_size.bit_length() - 1
-        splits, flags, fills = self.splits, self.flags, self.fills
+        splits, flags = self.splits, self.flags
+        fills, lines = self.fills, self.lines
+        next_after = iter(self.afters).__next__
         data: dict[int, int] = {}
         tags: dict[int, int] = {}
         chunk_cur = miss_cur = 0
         for access, entry in zip(trace, self.entries):
-            payload = access.data
             addr = access.addr
             if entry & 6 == _CROSS:
                 chunks = []
-                remaining, consumed = len(payload), 0
+                remaining = len(access.data)
                 while remaining > 0:
                     size = min(remaining, line_size - (addr & off_mask))
-                    chunks.append(
-                        (addr, payload[consumed : consumed + size],
-                         splits[chunk_cur])
-                    )
+                    chunks.append((addr, splits[chunk_cur]))
                     chunk_cur += 1
                     addr += size
-                    consumed += size
                     remaining -= size
             else:
-                chunks = [(addr, payload, entry)]
-            for addr, payload, code in chunks:
+                chunks = [(addr, entry)]
+            for addr, code in chunks:
                 is_write = bool(code & _WRITE)
                 if code & 7 == _BYPASS:
                     yield is_write, addr, None, None, None, 0
@@ -251,23 +257,17 @@ class Substrate:
                 fill = victim = None
                 victim_addr = 0
                 if code & _MISS_BIT:
-                    flag = flags[miss_cur]
-                    pos = miss_cur * line_size
-                    miss_cur += 1
-                    if flag & _DIRTY:
+                    if flags[miss_cur] & _DIRTY:
                         victim = data[lid]
                         victim_addr = (tags[lid] << tag_shift) | (
                             (lid // assoc) << ob
                         )
-                    fill = int.from_bytes(fills[pos : pos + line_size], "little")
+                    fill = lines[fills[miss_cur]]
+                    miss_cur += 1
                     data[lid] = fill
                     tags[lid] = addr >> tag_shift
                 if is_write:
-                    shift = (addr & off_mask) * 8
-                    smask = ((1 << (len(payload) * 8)) - 1) << shift
-                    data[lid] = (data[lid] & ~smask) | (
-                        int.from_bytes(payload, "little") << shift
-                    )
+                    data[lid] = next_after()
                 yield is_write, addr, data[lid], fill, victim, victim_addr
 
 
@@ -336,6 +336,8 @@ class Recorder:
         self._touch_noop = isinstance(self._repl, (FIFOPolicy, RandomPolicy))
         #: Sparse backing store: line-aligned address -> line integer.
         self._mem: dict[int, int] = {}
+        #: Fill line -> its id in the substrate being recorded.
+        self._line_ids: dict[int, int] = {}
 
     def preload(self, addr: int, payload: bytes) -> None:
         """Install initial memory contents (program image) before a run."""
@@ -352,6 +354,12 @@ class Recorder:
 
     def record(self, trace: Iterable[Access]) -> Substrate:
         """Replay ``trace`` through the substrate and record every decision."""
+        if probe.ENABLED:
+            with probe.timer("sim.record"):
+                return self._record(trace)
+        return self._record(trace)
+
+    def _record(self, trace: Iterable[Access]) -> Substrate:
         line = self._line
         sub = Substrate(
             self.key, line, self._n_sets, self._assoc, self._counted
@@ -374,6 +382,8 @@ class Recorder:
         write_op = Op.WRITE
         entries, pcs = sub.entries, sub.pcs
         put, put_pc = entries.append, pcs.append
+        put_after = sub.afters.append
+        self._line_ids = {}
         writes = 0
         for a in trace:
             addr = a.addr
@@ -406,6 +416,7 @@ class Recorder:
                     data_l[lid] & ~(((1 << (size * 8)) - 1) << shift)
                 ) | (value << shift)
                 data_l[lid] = after
+                put_after(after)
                 if wt:
                     mem_write(addr, size, value)
                 else:
@@ -419,6 +430,7 @@ class Recorder:
                     put_pc(data_l[lid].bit_count())
         sub.accesses += len(entries)
         sub.writes += writes
+        self._line_ids.clear()
         return sub
 
     def _split(self, sub: Substrate, a: Access) -> None:
@@ -464,7 +476,7 @@ class Recorder:
         code = lid << 3
         if is_write:
             sub.writes += 1
-            self._write(lid, addr, offset, size, payload)
+            self._write(sub, lid, addr, offset, size, payload)
             code |= _WRITE
         sub.splits.append(code)
         if self._counted:
@@ -521,22 +533,28 @@ class Recorder:
         tmap[tag] = way
         self._repl.fill(set_index, way)
         sub.flags.append(flags)
-        sub.fills += fill.to_bytes(self._line, "little")
+        fid = self._line_ids.get(fill)
+        if fid is None:
+            fid = self._line_ids[fill] = len(sub.lines)
+            sub.lines.append(fill)
+        sub.fills.append(fid)
         if self._counted:
             sub.fill_pcs.append(fill.bit_count())
         code = lid << 3 | _MISS_BIT
         if is_write:
-            self._write(lid, addr, offset, size, payload)
+            self._write(sub, lid, addr, offset, size, payload)
             code |= _WRITE
         entries.append(code)
         if self._counted:
             pcs.append(self.data[lid].bit_count())
 
-    def _write(self, lid, addr, offset, size, payload) -> None:
+    def _write(self, sub, lid, addr, offset, size, payload) -> None:
         value = int.from_bytes(payload, "little")
         shift = offset * 8
         smask = ((1 << (size * 8)) - 1) << shift
-        self.data[lid] = (self.data[lid] & ~smask) | (value << shift)
+        after = (self.data[lid] & ~smask) | (value << shift)
+        self.data[lid] = after
+        sub.afters.append(after)
         if self._wt:
             # The store is mirrored to memory; the line stays clean.
             self._mem_write(addr, size, value)
@@ -719,17 +737,20 @@ class ArrayCNTCache:
         )
 
         # --- pricing state (the substrate's lines as the fold sees them) #
+        #: Per line: its tag, reported in every WindowEvent.
         self._tags = [0] * n_lines
         self._data = [0] * n_lines
         self._dirval = [0] * n_lines
         #: Per line: ones stored in the array, popcount(data ^ mask(dirval)).
         self._ones = [0] * n_lines
-        #: Pending re-encodes: (lid, tag, new_dirval) tuples.
-        self._queue: deque[tuple[int, int, int]] = deque()
+        #: Pending re-encodes: (lid, new_dirval) pairs.
+        self._queue: deque[tuple[int, int]] = deque()
         self._p_bypass = 0
         # Cursors into the substrate being folded (slow paths).
         self._sub: Substrate | None = None
         self._fill_cur = self._split_cur = 0
+        #: Per fill line id: its (dirval, stored ones), once encoded.
+        self._fill_state: list[tuple[int, int] | None] = []
 
         # --- accumulators (flushed into stats by _sync) ----------------- #
         self._C = [0] * 14
@@ -859,6 +880,16 @@ class ArrayCNTCache:
     # ------------------------------------------------------------------ #
     def _price(self, substrate: Substrate, trace: Sequence[Access]) -> None:
         """Price ``substrate``, recorded from ``trace``, into the totals."""
+        if probe.ENABLED:
+            probe.counter("sim.folds")
+            with probe.timer("sim.fold"):
+                self._fold_substrate(substrate, trace)
+        else:
+            self._fold_substrate(substrate, trace)
+
+    def _fold_substrate(
+        self, substrate: Substrate, trace: Sequence[Access]
+    ) -> None:
         if substrate.key != substrate_key(self.config):
             raise ValueError(
                 f"substrate geometry {substrate.key} does not match "
@@ -870,8 +901,12 @@ class ArrayCNTCache:
         else:
             self._sub = substrate
             self._fill_cur = self._split_cur = 0
-            self._fold(trace, substrate.entries)
+            self._fill_state = [None] * len(substrate.lines)
+            self._fold(
+                trace, substrate.entries, iter(substrate.afters).__next__
+            )
             self._sub = None
+            self._fill_state = []
         C = self._C
         C[_ACC] += substrate.accesses
         C[_RDC] += substrate.accesses - substrate.writes
@@ -919,8 +954,14 @@ class ArrayCNTCache:
             e_wb = e_wb + rd_full[ones]
         E[_WB] = e_wb
 
-    def _fold(self, trace: Sequence[Access], entries: Sequence[int]) -> None:
-        """Price line accesses: ``entries`` are their codes in ``self._sub``.
+    def _fold(
+        self,
+        trace: Sequence[Access],
+        entries: Sequence[int],
+        next_after: Callable[[], int],
+    ) -> None:
+        """Price line accesses: ``entries`` are their codes in ``self._sub``,
+        and ``next_after`` yields the substrate's write values in order.
 
         One path prices every array event: a miss writes back and fills
         (:meth:`_fill`), then takes the hit path for its data access.
@@ -973,7 +1014,7 @@ class ArrayCNTCache:
                 E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
                 E[_LG], E[_LK] = e_lg, e_lk
                 if entry & 4:
-                    special(a, entry)
+                    special(a, entry, next_after)
                 else:
                     fill(entry >> 3, a.addr)
                 c_inv = C[_INV]
@@ -985,19 +1026,12 @@ class ArrayCNTCache:
             lid = entry >> 3
             dirval = dirval_l[lid]
             if entry & 1:  # a write
-                payload = a.data
-                size = len(payload)
-                offset = a.addr & off_mask
-                shift = offset * 8
-                smask = ((1 << (size * 8)) - 1) << shift
-                after = (data_l[lid] & ~smask) | (
-                    int.from_bytes(payload, "little") << shift
-                )
+                after = next_after()
                 data_l[lid] = after
                 new_dirval = dirval
                 if is_dbi:
                     new_dirval = self._dbi_new_dirval(
-                        dirval, after, offset, size
+                        dirval, after, a.addr & off_mask, len(a.data)
                     )
                     if new_dirval != dirval:
                         dirval_l[lid] = new_dirval
@@ -1017,7 +1051,10 @@ class ArrayCNTCache:
                     if new_dirval:
                         c_inv += 1
                 else:
-                    ones = ((stored & smask) >> shift).bit_count()
+                    size = len(a.data)
+                    shift = (a.addr & off_mask) * 8
+                    word = (stored >> shift) & ((1 << (size * 8)) - 1)
+                    ones = word.bit_count()
                     e_dw = e_dw + (ones * e_wr1 + (size * 8 - ones) * e_wr0)
                 dirval = new_dirval
             elif gran_line:
@@ -1069,7 +1106,9 @@ class ArrayCNTCache:
         E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
         E[_LG], E[_LK] = e_lg, e_lk
 
-    def _fold_special(self, a: Access, entry: int) -> None:
+    def _fold_special(
+        self, a: Access, entry: int, next_after: Callable[[], int]
+    ) -> None:
         """A bypassed store, or a line-crossing access folded by chunk."""
         if entry & 7 == _BYPASS:
             # No array event: only the per-access tail, without history.
@@ -1098,7 +1137,7 @@ class ArrayCNTCache:
             remaining -= size
         cur = self._split_cur
         self._split_cur = cur + len(chunks)
-        self._fold(chunks, sub.splits[cur : cur + len(chunks)])
+        self._fold(chunks, sub.splits[cur : cur + len(chunks)], next_after)
 
     # ------------------------------------------------------------------ #
     # array events
@@ -1108,10 +1147,9 @@ class ArrayCNTCache:
         C, E = self._C, self._E
         sub = self._sub
         assert sub is not None
-        line = self._line
-        pos = self._fill_cur
-        self._fill_cur = pos + line
-        flags = sub.flags[pos // line]
+        cur = self._fill_cur
+        self._fill_cur = cur + 1
+        flags = sub.flags[cur]
         if flags & _VICTIM:
             dirval = self._dirval[lid]
             ones = self._ones[lid]
@@ -1134,10 +1172,12 @@ class ArrayCNTCache:
                         else:
                             mones += hpc[self._ha[lid]] + hpc[self._hwn[lid]]
                     E[_MRD] = E[_MRD] + self._mr[mones]
-        fill_int = int.from_bytes(sub.fills[pos : pos + line], "little")
+        fid = sub.fills[cur]
         self._tags[lid] = addr >> self._tag_shift
-        self._data[lid] = fill_int
-        # Any pending update for the line this fill replaced is now stale.
+        self._data[lid] = sub.lines[fid]
+        # Any pending update for the line this fill replaced is now
+        # stale.  This purge is the only way an update goes stale (lines
+        # are never invalidated), so every update left to dequeue is live.
         queue = self._queue
         if queue:
             kept = [entry for entry in queue if entry[0] != lid]
@@ -1145,20 +1185,14 @@ class ArrayCNTCache:
                 C[_PDR] += len(queue) - len(kept)
                 queue.clear()
                 queue.extend(kept)
-        mode = self._fill_mode
-        if mode == _FILL_ZERO:
-            dirval = 0
-        elif mode == _FILL_ONE:
-            dirval = 1
-        elif mode == _FILL_GREEDY0:
-            dirval = self._greedy(fill_int, False)
-        else:
-            dirval = self._greedy(fill_int, True)
+        state = self._fill_state[fid]
+        if state is None:
+            state = self._fill_state[fid] = self._fill_encoding(sub.lines[fid])
+        dirval, ones = state
         self._dirval[lid] = dirval
         if self._perline_hist:
             self._ha[lid] = 0
             self._hwn[lid] = 0
-        ones = (fill_int ^ self._mask_for(dirval)).bit_count()
         self._ones[lid] = ones
         E[_FI] = E[_FI] + self._wr_full[ones]
         if dirval:
@@ -1168,6 +1202,18 @@ class ArrayCNTCache:
         if self._meta and self._mwf is not None:
             # Fresh history counters are zero; only the D bits carry ones.
             E[_MWR] = E[_MWR] + self._mwf[dirval.bit_count()]
+
+    def _fill_encoding(self, value: int) -> tuple[int, int]:
+        """The direction word a fill of ``value`` installs, and the ones
+        the array then stores."""
+        mode = self._fill_mode
+        if mode == _FILL_ZERO:
+            dirval = 0
+        elif mode == _FILL_ONE:
+            dirval = 1
+        else:
+            dirval = self._greedy(value, mode == _FILL_GREEDY1)
+        return dirval, (value ^ self._mask_for(dirval)).bit_count()
 
     # ------------------------------------------------------------------ #
     # history window + prediction
@@ -1231,7 +1277,7 @@ class ArrayCNTCache:
         forced = None
         if len(queue) >= self._depth:
             forced = queue.popleft()
-        queue.append((lid, self._tags[lid], dirval ^ flipbits))
+        queue.append((lid, dirval ^ flipbits))
         if forced is not None:
             C[_FDR] += 1
             self._apply_update(forced)
@@ -1240,28 +1286,17 @@ class ArrayCNTCache:
     # deferred updates
     # ------------------------------------------------------------------ #
     def _drain(self, budget: int) -> None:
-        applied = 0
         queue = self._queue
-        while applied < budget:
-            if not queue:
-                return
-            if self._apply_update(queue.popleft()):
-                applied += 1
+        for _ in range(min(budget, len(queue))):
+            self._apply_update(queue.popleft())
 
-    def _apply_update(self, entry) -> bool:
-        """Re-encode a line per a queued update; False if it went stale.
-
-        Lines are never invalidated, so a queued line id is always
-        resident: the update is stale once another tag filled it.
-        """
-        lid, tag, new_dirval = entry
-        if self._tags[lid] != tag:
-            self._C[_PDR] += 1
-            return False
+    def _apply_update(self, entry: tuple[int, int]) -> None:
+        """Re-encode a line per a queued update (live: see :meth:`_fill`)."""
+        lid, new_dirval = entry
         dirval = self._dirval[lid]
         flips = dirval ^ new_dirval
         if not flips:
-            return True  # nothing to rewrite, but the slot was used
+            return  # nothing to rewrite, but the slot was used
         E = self._E
         enc = self._data[lid] ^ self._mask_for(new_dirval)
         pm = self._pmask
@@ -1279,7 +1314,6 @@ class ArrayCNTCache:
         E[_RE] = E[_RE] + energy
         if self._meta and self._mwd is not None:
             E[_MWR] = E[_MWR] + self._mwd[new_dirval.bit_count()]
-        return True
 
     # ------------------------------------------------------------------ #
     # codec helpers (integer domain)

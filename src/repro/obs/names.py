@@ -66,6 +66,10 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "worker.claimed",
         "worker.failures",
         "worker.jobs_done",
+        # the array engine's two stages: substrate recording, pricing folds
+        "sim.fold",
+        "sim.folds",
+        "sim.record",
         # per-process workload memo (and each run's substrate slot)
         "workload.builds",
         "workload.memo_hits",

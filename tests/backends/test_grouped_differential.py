@@ -132,14 +132,23 @@ def test_oracle_jobs_emit_the_scalar_cache_counters():
     recorded=traces(),
     geometry=st.sampled_from(((64, 1, 64), (128, 1, 64), (512, 2, 32))),
     scheme=st.sampled_from(("baseline", "dbi", "cnt")),
+    queue=st.sampled_from(((8, 1), (1, 0))),
 )
-def test_the_per_access_api_matches_on_line_crossings(recorded, geometry, scheme):
+def test_the_per_access_api_matches_on_line_crossings(
+    recorded, geometry, scheme, queue
+):
     """``access`` records and folds one line at a time, so a crossing
-    read returns each chunk before the next fill can evict its line."""
+    read returns each chunk before the next fill can evict its line.
+    Each call folds a substrate of its own, with its own fill lines.  A
+    two-access window and an undrained one-deep FIFO keep re-encodes
+    queued across calls, where later fills drop them."""
     trace, preloads = recorded
     size, assoc, line_size = geometry
+    fifo_depth, drain_per_access = queue
     config = CNTCacheConfig(
-        scheme=scheme, size=size, assoc=assoc, line_size=line_size, partitions=4
+        scheme=scheme, size=size, assoc=assoc, line_size=line_size,
+        partitions=4, window=2, fifo_depth=fifo_depth,
+        drain_per_access=drain_per_access,
     )
     scalar = make_cache(config=config, backend="scalar")
     array = make_cache(config=config)

@@ -105,6 +105,27 @@ class TestCLI:
         ):
             assert key in summary, key
 
+    def test_profile_times_record_and_fold_alike_at_any_jobs(self, capsys):
+        """The two replay stages have their own timers, and the fold count
+        does not depend on how many workers ran the plan."""
+        import json
+
+        from repro.exec.worker import clear_memos
+
+        def profiled(jobs: int) -> dict:
+            clear_memos()  # record every substrate in this run
+            args = ["profile", "--size", "tiny", "--jobs", str(jobs), "--json"]
+            assert main(args) == 0
+            return json.loads(capsys.readouterr().out)["summary"]
+
+        serial, parallel = profiled(1), profiled(2)
+        for summary in (serial, parallel):
+            counters, timers = summary["counters"], summary["timers"]
+            assert timers["sim.record"] > 0
+            assert timers["sim.fold"] > 0
+            assert counters["sim.folds"] >= counters["workload.substrate_records"]
+        assert parallel["counters"]["sim.folds"] == serial["counters"]["sim.folds"]
+
     def test_trace_command_writes_loadable_chrome_json(self, tmp_path, capsys):
         import json
 
