@@ -19,10 +19,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.cntcache import CNTCache, WindowEvent
 from repro.predictor.threshold import should_switch_exact
 from repro.trace.record import Access
+
+if TYPE_CHECKING:
+    from repro.backends.array import Substrate
 
 
 @dataclass
@@ -58,11 +62,15 @@ def audit_predictions(
     sim: CNTCache,
     trace: Iterable[Access],
     preloads: Iterable[tuple[int, bytes]] = (),
+    substrate: "Substrate | None" = None,
 ) -> PredictionAudit:
     """Replay ``trace`` through ``sim`` and audit every window decision.
 
     ``sim`` must use an adaptive scheme (``invert`` or ``cnt``); the audit
-    installs itself as the simulator's window observer.
+    installs itself as the simulator's window observer.  ``substrate`` is
+    ``trace`` already recorded over ``preloads`` at ``sim``'s geometry
+    (:meth:`~repro.workloads.program.WorkloadRun.substrate`): a fresh
+    ``sim`` of an engine that folds substrates then only prices it.
     """
     if not sim.config.uses_predictor:
         raise ValueError(
@@ -106,7 +114,10 @@ def audit_predictions(
         audit._pending[key] = event
 
     sim.window_observer = on_window
-    sim.preload_all(preloads)
-    sim.run(trace)
+    if substrate is None:
+        sim.preload_all(preloads)
+        sim.run(trace)
+    else:
+        sim.run(trace, substrate=substrate)  # type: ignore[call-arg]
     audit._pending.clear()
     return audit

@@ -161,6 +161,7 @@ def _execute_audit(job: SimJob) -> ExecResult:
         api.make_cache(config=job.config, backend=job.backend),
         run.trace,
         run.preloads,
+        substrate=_substrate(run, job),
     )
     values = {
         name: value

@@ -10,14 +10,24 @@ Loads return the actual stored values, which makes workload traces fully
 coherent (reads always observe prior writes) — unlike the synthetic
 generators, these traces exercise the cache exactly like the real program
 would.
+
+Every recorded access is built by :func:`~repro.trace.record.trusted_access`,
+which skips ``Access``'s field checks: an access is recorded only after the
+bounds check passed, and that check already guarantees the record's
+preconditions (``addr >= base >= 0`` and at least one byte of data).
+``MemView`` indexing inlines that path (index check, bounds check, byte
+slice, append) rather than calling through ``load``/``store``.
 """
 
 from __future__ import annotations
 
-from repro.trace.record import Access
+from repro.trace.record import Access, Op, trusted_access
 
 #: Bytes per supported scalar width.
 _WIDTHS = (1, 2, 4, 8)
+
+_READ = Op.READ
+_WRITE = Op.WRITE
 
 
 class TracedMemoryError(ValueError):
@@ -69,20 +79,23 @@ class TracedMemory:
     # ------------------------------------------------------------------ #
     def load_bytes(self, addr: int, size: int) -> bytes:
         """Load ``size`` bytes, recording one access."""
-        self._check(addr, size)
         offset = addr - self.base
+        if size < 1 or offset < 0 or addr + size > self._next:
+            self._check(addr, size)
         value = bytes(self._data[offset : offset + size])
         if self.record:
-            self.trace.append(Access.read(addr, value))
+            self.trace.append(trusted_access(_READ, addr, value))
         return value
 
     def store_bytes(self, addr: int, payload: bytes) -> None:
         """Store ``payload``, recording one access."""
-        self._check(addr, len(payload))
+        size = len(payload)
         offset = addr - self.base
-        self._data[offset : offset + len(payload)] = payload
+        if size < 1 or offset < 0 or addr + size > self._next:
+            self._check(addr, size)
+        self._data[offset : offset + size] = payload
         if self.record:
-            self.trace.append(Access.write(addr, bytes(payload)))
+            self.trace.append(trusted_access(_WRITE, addr, bytes(payload)))
 
     # ------------------------------------------------------------------ #
     # scalar access
@@ -200,18 +213,40 @@ class MemView:
     def __len__(self) -> int:
         return self.length
 
-    def _addr_of(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise IndexError(
-                f"index {index} out of range for view of {self.length}"
-            )
-        return self.addr + index * self.width
+    def _index_error(self, index: int) -> IndexError:
+        return IndexError(f"index {index} out of range for view of {self.length}")
 
+    # Both accessors inline TracedMemory.load/store (see the module
+    # docstring); out-of-range addresses take _check's error path.
     def __getitem__(self, index: int) -> int:
-        return self.mem.load(self._addr_of(index), self.width, self.signed)
+        if not 0 <= index < self.length:
+            raise self._index_error(index)
+        mem = self.mem
+        width = self.width
+        addr = self.addr + index * width
+        offset = addr - mem.base
+        if offset < 0 or addr + width > mem._next:
+            mem._check(addr, width)
+        value = bytes(mem._data[offset : offset + width])
+        if mem.record:
+            mem.trace.append(trusted_access(_READ, addr, value))
+        return int.from_bytes(value, "little", signed=self.signed)
 
     def __setitem__(self, index: int, value: int) -> None:
-        self.mem.store(self._addr_of(index), value, self.width, self.signed)
+        if not 0 <= index < self.length:
+            raise self._index_error(index)
+        if value < 0 and not self.signed:
+            raise TracedMemoryError(f"negative value {value} for unsigned store")
+        mem = self.mem
+        width = self.width
+        addr = self.addr + index * width
+        payload = value.to_bytes(width, "little", signed=self.signed)
+        offset = addr - mem.base
+        if offset < 0 or addr + width > mem._next:
+            mem._check(addr, width)
+        mem._data[offset : offset + width] = payload
+        if mem.record:
+            mem.trace.append(trusted_access(_WRITE, addr, payload))
 
     def fill_untraced(self, values) -> None:
         """Initialise the region from ``values`` without recording."""

@@ -7,6 +7,7 @@ from repro.analysis import (
     audit_predictions,
     density_profile,
 )
+from repro.api import make_cache
 from repro.core.cntcache import CNTCache
 from repro.core.config import CNTCacheConfig
 from repro.trace.record import Access
@@ -139,3 +140,22 @@ class TestPredictionAudit:
         )
         for key in ("decisions", "accuracy", "kept_correct", "switched_wrong"):
             assert key in audit.as_dict()
+
+    @pytest.mark.parametrize("name", ["crc32", "qsort", "spmv", "stream"])
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"scheme": "invert"}, {"window": 8, "partitions": 4, "size": 2048}],
+    )
+    def test_folding_the_shared_substrate_audits_alike(self, tiny_runs, name, knobs):
+        run = tiny_runs[name]
+        config = CNTCacheConfig(**knobs)
+        audits, stats = [], []
+        for substrate in (None, run.substrate(config)):
+            sim = make_cache(config=config, backend="array")
+            audits.append(
+                audit_predictions(sim, run.trace, run.preloads, substrate=substrate)
+            )
+            stats.append(sim.stats.to_dict())
+        assert audits[0].decisions > 0
+        assert audits[0].as_dict() == audits[1].as_dict()
+        assert stats[0] == stats[1]

@@ -24,6 +24,7 @@ from repro.exec import (
     run_worker,
     trace_job,
 )
+from repro.exec.backends import BrokerExecBackend
 from repro.exec.broker import BROKER_SCHEMA, BrokerStore, Lease, _wall_now
 from repro.exec.events import EngineCounters
 from repro.obs import Obs, probe
@@ -517,18 +518,36 @@ class TestRunWorker:
 # ------------------------------------------------------------------ #
 class TestDrain:
     def run_with_background_worker(self, engine, jobs, config):
-        """Drain with one in-process worker thread playing the fleet."""
-        worker = threading.Thread(
-            target=run_worker,
-            args=(config,),
-            kwargs={"idle_timeout_s": 10.0, "resilience": FAST},
-            daemon=True,
-        )
-        worker.start()
-        try:
-            return engine.run_jobs(jobs)
-        finally:
-            worker.join(timeout=30.0)
+        """Drain with one in-process worker thread playing the fleet.
+
+        The worker starts when the coordinator hands its misses to the
+        broker backend, after it has read the store.  Started earlier, it
+        could finish already-published jobs before that read, which the
+        coordinator would then count as cache hits, not executions.
+        """
+        workers = []
+        drain = BrokerExecBackend.execute
+
+        def start_worker_then_drain(backend, engine, pending):
+            worker = threading.Thread(
+                target=run_worker,
+                args=(config,),
+                kwargs={"idle_timeout_s": 10.0, "resilience": FAST},
+                daemon=True,
+            )
+            workers.append(worker)
+            worker.start()
+            drain(backend, engine, pending)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BrokerExecBackend, "execute", start_worker_then_drain)
+            try:
+                results = engine.run_jobs(jobs)
+            finally:
+                for worker in workers:
+                    worker.join(timeout=30.0)
+        assert not any(worker.is_alive() for worker in workers)
+        return results
 
     def test_drain_adopts_worker_results_byte_identically(self, tmp_path):
         config = fast_config(tmp_path)
@@ -661,6 +680,20 @@ class TestDrain:
         assert engine.counters.published == 0  # republish was idempotent
         assert engine.counters.executed == 2
         assert BrokerStore(config).pending() == []
+
+    def test_resume_counts_hold_when_the_coordinator_reads_the_store_late(
+        self, tmp_path, monkeypatch
+    ):
+        # A slow store scan gives a worker started too early the time to
+        # finish both remaining jobs first (cache_hits == 3).
+        resolve = ExecEngine._resolve
+
+        def late_resolve(engine, ordered):
+            time.sleep(0.5)
+            return resolve(engine, ordered)
+
+        monkeypatch.setattr(ExecEngine, "_resolve", late_resolve)
+        self.test_resume_executes_only_the_unfinished_remainder(tmp_path)
 
 
 # ------------------------------------------------------------------ #

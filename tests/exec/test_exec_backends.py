@@ -13,11 +13,13 @@ import time
 import pytest
 
 from repro import faults
+from repro.backends.array import Recorder
 from repro.core.config import CNTCacheConfig
 from repro.exec import (
     BrokerConfig,
     EngineError,
     ExecEngine,
+    audit_job,
     exec_backend_names,
     exec_backends,
     make_exec_backend,
@@ -182,6 +184,29 @@ class TestTraceAffinity:
             pool_counters["workload.substrate_records"]
             == serial_counters["workload.substrate_records"]
         )
+
+    def test_an_audit_job_folds_the_substrate_its_group_recorded(
+        self, monkeypatch
+    ):
+        recordings = []
+        record = Recorder.record
+
+        def counted(recorder, trace):
+            recordings.append(recorder)
+            return record(recorder, trace)
+
+        monkeypatch.setattr(Recorder, "record", counted)
+        jobs = [
+            workload_job(CONFIG, "crc32", "tiny", 3),
+            audit_job(CONFIG, "crc32", "tiny", 3),
+        ]
+        clear_memos()
+        try:
+            audit = ExecEngine().run_jobs(jobs)[1]
+        finally:
+            clear_memos()
+        assert len(recordings) == 1
+        assert audit.values["decisions"] > 0
 
     def test_a_single_trace_batch_splits_over_both_workers(self):
         jobs = scheme_jobs("records")
