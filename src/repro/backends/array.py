@@ -17,7 +17,10 @@ throughput.  A replay runs in two stages:
    victim flags, the line value after every array write (in fold
    order), the filled lines interned (one id per miss into a table of
    the distinct lines installed), and popcount streams (the line after
-   every access, every fill and every writeback).
+   every access, every fill and every writeback).  A set's resident
+   ways are counted, not flagged: lines are never invalidated, so a set
+   fills its ways in order, and LRU fills and victims work directly on
+   the recency stack, as hits do.
 2. **Fold** (:class:`ArrayCNTCache`): the pricing — codec,
    Algorithm 1 windows, the deferred FIFO, energies and leakage.  It
    walks the substrate zipped with the trace it was recorded from and
@@ -27,7 +30,9 @@ throughput.  A replay runs in two stages:
    granularity, line-crossing chunks and fill tags.  One loop prices
    every line access: a miss writes back its victim and installs its
    fill, then takes the hit path; a line-crossing access folds its
-   chunks through the same loop.
+   chunks through the same loop.  Misses and window completions are
+   priced in the loop's own locals; only special accesses (bypassed
+   stores, line crossings) and applied re-encodes cross a call.
 
 :meth:`ArrayCNTCache.run` is record + fold.  A caller pricing many
 configs over one trace records once and folds each config over the same
@@ -318,7 +323,10 @@ class Recorder:
         self._wt = config.write_through
         self._wa = config.write_allocate
         n_lines = self._n_sets * self._assoc
-        self._valid = [False] * n_lines
+        #: Per set: its resident ways.  Lines are never invalidated, so a
+        #: set fills its ways in order and ways ``0 .. filled - 1`` hold
+        #: lines.
+        self.filled = [0] * self._n_sets
         self._dirty = [False] * n_lines
         self._tags = [0] * n_lines
         #: Logical line contents.
@@ -327,9 +335,9 @@ class Recorder:
         self._repl = make_replacement_policy(
             config.replacement, self._n_sets, self._assoc, seed=config.seed
         )
-        # Hit-path specialization: exact-LRU recency stacks are mutated
-        # inline in record (set_index/way are internal, already valid);
-        # FIFO and random ignore hits entirely.
+        # LRU specialization: hits and fills mutate the exact recency
+        # stacks inline (set_index/way are internal, already valid); FIFO
+        # and random ignore hits entirely.
         self._lru_stacks = (
             self._repl._stacks if isinstance(self._repl, LRUPolicy) else None
         )
@@ -403,8 +411,9 @@ class Recorder:
                 continue
             if lru_stacks is not None:
                 stack = lru_stacks[set_index]
-                stack.remove(way)
-                stack.append(way)
+                if stack[-1] != way:
+                    stack.remove(way)
+                    stack.append(way)
             elif not touch_noop:
                 touch(set_index, way)
             lid = set_index * assoc + way
@@ -487,6 +496,8 @@ class Recorder:
         size, payload,
     ) -> None:
         sub.misses += 1
+        mem = self._mem
+        base_addr = addr - offset
         if is_write:
             sub.writes += 1
             if not self._wa:
@@ -497,41 +508,49 @@ class Recorder:
                 if self._counted:
                     pcs.append(0)
                 return
+            fill = mem.get(base_addr, 0)
         else:
             # Valued traces are self-contained: seed the backing store
-            # so all schemes see identical bit streams.
-            self._mem_write(addr, size, int.from_bytes(payload, "little"))
-        base = set_index * self._assoc
-        valid = self._valid
+            # so all schemes see identical bit streams.  (The victim
+            # written back below lives at another address.)
+            shift = offset * 8
+            fill = mem[base_addr] = (
+                mem.get(base_addr, 0) & ~(((1 << (size * 8)) - 1) << shift)
+            ) | (int.from_bytes(payload, "little") << shift)
+        assoc = self._assoc
+        filled = self.filled[set_index]
+        stacks = self._lru_stacks
+        if stacks is not None:
+            # Free ways sit at the bottom of the recency stack in way
+            # order, so its bottom is the next free way or the victim.
+            stack = stacks[set_index]
+            way = stack.pop(0)
+            stack.append(way)
+        else:
+            way = filled if filled < assoc else self._repl.victim(set_index)
+            self._repl.fill(set_index, way)
+        lid = set_index * assoc + way
         tmap = self._tmaps[set_index]
         flags = 0
-        for way in range(self._assoc):
-            if not valid[base + way]:
-                break
+        if filled < assoc:
+            self.filled[set_index] = filled + 1
         else:
-            way = self._repl.victim(set_index)
             flags = _VICTIM
             sub.evictions += 1
-            victim_tag = self._tags[base + way]
+            victim_tag = self._tags[lid]
             del tmap[victim_tag]
-            if self._dirty[base + way]:
+            if self._dirty[lid]:
                 flags |= _DIRTY
                 sub.writebacks += 1
-                victim = self.data[base + way]
-                self._mem[
-                    (victim_tag << (self._off_bits + self._idx_bits))
-                    | (set_index << self._off_bits)
-                ] = victim
+                victim = self.data[lid]
+                mem[(victim_tag << (self._off_bits + self._idx_bits))
+                    | (set_index << self._off_bits)] = victim
                 if self._counted:
                     sub.wb_pcs.append(victim.bit_count())
-        lid = base + way
-        fill = self._mem.get(addr - offset, 0)
-        valid[lid] = True
         self._dirty[lid] = False
         self._tags[lid] = tag
         self.data[lid] = fill
         tmap[tag] = way
-        self._repl.fill(set_index, way)
         sub.flags.append(flags)
         fid = self._line_ids.get(fill)
         if fid is None:
@@ -620,8 +639,8 @@ class ArrayCNTCache:
         self._pbits = self.codec.partition_bits
         self._pbytes = self.codec.partition_bytes
         self._pmask = (1 << self._pbits) - 1
-        #: Bit offset of every partition, in partition order.
-        self._pshifts = range(0, self._k * self._pbits, self._pbits)
+        #: (bit offset, direction-word bit) of every partition, in order.
+        self._parts = [(p * self._pbits, 1 << p) for p in range(self._k)]
         self._masks: dict[int, int] = {0: 0}
 
         # --- scheme flags ---------------------------------------------- #
@@ -746,7 +765,8 @@ class ArrayCNTCache:
         #: Pending re-encodes: (lid, new_dirval) pairs.
         self._queue: deque[tuple[int, int]] = deque()
         self._p_bypass = 0
-        # Cursors into the substrate being folded (slow paths).
+        # Cursors into the substrate being folded, shared by the chunk
+        # folds of line-crossing accesses.
         self._sub: Substrate | None = None
         self._fill_cur = self._split_cur = 0
         #: Per fill line id: its (dirval, stored ones), once encoded.
@@ -882,6 +902,9 @@ class ArrayCNTCache:
         """Price ``substrate``, recorded from ``trace``, into the totals."""
         if probe.ENABLED:
             probe.counter("sim.folds")
+            probe.counter("sim.fold_accesses", substrate.accesses)
+            if self._table_fold and substrate.counted:
+                probe.counter("sim.table_folds")
             with probe.timer("sim.fold"):
                 self._fold_substrate(substrate, trace)
         else:
@@ -963,67 +986,130 @@ class ArrayCNTCache:
         """Price line accesses: ``entries`` are their codes in ``self._sub``,
         and ``next_after`` yields the substrate's write values in order.
 
-        One path prices every array event: a miss writes back and fills
-        (:meth:`_fill`), then takes the hit path for its data access.
+        One path prices every array event: a miss writes back its victim
+        and installs its fill, then takes the hit path for its data access;
+        the access that completes a window runs Algorithm 1 and queues the
+        re-encode it decides.
         """
         C, E = self._C, self._E
+        sub = self._sub
+        assert sub is not None
+        flags_l, fills_l, lines = sub.flags, sub.fills, sub.lines
+        fill_state, fill_encoding = self._fill_state, self._fill_encoding
         off_mask = self._line - 1
-        data_l, dirval_l, ones_l = self._data, self._dirval, self._ones
+        tag_shift, assoc = self._tag_shift, self._assoc
+        tags_l, data_l = self._tags, self._data
+        dirval_l, ones_l = self._dirval, self._ones
         masks = self._masks
         mask_for = self._mask_for
         rd_full, wr_full = self._rd_full, self._wr_full
-        mr, mwd = self._mr, self._mwd
+        mr, mwd, mwf = self._mr, self._mwd, self._mwf
         hwt, hpc = self._hwt, self._hpc
-        enc_logic = self._enc_logic
+        th, parts, pm = self._th, self._parts, self._pmask
+        enc_logic, pred_logic = self._enc_logic, self._pred_logic
         e_rd0, e_rd1 = self._e_rd0, self._e_rd1
         e_wr0, e_wr1 = self._e_wr0, self._e_wr1
         is_dbi = self._is_dbi
-        uses_pred = self._uses_pred
+        uses_pred, perline_hist = self._uses_pred, self._perline_hist
         gran_line, meta = self._gran_line, self._meta
         track = self._track
         window = self._window
-        queue = self._queue
+        queue, depth = self._queue, self._depth
         drain_budget = self._drain_budget
+        apply_update = self._apply_update
         leak = self._leak
         total_bits = self._total_bits
-        fill, special = self._fill, self._fold_special
+        special = self._fold_special
+        observer = self.window_observer
         meta_read = meta and mr is not None
+        fill_meta = meta and mwf is not None
         logic = not self._is_baseline
         # History counters: per line, or per set (cnt-shared).
         if self._shared:
-            ha_l, hw_l, hdiv = self._sha, self._shw, self._assoc
+            ha_l, hw_l, hdiv = self._sha, self._shw, assoc
         else:
             ha_l, hw_l, hdiv = self._ha, self._hwn, 1
 
-        # Hot energy components live in locals while the loop runs.
-        # Each local holds the *running total* (loaded from E, not a
-        # delta), so inline additions extend the exact same left-fold
-        # chains the scalar oracle builds; around every call that touches
-        # the shared slots (fills, special accesses, window completion,
-        # drains) the locals are stored back and reloaded, preserving the
-        # global addition order bit for bit.  The peripheral chain is
-        # counted, not added (see _sync).
-        c_inv = C[_INV]
-        e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
-        e_lg, e_lk = E[_LG], E[_LK]
+        # Misses and window completions are priced here, in locals; only
+        # special accesses (bypassed stores, line crossings) and applied
+        # re-encodes cross a call.  Each energy local holds the *running
+        # total* (loaded from E, not a delta), so inline additions extend
+        # the exact same left-fold chains the scalar oracle builds; around
+        # every call that touches the shared slots the locals (and the
+        # fill cursor the chunk fold shares) are stored back and reloaded,
+        # preserving the global addition order bit for bit.  The
+        # peripheral chain is counted, not added (see _sync).
+        fill_cur = self._fill_cur
+        c_inv, c_pdr = C[_INV], C[_PDR]
+        e_dr, e_dw, e_fi, e_wb = E[_DR], E[_DW], E[_FI], E[_WB]
+        e_mrd, e_mwr, e_lg, e_lk = E[_MRD], E[_MWR], E[_LG], E[_LK]
 
         for a, entry in zip(trace, entries):
+            lid = entry >> 3
             if entry & 6:  # a miss, a bypassed store or a line crossing
                 # (literal code bits, as in _fold_tables)
-                C[_INV] = c_inv
-                E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
-                E[_LG], E[_LK] = e_lg, e_lk
                 if entry & 4:
+                    self._fill_cur = fill_cur
+                    C[_INV], C[_PDR] = c_inv, c_pdr
+                    E[_DR], E[_DW], E[_FI], E[_WB] = e_dr, e_dw, e_fi, e_wb
+                    E[_MRD], E[_MWR], E[_LG], E[_LK] = e_mrd, e_mwr, e_lg, e_lk
                     special(a, entry, next_after)
-                else:
-                    fill(entry >> 3, a.addr)
-                c_inv = C[_INV]
-                e_dr, e_dw, e_mrd, e_mwr = E[_DR], E[_DW], E[_MRD], E[_MWR]
-                e_lg, e_lk = E[_LG], E[_LK]
-                if entry & 4:
+                    fill_cur = self._fill_cur
+                    c_inv, c_pdr = C[_INV], C[_PDR]
+                    e_dr, e_dw, e_fi, e_wb = E[_DR], E[_DW], E[_FI], E[_WB]
+                    e_mrd, e_mwr, e_lg, e_lk = E[_MRD], E[_MWR], E[_LG], E[_LK]
                     continue
+                # ---- a miss: write the victim back, install the fill -- #
+                flags = flags_l[fill_cur]
+                fid = fills_l[fill_cur]
+                fill_cur += 1
+                if flags:  # _VICTIM, perhaps with _DIRTY
+                    dirval = dirval_l[lid]
+                    ones = ones_l[lid]
+                    if track:
+                        self._stored_ones -= ones
+                        if dirval:
+                            c_inv += 1
+                    if flags & 2:
+                        e_wb = e_wb + rd_full[ones]
+                        if dirval:
+                            c_inv += 1
+                        if meta_read:
+                            # The victim's own counters, or its set's.
+                            mones = dirval.bit_count()
+                            if uses_pred:
+                                hidx = lid // hdiv
+                                mones += hpc[ha_l[hidx]] + hpc[hw_l[hidx]]
+                            e_mrd = e_mrd + mr[mones]
+                tags_l[lid] = a.addr >> tag_shift
+                data_l[lid] = lines[fid]
+                # Any pending update for the line this fill replaced is
+                # now stale.  This purge is the only way an update goes
+                # stale (lines are never invalidated), so every update
+                # left to dequeue is live.
+                if queue:
+                    kept = [update for update in queue if update[0] != lid]
+                    if len(kept) != len(queue):
+                        c_pdr += len(queue) - len(kept)
+                        queue.clear()
+                        queue.extend(kept)
+                state = fill_state[fid]
+                if state is None:
+                    state = fill_state[fid] = fill_encoding(lines[fid])
+                dirval, ones = state
+                dirval_l[lid] = dirval
+                ones_l[lid] = ones
+                if perline_hist:
+                    ha_l[lid] = hw_l[lid] = 0
+                e_fi = e_fi + wr_full[ones]
+                if dirval:
+                    c_inv += 1
+                if track:
+                    self._stored_ones += ones
+                if fill_meta:
+                    # Fresh history counters are zero; only D bits carry ones.
+                    e_mwr = e_mwr + mwf[dirval.bit_count()]
             # ---- the data access (every miss is a hit once filled) ---- #
-            lid = entry >> 3
             dirval = dirval_l[lid]
             if entry & 1:  # a write
                 after = next_after()
@@ -1087,11 +1173,54 @@ class ArrayCNTCache:
                 if meta:
                     e_mwr = e_mwr + hwt[hpc[h_a] + hpc[h_w]]
                 if h_a == window:
-                    C[_INV] = c_inv
-                    E[_MWR], E[_LG] = e_mwr, e_lg
-                    self._window_complete(lid, h_w)
-                    c_inv = C[_INV]
-                    e_mwr, e_lg = E[_MWR], E[_LG]
+                    # ---- Algorithm 1 on the stored line, then reset ---- #
+                    C[_WIN] += 1
+                    e_lg = e_lg + pred_logic
+                    if dirval:
+                        c_inv += 1
+                    mask = masks.get(dirval)
+                    if mask is None:
+                        mask = mask_for(dirval)
+                    stored = data_l[lid] ^ mask
+                    row = th[h_w]
+                    flipbits = 0
+                    for shift, bit in parts:
+                        if row[((stored >> shift) & pm).bit_count()]:
+                            flipbits |= bit
+                    if observer is not None:
+                        observer(
+                            WindowEvent(
+                                index=self._window_events,
+                                set_index=lid // assoc,
+                                way=lid % assoc,
+                                tag=tags_l[lid],
+                                wr_num=h_w,
+                                window=window,
+                                ones=tuple(
+                                    ((stored >> shift) & pm).bit_count()
+                                    for shift, _ in parts
+                                ),
+                                directions_before=tuple(
+                                    bool(dirval & bit) for _, bit in parts
+                                ),
+                                flips=tuple(
+                                    bool(flipbits & bit) for _, bit in parts
+                                ),
+                            )
+                        )
+                        self._window_events += 1
+                    ha_l[hidx] = hw_l[hidx] = 0
+                    if meta:
+                        e_mwr = e_mwr + hwt[0]
+                    if flipbits:
+                        C[_DSW] += 1
+                        C[_PFL] += flipbits.bit_count()
+                        queue.append((lid, dirval ^ flipbits))
+                        if len(queue) > depth:  # full: force out the oldest
+                            C[_FDR] += 1
+                            E[_MWR] = e_mwr
+                            apply_update(queue.popleft())
+                            e_mwr = E[_MWR]
             elif meta_read:
                 e_mrd = e_mrd + mr[dirval.bit_count()]
             if queue and drain_budget:
@@ -1102,9 +1231,10 @@ class ArrayCNTCache:
                 so = self._stored_ones
                 e_lk = e_lk + leak.cycle_energy(so, total_bits - so)
 
-        C[_INV] = c_inv
-        E[_DR], E[_DW], E[_MRD], E[_MWR] = e_dr, e_dw, e_mrd, e_mwr
-        E[_LG], E[_LK] = e_lg, e_lk
+        self._fill_cur = fill_cur
+        C[_INV], C[_PDR] = c_inv, c_pdr
+        E[_DR], E[_DW], E[_FI], E[_WB] = e_dr, e_dw, e_fi, e_wb
+        E[_MRD], E[_MWR], E[_LG], E[_LK] = e_mrd, e_mwr, e_lg, e_lk
 
     def _fold_special(
         self, a: Access, entry: int, next_after: Callable[[], int]
@@ -1140,149 +1270,6 @@ class ArrayCNTCache:
         self._fold(chunks, sub.splits[cur : cur + len(chunks)], next_after)
 
     # ------------------------------------------------------------------ #
-    # array events
-    # ------------------------------------------------------------------ #
-    def _fill(self, lid: int, addr: int) -> None:
-        """A miss: write the dirty victim back, then install the fill."""
-        C, E = self._C, self._E
-        sub = self._sub
-        assert sub is not None
-        cur = self._fill_cur
-        self._fill_cur = cur + 1
-        flags = sub.flags[cur]
-        if flags & _VICTIM:
-            dirval = self._dirval[lid]
-            ones = self._ones[lid]
-            if self._track:
-                self._stored_ones -= ones
-                if dirval:
-                    C[_INV] += 1
-            if flags & _DIRTY:
-                E[_WB] = E[_WB] + self._rd_full[ones]
-                if dirval:
-                    C[_INV] += 1
-                if self._meta and self._mr is not None:
-                    mones = dirval.bit_count()
-                    if self._uses_pred:
-                        # The victim's own counters, or its set's.
-                        hpc = self._hpc
-                        if self._shared:
-                            hidx = lid // self._assoc
-                            mones += hpc[self._sha[hidx]] + hpc[self._shw[hidx]]
-                        else:
-                            mones += hpc[self._ha[lid]] + hpc[self._hwn[lid]]
-                    E[_MRD] = E[_MRD] + self._mr[mones]
-        fid = sub.fills[cur]
-        self._tags[lid] = addr >> self._tag_shift
-        self._data[lid] = sub.lines[fid]
-        # Any pending update for the line this fill replaced is now
-        # stale.  This purge is the only way an update goes stale (lines
-        # are never invalidated), so every update left to dequeue is live.
-        queue = self._queue
-        if queue:
-            kept = [entry for entry in queue if entry[0] != lid]
-            if len(kept) != len(queue):
-                C[_PDR] += len(queue) - len(kept)
-                queue.clear()
-                queue.extend(kept)
-        state = self._fill_state[fid]
-        if state is None:
-            state = self._fill_state[fid] = self._fill_encoding(sub.lines[fid])
-        dirval, ones = state
-        self._dirval[lid] = dirval
-        if self._perline_hist:
-            self._ha[lid] = 0
-            self._hwn[lid] = 0
-        self._ones[lid] = ones
-        E[_FI] = E[_FI] + self._wr_full[ones]
-        if dirval:
-            C[_INV] += 1
-        if self._track:
-            self._stored_ones += ones
-        if self._meta and self._mwf is not None:
-            # Fresh history counters are zero; only the D bits carry ones.
-            E[_MWR] = E[_MWR] + self._mwf[dirval.bit_count()]
-
-    def _fill_encoding(self, value: int) -> tuple[int, int]:
-        """The direction word a fill of ``value`` installs, and the ones
-        the array then stores."""
-        mode = self._fill_mode
-        if mode == _FILL_ZERO:
-            dirval = 0
-        elif mode == _FILL_ONE:
-            dirval = 1
-        else:
-            dirval = self._greedy(value, mode == _FILL_GREEDY1)
-        return dirval, (value ^ self._mask_for(dirval)).bit_count()
-
-    # ------------------------------------------------------------------ #
-    # history window + prediction
-    # ------------------------------------------------------------------ #
-    def _window_complete(self, lid, wr_num) -> None:
-        C, E = self._C, self._E
-        C[_WIN] += 1
-        E[_LG] = E[_LG] + self._pred_logic
-        dirval = self._dirval[lid]
-        if dirval:
-            C[_INV] += 1
-        stored = self._data[lid] ^ self._mask_for(dirval)
-        row = self._th[wr_num]
-        pm, k = self._pmask, self._k
-        flipbits = 0
-        observer = self.window_observer
-        if observer is not None:
-            ones_list = []
-            for p, shift in enumerate(self._pshifts):
-                n1 = ((stored >> shift) & pm).bit_count()
-                ones_list.append(n1)
-                if row[n1]:
-                    flipbits |= 1 << p
-            set_index, way = divmod(lid, self._assoc)
-            observer(
-                WindowEvent(
-                    index=self._window_events,
-                    set_index=set_index,
-                    way=way,
-                    tag=self._tags[lid],
-                    wr_num=wr_num,
-                    window=self._window,
-                    ones=tuple(ones_list),
-                    directions_before=tuple(
-                        bool((dirval >> p) & 1) for p in range(k)
-                    ),
-                    flips=tuple(
-                        bool((flipbits >> p) & 1) for p in range(k)
-                    ),
-                )
-            )
-            self._window_events += 1
-        else:
-            for p, shift in enumerate(self._pshifts):
-                if row[((stored >> shift) & pm).bit_count()]:
-                    flipbits |= 1 << p
-        if self._shared:
-            set_index = lid // self._assoc
-            self._sha[set_index] = 0
-            self._shw[set_index] = 0
-        else:
-            self._ha[lid] = 0
-            self._hwn[lid] = 0
-        if self._meta:
-            E[_MWR] = E[_MWR] + self._hwt[0]
-        if not flipbits:
-            return
-        C[_DSW] += 1
-        C[_PFL] += flipbits.bit_count()
-        queue = self._queue
-        forced = None
-        if len(queue) >= self._depth:
-            forced = queue.popleft()
-        queue.append((lid, dirval ^ flipbits))
-        if forced is not None:
-            C[_FDR] += 1
-            self._apply_update(forced)
-
-    # ------------------------------------------------------------------ #
     # deferred updates
     # ------------------------------------------------------------------ #
     def _drain(self, budget: int) -> None:
@@ -1291,7 +1278,8 @@ class ArrayCNTCache:
             self._apply_update(queue.popleft())
 
     def _apply_update(self, entry: tuple[int, int]) -> None:
-        """Re-encode a line per a queued update (live: see :meth:`_fill`)."""
+        """Re-encode a line per a queued update (live: see the purge in
+        :meth:`_fold`)."""
         lid, new_dirval = entry
         dirval = self._dirval[lid]
         flips = dirval ^ new_dirval
@@ -1302,8 +1290,8 @@ class ArrayCNTCache:
         pm = self._pmask
         wr_part = self._wr_part
         energy = 0.0
-        for p, shift in enumerate(self._pshifts):
-            if (flips >> p) & 1:
+        for shift, bit in self._parts:
+            if flips & bit:
                 energy += wr_part[((enc >> shift) & pm).bit_count()]
         self._dirval[lid] = new_dirval
         ones = enc.bit_count()
@@ -1318,13 +1306,25 @@ class ArrayCNTCache:
     # ------------------------------------------------------------------ #
     # codec helpers (integer domain)
     # ------------------------------------------------------------------ #
+    def _fill_encoding(self, value: int) -> tuple[int, int]:
+        """The direction word a fill of ``value`` installs, and the ones
+        the array then stores."""
+        mode = self._fill_mode
+        if mode == _FILL_ZERO:
+            dirval = 0
+        elif mode == _FILL_ONE:
+            dirval = 1
+        else:
+            dirval = self._greedy(value, mode == _FILL_GREEDY1)
+        return dirval, (value ^ self._mask_for(dirval)).bit_count()
+
     def _mask_for(self, dirval: int) -> int:
         mask = self._masks.get(dirval)
         if mask is None:
             pm = self._pmask
             mask = 0
-            for p, shift in enumerate(self._pshifts):
-                if (dirval >> p) & 1:
+            for shift, bit in self._parts:
+                if dirval & bit:
                     mask |= pm << shift
             self._masks[dirval] = mask
         return mask
@@ -1335,13 +1335,13 @@ class ArrayCNTCache:
         pb, pm = self._pbits, self._pmask
         dirval = 0
         if prefer_ones:
-            for p, shift in enumerate(self._pshifts):
+            for shift, bit in self._parts:
                 if 2 * ((value >> shift) & pm).bit_count() < pb:
-                    dirval |= 1 << p
+                    dirval |= bit
         else:
-            for p, shift in enumerate(self._pshifts):
+            for shift, bit in self._parts:
                 if 2 * ((value >> shift) & pm).bit_count() > pb:
-                    dirval |= 1 << p
+                    dirval |= bit
         return dirval
 
     def _dbi_new_dirval(self, dirval, after, offset, size) -> int:

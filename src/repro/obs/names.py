@@ -68,8 +68,10 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "worker.jobs_done",
         # the array engine's two stages: substrate recording, pricing folds
         "sim.fold",
+        "sim.fold_accesses",
         "sim.folds",
         "sim.record",
+        "sim.table_folds",
         # per-process workload memo (and each run's substrate slot)
         "workload.builds",
         "workload.memo_hits",

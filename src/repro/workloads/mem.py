@@ -15,8 +15,9 @@ Every recorded access is built by :func:`~repro.trace.record.trusted_access`,
 which skips ``Access``'s field checks: an access is recorded only after the
 bounds check passed, and that check already guarantees the record's
 preconditions (``addr >= base >= 0`` and at least one byte of data).
-``MemView`` indexing inlines that path (index check, bounds check, byte
-slice, append) rather than calling through ``load``/``store``.
+``MemView`` indexing and the typed scalar accessors (``load_u8`` …
+``store_u64``) inline that path (bounds check, byte slice, append) rather
+than calling through ``load``/``store``: one Python call per access.
 """
 
 from __future__ import annotations
@@ -32,6 +33,40 @@ _WRITE = Op.WRITE
 
 class TracedMemoryError(ValueError):
     """Raised on invalid traced-memory operations."""
+
+
+def _scalar_load(width: int, signed: bool, doc: str):
+    """A fixed-width ``TracedMemory.load`` with the byte path inlined."""
+
+    def load(self: TracedMemory, addr: int) -> int:
+        offset = addr - self.base
+        if offset < 0 or addr + width > self._next:
+            self._check(addr, width)
+        value = bytes(self._data[offset : offset + width])
+        if self.record:
+            self.trace.append(trusted_access(_READ, addr, value))
+        return int.from_bytes(value, "little", signed=signed)
+
+    load.__doc__ = doc
+    return load
+
+
+def _scalar_store(width: int, signed: bool, doc: str):
+    """A fixed-width ``TracedMemory.store`` with the byte path inlined."""
+
+    def store(self: TracedMemory, addr: int, value: int) -> None:
+        if not signed and value < 0:
+            raise TracedMemoryError(f"negative value {value} for unsigned store")
+        payload = value.to_bytes(width, "little", signed=signed)
+        offset = addr - self.base
+        if offset < 0 or addr + width > self._next:
+            self._check(addr, width)
+        self._data[offset : offset + width] = payload
+        if self.record:
+            self.trace.append(trusted_access(_WRITE, addr, payload))
+
+    store.__doc__ = doc
+    return store
 
 
 class TracedMemory:
@@ -118,38 +153,15 @@ class TracedMemory:
             )
         self.store_bytes(addr, value.to_bytes(width, "little", signed=signed))
 
-    # convenience wrappers keep kernel code terse
-    def load_u8(self, addr: int) -> int:
-        """Unsigned 8-bit load."""
-        return self.load(addr, 1)
-
-    def store_u8(self, addr: int, value: int) -> None:
-        """Unsigned 8-bit store."""
-        self.store(addr, value, 1)
-
-    def load_u32(self, addr: int) -> int:
-        """Unsigned 32-bit load."""
-        return self.load(addr, 4)
-
-    def store_u32(self, addr: int, value: int) -> None:
-        """Unsigned 32-bit store."""
-        self.store(addr, value, 4)
-
-    def load_i32(self, addr: int) -> int:
-        """Signed 32-bit load."""
-        return self.load(addr, 4, signed=True)
-
-    def store_i32(self, addr: int, value: int) -> None:
-        """Signed 32-bit store."""
-        self.store(addr, value, 4, signed=True)
-
-    def load_u64(self, addr: int) -> int:
-        """Unsigned 64-bit load."""
-        return self.load(addr, 8)
-
-    def store_u64(self, addr: int, value: int) -> None:
-        """Unsigned 64-bit store."""
-        self.store(addr, value, 8)
+    # Typed scalar accessors keep kernel code terse (one call each).
+    load_u8 = _scalar_load(1, False, "Unsigned 8-bit load.")
+    store_u8 = _scalar_store(1, False, "Unsigned 8-bit store.")
+    load_u32 = _scalar_load(4, False, "Unsigned 32-bit load.")
+    store_u32 = _scalar_store(4, False, "Unsigned 32-bit store.")
+    load_i32 = _scalar_load(4, True, "Signed 32-bit load.")
+    store_i32 = _scalar_store(4, True, "Signed 32-bit store.")
+    load_u64 = _scalar_load(8, False, "Unsigned 64-bit load.")
+    store_u64 = _scalar_store(8, False, "Unsigned 64-bit store.")
 
     # ------------------------------------------------------------------ #
     # un-traced initialisation (program input staging)

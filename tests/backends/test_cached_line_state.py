@@ -39,9 +39,12 @@ def assert_cached_state(array, recorder, scalar) -> None:
     """Every resident line's cached count, and the peripheral chain."""
     assert array.stats.peripheral_fj == scalar.stats.peripheral_fj
     assoc = array.config.assoc
-    for lid, valid in enumerate(recorder._valid):
-        if not valid:
-            continue
+    resident = [
+        set_index * assoc + way
+        for set_index, filled in enumerate(recorder.filled)
+        for way in range(filled)
+    ]
+    for lid in resident:
         stored = recorder.data[lid] ^ array._mask_for(array._dirval[lid])
         assert array._ones[lid] == stored.bit_count(), lid
         oracle = scalar.stored_line(*divmod(lid, assoc))

@@ -526,13 +526,14 @@ class TestDrain:
         coordinator would then count as cache hits, not executions.
         """
         workers = []
+        stop = threading.Event()
         drain = BrokerExecBackend.execute
 
         def start_worker_then_drain(backend, engine, pending):
             worker = threading.Thread(
                 target=run_worker,
                 args=(config,),
-                kwargs={"idle_timeout_s": 10.0, "resilience": FAST},
+                kwargs={"idle_timeout_s": 10.0, "resilience": FAST, "stop": stop},
                 daemon=True,
             )
             workers.append(worker)
@@ -544,6 +545,9 @@ class TestDrain:
             try:
                 results = engine.run_jobs(jobs)
             finally:
+                # The drain is over: end the worker now rather than after
+                # its idle timeout.
+                stop.set()
                 for worker in workers:
                     worker.join(timeout=30.0)
         assert not any(worker.is_alive() for worker in workers)
