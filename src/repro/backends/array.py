@@ -6,7 +6,7 @@ same floating-point addition chains — at an order of magnitude higher
 throughput.  A replay runs in two stages:
 
 1. **Record** (:class:`Recorder` -> :class:`Substrate`): decode, line
-   split, tag lookup, replacement, fill and victim choice, and the
+   split, line lookup, replacement, fill and victim choice, and the
    backing store.  Geometry, replacement and write policy decide every
    hit, fill and eviction; no encoding knob (scheme, W, K, ΔT, FIFO
    depth, drain rate, granularity, fill policy, metadata, logic,
@@ -17,14 +17,18 @@ throughput.  A replay runs in two stages:
    victim flags, the line value after every array write (in fold
    order), the filled lines interned (one id per miss into a table of
    the distinct lines installed), and popcount streams (the line after
-   every access, every fill and every writeback).  A set's resident
-   ways are counted, not flagged: lines are never invalidated, so a set
-   fills its ways in order, and LRU fills and victims work directly on
-   the recency stack, as hits do.
+   every access, every fill and every writeback).  One loop records
+   every access: a resident line is one dict lookup by line number
+   (``addr >> offset bits``) away, a miss chooses its way, flags and
+   writes back its victim and interns its fill inline, and a
+   line-crossing access sends its chunks back through the same loop.
+   A set's resident ways are counted, not flagged: lines are never
+   invalidated, so a set fills its ways in order, and LRU fills and
+   victims work directly on recency stacks of line ids, as hits do.
 2. **Fold** (:class:`ArrayCNTCache`): the pricing — codec,
    Algorithm 1 windows, the deferred FIFO, energies and leakage.  It
    walks the substrate zipped with the trace it was recorded from and
-   never touches a tag map or a replacement policy.  It takes every
+   never touches a line map or a replacement policy.  It takes every
    line value from the substrate, encodes each distinct fill line once
    per fold, and reads the trace only for the DBI re-vote, word
    granularity, line-crossing chunks and fill tags.  One loop prices
@@ -58,9 +62,22 @@ Representation:
   stores, ``popcount(data ^ mask(dirval))``, and updates it wherever
   the data or the direction word changes (fill, data write, DBI re-vote,
   re-encode).  A line-granularity read costs one list index, and the
-  leakage tracker's stored-ones total moves by the difference.  History
-  metadata is priced from a table of ``popcount(h & counter_mask)`` for
-  every counter value ``h <= W``, reading each counter once per access.
+  leakage tracker's stored-ones total moves by the difference.  With
+  the direction word each line caches the word's ones, its XOR mask and
+  its metadata-read row, set only where the word changes (at a fill,
+  kept with the interned fill's encoding, at a DBI re-vote and at an
+  applied re-encode), so no access counts the word's bits or looks its
+  mask up.
+* Algorithm 1's two counters are one packed int per line (per set for
+  ``cnt-shared``), ``hs = A_num * (W + 1) + Wr_num``: an access adds
+  ``W + 1``, a write one more, and the window completes when
+  ``hs >= W * (W + 1)``, with ``Wr_num = hs - W * (W + 1)``.  The
+  history metadata is priced from tables by ``hs``, memoised with the
+  energy tables (:func:`_pricing_tables`): the write energy of the counters' stored ones, and
+  per direction-word popcount ``d`` a row of metadata-read energies
+  ``mr[d + ones(hs)]``, built the first time a line takes that ``d``.
+  They hold ``(W + 1) ** 2`` entries each, which is why
+  :class:`~repro.core.config.CNTCacheConfig` bounds ``W`` at 256.
 
 Exactness contract: every energy component is accumulated in a local
 float with the *same addition sequence* the scalar oracle feeds through
@@ -73,8 +90,9 @@ The peripheral chain is counted, not accumulated: every addition to it
 is the same constant, once per line access, fill, writeback and applied
 re-encode, so its value depends only on how many there were.  Both
 folds leave it alone, and :meth:`ArrayCNTCache._sync` extends it by the
-activations counted since the last sync, one addition each, so it stays
-the oracle's left-fold from 0.0.
+activations counted since the last sync, one addition each (a
+``functools.reduce`` of ``operator.add``: the same left fold, run in C),
+so it stays the oracle's left-fold from 0.0.
 
 The ``baseline`` scheme at line granularity without leakage folds as
 table lookups over the popcount streams alone, without the trace.  That
@@ -98,17 +116,14 @@ Construct instances through ``repro.api.make_cache``.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import reduce
 from itertools import repeat
 
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_replacement_policy,
-)
+from repro.cache.replacement import make_replacement_policy
 from repro.core.cntcache import WindowEvent
 from repro.core.config import CNTCacheConfig
 from repro.core.policy import AdaptivePolicy, EncodingPolicy, make_policy
@@ -318,7 +333,6 @@ class Recorder:
         self._line = line
         self._off_bits = line.bit_length() - 1
         self._n_sets = config.n_sets
-        self._idx_bits = self._n_sets.bit_length() - 1
         self._assoc = config.assoc
         self._wt = config.write_through
         self._wa = config.write_allocate
@@ -328,20 +342,28 @@ class Recorder:
         #: lines.
         self.filled = [0] * self._n_sets
         self._dirty = [False] * n_lines
-        self._tags = [0] * n_lines
+        #: Resident line number (``addr >> offset bits``) -> its line id,
+        #: and per line id its line number.
+        self._lids: dict[int, int] = {}
+        self._line_nos = [0] * n_lines
         #: Logical line contents.
         self.data = [0] * n_lines
-        self._tmaps: list[dict[int, int]] = [{} for _ in range(self._n_sets)]
-        self._repl = make_replacement_policy(
-            config.replacement, self._n_sets, self._assoc, seed=config.seed
-        )
-        # LRU specialization: hits and fills mutate the exact recency
-        # stacks inline (set_index/way are internal, already valid); FIFO
-        # and random ignore hits entirely.
-        self._lru_stacks = (
-            self._repl._stacks if isinstance(self._repl, LRUPolicy) else None
-        )
-        self._touch_noop = isinstance(self._repl, (FIFOPolicy, RandomPolicy))
+        # LRU works on exact recency stacks of line ids (bottom first,
+        # initialised to way order), inline; the other policies keep
+        # their own state, and FIFO and random ignore hits.
+        if config.replacement == "lru":
+            assoc = self._assoc
+            self._stacks: list[list[int]] | None = [
+                list(range(base, base + assoc))
+                for base in range(0, n_lines, assoc)
+            ]
+            self._repl = None
+        else:
+            self._stacks = None
+            self._repl = make_replacement_policy(
+                config.replacement, self._n_sets, self._assoc, seed=config.seed
+            )
+        self._touch_noop = config.replacement in ("fifo", "random")
         #: Sparse backing store: line-aligned address -> line integer.
         self._mem: dict[int, int] = {}
         #: Fill line -> its id in the substrate being recorded.
@@ -368,56 +390,145 @@ class Recorder:
         return self._record(trace)
 
     def _record(self, trace: Iterable[Access]) -> Substrate:
-        line = self._line
         sub = Substrate(
-            self.key, line, self._n_sets, self._assoc, self._counted
+            self.key, self._line, self._n_sets, self._assoc, self._counted
         )
+        self._line_ids = {}
+        self._replay(sub, trace, sub.entries, sub.pcs)
+        self._line_ids.clear()
+        return sub
+
+    def _replay(
+        self,
+        sub: Substrate,
+        trace: Iterable[Access],
+        entries: array,
+        pcs: array,
+    ) -> None:
+        """Record ``trace`` into ``entries``/``pcs``: hits, misses (way
+        choice, victim flags and writeback, fill interning) and
+        line-crossing accesses, whose chunks go back through this loop
+        into ``sub.splits``/``sub.split_pcs``."""
+        line = self._line
         counted = self._counted
         off_mask = line - 1
         ob = self._off_bits
-        tag_shift = ob + self._idx_bits
         set_mask = self._n_sets - 1
-        tmaps = self._tmaps
         assoc = self._assoc
-        data_l, dirty_l = self.data, self._dirty
-        touch = self._repl.touch
-        lru_stacks = self._lru_stacks
+        lids, line_nos = self._lids, self._line_nos
+        data_l, dirty_l, filled_l = self.data, self._dirty, self.filled
+        stacks, repl = self._stacks, self._repl
         touch_noop = self._touch_noop
-        wt = self._wt
+        wt, wa = self._wt, self._wa
+        mem = self._mem
         mem_write = self._mem_write
-        miss = self._miss
-        split = self._split
+        line_ids, lines = self._line_ids, sub.lines
         write_op = Op.WRITE
-        entries, pcs = sub.entries, sub.pcs
         put, put_pc = entries.append, pcs.append
         put_after = sub.afters.append
-        self._line_ids = {}
-        writes = 0
+        put_flags, put_fill = sub.flags.append, sub.fills.append
+        put_fill_pc, put_wb_pc = sub.fill_pcs.append, sub.wb_pcs.append
+        start = len(entries)
+        writes = misses = evictions = writebacks = bypasses = crossings = 0
         for a in trace:
             addr = a.addr
             payload = a.data
             size = len(payload)
             offset = addr & off_mask
+            is_write = a.op is write_op
             if offset + size > line:
-                split(sub, a)
+                # A line crossing: its chunks count one by one, the entry
+                # itself none.
+                chunks = []
+                pos = 0
+                while pos < size:
+                    chunk = min(size - pos, line - (addr & off_mask))
+                    chunks.append(Access(a.op, addr, payload[pos : pos + chunk]))
+                    addr += chunk
+                    pos += chunk
+                self._replay(sub, chunks, sub.splits, sub.split_pcs)
+                put(len(chunks) << 3 | _CROSS | is_write)
+                if counted:
+                    put_pc(0)
+                crossings += 1
                 continue
-            set_index = (addr >> ob) & set_mask
-            way = tmaps[set_index].get(addr >> tag_shift)
-            if way is None:
-                miss(
-                    sub, entries, pcs, a.op is write_op, addr,
-                    addr >> tag_shift, set_index, offset, size, payload,
-                )
-                continue
-            if lru_stacks is not None:
-                stack = lru_stacks[set_index]
-                if stack[-1] != way:
-                    stack.remove(way)
-                    stack.append(way)
-            elif not touch_noop:
-                touch(set_index, way)
-            lid = set_index * assoc + way
-            if a.op is write_op:
+            line_no = addr >> ob
+            lid = lids.get(line_no)
+            if lid is None:
+                # ---- a miss: choose the way, evict, install the fill -- #
+                misses += 1
+                base = addr - offset
+                if is_write:
+                    if not wa:
+                        # No-write-allocate: the store bypasses the array.
+                        writes += 1
+                        bypasses += 1
+                        mem_write(addr, size, int.from_bytes(payload, "little"))
+                        put(_BYPASS)
+                        if counted:
+                            put_pc(0)
+                        continue
+                    fill = mem.get(base, 0)
+                else:
+                    # Valued traces are self-contained: seed the backing
+                    # store so all schemes see identical bit streams.  (The
+                    # victim written back below lives at another address.)
+                    shift = offset * 8
+                    fill = mem[base] = (
+                        mem.get(base, 0) & ~(((1 << (size * 8)) - 1) << shift)
+                    ) | (int.from_bytes(payload, "little") << shift)
+                set_index = line_no & set_mask
+                filled = filled_l[set_index]
+                if stacks is not None:
+                    # Free ways sit at the bottom of the recency stack in
+                    # way order, so its bottom is the next free way or the
+                    # victim.
+                    stack = stacks[set_index]
+                    lid = stack.pop(0)
+                    stack.append(lid)
+                else:
+                    way = filled if filled < assoc else repl.victim(set_index)
+                    repl.fill(set_index, way)
+                    lid = set_index * assoc + way
+                if filled < assoc:
+                    filled_l[set_index] = filled + 1
+                    put_flags(0)
+                else:
+                    evictions += 1
+                    victim_no = line_nos[lid]
+                    del lids[victim_no]
+                    if dirty_l[lid]:
+                        dirty_l[lid] = False
+                        writebacks += 1
+                        victim = data_l[lid]
+                        mem[victim_no << ob] = victim
+                        if counted:
+                            put_wb_pc(victim.bit_count())
+                        put_flags(_VICTIM | _DIRTY)
+                    else:
+                        put_flags(_VICTIM)
+                lids[line_no] = lid
+                line_nos[lid] = line_no
+                data_l[lid] = fill
+                fid = line_ids.get(fill)
+                if fid is None:
+                    fid = line_ids[fill] = len(lines)
+                    lines.append(fill)
+                put_fill(fid)
+                if counted:
+                    put_fill_pc(fill.bit_count())
+                code = lid << 3 | _MISS_BIT
+            else:
+                if stacks is not None:
+                    stack = stacks[line_no & set_mask]
+                    if stack[-1] != lid:
+                        stack.remove(lid)
+                        stack.append(lid)
+                elif not touch_noop:
+                    repl.touch(line_no & set_mask, lid % assoc)
+                code = lid << 3
+            # ---- the data access ------------------------------------- #
+            if is_write:
                 writes += 1
                 value = int.from_bytes(payload, "little")
                 shift = offset * 8
@@ -427,158 +538,23 @@ class Recorder:
                 data_l[lid] = after
                 put_after(after)
                 if wt:
+                    # The store is mirrored to memory; the line stays clean.
                     mem_write(addr, size, value)
                 else:
                     dirty_l[lid] = True
-                put(lid << 3 | 1)
+                put(code | 1)  # _WRITE (a literal: no global lookup)
                 if counted:
                     put_pc(after.bit_count())
             else:
-                put(lid << 3)
+                put(code)
                 if counted:
                     put_pc(data_l[lid].bit_count())
-        sub.accesses += len(entries)
+        sub.accesses += len(entries) - start - crossings
         sub.writes += writes
-        self._line_ids.clear()
-        return sub
-
-    def _split(self, sub: Substrate, a: Access) -> None:
-        """Line-crossing access: record it chunk by chunk."""
-        line = self._line
-        ob, ib = self._off_bits, self._idx_bits
-        set_mask = self._n_sets - 1
-        is_write = a.op is Op.WRITE
-        payload = a.data
-        addr, remaining, consumed = a.addr, len(payload), 0
-        chunks = 0
-        while remaining > 0:
-            offset = addr & (line - 1)
-            chunk = min(remaining, line - offset)
-            self._one(
-                sub, is_write, addr, addr >> (ob + ib), (addr >> ob) & set_mask,
-                offset, chunk, payload[consumed : consumed + chunk],
-            )
-            chunks += 1
-            addr += chunk
-            consumed += chunk
-            remaining -= chunk
-        sub.entries.append(chunks << 3 | _CROSS | is_write)
-        if self._counted:
-            sub.pcs.append(0)
-        # The chunks count one by one; the entry itself counts none.
-        sub.accesses -= 1
-
-    def _one(
-        self, sub, is_write, addr, tag, set_index, offset, size, payload
-    ) -> None:
-        """One chunk of a line-crossing access, hit or miss."""
-        sub.accesses += 1
-        way = self._tmaps[set_index].get(tag)
-        if way is None:
-            self._miss(
-                sub, sub.splits, sub.split_pcs, is_write, addr, tag,
-                set_index, offset, size, payload,
-            )
-            return
-        self._repl.touch(set_index, way)
-        lid = set_index * self._assoc + way
-        code = lid << 3
-        if is_write:
-            sub.writes += 1
-            self._write(sub, lid, addr, offset, size, payload)
-            code |= _WRITE
-        sub.splits.append(code)
-        if self._counted:
-            sub.split_pcs.append(self.data[lid].bit_count())
-
-    def _miss(
-        self, sub, entries, pcs, is_write, addr, tag, set_index, offset,
-        size, payload,
-    ) -> None:
-        sub.misses += 1
-        mem = self._mem
-        base_addr = addr - offset
-        if is_write:
-            sub.writes += 1
-            if not self._wa:
-                # No-write-allocate: the store bypasses the data array.
-                sub.bypasses += 1
-                self._mem_write(addr, size, int.from_bytes(payload, "little"))
-                entries.append(_BYPASS)
-                if self._counted:
-                    pcs.append(0)
-                return
-            fill = mem.get(base_addr, 0)
-        else:
-            # Valued traces are self-contained: seed the backing store
-            # so all schemes see identical bit streams.  (The victim
-            # written back below lives at another address.)
-            shift = offset * 8
-            fill = mem[base_addr] = (
-                mem.get(base_addr, 0) & ~(((1 << (size * 8)) - 1) << shift)
-            ) | (int.from_bytes(payload, "little") << shift)
-        assoc = self._assoc
-        filled = self.filled[set_index]
-        stacks = self._lru_stacks
-        if stacks is not None:
-            # Free ways sit at the bottom of the recency stack in way
-            # order, so its bottom is the next free way or the victim.
-            stack = stacks[set_index]
-            way = stack.pop(0)
-            stack.append(way)
-        else:
-            way = filled if filled < assoc else self._repl.victim(set_index)
-            self._repl.fill(set_index, way)
-        lid = set_index * assoc + way
-        tmap = self._tmaps[set_index]
-        flags = 0
-        if filled < assoc:
-            self.filled[set_index] = filled + 1
-        else:
-            flags = _VICTIM
-            sub.evictions += 1
-            victim_tag = self._tags[lid]
-            del tmap[victim_tag]
-            if self._dirty[lid]:
-                flags |= _DIRTY
-                sub.writebacks += 1
-                victim = self.data[lid]
-                mem[(victim_tag << (self._off_bits + self._idx_bits))
-                    | (set_index << self._off_bits)] = victim
-                if self._counted:
-                    sub.wb_pcs.append(victim.bit_count())
-        self._dirty[lid] = False
-        self._tags[lid] = tag
-        self.data[lid] = fill
-        tmap[tag] = way
-        sub.flags.append(flags)
-        fid = self._line_ids.get(fill)
-        if fid is None:
-            fid = self._line_ids[fill] = len(sub.lines)
-            sub.lines.append(fill)
-        sub.fills.append(fid)
-        if self._counted:
-            sub.fill_pcs.append(fill.bit_count())
-        code = lid << 3 | _MISS_BIT
-        if is_write:
-            self._write(sub, lid, addr, offset, size, payload)
-            code |= _WRITE
-        entries.append(code)
-        if self._counted:
-            pcs.append(self.data[lid].bit_count())
-
-    def _write(self, sub, lid, addr, offset, size, payload) -> None:
-        value = int.from_bytes(payload, "little")
-        shift = offset * 8
-        smask = ((1 << (size * 8)) - 1) << shift
-        after = (self.data[lid] & ~smask) | (value << shift)
-        self.data[lid] = after
-        sub.afters.append(after)
-        if self._wt:
-            # The store is mirrored to memory; the line stays clean.
-            self._mem_write(addr, size, value)
-        else:
-            self._dirty[lid] = True
+        sub.misses += misses
+        sub.evictions += evictions
+        sub.writebacks += writebacks
+        sub.bypasses += bypasses
 
     def _mem_write(self, addr: int, size: int, value: int) -> None:
         base = addr & -self._line
@@ -610,7 +586,7 @@ class ArrayCNTCache:
     scalar :class:`~repro.core.cntcache.CNTCache` is the oracle it is
     differential-tested against.  The substrate recorder is built on
     first use, so an instance that only folds a shared substrate never
-    builds replacement state, tag maps or a backing store.
+    builds replacement state, a line map or a backing store.
     """
 
     backend_name = "array"
@@ -679,26 +655,18 @@ class ArrayCNTCache:
         else:  # write-greedy
             self._fill_mode = _FILL_GREEDY0
 
-        # --- history counters ------------------------------------------ #
-        if self._uses_pred:
-            self._cb = history_bits(config.window) // 2
-        else:
-            self._cb = 0
-        self._cmask = (1 << self._cb) - 1
-        #: Ones a counter value stores in its ``_cb``-bit field.  Counters
-        #: never exceed the window: they reset when they reach it.
-        self._hpc = [(h & self._cmask).bit_count() for h in range(self._window + 1)]
+        # --- history state ------------------------------------------- #
+        self._cb = history_bits(config.window) // 2 if self._uses_pred else 0
         n_lines = self._n_sets * self._assoc
-        if self._perline_hist:
-            self._ha = [0] * n_lines
-            self._hwn = [0] * n_lines
-        else:
-            self._ha = self._hwn = []
+        #: Algorithm 1's two counters as one packed state,
+        #: ``A_num * (W + 1) + Wr_num``: per line, or per set (cnt-shared).
+        #: Counters never exceed the window: they reset when they reach it.
         if self._shared:
-            self._sha = [0] * self._n_sets
-            self._shw = [0] * self._n_sets
+            self._hs = [0] * self._n_sets
+        elif self._perline_hist:
+            self._hs = [0] * n_lines
         else:
-            self._sha = self._shw = []
+            self._hs = []
 
         # --- Algorithm 1: precomputed Th_bit1num rows ------------------- #
         if self._uses_pred:
@@ -720,14 +688,12 @@ class ArrayCNTCache:
             )
             th = _TH_CACHE.get(key)
             if th is None:
-                th = [
-                    [
-                        table.should_switch(policy.effective_wr_num(wr), n1)
-                        for n1 in range(self._pbits + 1)
-                    ]
+                th = _TH_CACHE[key] = [
+                    table.entry(policy.effective_wr_num(wr)).switch_row(
+                        self._pbits
+                    )
                     for wr in range(config.window + 1)
                 ]
-                _TH_CACHE[key] = th
             self._th = th
         else:
             self._th = []
@@ -738,28 +704,30 @@ class ArrayCNTCache:
         self._e_rd1 = model.e_rd1
         self._e_wr0 = model.e_wr0
         self._e_wr1 = model.e_wr1
-        self._rd_full, self._wr_full = _energy_tables(model, self._lbits)
-        _, self._wr_part = _energy_tables(model, self._pbits)
-        dbits = config.direction_bits_per_line
-        hist_read = 2 * self._cb if self._uses_pred else 0
-        read_width = dbits + hist_read
-        self._mr = (
-            _energy_tables(model, read_width)[0] if read_width else None
+        # One memoised bundle: popcount-indexed energies, and the
+        # history-metadata tables by packed state (see _pricing_tables).
+        (self._rd_full, self._wr_full, self._wr_part, self._mr, self._mwd,
+         self._mwf, self._hones, self._hwv, self._mrows) = _pricing_tables(
+            model,
+            self._lbits,
+            self._pbits,
+            config.direction_bits_per_line,
+            2 * self._cb,
+            self._perline_hist,
+            self._window if self._uses_pred else 0,
         )
-        self._mwd = _energy_tables(model, dbits)[1] if dbits else None
-        full_width = dbits + (2 * self._cb if self._perline_hist else 0)
-        self._mwf = (
-            _energy_tables(model, full_width)[1] if full_width else None
-        )
-        self._hwt = (
-            _energy_tables(model, 2 * self._cb)[1] if self._cb else None
-        )
+        self._hist_meta = self._uses_pred and self._meta
 
         # --- pricing state (the substrate's lines as the fold sees them) #
         #: Per line: its tag, reported in every WindowEvent.
         self._tags = [0] * n_lines
         self._data = [0] * n_lines
         self._dirval = [0] * n_lines
+        #: Per line, cached with its direction word: the word's ones, its
+        #: XOR mask, and its metadata-read row (``_mrow``).
+        self._dpc = [0] * n_lines
+        self._dmask = [0] * n_lines
+        self._drow: list[list[float] | None] = [None] * n_lines
         #: Per line: ones stored in the array, popcount(data ^ mask(dirval)).
         self._ones = [0] * n_lines
         #: Pending re-encodes: (lid, new_dirval) pairs.
@@ -769,8 +737,9 @@ class ArrayCNTCache:
         # folds of line-crossing accesses.
         self._sub: Substrate | None = None
         self._fill_cur = self._split_cur = 0
-        #: Per fill line id: its (dirval, stored ones), once encoded.
-        self._fill_state: list[tuple[int, int] | None] = []
+        #: Per fill line id, once encoded: its direction word, stored ones
+        #: and direction caches (see :meth:`_fill_encoding`).
+        self._fill_state: list[tuple | None] = []
 
         # --- accumulators (flushed into stats by _sync) ----------------- #
         self._C = [0] * 14
@@ -1000,11 +969,11 @@ class ArrayCNTCache:
         tag_shift, assoc = self._tag_shift, self._assoc
         tags_l, data_l = self._tags, self._data
         dirval_l, ones_l = self._dirval, self._ones
-        masks = self._masks
-        mask_for = self._mask_for
+        dpc_l, mask_l, row_l = self._dpc, self._dmask, self._drow
+        set_direction = self._set_direction
         rd_full, wr_full = self._rd_full, self._wr_full
         mr, mwd, mwf = self._mr, self._mwd, self._mwf
-        hwt, hpc = self._hwt, self._hpc
+        hwv = self._hwv
         th, parts, pm = self._th, self._parts, self._pmask
         enc_logic, pred_logic = self._enc_logic, self._pred_logic
         e_rd0, e_rd1 = self._e_rd0, self._e_rd1
@@ -1024,11 +993,13 @@ class ArrayCNTCache:
         meta_read = meta and mr is not None
         fill_meta = meta and mwf is not None
         logic = not self._is_baseline
-        # History counters: per line, or per set (cnt-shared).
-        if self._shared:
-            ha_l, hw_l, hdiv = self._sha, self._shw, assoc
-        else:
-            ha_l, hw_l, hdiv = self._ha, self._hwn, 1
+        # The packed history state (per line, or per set for cnt-shared):
+        # an access adds ``step``, a write one more, and the access that
+        # brings ``A_num`` to the window lifts the state to ``done`` or
+        # above, ``Wr_num`` past it.
+        hs_l, hdiv = self._hs, (assoc if self._shared else 1)
+        step = window + 1
+        done = window * step
 
         # Misses and window completions are priced here, in locals; only
         # special accesses (bypassed stores, line crossings) and applied
@@ -1038,7 +1009,12 @@ class ArrayCNTCache:
         # every call that touches the shared slots the locals (and the
         # fill cursor the chunk fold shares) are stored back and reloaded,
         # preserving the global addition order bit for bit.  The
-        # peripheral chain is counted, not added (see _sync).
+        # peripheral chain is counted, not added (see _sync).  A line's
+        # direction caches (its word's ones, XOR mask and metadata-read
+        # row) change only with the word: at a fill, a DBI re-vote and an
+        # applied re-encode.  So no access counts the word's bits or looks
+        # its mask up, and history metadata is one index into the line's
+        # row (read) and one into ``hwv`` (write), by packed state.
         fill_cur = self._fill_cur
         c_inv, c_pdr = C[_INV], C[_PDR]
         e_dr, e_dw, e_fi, e_wb = E[_DR], E[_DW], E[_FI], E[_WB]
@@ -1076,11 +1052,10 @@ class ArrayCNTCache:
                             c_inv += 1
                         if meta_read:
                             # The victim's own counters, or its set's.
-                            mones = dirval.bit_count()
                             if uses_pred:
-                                hidx = lid // hdiv
-                                mones += hpc[ha_l[hidx]] + hpc[hw_l[hidx]]
-                            e_mrd = e_mrd + mr[mones]
+                                e_mrd = e_mrd + row_l[lid][hs_l[lid // hdiv]]
+                            else:
+                                e_mrd = e_mrd + mr[dpc_l[lid]]
                 tags_l[lid] = a.addr >> tag_shift
                 data_l[lid] = lines[fid]
                 # Any pending update for the line this fill replaced is
@@ -1096,11 +1071,14 @@ class ArrayCNTCache:
                 state = fill_state[fid]
                 if state is None:
                     state = fill_state[fid] = fill_encoding(lines[fid])
-                dirval, ones = state
+                dirval, ones, dpc, mask, row = state
                 dirval_l[lid] = dirval
                 ones_l[lid] = ones
+                dpc_l[lid] = dpc
+                mask_l[lid] = mask
+                row_l[lid] = row
                 if perline_hist:
-                    ha_l[lid] = hw_l[lid] = 0
+                    hs_l[lid] = 0
                 e_fi = e_fi + wr_full[ones]
                 if dirval:
                     c_inv += 1
@@ -1108,7 +1086,7 @@ class ArrayCNTCache:
                     self._stored_ones += ones
                 if fill_meta:
                     # Fresh history counters are zero; only D bits carry ones.
-                    e_mwr = e_mwr + mwf[dirval.bit_count()]
+                    e_mwr = e_mwr + mwf[dpc]
             # ---- the data access (every miss is a hit once filled) ---- #
             dirval = dirval_l[lid]
             if entry & 1:  # a write
@@ -1120,13 +1098,10 @@ class ArrayCNTCache:
                         dirval, after, a.addr & off_mask, len(a.data)
                     )
                     if new_dirval != dirval:
-                        dirval_l[lid] = new_dirval
+                        set_direction(lid, new_dirval)
                         if meta and mwd is not None:
-                            e_mwr = e_mwr + mwd[new_dirval.bit_count()]
-                mask = masks.get(new_dirval)
-                if mask is None:
-                    mask = mask_for(new_dirval)
-                stored = after ^ mask
+                            e_mwr = e_mwr + mwd[dpc_l[lid]]
+                stored = after ^ mask_l[lid]
                 ones = stored.bit_count()
                 if track:
                     self._stored_ones += ones - ones_l[lid]
@@ -1148,12 +1123,11 @@ class ArrayCNTCache:
                 if dirval:
                     c_inv += 1
             else:
-                mask = masks.get(dirval)
-                if mask is None:
-                    mask = mask_for(dirval)
                 size = len(a.data)
                 shift = (a.addr & off_mask) * 8
-                word = ((data_l[lid] ^ mask) >> shift) & ((1 << (size * 8)) - 1)
+                word = ((data_l[lid] ^ mask_l[lid]) >> shift) & (
+                    (1 << (size * 8)) - 1
+                )
                 ones = word.bit_count()
                 e_dr = e_dr + (ones * e_rd1 + (size * 8 - ones) * e_rd0)
             # ---- per-access tail: logic, metadata, history ------------ #
@@ -1161,27 +1135,23 @@ class ArrayCNTCache:
                 e_lg = e_lg + enc_logic
             if uses_pred:
                 hidx = lid // hdiv
-                h_a = ha_l[hidx]
-                h_w = hw_l[hidx]
-                if meta:
-                    e_mrd = e_mrd + mr[dirval.bit_count() + hpc[h_a] + hpc[h_w]]
-                h_a += 1
-                ha_l[hidx] = h_a
-                if entry & 1:
-                    h_w += 1
-                    hw_l[hidx] = h_w
-                if meta:
-                    e_mwr = e_mwr + hwt[hpc[h_a] + hpc[h_w]]
-                if h_a == window:
+                hs = hs_l[hidx]
+                if meta:  # read the counters, count the access, write them
+                    e_mrd = e_mrd + row_l[lid][hs]
+                    hs += step + (entry & 1)
+                    e_mwr = e_mwr + hwv[hs]
+                else:
+                    hs += step + (entry & 1)
+                if hs < done:
+                    hs_l[hidx] = hs
+                else:
                     # ---- Algorithm 1 on the stored line, then reset ---- #
+                    h_w = hs - done
                     C[_WIN] += 1
                     e_lg = e_lg + pred_logic
                     if dirval:
                         c_inv += 1
-                    mask = masks.get(dirval)
-                    if mask is None:
-                        mask = mask_for(dirval)
-                    stored = data_l[lid] ^ mask
+                    stored = data_l[lid] ^ mask_l[lid]
                     row = th[h_w]
                     flipbits = 0
                     for shift, bit in parts:
@@ -1209,9 +1179,9 @@ class ArrayCNTCache:
                             )
                         )
                         self._window_events += 1
-                    ha_l[hidx] = hw_l[hidx] = 0
+                    hs_l[hidx] = 0
                     if meta:
-                        e_mwr = e_mwr + hwt[0]
+                        e_mwr = e_mwr + hwv[0]
                     if flipbits:
                         C[_DSW] += 1
                         C[_PFL] += flipbits.bit_count()
@@ -1222,7 +1192,7 @@ class ArrayCNTCache:
                             apply_update(queue.popleft())
                             e_mwr = E[_MWR]
             elif meta_read:
-                e_mrd = e_mrd + mr[dirval.bit_count()]
+                e_mrd = e_mrd + mr[dpc_l[lid]]
             if queue and drain_budget:
                 E[_MWR] = e_mwr
                 self._drain(drain_budget)
@@ -1281,19 +1251,17 @@ class ArrayCNTCache:
         """Re-encode a line per a queued update (live: see the purge in
         :meth:`_fold`)."""
         lid, new_dirval = entry
-        dirval = self._dirval[lid]
-        flips = dirval ^ new_dirval
+        flips = self._dirval[lid] ^ new_dirval
         if not flips:
             return  # nothing to rewrite, but the slot was used
         E = self._E
-        enc = self._data[lid] ^ self._mask_for(new_dirval)
+        enc = self._data[lid] ^ self._set_direction(lid, new_dirval)
         pm = self._pmask
         wr_part = self._wr_part
         energy = 0.0
         for shift, bit in self._parts:
             if flips & bit:
                 energy += wr_part[((enc >> shift) & pm).bit_count()]
-        self._dirval[lid] = new_dirval
         ones = enc.bit_count()
         if self._track:
             self._stored_ones += ones - self._ones[lid]
@@ -1301,14 +1269,17 @@ class ArrayCNTCache:
         self._C[_REN] += 1
         E[_RE] = E[_RE] + energy
         if self._meta and self._mwd is not None:
-            E[_MWR] = E[_MWR] + self._mwd[new_dirval.bit_count()]
+            E[_MWR] = E[_MWR] + self._mwd[self._dpc[lid]]
 
     # ------------------------------------------------------------------ #
     # codec helpers (integer domain)
     # ------------------------------------------------------------------ #
-    def _fill_encoding(self, value: int) -> tuple[int, int]:
-        """The direction word a fill of ``value`` installs, and the ones
-        the array then stores."""
+    def _fill_encoding(
+        self, value: int
+    ) -> tuple[int, int, int, int, list[float] | None]:
+        """What a fill of ``value`` installs: the direction word, the ones
+        the array then stores, and the word's direction caches (its ones,
+        XOR mask and metadata-read row)."""
         mode = self._fill_mode
         if mode == _FILL_ZERO:
             dirval = 0
@@ -1316,7 +1287,35 @@ class ArrayCNTCache:
             dirval = 1
         else:
             dirval = self._greedy(value, mode == _FILL_GREEDY1)
-        return dirval, (value ^ self._mask_for(dirval)).bit_count()
+        mask = self._mask_for(dirval)
+        dpc = dirval.bit_count()
+        row = self._mrow(dpc) if self._hist_meta else None
+        return dirval, (value ^ mask).bit_count(), dpc, mask, row
+
+    def _set_direction(self, lid: int, dirval: int) -> int:
+        """Give line ``lid`` the direction word ``dirval`` and its
+        direction caches; returns the word's XOR mask."""
+        mask = self._mask_for(dirval)
+        dpc = dirval.bit_count()
+        self._dirval[lid] = dirval
+        self._dmask[lid] = mask
+        self._dpc[lid] = dpc
+        if self._hist_meta:
+            self._drow[lid] = self._mrow(dpc)
+        return mask
+
+    def _mrow(self, dpc: int) -> list[float]:
+        """Metadata-read energy by packed history state, for a line whose
+        direction word stores ``dpc`` ones: ``mr[dpc + hones[hs]]``.  Built
+        the first time some line takes that count, shared by every instance
+        of the same window, energies and metadata width."""
+        rows = self._mrows
+        row = rows[dpc]
+        if row is None:
+            row = rows[dpc] = list(
+                map(self._mr.__getitem__, map(dpc.__add__, self._hones))
+            )
+        return row
 
     def _mask_for(self, dirval: int) -> int:
         mask = self._masks.get(dirval)
@@ -1373,11 +1372,9 @@ class ArrayCNTCache:
         """
         C, E = self._C, self._E
         count = C[_ACC] + C[_MISS] - self._p_bypass + C[_WBC] + C[_REN]
-        peri = self._peri
-        e_pe = E[_PE]
-        for _ in repeat(None, count - self._pe_count):
-            e_pe = e_pe + peri
-        E[_PE] = e_pe
+        E[_PE] = reduce(
+            operator.add, repeat(self._peri, count - self._pe_count), E[_PE]
+        )
         self._pe_count = count
         s = self.stats
         (s.accesses, s.reads, s.writes, s.hits, s.misses, s.evictions,
@@ -1423,6 +1420,64 @@ class ArrayCNTCache:
 #: caches stay tiny while shaving most of the construction cost.
 _TABLE_CACHE: dict[tuple, tuple[list[float], list[float]]] = {}
 _TH_CACHE: dict[tuple, list[list[bool]]] = {}
+_PRICING_CACHE: dict[tuple, tuple] = {}
+_HISTORY_CACHE: dict[tuple, tuple[list[int], list[float]]] = {}
+#: Per (model, window, metadata-read width): the ``mrows`` rows by
+#: direction-word popcount, each built on first use.
+_MROWS_CACHE: dict[tuple, list[list[float] | None]] = {}
+
+
+def _pricing_tables(
+    model, lbits: int, pbits: int, dbits: int, hbits: int, perline: bool,
+    window: int,
+) -> tuple:
+    """Every table a fold prices with, memoised as one bundle (one lookup
+    per instance): line, partition and metadata energies by popcount
+    (``dbits`` direction bits, ``hbits`` history bits, written per line
+    when ``perline``), and for a predictor window ``W`` (0 for none) the
+    history tables by packed state ``hs = A_num * (W + 1) + Wr_num``,
+    shared by every bundle of the same model and window.
+
+    Every state up to ``(W, W)`` has an entry, reachable or not:
+    ``(W + 1) ** 2`` each.  ``hones[hs]`` is the ones the two counters
+    store (each an ``hbits // 2``-bit field), ``hwv[hs]`` the energy of
+    writing them, and ``mrows[d]``, built by :meth:`ArrayCNTCache._mrow`
+    the first time a line's direction word stores ``d`` ones, the
+    metadata-read energy ``mr[d + hones[hs]]``.
+    """
+    key = (model, lbits, pbits, dbits, hbits, perline, window)
+    cached = _PRICING_CACHE.get(key)
+    if cached is None:
+        read_width = dbits + hbits
+        full_width = dbits + (hbits if perline else 0)
+        hones: list[int] = []
+        hwv: list[float] = []
+        mrows: list[list[float] | None] = []
+        if window:
+            history = _HISTORY_CACHE.get((model, window))
+            if history is None:
+                cmask = (1 << (hbits // 2)) - 1
+                hpc = [(h & cmask).bit_count() for h in range(window + 1)]
+                hones = [a + w for a in hpc for w in hpc]
+                hwt = _energy_tables(model, hbits)[1]
+                history = _HISTORY_CACHE[model, window] = (
+                    hones, list(map(hwt.__getitem__, hones))
+                )
+            hones, hwv = history
+            mrows = _MROWS_CACHE.setdefault(
+                (model, window, read_width), [None] * (dbits + 1)
+            )
+        cached = _PRICING_CACHE[key] = (
+            *_energy_tables(model, lbits),
+            _energy_tables(model, pbits)[1],
+            _energy_tables(model, read_width)[0] if read_width else None,
+            _energy_tables(model, dbits)[1] if dbits else None,
+            _energy_tables(model, full_width)[1] if full_width else None,
+            hones,
+            hwv,
+            mrows,
+        )
+    return cached
 
 
 def _energy_tables(model, width: int) -> tuple[list[float], list[float]]:

@@ -43,6 +43,12 @@ SCHEMES = (
 )
 
 
+#: Largest Algorithm 1 window: 8-bit ``A_num``/``Wr_num`` counters (see
+#: :func:`repro.predictor.history.history_bits`).  The array engine prices
+#: history metadata from tables of ``(W + 1) ** 2`` entries.
+MAX_WINDOW = 256
+
+
 class ConfigError(ValueError):
     """Raised on inconsistent configuration."""
 
@@ -72,6 +78,7 @@ class CNTCacheConfig:
 
     # encoding scheme
     scheme: str = "cnt"
+    #: Algorithm 1 window ``W``, at most :data:`MAX_WINDOW` (8-bit counters).
     window: int = 16
     partitions: int = 8
     delta_t: float = 0.0
@@ -126,8 +133,10 @@ class CNTCacheConfig:
             raise ConfigError(
                 f"size {self.size} not divisible by assoc*line_size"
             )
-        if self.window < 2:
-            raise ConfigError(f"window must be >= 2, got {self.window}")
+        if not 2 <= self.window <= MAX_WINDOW:
+            raise ConfigError(
+                f"window must be in [2, {MAX_WINDOW}], got {self.window}"
+            )
         if self.partitions < 1:
             raise ConfigError(
                 f"partitions must be >= 1, got {self.partitions}"

@@ -8,6 +8,8 @@ not serve — varies.  This registry names those strategies, mirroring
 ``local-serial``
     In-process execution with bounded retries; what ``jobs=1`` always
     did, and the degradation target every other backend falls back to.
+    It runs a batch in :func:`trace_chunks` order, so it records each
+    (trace, geometry) substrate once.
 ``local-pool``
     ``ProcessPoolExecutor`` rounds with retries, timeouts, pool rebuilds
     and serial fallback; what ``jobs > 1`` selects.  The first round
@@ -37,6 +39,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.backends.array import substrate_key
 from repro.exec.events import ExecEvent
 from repro.exec.result import ExecResult
 from repro.exec.worker import (
@@ -102,7 +105,7 @@ class LocalSerialBackend(ExecBackend):
     def execute(self, engine: "ExecEngine", pending: "list[SimJob]") -> None:
         """Run each job in this process, retrying transient failures."""
         config = engine.resilience
-        for job in pending:
+        for job in [job for chunk in trace_chunks(pending, 1) for job in chunk]:
             attempt = 0
             while True:
                 try:
@@ -126,14 +129,19 @@ def trace_chunks(pending: "list[SimJob]", workers: int) -> "list[list[SimJob]]":
     """Cut ``pending`` into trace-affine chunks for ``workers`` workers.
 
     Jobs group by the trace every kind rebuilds, ``(workload, size,
-    seed)``, keeping plan order inside a group.  A group longer than
-    ``ceil(len(pending) / workers)`` is cut into consecutive pieces of at
-    most that length, so a batch over one trace still uses every worker.
-    Chunks come longest first; ties keep plan order.
+    seed)``, and a group orders its jobs by the geometry they record
+    (:func:`~repro.backends.array.substrate_key`), keeping plan order
+    among equals, so a run records each (trace, geometry) substrate once.
+    A group longer than ``ceil(len(pending) / workers)`` is cut into
+    consecutive pieces of at most that length, so a batch over one trace
+    still uses every worker.  Chunks come longest first; ties keep plan
+    order.
     """
     groups: dict[tuple[str, str, int], list[SimJob]] = {}
     for job in pending:
         groups.setdefault((job.workload, job.size, job.seed), []).append(job)
+    for group in groups.values():
+        group.sort(key=_geometry)
     cap = math.ceil(len(pending) / workers)
     chunks = [
         group[start : start + cap]
@@ -142,6 +150,11 @@ def trace_chunks(pending: "list[SimJob]", workers: int) -> "list[list[SimJob]]":
     ]
     chunks.sort(key=len, reverse=True)  # stable, also when reversed
     return chunks
+
+
+def _geometry(job: "SimJob") -> tuple:
+    """The substrate a job's config records (``()`` for a trace job)."""
+    return () if job.config is None else substrate_key(job.config)
 
 
 class LocalPoolBackend(ExecBackend):

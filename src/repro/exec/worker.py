@@ -46,6 +46,10 @@ from repro.workloads.program import WorkloadRun, get_workload
 #: Per-process workload memo: (name, size, seed) -> built run.
 _RUNS: dict[tuple[str, str, int], WorkloadRun] = {}
 
+#: Per-process preload-image digest memo, keyed like ``_RUNS``: the run
+#: hashed and its digest.
+_DIGESTS: dict[tuple[str, str, int], tuple[WorkloadRun, str]] = {}
+
 #: Per-process L1-filtered stream memo (streams cost a full L1 replay),
 #: keyed by backend too so a scalar mirror builds its own stream.
 _STREAMS: dict[tuple, list] = {}
@@ -68,6 +72,7 @@ def build_run(name: str, size: str, seed: int) -> WorkloadRun:
 def clear_memos() -> None:
     """Drop the per-process workload/stream memos (tests, memory pressure)."""
     _RUNS.clear()
+    _DIGESTS.clear()
     _STREAMS.clear()
 
 
@@ -79,6 +84,15 @@ def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
         digest.update(len(payload).to_bytes(4, "little"))
         digest.update(payload)
     return digest.hexdigest()[:16]
+
+
+def _run_digest(run: WorkloadRun) -> str:
+    """:func:`preload_digest` of a built run's image, hashed once per run."""
+    key = (run.name, run.size, run.seed)
+    cached = _DIGESTS.get(key)
+    if cached is None or cached[0] is not run:
+        cached = _DIGESTS[key] = (run, preload_digest(run.preloads))
+    return cached[1]
 
 
 # --------------------------------------------------------------------- #
@@ -106,7 +120,7 @@ def _execute_workload(job: SimJob) -> ExecResult:
         stats=sim.stats,
         values={
             "checksum": run.checksum,
-            "preload_digest": preload_digest(run.preloads),
+            "preload_digest": _run_digest(run),
         },
     )
 
@@ -189,7 +203,7 @@ def _execute_trace(job: SimJob) -> ExecResult:
             "distinct_lines": stats.distinct_lines,
             "footprint_bytes": stats.footprint_bytes,
             "checksum": run.checksum,
-            "preload_digest": preload_digest(run.preloads),
+            "preload_digest": _run_digest(run),
         },
     )
 

@@ -205,6 +205,17 @@ class ThresholdEntry:
             return bit1num < self.threshold
         return bit1num > self.threshold
 
+    def switch_row(self, length: int) -> list[bool]:
+        """:meth:`switch` of every ``bit1num`` in ``0 .. length``."""
+        if self.rule is SwitchRule.NEVER:
+            return [False] * (length + 1)
+        if self.rule is SwitchRule.ALWAYS:
+            return [True] * (length + 1)
+        threshold = self.threshold
+        if self.rule is SwitchRule.BELOW:
+            return [n1 < threshold for n1 in range(length + 1)]
+        return [n1 > threshold for n1 in range(length + 1)]
+
 
 #: Built table rows, shared by every table of the same parameters: the
 #: rows are pure in (length, window, model, delta_t) and immutable, and

@@ -22,14 +22,17 @@ def examples(n: int) -> int:
 
 @st.composite
 def traces(draw) -> tuple[list[Access], list[tuple[int, bytes]]]:
-    """A trace over a small footprint (hits and evictions) with optional
-    line-crossing accesses, at a small or a beyond-2**64 base address."""
+    """A trace over a small footprint with optional line-crossing
+    accesses, at a small or a beyond-2**64 base address.  The footprint
+    is 2, 12 or 96 8-byte slots: one or two lines that complete many
+    W=16 windows, a few lines, or 12-24 lines with evictions."""
     base = draw(st.sampled_from((0, 1 << 64, (1 << 80) + 4096)))
+    slots = draw(st.sampled_from((2, 12, 96)))
     ops = draw(
         st.lists(
             st.tuples(
                 st.booleans(),
-                st.integers(min_value=0, max_value=95),  # 8-byte slot
+                st.integers(min_value=0, max_value=slots - 1),  # 8-byte slot
                 st.sampled_from((1, 4, 8, 12)),  # 12 bytes may cross
                 st.binary(min_size=12, max_size=12),
             ),
@@ -62,7 +65,7 @@ geometries = st.builds(
 encodings = st.fixed_dictionaries(
     {
         "scheme": st.sampled_from(SCHEMES),
-        "window": st.sampled_from((2, 4, 16)),
+        "window": st.sampled_from((2, 4, 16, 64)),
         "partitions": st.sampled_from((1, 2, 8)),
         "delta_t": st.sampled_from((0.0, 0.2)),
         "dbi_word_bytes": st.sampled_from((4, 8)),

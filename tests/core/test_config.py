@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.config import CNTCacheConfig, ConfigError, SCHEMES
+from repro.api import make_cache
+from repro.core.config import MAX_WINDOW, SCHEMES, CNTCacheConfig, ConfigError
+from repro.trace.record import Access
 
 
 class TestValidation:
@@ -27,6 +29,29 @@ class TestValidation:
     def test_rejects_window_one(self):
         with pytest.raises(ConfigError):
             CNTCacheConfig(window=1)
+
+    def test_rejects_window_above_eight_bit_counters(self):
+        CNTCacheConfig(window=MAX_WINDOW)
+        with pytest.raises(ConfigError):
+            CNTCacheConfig(window=MAX_WINDOW + 1)
+
+    @pytest.mark.parametrize("scheme", ["cnt", "cnt-shared"])
+    def test_the_largest_window_folds_like_the_scalar_engine(self, scheme):
+        # Two hot lines per set (the sets are 512 bytes apart), so W = 256
+        # windows complete, per line and per set, and re-encode.
+        config = CNTCacheConfig(
+            scheme=scheme, window=MAX_WINDOW, size=1024, assoc=2, line_size=32
+        )
+        trace = [
+            Access.write(512 * (i % 2) + 8 * (i % 5), bytes([i % 251] * 8))
+            if i % 3 == 0
+            else Access.read(512 * (i % 2) + 8 * (i % 7), b"\0" * 8)
+            for i in range(3000)
+        ]
+        array = make_cache(config=config).run(trace)
+        scalar = make_cache(config=config, backend="scalar").run(trace)
+        assert array.direction_switches > 0
+        assert array == scalar
 
     def test_rejects_partitions_not_dividing_line(self):
         with pytest.raises(ConfigError):

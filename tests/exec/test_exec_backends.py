@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.backends.array import Recorder
+from repro.backends.array import Recorder, substrate_key
 from repro.core.config import CNTCacheConfig
 from repro.exec import (
     BrokerConfig,
@@ -180,6 +180,15 @@ class TestTraceAffinity:
         pool, pool_counters = probed_run(jobs, 2)
         assert pool == serial
         assert pool_counters["workload.builds"] == 2
+        # The oracle job comes back to its trace's first geometry, yet
+        # each (trace, geometry) pair records once.
+        pairs = {
+            (job.workload, job.size, job.seed, substrate_key(job.config))
+            for job in jobs
+            if job.config is not None
+        }
+        assert len(pairs) == 4
+        assert serial_counters["workload.substrate_records"] == len(pairs)
         assert (
             pool_counters["workload.substrate_records"]
             == serial_counters["workload.substrate_records"]

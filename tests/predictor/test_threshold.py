@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+from repro.api import make_cache
 from repro.cnfet.energy import BitEnergyModel
+from repro.core.config import CNTCacheConfig
+from repro.core.policy import make_policy
 from repro.predictor.threshold import (
     SwitchRule,
+    ThresholdEntry,
     ThresholdError,
     ThresholdTable,
     bit1_threshold_eq6,
@@ -169,3 +173,48 @@ class TestThresholdTable:
             for n1 in range(0, 513, 16)
         )
         assert switched_damped < switched_plain
+
+    @pytest.mark.parametrize("delta_t", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("window", [2, 16, 64])
+    def test_switch_rows_equal_should_switch(self, model, window, delta_t):
+        table = ThresholdTable(64, window, model, delta_t=delta_t)
+        rules = set()
+        for wr in range(window + 1):
+            entry = table.entry(wr)
+            rules.add(entry.rule)
+            assert entry.switch_row(64) == [
+                table.should_switch(wr, n1) for n1 in range(65)
+            ]
+        if delta_t == 0.0 and window == 16:
+            assert rules == set(SwitchRule) - {SwitchRule.ALWAYS}
+
+    def test_switch_rows_of_every_rule(self):
+        assert ThresholdEntry(SwitchRule.NEVER).switch_row(3) == [False] * 4
+        assert ThresholdEntry(SwitchRule.ALWAYS).switch_row(3) == [True] * 4
+        assert ThresholdEntry(SwitchRule.BELOW, 1.5).switch_row(3) == [
+            True, True, False, False,
+        ]
+        assert ThresholdEntry(SwitchRule.ABOVE, 2.0).switch_row(3) == [
+            False, False, False, True,
+        ]
+
+    @pytest.mark.parametrize("scheme", ["cnt", "cnt-quant"])
+    @pytest.mark.parametrize("delta_t", [0.0, 0.2])
+    @pytest.mark.parametrize("window", [4, 16])
+    def test_the_array_engine_rows_equal_should_switch(
+        self, scheme, delta_t, window
+    ):
+        # The engine's Th_bit1num matrix, indexed by the exact write
+        # count: quantised counts map through effective_wr_num.
+        config = CNTCacheConfig(scheme=scheme, window=window, delta_t=delta_t)
+        cache = make_cache(config=config)
+        policy = make_policy(config)
+        table = policy.predictor.table
+        bits = config.line_bits // config.partitions
+        assert cache._th == [
+            [
+                table.should_switch(policy.effective_wr_num(wr), n1)
+                for n1 in range(bits + 1)
+            ]
+            for wr in range(window + 1)
+        ]
