@@ -20,7 +20,6 @@ paper-vs-measured record of every experiment, docs/API.md for the facade
 surface and docs/OBSERVABILITY.md for probes/manifests/profiling.
 """
 
-import warnings
 from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
@@ -49,7 +48,6 @@ __all__ = [
     "LeakageModel",
     "Sram6TCell",
     "render_table1",
-    "CNTCache",
     "CNTCacheConfig",
     "EnergyStats",
     "Obs",
@@ -73,7 +71,7 @@ __all__ = [
 ]
 
 
-_exports_getattr, __dir__ = lazy_exports(
+__getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "api": "repro.api",
@@ -102,21 +100,3 @@ _exports_getattr, __dir__ = lazy_exports(
         "run_experiment": "repro.harness.experiments",
     },
 )
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the top-level simulator class moved behind the
-    # facade.  `repro.core.CNTCache` stays warning-free for internal and
-    # test code; the convenience spelling nudges toward api.make_cache().
-    if name == "CNTCache":
-        warnings.warn(
-            "importing CNTCache from the top-level 'repro' package is "
-            "deprecated; construct simulators via repro.api.make_cache() "
-            "(or import repro.core.CNTCache directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import CNTCache
-
-        return CNTCache
-    return _exports_getattr(name)

@@ -6,7 +6,7 @@ needs goes through five keyword-only entry points:
 * :func:`make_cache` — construct a configured simulator behind the
   :class:`~repro.backends.CacheBackend` protocol (the only sanctioned
   construction site; lint rule R006 flags direct ``CNTCache(...)``
-  calls elsewhere in the package, and direct construction warns).
+  calls elsewhere in the package).
   ``backend="array"`` (default) is the integer-packed engine;
   ``backend="scalar"`` is the bit-exact reference interpreter it is
   differential-tested against (identical stats, an order of magnitude
@@ -19,9 +19,8 @@ needs goes through five keyword-only entry points:
 * :func:`profile` — replay experiments with probes on; returns a
   :class:`~repro.obs.ProfileReport` (the ``cntcache profile`` command).
 
-Legacy spellings (``repro.harness.run_workload``, direct ``CNTCache``
-construction) still work but emit :class:`DeprecationWarning`; see
-docs/API.md for the migration table.
+``repro.core.CNTCache`` is the scalar reference class itself, for type
+checks and tests; docs/API.md describes the construction surface.
 
 Imports inside the functions are deliberate: the facade sits above every
 other layer, so importing it must stay cycle-free and cheap.

@@ -107,8 +107,8 @@ def make_backend(
     """Construct the backend ``name`` for ``config``.
 
     This is the single sanctioned simulator constructor —
-    :func:`repro.api.make_cache` delegates here, and direct
-    ``CNTCache(...)`` construction elsewhere raises a DeprecationWarning.
+    :func:`repro.api.make_cache` delegates here, and lint rule R006
+    flags direct ``CNTCache(...)`` construction elsewhere in the package.
     Per-access tracing is scalar-only, so while :data:`repro.obs.trace.ACTIVE`
     is set every selection builds the scalar engine (stats are identical).
     """
@@ -121,8 +121,7 @@ def make_backend(
     if name == "scalar" or trace.ACTIVE:
         from repro.core import cntcache
 
-        with cntcache.facade_construction():
-            return cntcache.CNTCache(config, memory)
+        return cntcache.CNTCache(config, memory)
     if memory is not None:
         raise BackendError(
             "the 'array' backend keeps its own integer-packed backing "

@@ -10,9 +10,7 @@ physically toggle, including the H&D metadata columns.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.cache.cache import ArrayEvent, EventKind, SetAssociativeCache
@@ -32,28 +30,6 @@ from repro.trace.record import Access
 
 class SimulationError(RuntimeError):
     """Raised when the simulator reaches an inconsistent state."""
-
-
-# Depth of facade-sanctioned construction scopes (see facade_construction).
-_FACADE_DEPTH = 0
-
-
-@contextmanager
-def facade_construction():
-    """Mark CNTCache constructions in this scope as facade-sanctioned.
-
-    :func:`repro.backends.make_backend` (the engine behind
-    ``repro.api.make_cache``) wraps its scalar construction in this
-    context; a ``CNTCache(...)`` built outside it raises a
-    DeprecationWarning, steering callers to the one construction surface
-    where backend selection lives.
-    """
-    global _FACADE_DEPTH
-    _FACADE_DEPTH += 1
-    try:
-        yield
-    finally:
-        _FACADE_DEPTH -= 1
 
 
 @dataclass
@@ -102,14 +78,6 @@ class CNTCache:
     def __init__(
         self, config: CNTCacheConfig, memory: MainMemory | None = None
     ) -> None:
-        if _FACADE_DEPTH == 0:
-            warnings.warn(
-                "direct CNTCache(...) construction is deprecated; build "
-                "simulators through repro.api.make_cache(config=..., "
-                "backend=...) so backend selection stays in one place",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.config = config
         self.memory = memory if memory is not None else MainMemory()
         self.policy: EncodingPolicy = make_policy(config)

@@ -1,4 +1,4 @@
-"""Experiment harness: runners, sweeps, tables and the experiment registry.
+"""Experiment harness: runners, tables and the experiment registry.
 
 Entry points:
 
@@ -34,19 +34,15 @@ if TYPE_CHECKING:
         compare_schemes,
         replay,
         run_suite,
-        run_workload,
     )
-    from repro.harness.sweep import sweep_configs
     from repro.harness.tables import render_markdown, render_table
 
 __all__ = [
     "replay",
-    "run_workload",
     "compare_schemes",
     "run_suite",
     "RunResult",
     "oracle_bound",
-    "sweep_configs",
     "render_table",
     "render_markdown",
     "EXPERIMENTS",
@@ -60,12 +56,10 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "replay": "repro.harness.runner",
-        "run_workload": "repro.harness.runner",
         "compare_schemes": "repro.harness.runner",
         "run_suite": "repro.harness.runner",
         "RunResult": "repro.harness.runner",
         "oracle_bound": "repro.harness.oracle",
-        "sweep_configs": "repro.harness.sweep",
         "render_table": "repro.harness.tables",
         "render_markdown": "repro.harness.tables",
         "EXPERIMENTS": "repro.harness.experiments",

@@ -2,8 +2,7 @@
 
 :func:`replay` is the low-level in-process primitive (the exec worker
 itself is built on it).  The comparison helpers (:func:`compare_schemes`,
-:func:`run_suite`, :func:`savings_table` and the sweep helpers in
-:mod:`repro.harness.sweep`) follow one shared convention:
+:func:`run_suite`, :func:`savings_table`) follow one shared convention:
 
 ``engine=``  (default ``None``)
     An :class:`repro.exec.ExecEngine`.  When given, the helper *declares*
@@ -18,15 +17,14 @@ itself is built on it).  The comparison helpers (:func:`compare_schemes`,
     byte-identical; the test suite asserts this).
 
 Every helper uses exactly these keyword names and defaults; this
-docstring is the normative description (the sweep module refers here).
+docstring is the normative description.
 
-The historical :func:`run_workload` entry point is deprecated — use
+Callers outside the harness replay a workload through
 :func:`repro.api.simulate` (or :func:`compare_schemes` with an engine).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -107,8 +105,9 @@ def _run_workload(
 ) -> RunResult:
     """Replay one workload run through one configuration (internal).
 
-    First-party code calls this (or better, :func:`repro.api.simulate`);
-    the public :func:`run_workload` name is a deprecation shim around it.
+    :func:`repro.api.simulate` and :func:`compare_schemes` are its
+    callers; code outside the harness goes through
+    :func:`repro.api.simulate`.
     """
     substrate = run.substrate(config) if folds_substrates(backend) else None
     sim = replay(
@@ -120,17 +119,6 @@ def _run_workload(
         config=config,
         stats=sim.stats,
     )
-
-
-def run_workload(config: CNTCacheConfig, run: WorkloadRun) -> RunResult:
-    """Deprecated: use :func:`repro.api.simulate` instead."""
-    warnings.warn(
-        "repro.harness.run_workload() is deprecated; use "
-        "repro.api.simulate(workload=..., config=...) or an ExecEngine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_workload(config, run)
 
 
 def compare_schemes(

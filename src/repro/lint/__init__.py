@@ -14,11 +14,8 @@ Layers (see docs/STATIC_ANALYSIS.md for the full rule catalog):
   statically evaluates every shipped :class:`~repro.cnfet.energy.
   BitEnergyModel` over all process corners and the Vdd sweep range
   (checks P001-P006);
-* gate infrastructure: a ratcheting baseline
-  (:mod:`repro.lint.baseline`) and mechanical autofixes
-  (:mod:`repro.lint.fixes`);
 * CLI wiring: ``cntcache lint`` and ``python -m repro.lint``, with
-  ``--changed`` incremental mode, ``--fix`` and ``--format json``.
+  ``--changed`` incremental mode and ``--format json``.
 """
 
 from repro.lint.engine import (

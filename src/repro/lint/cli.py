@@ -1,25 +1,14 @@
 """The ``cntcache lint`` / ``python -m repro.lint`` command.
 
-Exit codes: 0 = clean, 1 = findings / physics violations / stale
-baseline entries, 2 = usage error (bad paths, malformed baseline,
-``--changed`` outside a git checkout).  Output is one
+Exit codes: 0 = clean, 1 = findings / physics violations, 2 = usage
+error (bad paths, ``--changed`` outside a git checkout).  Output is one
 ``file:line: R00X severity message`` line per finding, or JSON with
 ``--format``; ``--output`` redirects the report to a file.
 
-Modes
------
-``--changed [REF]``
-    Incremental: the whole tree is still parsed (project-scope rules
-    need the full import graph) but only findings in files that differ
-    from ``REF`` (default ``HEAD``) or are untracked are reported.
-``--baseline FILE``
-    Ratchet against accepted debt (default: ``lint-baseline.json`` next
-    to the cwd when it exists).  Baselined findings are suppressed; new
-    findings fail; *stale* entries also fail until ``--update-baseline``
-    shrinks the file — debt can only decrease.
-``--fix``
-    Apply the mechanical S001/D005 autofixes first, then lint the
-    rewritten tree.
+``--changed [REF]`` is the incremental mode: the whole tree is still
+parsed (project-scope rules need the full import graph) but only
+findings in files that differ from ``REF`` (default ``HEAD``) or are
+untracked are reported.
 """
 
 from __future__ import annotations
@@ -33,9 +22,6 @@ from pathlib import Path
 from repro.lint.engine import LintConfig, LintError, lint_paths
 from repro.lint.findings import Severity
 from repro.lint.rules import iter_rules
-
-#: The baseline picked up implicitly when present in the cwd.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _default_paths() -> list[str]:
@@ -97,30 +83,6 @@ def _parser() -> argparse.ArgumentParser:
             "or untracked; the full tree is still indexed"
         ),
     )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "ratchet against this baseline file "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical S001/D005 autofixes before linting",
-    )
     return parser
 
 
@@ -149,21 +111,6 @@ def _changed_files(ref: str) -> frozenset[Path]:
     return frozenset(changed)
 
 
-def _baseline_path(args: argparse.Namespace) -> Path | None:
-    if args.no_baseline:
-        if args.baseline is not None or args.update_baseline:
-            raise LintError(
-                "--no-baseline conflicts with --baseline/--update-baseline"
-            )
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path(DEFAULT_BASELINE)
-    if default.is_file() or args.update_baseline:
-        return default
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI main; returns a process exit code."""
     args = _parser().parse_args(argv)
@@ -180,48 +127,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     paths = args.paths if args.paths else _default_paths()
     try:
-        baseline_path = _baseline_path(args)
         restrict = (
             _changed_files(args.changed) if args.changed is not None else None
         )
         config = LintConfig(enabled_rules=enabled, restrict_to=restrict)
-
-        fixed = []
-        if args.fix:
-            from repro.lint.fixes import apply_fixes
-
-            fixed = apply_fixes(paths, config)
-            for fix in fixed:
-                print(fix.format())
-
         findings = lint_paths(paths, config)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        from repro.lint.baseline import write_baseline
-
-        assert baseline_path is not None  # _baseline_path guarantees it
-        count = write_baseline(findings, baseline_path)
-        noun = "entry" if count == 1 else "entries"
-        print(f"lint: baseline {baseline_path} written ({count} {noun})")
-        return 0
-
-    suppressed = 0
-    stale: list = []
-    if baseline_path is not None and baseline_path.is_file():
-        from repro.lint.baseline import apply_baseline, load_baseline
-
-        try:
-            entries = load_baseline(baseline_path)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = apply_baseline(findings, entries)
-        findings = result.new
-        suppressed = result.suppressed
-        stale = result.stale
 
     violations = []
     if not args.no_invariants:
@@ -241,22 +154,12 @@ def main(argv: list[str] | None = None) -> int:
                     }
                     for violation in violations
                 ],
-                "baseline": {
-                    "suppressed": suppressed,
-                    "stale": [entry.to_dict() for entry in stale],
-                },
             },
             indent=2,
         )
     else:
         lines = [finding.format() for finding in findings]
         lines.extend(violation.format() for violation in violations)
-        for entry in stale:
-            lines.append(
-                f"{entry.path}: stale baseline entry for {entry.rule} "
-                f"({entry.message!r}); run --update-baseline to shrink "
-                "the baseline"
-            )
         errors = sum(
             1 for finding in findings if finding.severity is Severity.ERROR
         )
@@ -264,14 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             f"lint: {len(findings)} finding(s) ({errors} error(s)), "
             f"{len(violations)} physics violation(s)"
         )
-        if suppressed or stale:
-            stale_noun = "entry" if len(stale) == 1 else "entries"
-            summary += (
-                f", {suppressed} baselined, {len(stale)} stale "
-                f"baseline {stale_noun}"
-            )
-        if args.fix:
-            summary += f", {len(fixed)} autofix(es) applied"
         lines.append(summary)
         report = "\n".join(lines)
 
@@ -280,12 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(report)
 
-    failed = (
-        bool(violations)
-        or bool(stale)
-        or any(
-            finding.severity is Severity.ERROR for finding in findings
-        )
+    failed = bool(violations) or any(
+        finding.severity is Severity.ERROR for finding in findings
     )
     return 1 if failed else 0
 

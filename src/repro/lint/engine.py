@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -311,10 +311,3 @@ __all__ = [
     "lint_paths",
     "parse_module",
 ]
-
-
-def iter_findings(
-    paths: Iterable[Path | str], config: LintConfig | None = None
-) -> Iterator[Finding]:
-    """Convenience generator form of :func:`lint_paths`."""
-    yield from lint_paths(list(paths), config)

@@ -12,10 +12,10 @@ Two related disciplines share this rule id:
   ``repro/api.py``, the backend registry package (``repro/backends/``,
   the layer the facade delegates to) and the modules that define the
   simulators, package code must not construct ``CNTCache(...)`` or
-  ``ArrayCNTCache(...)`` directly nor call the deprecated
-  ``run_workload(...)``; the facade (:func:`repro.api.make_cache`,
-  :func:`repro.api.simulate`) is the one sanctioned entry, so the
-  public surface can evolve without chasing scattered call sites.
+  ``ArrayCNTCache(...)`` directly; the facade
+  (:func:`repro.api.make_cache`, :func:`repro.api.simulate`) is the one
+  sanctioned entry, so the public surface can evolve without chasing
+  scattered call sites.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 _TARGET_NAME = "experiments.py"
 
 #: Bare call names that mean "simulate right here, right now".
-_DIRECT_RUNNERS = frozenset({"run_workload", "replay"})
+_DIRECT_RUNNERS = frozenset({"_run_workload", "replay"})
 
 #: Simulator classes whose construction must go through the facade
 #: (every backend of the registry, not just the scalar reference).
@@ -50,10 +50,6 @@ _FACADE_EXEMPT = frozenset({"api.py", "cntcache.py"})
 #: a sanctioned construction site by definition.
 _FACADE_EXEMPT_PACKAGE = "backends"
 
-#: Deprecated entry points the facade branch flags (``replay`` stays a
-#: sanctioned low-level primitive; only experiments.py may not call it).
-_FACADE_RUNNERS = frozenset({"run_workload"})
-
 
 def _call_name(func: ast.expr) -> str | None:
     """The bare name a call resolves to (``a.b.f(...)`` -> ``f``)."""
@@ -68,15 +64,14 @@ class DirectSimulationRule(LintRule):
     """R006: simulate through the engine; construct through the facade.
 
     Inside an ``experiments.py`` module, flags any call to
-    ``run_workload(...)`` or ``replay(...)`` and any construction of a
+    ``_run_workload(...)`` or ``replay(...)`` and any construction of a
     backend simulator class (``CNTCache(...)``/``ArrayCNTCache(...)``,
     which covers the chained ``CNTCache(...).run(...)`` form too) —
     declare a :class:`repro.exec.SimJob` and resolve it through the
     engine instead.  In every other ``repro`` source module except the
     facade (``api.py``), the ``repro.backends`` registry package and
-    the simulators' own modules, flags simulator construction and calls
-    to the deprecated ``run_workload(...)`` — use
-    :func:`repro.api.make_cache` / :func:`repro.api.simulate`.
+    the simulators' own modules, flags simulator construction — use
+    :func:`repro.api.make_cache`.
     ``# lint: disable=R006`` marks the rare deliberate exception.
     """
 
@@ -84,7 +79,7 @@ class DirectSimulationRule(LintRule):
     summary = (
         "experiments.py must declare SimJobs via repro.exec, and code "
         "outside repro.api/repro.backends must not construct a backend "
-        "simulator or call run_workload() directly"
+        "simulator directly"
     )
 
     def check_module(
@@ -143,12 +138,4 @@ class DirectSimulationRule(LintRule):
                     f"constructs {name}(...) directly, bypassing the "
                     "stable facade; use repro.api.make_cache() so the "
                     "construction site stays evolvable",
-                )
-            elif name in _FACADE_RUNNERS:
-                yield self.finding(
-                    module.display_path,
-                    node.lineno,
-                    f"calls the deprecated '{name}(...)'; use "
-                    "repro.api.simulate() (or compare_schemes/run_suite "
-                    "with an ExecEngine)",
                 )

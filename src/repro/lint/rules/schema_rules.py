@@ -52,9 +52,9 @@ class SchemaTagLiteralRule(LintRule):
     """S001: schema tags come from :mod:`repro.schemas`, never literals.
 
     Flags any string literal shaped like ``family-vN`` inside ``repro``
-    source (docstrings excluded).  Registered tags carry an autofix
-    (replace with ``CONSTANT.tag`` + import); tag-shaped literals that
-    are *not* registered are flagged as unregistered — either register
+    source (docstrings excluded).  A registered tag's finding names the
+    constant to use (``CONSTANT.tag``); tag-shaped literals that are
+    *not* registered are flagged as unregistered — either register
     the schema or rename the string so it stops looking like a tag.
     """
 

@@ -11,8 +11,8 @@ minting ``"exec-v3"`` with a different payload meaning.
 
 The registry is now the *only* place a tag literal may appear in
 ``repro`` source: lint rule ``S001`` (see docs/STATIC_ANALYSIS.md)
-flags any string literal of tag shape outside this module, and its
-autofix rewrites the site to reference the registered constant.
+flags any string literal of tag shape outside this module and names
+the registered constant to reference instead.
 
 Bumping a version is still a deliberate, by-hand act: change the
 ``version`` argument here and update the owning module's reader/writer
@@ -68,8 +68,8 @@ class Schema:
 #: Every registered schema, keyed by tag (``exec-v3`` -> Schema).
 SCHEMAS: dict[str, Schema] = {}
 
-#: Registry constant name by tag — the autofix of lint rule S001 uses
-#: this to rewrite a stray ``"obs-trace-v1"`` into ``TRACE.tag``.
+#: Registry constant name by tag — lint rule S001 uses this to point a
+#: stray ``"obs-trace-v1"`` at ``TRACE.tag``.
 CONSTANT_BY_TAG: dict[str, str] = {}
 
 
@@ -161,17 +161,6 @@ PROFILE = _register(
     ),
 )
 
-#: Checked-in lint baseline (accepted-debt entries with ratchet).
-BASELINE = _register(
-    "BASELINE",
-    Schema(
-        family="lint-baseline",
-        version=1,
-        owner="repro.lint.baseline",
-        doc="accepted lint findings `cntcache lint --baseline` ratchets on",
-    ),
-)
-
 
 def is_registered_tag(tag: str) -> bool:
     """True if ``tag`` is a registered schema tag."""
@@ -194,7 +183,6 @@ def schema_for(tag: str) -> Schema:
 
 
 __all__ = [
-    "BASELINE",
     "BENCH",
     "BROKER",
     "CONSTANT_BY_TAG",

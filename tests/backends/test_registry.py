@@ -70,11 +70,9 @@ class TestConstruction:
 
 
 class TestDeprecationShim:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_cache"):
-            CNTCache(CNTCacheConfig())
+    """Every construction path stays free of DeprecationWarning."""
 
-    def test_facade_construction_does_not_warn(self):
+    def test_facade_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             make_cache()

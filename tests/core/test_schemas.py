@@ -50,7 +50,6 @@ class TestRegistry:
             "obs-trace-v1",
             "obs-bench-v2",
             "obs-profile-v1",
-            "lint-baseline-v1",
         }
 
     def test_lookup_surfaces_agree(self):

@@ -1,11 +1,10 @@
-"""The repro.api facade: surface, equivalence, deprecation shims."""
+"""The repro.api facade: surface, equivalence, warning-free paths."""
 
 import warnings
 
 import pytest
 
 from repro import api
-from repro.core.cntcache import CNTCache
 from repro.core.config import CNTCacheConfig
 from repro.exec import ExecEngine, SimJob
 from repro.harness.runner import _run_workload
@@ -97,20 +96,7 @@ class TestPlan:
 
 
 class TestDeprecationShims:
-    def test_run_workload_warns_and_still_works(self, tiny_runs):
-        from repro.harness.runner import run_workload
-
-        run = tiny_runs["stream"]
-        with pytest.warns(DeprecationWarning, match="repro.api.simulate"):
-            result = run_workload(CNTCacheConfig(), run)
-        assert result.total_fj == _run_workload(CNTCacheConfig(), run).total_fj
-
-    def test_top_level_cntcache_attribute_warns(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="make_cache"):
-            cls = repro.CNTCache
-        assert cls is CNTCache
+    """The facade stays free of DeprecationWarning."""
 
     def test_facade_itself_is_warning_free(self, tiny_runs):
         with warnings.catch_warnings():

@@ -1,6 +1,4 @@
-"""Unit tests for the runner, sweeps and the oracle bound."""
-
-import pytest
+"""Unit tests for the runner and the oracle bound."""
 
 from repro.core.config import CNTCacheConfig
 from repro.harness.oracle import oracle_bound
@@ -11,7 +9,6 @@ from repro.harness.runner import (
     run_suite,
     savings_table,
 )
-from repro.harness.sweep import sweep_configs, sweep_workload
 
 
 class TestReplay:
@@ -52,20 +49,6 @@ class TestCompare:
         )
         assert set(results) == {"stream", "crc32"}
         assert set(results["stream"]) == {"baseline", "cnt"}
-
-
-class TestSweep:
-    def test_sweep_configs(self):
-        configs = sweep_configs(CNTCacheConfig(), "window", [4, 8, 16])
-        assert [config.window for config in configs] == [4, 8, 16]
-
-    def test_sweep_workload(self, tiny_runs):
-        results = sweep_workload(
-            tiny_runs["stream"], CNTCacheConfig(), "partitions", [1, 8]
-        )
-        assert set(results) == {1, 8}
-        for result in results.values():
-            assert result.total_fj > 0
 
 
 class TestOracleBound:

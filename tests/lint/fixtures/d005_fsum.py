@@ -3,7 +3,7 @@
 
 
 def total_energy(stats_list):
-    """Line 9 below is the seeded D005 violation (autofixable shape)."""
+    """Line 9 below is the seeded D005 violation (plain loop shape)."""
     total = 0.0
     for stats in stats_list:
         total += stats.leakage_fj
@@ -11,7 +11,7 @@ def total_energy(stats_list):
 
 
 def guarded(stats_list, include):
-    """Line 18 below is a seeded D005 violation (not autofixable)."""
+    """Line 18 below is a seeded D005 violation (guarded shape)."""
     grand = 0.0
     for stats in stats_list:
         if include:

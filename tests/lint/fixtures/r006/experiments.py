@@ -10,11 +10,11 @@ CONFIG = object()
 def bad_experiment(run):
     sim = CNTCache(CONFIG)  # noqa: F821
     sim.run(run.trace)
-    direct = run_workload(CONFIG, run)  # noqa: F821
+    direct = _run_workload(CONFIG, run)  # noqa: F821
     chained = CNTCache(CONFIG).run(run.trace)  # noqa: F821
     rerun = harness.replay(CONFIG, run.trace)  # noqa: F821
     return sim, direct, chained, rerun
 
 
 def blessed_exception(run):
-    return run_workload(CONFIG, run)  # noqa: F821  # lint: disable=R006
+    return replay(CONFIG, run.trace)  # noqa: F821  # lint: disable=R006

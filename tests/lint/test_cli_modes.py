@@ -1,4 +1,4 @@
-"""CLI modes: --changed, baselines, --output, --fix, empty-path exit codes."""
+"""CLI modes: --changed, --output, --format json, empty-path exit codes."""
 
 import json
 import subprocess
@@ -35,76 +35,6 @@ class TestPathErrors:
         assert str(tmp_path) in err
 
 
-class TestBaselineFlow:
-    def test_ratchet_lifecycle(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        target = write_module(tmp_path, "bad.py")
-
-        # Dirty tree without a baseline: gate fails.
-        assert lint_main(["--no-invariants", "repro"]) == 1
-
-        # Accept the debt.
-        assert lint_main(
-            ["--no-invariants", "--update-baseline", "repro"]
-        ) == 0
-        assert (tmp_path / "lint-baseline.json").is_file()
-
-        # Baselined debt no longer gates; it is reported as suppressed.
-        capsys.readouterr()
-        assert lint_main(["--no-invariants", "repro"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # Debt paid off -> the stale entry itself fails the run...
-        target.write_text(CLEAN)
-        capsys.readouterr()
-        assert lint_main(["--no-invariants", "repro"]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
-        # ...until --update-baseline shrinks the file. Ratchet closed.
-        assert lint_main(
-            ["--no-invariants", "--update-baseline", "repro"]
-        ) == 0
-        payload = json.loads((tmp_path / "lint-baseline.json").read_text())
-        assert payload["entries"] == []
-        assert lint_main(["--no-invariants", "repro"]) == 0
-
-    def test_new_findings_still_fail_with_a_baseline(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        write_module(tmp_path, "bad.py")
-        assert lint_main(
-            ["--no-invariants", "--update-baseline", "repro"]
-        ) == 0
-        write_module(
-            tmp_path,
-            "worse.py",
-            '"""Fixture."""\nimport os\n\nPATH = os.getenv("PATH")\n',
-        )
-        assert lint_main(["--no-invariants", "repro"]) == 1
-
-    def test_no_baseline_ignores_the_file(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write_module(tmp_path, "bad.py")
-        assert lint_main(
-            ["--no-invariants", "--update-baseline", "repro"]
-        ) == 0
-        assert lint_main(["--no-invariants", "repro"]) == 0
-        assert (
-            lint_main(["--no-invariants", "--no-baseline", "repro"]) == 1
-        )
-
-    def test_conflicting_baseline_flags_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write_module(tmp_path, "bad.py")
-        assert (
-            lint_main(
-                ["--no-baseline", "--update-baseline", "repro"]
-            )
-            == 2
-        )
-
-
 class TestChangedMode:
     @pytest.fixture
     def git_repo(self, tmp_path, monkeypatch):
@@ -121,7 +51,7 @@ class TestChangedMode:
         # untracked with the same violation.
         write_module(git_repo, "new.py")
         code = lint_main(
-            ["--changed", "--no-invariants", "--no-baseline", "repro"]
+            ["--changed", "--no-invariants", "repro"]
         )
         out = capsys.readouterr().out
         assert code == 1
@@ -131,7 +61,7 @@ class TestChangedMode:
     def test_clean_when_nothing_changed(self, git_repo):
         assert (
             lint_main(
-                ["--changed", "--no-invariants", "--no-baseline", "repro"]
+                ["--changed", "--no-invariants", "repro"]
             )
             == 0
         )
@@ -143,7 +73,7 @@ class TestChangedMode:
             VIOLATING + 'PATH = os.getenv("PATH")\n',
         )
         code = lint_main(
-            ["--changed", "--no-invariants", "--no-baseline", "repro"]
+            ["--changed", "--no-invariants", "repro"]
         )
         out = capsys.readouterr().out
         assert code == 1
@@ -155,7 +85,7 @@ class TestChangedMode:
         write_module(tmp_path, "bad.py")
         assert (
             lint_main(
-                ["--changed", "--no-invariants", "--no-baseline", "repro"]
+                ["--changed", "--no-invariants", "repro"]
             )
             == 2
         )
@@ -175,7 +105,6 @@ class TestOutputFormats:
                 "--output",
                 str(report),
                 "--no-invariants",
-                "--no-baseline",
                 "repro",
             ]
         )
@@ -185,39 +114,11 @@ class TestOutputFormats:
         assert finding["rule"] == "D003"
         assert finding["path"].endswith("bad.py")
 
-    def test_json_format_reports_baseline_stats(
+    def test_json_format_reports_findings_and_physics(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        write_module(tmp_path, "bad.py")
-        assert lint_main(
-            ["--no-invariants", "--update-baseline", "repro"]
-        ) == 0
-        capsys.readouterr()
-        code = lint_main(
-            ["--format", "json", "--no-invariants", "repro"]
-        )
-        assert code == 0
+        write_module(tmp_path, "clean.py", CLEAN)
+        assert lint_main(["--format", "json", "repro"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"] == []
-        assert payload["baseline"]["suppressed"] == 1
-        assert payload["baseline"]["stale"] == []
-
-
-class TestFixFlag:
-    def test_fix_then_lint_in_one_invocation(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        target = write_module(
-            tmp_path,
-            "tags.py",
-            '"""Fixture."""\n\nSCHEMA = "exec-v3"\n',
-        )
-        code = lint_main(
-            ["--fix", "--no-invariants", "--no-baseline", "repro"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fixed S001" in out
-        assert "SCHEMA = EXEC.tag" in target.read_text()
+        assert payload == {"findings": [], "physics": []}

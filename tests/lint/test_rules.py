@@ -94,7 +94,7 @@ class TestR006:
         ]
         messages = " ".join(finding.message for finding in findings)
         assert "CNTCache" in messages
-        assert "run_workload" in messages
+        assert "_run_workload" in messages
         assert "replay" in messages
         assert "SimJob" in messages
 
@@ -117,17 +117,12 @@ class TestR006:
 
     def test_facade_branch_fires_inside_repro_source(self):
         findings = findings_for("r006/repro/runner_bypass.py")
-        assert hits(findings) == [
-            ("R006", 13),
-            ("R006", 14),
-        ]
-        messages = " ".join(finding.message for finding in findings)
-        assert "repro.api.make_cache" in messages
-        assert "repro.api.simulate" in messages
+        assert hits(findings) == [("R006", 13)]
+        assert "repro.api.make_cache" in findings[0].message
 
     def test_facade_branch_allows_replay_and_disable_comment(self):
         findings = findings_for("r006/repro/runner_bypass.py")
-        assert all(finding.line not in (20, 24) for finding in findings)
+        assert all(finding.line not in (19, 23) for finding in findings)
 
     def test_facade_branch_quiet_outside_repro_source(self):
         # Same bypass patterns, but no ``repro`` path component: user

@@ -36,8 +36,8 @@ LAZY_PACKAGES = (
 )
 
 #: Exports a package serves itself rather than through its lazy table:
-#: an eager constant and a deprecation shim.
-OWN_EXPORTS = {"repro": {"CNTCache", "__version__"}}
+#: an eager constant.
+OWN_EXPORTS = {"repro": {"__version__"}}
 
 #: Stdlib machinery only the parallel and distributed paths need.
 HEAVY_STDLIB = ("concurrent.futures", "multiprocessing", "socket")
@@ -165,7 +165,7 @@ class TestLazyNamespaces:
     def test_every_export_resolves(self, package):
         module = importlib.import_module(package)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             for name in module.__all__:
                 assert getattr(module, name) is not None, name
 

@@ -8,9 +8,8 @@ arbitrary byte offset, a flipped byte, a swapped schema tag, non-object
 JSON, and injected ``NaN``/``Infinity``/``1e999``/5000-digit numbers.
 The kind's own reader must then
 
-* never raise (a lint baseline's documented ``LintError`` and a bench
-  record's ``BenchError`` aside, and a manifest's ``ManifestError``
-  when its header is gone);
+* never raise (a bench record's ``BenchError`` aside, and a
+  manifest's ``ManifestError`` when its header is gone);
 * return either the original record or a skip;
 * move the kind's registered counter by exactly 1 per skip.
 
@@ -41,9 +40,6 @@ from repro import records
 from repro.exec import BrokerConfig, ExecEngine, trace_job
 from repro.exec.broker import BrokerStore
 from repro.exec.store import ResultStore
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.engine import LintError
-from repro.lint.findings import Finding, Severity
 from repro.obs import probe
 from repro.obs.bench import RECORD, BenchError, load_pins
 from repro.obs.manifest import (
@@ -75,7 +71,7 @@ POISON_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "9" * 5000]
 class TestLayer:
     def test_every_kind_counter_is_registered(self):
         for kind, counter in records.COUNTERS.items():
-            assert counter is None or is_registered(counter), kind
+            assert is_registered(counter), kind
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
@@ -266,26 +262,6 @@ def _read_bench(root: Path) -> Any:
         return SKIPPED
 
 
-def _write_baseline(root: Path) -> Path:
-    path = root / "lint-baseline.json"
-    finding = Finding(
-        path="src/a.py",
-        line=3,
-        rule_id="D001",
-        severity=Severity.ERROR,
-        message="boom",
-    )
-    write_baseline([finding], path)
-    return path
-
-
-def _read_baseline(root: Path) -> Any:
-    try:
-        return load_baseline(root / "lint-baseline.json")
-    except LintError:
-        return SKIPPED
-
-
 KINDS: dict[str, Kind] = {
     "cache entry": Kind(_write_cache, _read_cache),
     "broker job": Kind(
@@ -298,7 +274,6 @@ KINDS: dict[str, Kind] = {
     "broker quarantine": Kind(_write_quarantine, _read_quarantine),
     "collector state": Kind(_write_state, _read_state),
     "bench record": Kind(_write_bench, _read_bench),
-    "lint baseline": Kind(_write_baseline, _read_baseline),
 }
 
 #: Kinds stored as JSON lines, fuzzed line by line below.
@@ -396,8 +371,7 @@ def test_damaged_records_read_as_the_original_or_a_counted_skip(
     if value is SKIPPED:
         if name == "cache entry" and how in ("swap", "flip") and not moved:
             return  # a foreign schema or fingerprint: an uncounted miss
-        expected = {} if counter is None else {counter: 1}
-        assert moved == expected, (how, damaged[:200])
+        assert moved == {counter: 1}, (how, damaged[:200])
         if name == "cache entry":
             assert quarantined == 1
         return
