@@ -104,7 +104,7 @@ def _wall_now() -> float:
 
 
 #: The evidence fields of a reclaim and of a quarantine record: what
-#: their manifest entries and telemetry frames carry.
+#: their frame records carry.
 RECLAIM_FIELDS = ("fingerprint", "generation", "lost_worker", "by")
 QUARANTINE_FIELDS = ("fingerprint", "label", "generation", "reason")
 
@@ -904,7 +904,7 @@ def run_worker(
         stats.apply(event)
         frame = lifecycle_frame(event)
         if frame is not None:
-            telemetry.lifecycle(frame[0], **frame[1])
+            telemetry.write(frame)
         job = event.job
         if event.kind in ("claim", "renew"):
             # A claim announces the job at once; renewals ride the lease

@@ -23,7 +23,8 @@ simulation results (lint rule R006 enforces this for
 Observability: every job transition is one :class:`ExecEvent` passed to
 :meth:`ExecEngine.emit`, which folds it into :attr:`ExecEngine.counters`
 (and the ``exec.*`` probe counters) and hands it to each attached
-channel: the ``obs`` session's run manifest, the telemetry stream and
+channel: the ``obs`` session and the telemetry stream, which both write
+its one frame record (:func:`repro.obs.telemetry.lifecycle_frame`), and
 the ``progress`` callback (see :mod:`repro.exec.events`).  Attaching an
 ``obs`` session (:class:`repro.obs.Obs`) also turns the probes on for
 the duration of every batch: instrumented simulation code publishes
@@ -56,10 +57,7 @@ from repro.exec.events import (
 from repro.exec.job import SimJob
 from repro.exec.planner import plan_jobs
 from repro.exec.result import ExecResult
-from repro.exec.store import (  # noqa: F401  (re-exported compat name)
-    STALE_TMP_TTL_S,
-    ResultStore,
-)
+from repro.exec.store import ResultStore
 from repro.exec.worker import execute_chunk, execute_job
 from repro.obs import probe, trace
 from repro.resilience import (
@@ -175,7 +173,7 @@ class ExecEngine:
         #: Broker configuration (``broker`` exec backend only).
         self.broker = broker
         #: Optional :class:`repro.obs.Obs` session; when set, probes are
-        #: enabled around every batch and manifests are emitted into it.
+        #: enabled around every batch and job records are reported to it.
         self.obs = obs
         #: Fault-tolerance policy (see :mod:`repro.resilience`).
         self.resilience = resilience
@@ -394,7 +392,7 @@ class ExecEngine:
     # ------------------------------------------------------------------ #
     def emit(self, event: ExecEvent) -> None:
         """Record one transition: fold it into :attr:`counters`, then hand
-        it to every attached channel (manifest, telemetry, progress)."""
+        it to every attached channel (obs session, telemetry, progress)."""
         self.counters.apply(event)
         if self.trace_id is not None and event.job is not None:
             from repro.obs.telemetry import span_for
@@ -411,10 +409,10 @@ class ExecEngine:
                 self.progress(line)
 
     def _stream(self, event: ExecEvent) -> None:
-        """The telemetry channel: the event's lifecycle frame, then — for a
+        """The telemetry channel: the event's frame record, then — for a
         resolution, when one is due — a gauge heartbeat.
 
-        Local executions stream ``finish`` and adopted fleet results
+        Local executions stream ``run`` and adopted fleet results
         ``adopt`` (the worker already streamed the ``finish``), so the
         collector's energy accounting stays exactly-once.
         """
@@ -423,7 +421,7 @@ class ExecEngine:
         assert self.telemetry is not None
         frame = lifecycle_frame(event)
         if frame is not None:
-            self.telemetry.lifecycle(frame[0], **frame[1])
+            self.telemetry.write(frame)
         result = event.result
         if event.kind not in RESOLUTIONS or result is None:
             return

@@ -7,11 +7,11 @@ closure in :func:`repro.exec.broker.run_worker`; the result and broker
 stores take it too).  Every accounting channel is a reader of the event:
 :meth:`EngineCounters.apply` is the only writer of the counters and of
 their ``exec.*`` probe counters (:data:`COUNTED`),
-:meth:`repro.exec.broker.WorkerStats.apply` is the worker-side fold, and
-:func:`repro.obs.manifest.entry_for`,
-:func:`repro.obs.telemetry.lifecycle_frame` and :func:`progress_line`
-map it to its manifest entry, telemetry frame and ``--progress`` line
-(``None`` where the kind has none).  docs/OBSERVABILITY.md tabulates
+:meth:`repro.exec.broker.WorkerStats.apply` is the worker-side fold,
+:func:`repro.obs.telemetry.lifecycle_frame` maps it to its one on-disk
+record (the frame that run manifests and telemetry streams both write)
+and :func:`progress_line` to its ``--progress`` line (``None`` where the
+kind has none).  docs/OBSERVABILITY.md tabulates
 every kind.
 """
 
@@ -36,7 +36,7 @@ class ExecEvent:
     event counts (batch, publish and sweep sizes); ``generation`` is the
     lease generation, or a ``retry``'s attempt number; ``detail`` holds
     the kind's evidence — for broker kinds, exactly the fields of their
-    manifest entry and telemetry frame.
+    frame record.
     """
 
     kind: str

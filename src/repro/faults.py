@@ -2,7 +2,7 @@
 
 ``repro.faults`` lets tests (and the CI chaos job) inject the failure
 modes a long sweep actually meets — a crashed worker, a hung worker, a
-truncated cache file, an ``OSError`` on cache write, a poisoned manifest
+truncated cache file, an ``OSError`` on cache write, a poisoned frame
 line — *deterministically*: every decision is a pure function of the
 plan seed, the fault site and the subject key, so an injected-fault run
 is reproducible bit-for-bit and can be asserted against a fault-free
@@ -76,8 +76,8 @@ class FaultPlan:
         Per-entry probability that a cache write is truncated on disk,
         or fails with an injected ``OSError``.
     ``poison``
-        Per-entry probability that a garbage line is spliced into the
-        JSONL manifest ahead of a real entry.
+        Per-frame probability that a garbage line is spliced into a
+        frame stream (telemetry or run manifest) ahead of a real frame.
     ``lease``
         Per-job probability that a broker lease write is torn (the
         file truncated mid-document), modelling a worker dying inside
@@ -252,7 +252,7 @@ def mark_worker_process(flag: bool = True) -> None:
 
 
 # ------------------------------------------------------------------ #
-# hooks (called from the engine / worker / cache / manifest paths)
+# hooks (called from the engine / worker / cache / frame-writer paths)
 # ------------------------------------------------------------------ #
 def on_job_start(key: str, attempt: int = 0) -> None:
     """Worker-side hook: maybe hang, maybe crash, before a job runs.
@@ -307,12 +307,12 @@ def mangle_lease_write(key: str, data: str) -> str:
     return data[: max(1, len(data) // 3)]
 
 
-def poison_manifest_line(key: str) -> str | None:
-    """Manifest hook: a garbage JSONL line to splice in, or ``None``."""
+def poison_frame_line(key: str) -> str | None:
+    """Frame-writer hook: a garbage JSONL line to splice in, or ``None``."""
     plan = active()
     if plan is None or not plan.fires_at("poison", key):
         return None
-    return '{"type": <injected manifest poison>'
+    return '{"type": <injected frame poison>'
 
 
 __all__ = [
@@ -330,6 +330,6 @@ __all__ = [
     "mark_worker_process",
     "maybe_cache_write_error",
     "on_job_start",
-    "poison_manifest_line",
+    "poison_frame_line",
     "uninstall",
 ]

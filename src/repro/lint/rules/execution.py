@@ -33,8 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: File the experiment-discipline branch polices.
 _TARGET_NAME = "experiments.py"
 
-#: Bare call names that mean "simulate right here, right now".
-_DIRECT_RUNNERS = frozenset({"_run_workload", "replay"})
+#: Bare call names that mean "simulate right here, right now": the
+#: runner's entry points and the facade's (``api.simulate``,
+#: ``api.make_cache``).  ``make_engine`` stays allowed: it builds the
+#: engine experiments resolve their jobs through.
+_DIRECT_RUNNERS = frozenset({"_run_workload", "replay", "simulate", "make_cache"})
 
 #: Simulator classes whose construction must go through the facade
 #: (every backend of the registry, not just the scalar reference).
@@ -64,7 +67,8 @@ class DirectSimulationRule(LintRule):
     """R006: simulate through the engine; construct through the facade.
 
     Inside an ``experiments.py`` module, flags any call to
-    ``_run_workload(...)`` or ``replay(...)`` and any construction of a
+    ``_run_workload(...)``, ``replay(...)``, ``simulate(...)`` or
+    ``make_cache(...)`` and any construction of a
     backend simulator class (``CNTCache(...)``/``ArrayCNTCache(...)``,
     which covers the chained ``CNTCache(...).run(...)`` form too) —
     declare a :class:`repro.exec.SimJob` and resolve it through the

@@ -1,6 +1,6 @@
 """Observability: probes, traces, manifests, the profiler and the bench gate.
 
-Five layers, cheapest first:
+Six layers, cheapest first:
 
 * :mod:`repro.obs.probe` — process-global counters/timers/events/gauges
   that instrumented code publishes into; **zero cost when disabled**
@@ -9,9 +9,12 @@ Five layers, cheapest first:
   per-access energy-attributed events + lifecycle spans, exported by
   :mod:`repro.obs.export` to Chrome trace-event JSON or collapsed-stack
   energy flamegraphs (``cntcache trace``).
-* :mod:`repro.obs.manifest` — JSONL run manifests (one entry per unique
-  job resolution + a batch summary) with a reader, a cross-batch merger
-  and a zero-guarded aggregator.
+* :mod:`repro.obs.telemetry` — the one on-disk record of each job
+  transition: per-process NDJSON frame streams that ``cntcache top``,
+  ``status``, ``metrics`` and ``trace --fleet`` read live.
+* :mod:`repro.obs.manifest` — run manifests (the same frames, one file
+  per run, plus a batch summary) with a reader and a zero-guarded
+  aggregator.
 * :mod:`repro.obs.profile` — ``cntcache profile``: replay experiments
   with probes on and render/export the breakdown.
 * :mod:`repro.obs.bench` — ``cntcache bench``: the fidelity gate. It
@@ -43,11 +46,8 @@ if TYPE_CHECKING:
         write_fleet_chrome,
     )
     from repro.obs.manifest import (
-        MANIFEST_SCHEMA,
         ManifestError,
         ManifestSummary,
-        ManifestWriter,
-        merge_manifests,
         read_manifest,
         summarize,
     )
@@ -82,7 +82,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BENCH_SCHEMA",
-    "MANIFEST_SCHEMA",
     "METRIC_NAMES",
     "PROFILE_SCHEMA",
     "TELEMETRY_SCHEMA",
@@ -91,7 +90,6 @@ __all__ = [
     "FleetSnapshot",
     "ManifestError",
     "ManifestSummary",
-    "ManifestWriter",
     "Obs",
     "ObsScope",
     "ProcessView",
@@ -110,7 +108,6 @@ __all__ = [
     "gauge",
     "is_registered",
     "make_trace_id",
-    "merge_manifests",
     "profile_experiments",
     "prometheus_lines",
     "read_all_frames",
@@ -130,7 +127,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "BENCH_SCHEMA": "repro.obs.bench",
-        "MANIFEST_SCHEMA": "repro.obs.manifest",
         "METRIC_NAMES": "repro.obs.names",
         "PROFILE_SCHEMA": "repro.obs.profile",
         "TELEMETRY_SCHEMA": "repro.obs.telemetry",
@@ -139,7 +135,6 @@ __getattr__, __dir__ = lazy_exports(
         "FleetSnapshot": "repro.obs.telemetry",
         "ManifestError": "repro.obs.manifest",
         "ManifestSummary": "repro.obs.manifest",
-        "ManifestWriter": "repro.obs.manifest",
         "Obs": "repro.obs.session",
         "ObsScope": "repro.obs.probe",
         "ProcessView": "repro.obs.telemetry",
@@ -158,7 +153,6 @@ __getattr__, __dir__ = lazy_exports(
         "gauge": "repro.obs.probe",
         "is_registered": "repro.obs.names",
         "make_trace_id": "repro.obs.telemetry",
-        "merge_manifests": "repro.obs.manifest",
         "profile_experiments": "repro.obs.profile",
         "prometheus_lines": "repro.obs.telemetry",
         "read_all_frames": "repro.obs.telemetry",

@@ -130,8 +130,8 @@ def fleet_chrome_trace(frames: Iterable[dict]) -> dict:
     Consumes the NDJSON frames :mod:`repro.obs.telemetry` streams (see
     :func:`repro.obs.telemetry.read_all_frames`) and renders every
     process identity as its own Chrome *process* row — the coordinator
-    first, then each worker.  ``claim`` → ``finish``/``fail`` lifecycle
-    pairs become complete (``"ph": "X"``) job spans on the shared
+    first, then each worker.  ``claim`` → ``finish``/``attempt_failed``/
+    ``quarantine`` record pairs become complete (``"ph": "X"``) job spans on the shared
     wall-clock timeline (correlation ids in ``args``), unpaired
     lifecycle events become instants, and coordinator queue-depth
     heartbeats become counter (``"ph": "C"``) samples, so the drain's
@@ -202,7 +202,7 @@ def fleet_chrome_trace(frames: Iterable[dict]) -> dict:
         if event == "claim" and fingerprint:
             open_claims[(identity, fingerprint)] = frame
             continue
-        if event in ("finish", "fail", "quarantine") and fingerprint:
+        if event in ("finish", "attempt_failed", "quarantine") and fingerprint:
             opened = open_claims.pop((identity, fingerprint), None)
             if opened is not None:
                 start = float(opened.get("ts", ts))

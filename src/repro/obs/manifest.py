@@ -1,247 +1,62 @@
-"""Run manifests: one JSONL record per resolved job, plus a merger.
+"""Run manifests: the coordinator's frame stream, read back and summarized.
 
-A manifest is an append-only JSON-lines file:
+A manifest (``Obs(manifest=PATH)``, ``cntcache profile --manifest``) is
+an ``obs-telemetry-v2`` NDJSON frame stream written to one path by the
+telemetry writer (:mod:`repro.obs.telemetry`):
 
-* line 1 — a ``header`` entry carrying the manifest schema tag;
-* one ``job`` entry per *unique job resolution* (job hash, config digest,
-  result source, wall time, queue wait, accesses, energy totals and the
-  per-job probe counters/timers that travelled back in the result
-  payload);
-* one ``failure`` entry per job that exhausted its attempts (the
-  :class:`repro.resilience.FailureRecord` fields);
-* one ``summary`` entry per engine batch (engine counters, batch wall
+* a ``hello`` frame (process identity);
+* one ``lifecycle`` record per job transition, built by
+  :func:`repro.obs.telemetry.lifecycle_frame` and named by its event
+  kind — a resolution (``cache_hit``, ``run``, ``adopt``) carries the
+  job hash, config digest, result source, wall time, queue wait,
+  accesses, energy and the per-job probe snapshot; a ``fail`` carries
+  the :class:`repro.resilience.FailureRecord` fields;
+* one ``summary`` frame per engine batch (engine counters, batch wall
   time, session-level probe totals).
 
-:func:`read_manifest` parses and validates one file;
-:func:`merge_manifests` concatenates several (a batch of runs) and
-:func:`summarize` aggregates any entry stream into a
-:class:`ManifestSummary` — the data behind ``cntcache profile``.  Every
-rate in the summary is zero-guarded: an empty manifest summarizes to
-zeros, never to a ``ZeroDivisionError``.
+:func:`read_manifest` parses and validates one file (several runs are
+one concatenated list) and :func:`summarize` aggregates any record
+stream into a :class:`ManifestSummary` — the data behind ``cntcache
+profile``.  Every rate in the summary is zero-guarded: an empty manifest
+summarizes to zeros, never to a ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro import faults, records
+from repro import records
 from repro.obs import probe
-from repro.schemas import MANIFEST
-
-#: Manifest format tag; bump the version in :mod:`repro.schemas` when
-#: entry fields change incompatibly.
-MANIFEST_SCHEMA = MANIFEST.tag
+from repro.obs.telemetry import TELEMETRY_SCHEMA, frame_ok
 
 
 class ManifestError(ValueError):
-    """Raised on malformed manifest files or entries."""
+    """Raised on a manifest file that holds no valid record."""
 
 
-def config_digest(config) -> str | None:
-    """Short content hash of a config (``None`` for config-less jobs)."""
-    if config is None:
-        return None
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-# ------------------------------------------------------------------ #
-# entry constructors
-# ------------------------------------------------------------------ #
-def header_entry() -> dict:
-    """The mandatory first line of every manifest."""
-    return {"type": "header", "schema": MANIFEST_SCHEMA}
-
-
-def job_entry(
-    job,
-    result,
-    queue_wait_s: float = 0.0,
-    trace_id: str | None = None,
-    span_id: str | None = None,
-) -> dict:
-    """One resolved job, JSON-ready.
-
-    ``job`` is a :class:`repro.exec.SimJob`, ``result`` the matching
-    :class:`repro.exec.ExecResult`; the per-job probe snapshot (if the
-    job ran with probes on) rides along in ``result.obs``.  A broker
-    coordinator additionally stamps the fleet ``trace_id`` and the
-    job's derived ``span_id`` (see :mod:`repro.obs.telemetry`) so
-    manifest entries correlate with worker telemetry and trace
-    snapshots; both are omitted for untraced runs.
-    """
-    stats = result.stats
-    obs = result.obs or {}
-    entry = {
-        "type": "job",
-        "fingerprint": job.fingerprint,
-        "label": job.label,
-        "kind": job.kind,
-        "workload": job.workload,
-        "size": job.size,
-        "seed": job.seed,
-        "scheme": None if job.config is None else job.config.scheme,
-        "config_digest": config_digest(job.config),
-        "source": result.source,
-        "wall_s": result.wall_s,
-        "queue_wait_s": queue_wait_s,
-        "accesses": result.accesses,
-        "energy": None if stats is None else stats.to_dict(),
-        "total_fj": None if stats is None else stats.total_fj,
-        "counters": dict(obs.get("counters", {})),
-        "timers": dict(obs.get("timers", {})),
-        "events": list(obs.get("events", [])),
-        "gauges": dict(obs.get("gauges", {})),
-    }
-    if trace_id is not None:
-        entry["trace_id"] = trace_id
-        entry["span_id"] = span_id
-    return entry
-
-
-def broker_entry(event: str, **fields) -> dict:
-    """One distributed-broker lifecycle event (``repro.exec.broker``).
-
-    ``event`` is one of ``publish`` (job records posted), ``reclaim``
-    (an expired lease stolen from a lost worker), ``quarantine`` (a
-    poison job retired) or ``drain`` (the coordinator finished); the
-    keyword fields carry the event's evidence (fingerprints, counts,
-    generations).  Broker entries are observability only — readers that
-    predate them (or :func:`summarize`) skip unknown types untouched.
-    """
-    return {"type": "broker", "event": event, **fields}
-
-
-#: Event kind (:mod:`repro.exec.events`) -> the broker entry it writes;
-#: the entry's fields are the event's evidence (``event.detail``).
-BROKER_ENTRIES = {
-    "publish": "publish",
-    "reclaim": "reclaim",
-    "quarantined": "quarantine",
-    "drain": "drain",
-}
-
-
-def entry_for(event) -> dict | None:
-    """The manifest entry of one job transition, or ``None`` (memo hits
-    write none: they resolve a job already recorded)."""
-    kind = event.kind
-    if kind in ("cache_hit", "run", "adopt"):
-        return job_entry(
-            event.job,
-            event.result,
-            queue_wait_s=event.queue_wait_s,
-            trace_id=event.trace_id,
-            span_id=event.span_id,
-        )
-    if kind == "fail":
-        return {"type": "failure", **event.detail}
-    name = BROKER_ENTRIES.get(kind)
-    return None if name is None else broker_entry(name, **event.detail)
-
-
-def summary_entry(engine: dict, wall_s: float, scope=None) -> dict:
-    """One engine batch: counters plus the session scope's probe totals."""
-    snapshot = scope.snapshot() if scope is not None else {}
-    return {
-        "type": "summary",
-        "engine": dict(engine),
-        "wall_s": wall_s,
-        "counters": dict(snapshot.get("counters", {})),
-        "timers": dict(snapshot.get("timers", {})),
-        "gauges": dict(snapshot.get("gauges", {})),
-        "dropped_events": snapshot.get("dropped_events", 0),
-    }
-
-
-# ------------------------------------------------------------------ #
-# writer
-# ------------------------------------------------------------------ #
-class ManifestWriter:
-    """Append JSONL entries to a manifest file (header written lazily)."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.entries_written = 0
-        self._file = None
-
-    def write(self, entry: dict) -> None:
-        """Append one typed entry (opens the file and emits the header first).
-
-        The entry is serialized before anything is written: a non-finite
-        number raises ``ValueError`` (readers would skip the line) and
-        leaves the file as it was.
-        """
-        if not isinstance(entry, dict) or "type" not in entry:
-            raise ManifestError(f"manifest entries need a 'type': {entry!r}")
-        line = records.dumps(entry)
-        if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("w", encoding="utf-8")
-            self._emit(records.dumps(header_entry()))
-        poison = faults.poison_manifest_line(
-            f"{self.path.name}:{self.entries_written}"
-        )
-        if poison is not None:
-            assert self._file is not None
-            self._file.write(poison + "\n")
-        self._emit(line)
-
-    def _emit(self, line: str) -> None:
-        assert self._file is not None
-        self._file.write(line + "\n")
-        self._file.flush()
-        self.entries_written += 1
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "ManifestWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ------------------------------------------------------------------ #
-# reader / merger
-# ------------------------------------------------------------------ #
 def read_manifest(path: str | Path) -> list[dict]:
-    """Parse one manifest; raises :class:`ManifestError` without a header.
+    """Every valid record of one manifest, in file order.
 
-    A line that is not a JSON object with a ``type`` is skipped and
-    counted under ``obs.torn_lines``, so one bad line cannot blank a run.
-    The file is read once; a newline is added so that an unterminated
-    final line is kept if it parses whole.
+    A line that is not an ``obs-telemetry-v2`` frame is skipped and
+    counted under ``obs.torn_lines``, so one bad line cannot blank a run;
+    a file with no valid record (empty, or written in another format)
+    raises :class:`ManifestError`.  The file is read once; a newline is
+    added so that an unterminated final line is kept if it parses whole.
     """
-    lines, _, _ = records.parse_lines(Path(path).read_bytes() + b"\n", None)
-    entries = [entry for entry in lines if "type" in entry]
-    if len(entries) < len(lines):
-        probe.counter("obs.torn_lines", len(lines) - len(entries))
-    if not entries:
-        raise ManifestError(f"{path}: empty manifest")
-    head = entries[0]
-    if head["type"] != "header" or head.get("schema") != MANIFEST_SCHEMA:
+    lines, _, _ = records.parse_lines(
+        Path(path).read_bytes() + b"\n", TELEMETRY_SCHEMA
+    )
+    frames = [frame for frame in lines if frame_ok(frame)]
+    if len(frames) < len(lines):
+        probe.counter("obs.torn_lines", len(lines) - len(frames))
+    if not frames:
         raise ManifestError(
-            f"{path}: bad header {head!r}; expected schema {MANIFEST_SCHEMA!r}"
+            f"{path}: no valid record; expected schema {TELEMETRY_SCHEMA!r}"
         )
-    return entries
-
-
-def merge_manifests(paths: Iterable[str | Path]) -> list[dict]:
-    """Concatenate several manifests (a batch) into one entry stream."""
-    merged: list[dict] = []
-    for path in paths:
-        merged.extend(read_manifest(path))
-    return merged
+    return frames
 
 
 # ------------------------------------------------------------------ #
@@ -335,8 +150,8 @@ def _merge_numeric(into: dict, values: dict) -> None:
 def _finite(value, default: float = 0.0) -> float:
     """``value`` as a finite float; NaN/inf/garbage clamp to ``default``.
 
-    Manifest entries can come off disk (merged batches, foreign
-    writers), so a poisoned ``wall_s`` or ``total_fj`` must degrade to
+    Manifest records come off disk (concatenated runs, foreign
+    writers), so a poisoned ``wall_s`` or ``energy_fj`` must degrade to
     zero instead of propagating NaN through every per-kind rate.
     """
     try:
@@ -346,12 +161,18 @@ def _finite(value, default: float = 0.0) -> float:
     return value if math.isfinite(value) else default
 
 
-def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
-    """Aggregate an entry stream (headers are skipped, order irrelevant).
+#: The records that resolve a job in the coordinator's stream (a
+#: worker's ``finish`` is the same job as the ``adopt`` that follows it).
+JOB_EVENTS = frozenset({"cache_hit", "run", "adopt"})
 
-    Counter/timer totals come from ``summary`` entries when present (the
+
+def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
+    """Aggregate a record stream (order irrelevant; records that are not
+    job resolutions, failures or batch summaries are skipped).
+
+    Counter/timer totals come from ``summary`` records when present (the
     session scope already folds in every job's traffic, so re-adding the
-    per-job copies would double-count); a manifest with job entries only
+    per-job copies would double-count); a manifest with job records only
     falls back to summing those.
     """
     summary = ManifestSummary()
@@ -361,7 +182,8 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
     saw_summary = False
     for entry in entries:
         kind = entry.get("type")
-        if kind == "job":
+        event = entry.get("event") if kind == "lifecycle" else None
+        if event in JOB_EVENTS:
             job_entries.append(entry)
         elif kind == "summary":
             saw_summary = True
@@ -369,7 +191,7 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
             _merge_numeric(summary.counters, entry.get("counters", {}))
             _merge_numeric(summary.timers, entry.get("timers", {}))
             summary.gauges.update(entry.get("gauges", {}))
-        elif kind == "failure":
+        elif event == "fail":
             summary.failures += 1
             if len(summary.failed) < max(top, 0):
                 summary.failed.append(
@@ -412,7 +234,7 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
                 if isinstance(value, (int, float)) and name.endswith("_fj")
             }
             _merge_numeric(summary.energy_fj, components)
-            total = _finite(entry.get("total_fj") or 0.0)
+            total = _finite(entry.get("energy_fj") or 0.0)
             # Report-side aggregation of already-metered energy, not a
             # new energy source.
             summary.total_fj += total  # lint: disable=R001

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.obs.manifest import MANIFEST_SCHEMA, ManifestSummary
+from repro.obs.manifest import ManifestSummary
 from repro.obs.session import Obs
 from repro.schemas import PROFILE
 
@@ -238,7 +238,7 @@ def profile_experiments(
 
     ``experiments=None`` profiles every registered experiment.  The
     manifest (when a path is given) is written as the run progresses;
-    the returned report aggregates the same entries in memory either way.
+    the returned report aggregates the same records in memory either way.
     """
     from repro.exec import ExecEngine
     from repro.harness.experiments import EXPERIMENT_PLANS, EXPERIMENTS
@@ -283,7 +283,6 @@ def profile_experiments(
 
 
 __all__ = [
-    "MANIFEST_SCHEMA",
     "PROFILE_SCHEMA",
     "ProfileError",
     "ProfileReport",

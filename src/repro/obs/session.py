@@ -4,67 +4,77 @@ An ``Obs`` is what callers hand to the engine and the harness helpers via
 the uniform ``obs=`` keyword (see :mod:`repro.harness.runner` for the
 convention).  It is an :class:`~repro.obs.probe.ObsScope`, so while it is
 recording (the engine pushes it around every batch) all probe traffic
-accumulates on it; in addition it collects the JSONL manifest entries the
-engine reports (one per unique job resolution, one summary per batch) —
-in memory always, and mirrored to a manifest file when one is attached.
+accumulates on it; in addition it collects the records the engine
+reports (one :func:`~repro.obs.telemetry.lifecycle_frame` per recorded
+job transition, one summary per batch) — in memory always, and written
+to a manifest frame stream when a path is attached.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs.manifest import (
-    ManifestSummary,
-    ManifestWriter,
-    entry_for,
-    summarize,
-    summary_entry,
-)
+from repro.obs.manifest import ManifestSummary, summarize
 from repro.obs.probe import ObsScope
+from repro.obs.telemetry import TelemetryWriter, lifecycle_frame
 
 
 class Obs(ObsScope):
     """One observation session.
 
     ``manifest``
-        ``None`` (in-memory only), a path (a :class:`ManifestWriter` is
-        opened on it), or an existing writer.
+        ``None`` (in-memory only) or a path: a coordinator
+        :class:`~repro.obs.telemetry.TelemetryWriter` writes the records
+        there (the file is created on the first record).
     """
 
     __slots__ = ("entries", "manifest")
 
-    def __init__(
-        self, manifest: str | Path | ManifestWriter | None = None
-    ) -> None:
+    def __init__(self, manifest: str | Path | None = None) -> None:
         super().__init__()
-        #: Every manifest entry reported to this session, in order.
+        #: Every record reported to this session, in order.
         self.entries: list[dict] = []
-        if manifest is None or isinstance(manifest, ManifestWriter):
-            self.manifest = manifest
-        else:
-            self.manifest = ManifestWriter(manifest)
+        self.manifest = (
+            None
+            if manifest is None
+            else TelemetryWriter(
+                Path(manifest).parent, role="coordinator", path=manifest
+            )
+        )
 
     # -------------------------------------------------------------- #
     # reporting (called by the engine)
     # -------------------------------------------------------------- #
     def record(self, event) -> dict | None:
-        """Append the manifest entry of one job transition (an
+        """Append the record of one job transition (an
         :class:`~repro.exec.events.ExecEvent`), if it has one; returns it."""
-        entry = entry_for(event)
-        if entry is not None:
-            self._append(entry)
-        return entry
+        frame = lifecycle_frame(event)
+        if frame is not None:
+            self._append(frame)
+        return frame
 
     def record_summary(self, engine_counters: dict, wall_s: float) -> dict:
-        """Append one batch-summary entry (engine counters + scope totals)."""
-        entry = summary_entry(engine_counters, wall_s, scope=self)
-        self._append(entry)
-        return entry
+        """Append one batch-summary record (engine counters + scope totals)."""
+        frame = self._summary_frame(engine_counters, wall_s)
+        self._append(frame)
+        return frame
 
-    def _append(self, entry: dict) -> None:
-        self.entries.append(entry)
+    def _summary_frame(self, engine: dict, wall_s: float) -> dict:
+        snapshot = self.snapshot()
+        return {
+            "type": "summary",
+            "engine": dict(engine),
+            "wall_s": wall_s,
+            "counters": dict(snapshot.get("counters", {})),
+            "timers": dict(snapshot.get("timers", {})),
+            "gauges": dict(snapshot.get("gauges", {})),
+            "dropped_events": snapshot.get("dropped_events", 0),
+        }
+
+    def _append(self, frame: dict) -> None:
+        self.entries.append(frame)
         if self.manifest is not None:
-            self.manifest.write(entry)
+            self.manifest.write(frame)
 
     # -------------------------------------------------------------- #
     # consumption
@@ -77,7 +87,7 @@ class Obs(ObsScope):
         """
         entries = list(self.entries)
         if not any(entry.get("type") == "summary" for entry in entries):
-            entries.append(summary_entry({}, 0.0, scope=self))
+            entries.append(self._summary_frame({}, 0.0))
         return summarize(entries, top=top)
 
     def close(self) -> None:

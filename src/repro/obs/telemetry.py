@@ -1,25 +1,28 @@
 """Live fleet telemetry: a streaming NDJSON event bus over a directory.
 
-The broker (:mod:`repro.exec.broker`) made runs multi-process, but every
-observability surface it shipped is post-hoc: manifests and probe
-counters are only readable after the batch completes.  This module is
-the live layer — each participant (coordinator and workers) appends
+The broker (:mod:`repro.exec.broker`) made runs multi-process, and
+probe counters are only readable after the batch completes.  This module
+is the live layer — each participant (coordinator and workers) appends
 bounded-rate telemetry *frames* to its own file under a shared
 directory (``<broker>/telemetry/`` by default)::
 
     <dir>/<identity>.ndjson     one append-only frame stream per process
 
-Three frame types, all JSON objects tagged ``obs-telemetry-v1``:
+Four frame types, all JSON objects tagged ``obs-telemetry-v2``:
 
 * ``hello`` — the process introduces itself (pid, host, role, declared
   heartbeat interval, coordinator trace id);
 * ``heartbeat`` — rate-bounded gauges: state, current job, jobs done,
   accesses/s, energy so far, resource snapshot (RSS, CPU seconds);
-* ``lifecycle`` — one event per state transition: ``publish``,
-  ``claim``, ``reclaim``, ``finish``, ``fail``, ``quarantine``,
-  ``adopt``, ``drain``, ``exit``; every job transition's frame is built
-  from its :class:`~repro.exec.events.ExecEvent` by
-  :func:`lifecycle_frame`.
+* ``lifecycle`` — one record per job transition, named by its
+  :class:`~repro.exec.events.ExecEvent` kind (:data:`RECORDED`) and
+  built by :func:`lifecycle_frame`, the only map from an event to its
+  on-disk record; plus ``exit`` when a process stops;
+* ``summary`` — one engine batch (counters and probe totals), written
+  into run manifests by :class:`repro.obs.Obs`.
+
+A run manifest (``Obs(manifest=PATH)``) is the same stream written to
+one exact path; :mod:`repro.obs.manifest` reads it back.
 
 Frames are wall-clock stamped (sanctioned: this module is coordination
 and display only — nothing here may feed a fingerprint, a cache key or
@@ -41,12 +44,13 @@ Cross-process trace correlation rides the same rails:
 sha256 of identity + wall-clock nanoseconds — deterministic machinery,
 no ``uuid``/``random``, lint D002) and :func:`span_for` derives one
 span id per job fingerprint, so the coordinator, every worker, manifest
-entries and trace snapshots all agree on ids without a handshake.
+records and trace snapshots all agree on ids without a handshake.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import socket
@@ -56,7 +60,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, TextIO
 
-from repro import records
+from repro import faults, records
 from repro.obs import probe
 from repro.schemas import TELEMETRY
 
@@ -74,27 +78,26 @@ DEFAULT_INTERVAL_S = 1.0
 STALE_INTERVALS = 3.0
 STALE_SLACK_S = 2.0
 
-#: Event kind (:mod:`repro.exec.events`) -> the lifecycle frame it
-#: streams.  A coordinator's local execution and a worker's both stream
-#: ``finish``; a coordinator adopting a fleet result streams ``adopt``.
-FRAMES = {
-    "run": "finish",
-    "finish": "finish",
-    "adopt": "adopt",
-    "claim": "claim",
-    "fail": "fail",
-    "attempt_failed": "fail",
-    "steal": "reclaim",
-    "quarantine": "quarantine",
-    "publish": "publish",
-    "drain": "drain",
+#: Kinds whose record carries the job's result: a coordinator's cache
+#: hit, local run or adopted fleet result, and a worker's finish.
+RESOLVED = frozenset({"cache_hit", "run", "adopt", "finish"})
+
+#: Every :mod:`repro.exec.events` kind with an on-disk record; a record
+#: is named by its kind (``"event"``).
+RECORDED = RESOLVED | {
+    "claim",
+    "fail",
+    "attempt_failed",
+    "steal",
+    "reclaim",
+    "quarantine",
+    "quarantined",
+    "publish",
+    "drain",
 }
 
-#: Kinds whose frame is their evidence (``event.detail``), verbatim.
-EVIDENCE_FRAMES = frozenset({"steal", "quarantine", "publish", "drain"})
-
 #: The sanctioned lifecycle event vocabulary (typo guard).
-LIFECYCLE_EVENTS = frozenset(FRAMES.values()) | {"exit"}
+LIFECYCLE_EVENTS = RECORDED | {"exit"}
 
 #: Collector state file (offsets + merged views); the leading dot keeps
 #: it out of the ``*.ndjson`` stream glob.
@@ -158,45 +161,63 @@ def _resource_snapshot() -> dict[str, float]:
 # --------------------------------------------------------------------- #
 # frames of job transitions (shared by coordinator and workers)
 # --------------------------------------------------------------------- #
-def lifecycle_frame(event) -> tuple[str, dict[str, Any]] | None:
-    """``(lifecycle event, fields)`` for one job transition, or ``None``."""
-    kind = event.kind
-    name = FRAMES.get(kind)
-    if name is None:
+def config_digest(config) -> str | None:
+    """Short content hash of a config (``None`` for config-less jobs)."""
+    if config is None:
         return None
-    detail = event.detail or {}
-    if kind in EVIDENCE_FRAMES:
-        return name, detail
+    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def lifecycle_frame(event) -> dict[str, Any] | None:
+    """The one on-disk record of a job transition (an
+    :class:`~repro.exec.events.ExecEvent`), or ``None`` for a kind
+    outside :data:`RECORDED`.
+
+    A job's record names it and carries the correlation ids, plus the
+    lease generation when the transition has one; a resolution adds its
+    result (identity, energy, the per-job probe snapshot); every record
+    ends with the kind's evidence (``event.detail``), verbatim.
+    """
+    kind = event.kind
+    if kind not in RECORDED:
+        return None
+    frame: dict[str, Any] = {"type": "lifecycle", "event": kind}
     job = event.job
-    fields: dict[str, Any] = {
-        "fingerprint": job.fingerprint,
-        "label": job.label,
-        "trace_id": event.trace_id,
-        "span_id": event.span_id,
-    }
-    if kind == "fail":  # the coordinator gave up on the job
-        fields.update(error=detail["error"], attempts=detail["attempts"])
-    elif kind == "attempt_failed":  # a worker's attempt died
-        fields.update(
-            generation=event.generation,
-            error=detail["error"],
-            transient=detail["transient"],
+    if job is not None:
+        frame.update(
+            fingerprint=job.fingerprint,
+            label=job.label,
+            kind=job.kind,
+            trace_id=event.trace_id,
+            span_id=event.span_id,
         )
-    elif kind == "claim":
-        fields.update(kind=job.kind, generation=event.generation)
-    else:  # a resolution: run/adopt (coordinator) or finish (worker)
+        if event.generation:
+            frame["generation"] = event.generation
+    if kind in RESOLVED:
         result = event.result
         stats = result.stats
-        fields.update(
-            kind=job.kind,
+        obs = result.obs or {}
+        frame.update(
+            workload=job.workload,
+            size=job.size,
+            seed=job.seed,
             scheme=None if job.config is None else job.config.scheme,
+            config_digest=config_digest(job.config),
+            source=result.source,
             wall_s=result.wall_s,
+            queue_wait_s=event.queue_wait_s,
             accesses=result.accesses,
+            energy=None if stats is None else stats.to_dict(),
             energy_fj=None if stats is None else stats.total_fj,
+            counters=dict(obs.get("counters", {})),
+            timers=dict(obs.get("timers", {})),
+            events=list(obs.get("events", [])),
+            gauges=dict(obs.get("gauges", {})),
         )
-        if kind == "finish":
-            fields["generation"] = event.generation
-    return name, fields
+    if event.detail:
+        frame.update(event.detail)
+    return frame
 
 
 # --------------------------------------------------------------------- #
@@ -209,14 +230,19 @@ class TelemetryWriter:
     opened lazily (constructing a writer creates nothing on disk), every
     frame is one flushed ``write`` of one line, heartbeats are bounded
     to at most one per ``interval_s``, and the first ``OSError``
-    permanently disables the writer (counted under
-    ``telemetry.write_errors``) instead of propagating.
+    permanently disables the writer instead of propagating.  Every frame
+    it drops (unserializable, or emitted after that error) is counted in
+    :attr:`dropped` and under ``telemetry.write_errors``.
 
     ``declared_interval_s`` is the *promise* recorded in frames — the
     largest heartbeat gap a live process should ever show (readers
     derive liveness from it).  It defaults to ``interval_s`` but e.g.
     workers raise it to their lease heartbeat period, whose thread is
     what keeps frames flowing during a long job.
+
+    ``path`` names the file exactly (a run manifest); it is truncated on
+    first write.  By default the stream is ``<directory>/<identity>.ndjson``
+    and is appended to.
     """
 
     def __init__(
@@ -227,6 +253,7 @@ class TelemetryWriter:
         interval_s: float = DEFAULT_INTERVAL_S,
         declared_interval_s: float | None = None,
         trace_id: str | None = None,
+        path: str | Path | None = None,
     ) -> None:
         if interval_s < 0:
             raise TelemetryError(f"interval_s must be >= 0, got {interval_s!r}")
@@ -246,8 +273,14 @@ class TelemetryWriter:
         #: for coordinators; workers leave it ``None`` — their lifecycle
         #: frames carry per-job ids from the claimed record instead).
         self.trace_id = trace_id
-        self.path = self.directory / f"{self.identity}{SUFFIX}"
+        if path is None:
+            self.path = self.directory / f"{self.identity}{SUFFIX}"
+            self._mode = "a"
+        else:
+            self.path = Path(path)
+            self._mode = "w"
         self.frames_written = 0
+        self.dropped = 0
         self.heartbeats_suppressed = 0
         self._file: TextIO | None = None
         self._broken = False
@@ -282,8 +315,6 @@ class TelemetryWriter:
         (current job label, jobs done, accesses/s, energy so far...).
         """
         with self._lock:
-            if self._broken:
-                return False
             now = time.monotonic()
             if (
                 not force
@@ -293,7 +324,6 @@ class TelemetryWriter:
                 self.heartbeats_suppressed += 1
                 probe.counter("telemetry.suppressed")
                 return False
-            self._hello_locked()
             frame: dict[str, Any] = {
                 "type": "heartbeat",
                 "state": str(state),
@@ -302,68 +332,82 @@ class TelemetryWriter:
             frame.update(_resource_snapshot())
             if gauges:
                 frame["gauges"] = dict(gauges)
-            self._emit(frame)
             self._last_heartbeat = now
-            return not self._broken
+            return self._write_locked(frame)
 
     def lifecycle(self, event: str, **fields: object) -> None:
-        """Emit one lifecycle frame (``claim``/``finish``/``reclaim``...)."""
+        """Emit one lifecycle frame (``claim``/``finish``/``exit``...)."""
         if event not in LIFECYCLE_EVENTS:
             raise TelemetryError(
                 f"unknown lifecycle event {event!r}; "
                 f"known: {sorted(LIFECYCLE_EVENTS)}"
             )
+        self.write({"type": "lifecycle", "event": event, **fields})
+
+    def write(self, frame: dict[str, Any]) -> bool:
+        """Emit one record (a :func:`lifecycle_frame`, a batch summary);
+        returns whether it was written."""
         with self._lock:
-            if self._broken:
-                return
-            self._hello_locked()
-            frame: dict[str, Any] = {"type": "lifecycle", "event": event}
-            frame.update(fields)
-            self._emit(frame)
+            return self._write_locked(frame)
 
     # -------------------------------------------------------------- #
     # internals
     # -------------------------------------------------------------- #
-    def _hello_locked(self) -> None:
-        if self._hello_sent or self._broken:
-            return
-        self._hello_sent = True  # before _emit: a broken pipe stays quiet
-        frame: dict[str, Any] = {
-            "type": "hello",
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "interval": self.declared_interval_s,
-        }
-        if self.trace_id is not None:
-            frame["trace_id"] = self.trace_id
-        self._emit(frame)
+    def _write_locked(self, frame: dict[str, Any]) -> bool:
+        if not self._hello_sent and not self._broken:
+            self._hello_sent = True  # before _emit: a broken pipe stays quiet
+            hello: dict[str, Any] = {
+                "type": "hello",
+                "pid": os.getpid(),
+                "host": socket.gethostname(),
+                "interval": self.declared_interval_s,
+            }
+            if self.trace_id is not None:
+                hello["trace_id"] = self.trace_id
+            self._emit(hello)
+        return self._emit(frame)
 
-    def _emit(self, frame: dict[str, Any]) -> None:
-        frame.setdefault("schema", TELEMETRY_SCHEMA)
-        frame.setdefault("ts", _wall_now())
-        frame.setdefault("proc", self.identity)
-        frame.setdefault("role", self.role)
+    def _emit(self, frame: dict[str, Any]) -> bool:
+        if self._broken:
+            return self._drop()
+        stamped = {
+            "schema": TELEMETRY_SCHEMA,
+            "ts": _wall_now(),
+            "proc": self.identity,
+            "role": self.role,
+            **frame,
+        }
         try:
-            line = records.dumps(frame)
+            line = records.dumps(stamped)
         except ValueError:
             # A non-finite number: readers would skip the line, so the
-            # frame is dropped (and counted) and the writer stays live.
-            probe.counter("telemetry.write_errors")
-            return
+            # frame is dropped and the writer stays live.
+            return self._drop()
         try:
             if self._file is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._file = self.path.open("a", encoding="utf-8")
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = self.path.open(self._mode, encoding="utf-8")
+                self._mode = "a"
+            poison = faults.poison_frame_line(
+                f"{self.path.name}:{self.frames_written}"
+            )
+            if poison is not None:
+                self._file.write(poison + "\n")
             self._file.write(line + "\n")
             self._file.flush()
         except OSError:
-            # Telemetry must never fail the run it observes: first write
-            # error retires the writer for good (and is itself counted).
+            # Telemetry must never fail the run it observes: the first
+            # write error retires the writer for good.
             self._broken = True
-            probe.counter("telemetry.write_errors")
-            return
+            return self._drop()
         self.frames_written += 1
         probe.counter("telemetry.frames")
+        return True
+
+    def _drop(self) -> bool:
+        self.dropped += 1
+        probe.counter("telemetry.write_errors")
+        return False
 
     def close(self) -> None:
         """Flush and close the stream (idempotent; the writer stays usable
@@ -386,7 +430,7 @@ class TelemetryWriter:
 # --------------------------------------------------------------------- #
 # reader
 # --------------------------------------------------------------------- #
-def _frame_ok(frame: dict[str, Any]) -> bool:
+def frame_ok(frame: dict[str, Any]) -> bool:
     """True when the fields readers do arithmetic on are numbers (``pid``
     and ``energy_fj`` may also be null); anything else is a skip."""
     values = [frame.get("ts", 0), frame.get("interval", 0)]
@@ -421,6 +465,11 @@ class ProcessView:
     #: lifecycle event -> count.
     events: dict[str, int] = field(default_factory=dict)
     frames: int = 0
+
+    @property
+    def done(self) -> int:
+        """Jobs this process executed (``run`` and ``finish`` records)."""
+        return self.events.get("run", 0) + self.events.get("finish", 0)
 
     def alive(self, now: float) -> bool:
         """Liveness by staleness against the *declared* heartbeat gap."""
@@ -530,13 +579,16 @@ class FleetSnapshot:
 
     @property
     def jobs_done(self) -> int:
-        """Fleet-wide finished-job total (lifecycle ``finish`` events)."""
-        return sum(proc.events.get("finish", 0) for proc in self.procs)
+        """Fleet-wide executed-job total (``run`` and ``finish`` records)."""
+        return sum(proc.done for proc in self.procs)
 
     def _worker_rate(self, proc: ProcessView) -> float:
         elapsed = proc.last_ts - proc.first_ts
-        done = proc.events.get("finish", 0)
+        done = proc.done
         return done / elapsed if elapsed > 0 and done else 0.0
+
+    def _total(self, *events: str) -> int:
+        return sum(proc.events.get(e, 0) for proc in self.procs for e in events)
 
     @property
     def eta_s(self) -> float | None:
@@ -613,7 +665,7 @@ class FleetSnapshot:
             lines.append(
                 f"{proc.identity[:28]:<28} {proc.role:<12} "
                 f"{(proc.state + live)[:16]:<9} "
-                f"{proc.events.get('finish', 0):>5} {rate_text:>10} "
+                f"{proc.done:>5} {rate_text:>10} "
                 f"{energy_text:>12}  {job}"
             )
         if self.energy_by_scheme:
@@ -623,11 +675,11 @@ class FleetSnapshot:
             )
             lines.append("")
             lines.append(f"energy per scheme: {parts}")
-        reclaims = sum(proc.events.get("reclaim", 0) for proc in self.procs)
-        fails = sum(proc.events.get("fail", 0) for proc in self.procs)
-        quarantines = sum(
-            proc.events.get("quarantine", 0) for proc in self.procs
-        )
+        # Coordinator-side ``reclaim``/``quarantined`` records re-count
+        # what a ``steal``/``quarantine`` already announced.
+        reclaims = self._total("steal")
+        fails = self._total("fail", "attempt_failed")
+        quarantines = self._total("quarantine")
         lines.append(
             f"lifecycle: {reclaims} reclaim(s), {fails} failed attempt(s), "
             f"{quarantines} quarantine event(s)"
@@ -658,7 +710,7 @@ def prometheus_lines(snapshot: FleetSnapshot) -> list[str]:
     for proc in snapshot.workers:
         lines.append(
             f'cntcache_worker_jobs_done_total{{worker="{esc(proc.identity)}"}} '
-            f"{proc.events.get('finish', 0)}"
+            f"{proc.done}"
         )
     lines += [
         "# HELP cntcache_worker_accesses_per_s last reported "
@@ -838,7 +890,7 @@ class TelemetryCollector:
 
     def _absorb(self, frame: dict[str, Any]) -> bool:
         """Fold one frame in, or count it as a skip (returns False)."""
-        if not _frame_ok(frame):
+        if not frame_ok(frame):
             self.torn_lines += 1
             probe.counter("obs.torn_lines")
             return False
@@ -851,11 +903,12 @@ class TelemetryCollector:
             )
             self.views[identity] = view
         view.absorb(frame)
-        # Energy-per-scheme from finish events, exactly once per job
-        # fingerprint (re-executions after a steal re-announce it).
-        if (
-            frame.get("type") == "lifecycle"
-            and frame.get("event") == "finish"
+        # Energy-per-scheme from executions, exactly once per job
+        # fingerprint (re-executions after a steal re-announce it; cache
+        # hits and adoptions executed nothing here).
+        if frame.get("type") == "lifecycle" and frame.get("event") in (
+            "run",
+            "finish",
         ):
             fingerprint = frame.get("fingerprint")
             scheme = frame.get("scheme")

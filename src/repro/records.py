@@ -43,7 +43,6 @@ COUNTERS: dict[str, str] = {
     "broker reclaim": "exec.broker_skips",
     "broker quarantine": "exec.broker_skips",
     "collector state": "telemetry.state_resets",
-    "manifest line": "obs.torn_lines",
     "telemetry frame": "obs.torn_lines",
     "bench record": "bench.skipped_records",
 }

@@ -15,7 +15,7 @@ self-healing behaviour (see docs/RESILIENCE.md):
   selects fail-fast vs keep-going batch semantics;
 * **structured failure records** — :class:`FailureRecord`, the
   JSON-ready shape a failed job leaves behind in keep-going batches and
-  in the run-manifest stream (schema :data:`repro.schemas.MANIFEST`).
+  in its ``fail`` frame record (schema :data:`repro.schemas.TELEMETRY`).
 
 Everything here is deterministic: the jitter is a hash of the job
 fingerprint and attempt index, never ``random``, so two runs of the
@@ -180,7 +180,7 @@ class FailureRecord:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready dump (manifest ``failure`` entries)."""
+        """JSON-ready dump (the fields of a ``fail`` frame record)."""
         return {
             "fingerprint": self.fingerprint,
             "label": self.label,

@@ -1,9 +1,10 @@
 """Single registry of every serialized-payload schema tag.
 
 Every on-disk or cross-process payload the chassis writes — exec cache
-entries and result payloads, run manifests, trace snapshots, bench
-pin records, profile reports — carries a version tag so readers
-can reject documents written under an incompatible layout.  Before this
+entries and result payloads, frame streams (telemetry and run
+manifests), trace snapshots, bench pin records, profile reports —
+carries a version tag so readers can reject documents written under an
+incompatible layout.  Before this
 registry existed each owning module kept its own string literal, which
 meant the full set of tags (the project's serialization surface) was
 discoverable only by grep and nothing stopped a sixth module from
@@ -34,7 +35,7 @@ class Schema:
     """One registered payload schema.
 
     ``family``
-        Dotted-dash family name (``exec``, ``obs-manifest``...).
+        Dotted-dash family name (``exec``, ``obs-telemetry``...).
     ``version``
         Integer version; bumped when the payload layout or meaning
         changes incompatibly.
@@ -93,17 +94,6 @@ EXEC = _register(
     ),
 )
 
-#: JSONL run manifests (header/job/failure/summary entries).
-MANIFEST = _register(
-    "MANIFEST",
-    Schema(
-        family="obs-manifest",
-        version=1,
-        owner="repro.obs.manifest",
-        doc="JSONL run manifest entries behind `cntcache profile`",
-    ),
-)
-
 #: Bounded per-access trace snapshots (ExecResult.trace slot).
 TRACE = _register(
     "TRACE",
@@ -138,15 +128,17 @@ BROKER = _register(
     ),
 )
 
-#: Streaming fleet-telemetry frames (per-process NDJSON files under
-#: ``<broker>/telemetry/``) and the merged snapshot/collector state.
+#: Frame streams: per-process NDJSON files under ``<broker>/telemetry/``
+#: and run manifests, plus the merged snapshot/collector state.  v2: one
+#: record per job transition, named by its event kind, carrying what the
+#: retired run-manifest entries carried.
 TELEMETRY = _register(
     "TELEMETRY",
     Schema(
         family="obs-telemetry",
-        version=1,
+        version=2,
         owner="repro.obs.telemetry",
-        doc="live fleet heartbeat/lifecycle frames behind `cntcache top`",
+        doc="job-transition records and heartbeats behind `top` and `profile`",
     ),
 )
 
@@ -187,7 +179,6 @@ __all__ = [
     "BROKER",
     "CONSTANT_BY_TAG",
     "EXEC",
-    "MANIFEST",
     "PROFILE",
     "SCHEMAS",
     "Schema",

@@ -45,8 +45,7 @@ class TestRegistry:
         assert set(registered_tags()) == {
             "exec-v3",
             "exec-broker-v1",
-            "obs-manifest-v1",
-            "obs-telemetry-v1",
+            "obs-telemetry-v2",
             "obs-trace-v1",
             "obs-bench-v2",
             "obs-profile-v1",
@@ -76,7 +75,6 @@ class TestRegistry:
         from repro.obs import bench, manifest, profile, telemetry, trace
 
         assert job.ENGINE_SCHEMA == schemas.EXEC.tag
-        assert manifest.MANIFEST_SCHEMA == schemas.MANIFEST.tag
         assert trace.TRACE_SCHEMA == schemas.TRACE.tag
         assert bench.BENCH_SCHEMA == schemas.BENCH.tag
         assert profile.PROFILE_SCHEMA == schemas.PROFILE.tag

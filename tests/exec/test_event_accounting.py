@@ -1,9 +1,10 @@
 """Every accounting channel tells the same story about one run.
 
 Each job transition is one :class:`~repro.exec.events.ExecEvent`, and
-the counters, probe counters, run manifest and telemetry frames are all
-read off it.  These tests drive a serial engine, a crashing ``--jobs 2``
-pool under keep-going and an in-process broker drain, and check that the
+the counters, probe counters and its one on-disk record (the frame that
+the run manifest and the telemetry stream both write) are all read off
+it.  These tests drive a serial engine, a crashing ``--jobs 2`` pool
+under keep-going and an in-process broker drain, and check that the
 channels agree with each other at the end of each run.
 """
 
@@ -22,9 +23,13 @@ from repro.exec import (
 )
 from repro.exec import job as job_module
 from repro.exec.events import COUNTED, EngineCounters
-from repro.obs import Obs
+from repro.obs import Obs, read_manifest
 from repro.obs.names import is_registered
-from repro.obs.telemetry import read_all_frames, telemetry_dir
+from repro.obs.telemetry import (
+    TelemetryCollector,
+    read_all_frames,
+    telemetry_dir,
+)
 
 #: Fast policy for tests: no real sleeping between attempts.
 FAST = ResilienceConfig(backoff_base_s=0.0, backoff_jitter=0.0)
@@ -67,6 +72,32 @@ def lifecycle_events(directory, role):
     )
 
 
+#: Wall-clock and process stamps: the only fields two writers of one
+#: record may disagree on.
+STAMPS = ("ts", "proc", "role")
+
+
+def unstamped(frames):
+    """``frames``' job-transition records without their stamps."""
+    return [
+        {key: value for key, value in frame.items() if key not in STAMPS}
+        for frame in frames
+        if frame["type"] == "lifecycle" and frame["event"] != "exit"
+    ]
+
+
+def assert_one_record(manifest, directory):
+    """The run manifest's records are the coordinator's frames."""
+    coordinator = [
+        frame
+        for frame in read_all_frames(directory)
+        if frame.get("role") == "coordinator"
+    ]
+    records = unstamped(read_manifest(manifest))
+    assert records
+    assert records == unstamped(coordinator)
+
+
 def assert_channels_agree(engine, obs, directory, worker=None):
     """Counters == probes, manifest == counters, frames == counters.
 
@@ -82,12 +113,13 @@ def assert_channels_agree(engine, obs, directory, worker=None):
     for name, metric in PAIRS:
         expected = getattr(counters, name) + getattr(fleet, name)
         assert obs.counters.get(metric, 0) == expected, (name, metric)
-    types = Counter(entry["type"] for entry in obs.entries)
-    assert types["job"] == counters.cache_hits + counters.executed
-    assert types["failure"] == counters.failures
+    recorded = Counter(entry.get("event") for entry in obs.entries)
+    assert recorded["cache_hit"] == counters.cache_hits
+    assert recorded["run"] + recorded["adopt"] == counters.executed
+    assert recorded["fail"] == counters.failures
     engine.close_telemetry()
     events = lifecycle_events(directory, "coordinator")
-    assert events["finish"] + events["adopt"] == counters.executed
+    assert events["run"] + events["adopt"] == counters.executed
     assert events["fail"] == counters.failures
 
 
@@ -102,7 +134,8 @@ def test_serial_engine_channels_agree(tmp_path):
     jobs = cheap_jobs(4)
     cache = tmp_path / "cache"
     ExecEngine(cache_dir=cache).run_jobs(jobs[:1])  # one cache hit
-    obs = Obs()
+    manifest = tmp_path / "run.jsonl"
+    obs = Obs(manifest=manifest)
     directory = tmp_path / "telemetry"
     engine = ExecEngine(cache_dir=cache, obs=obs, telemetry=directory)
     engine.run_jobs(jobs + jobs[:2])
@@ -110,6 +143,8 @@ def test_serial_engine_channels_agree(tmp_path):
     counters = engine.counters
     assert (counters.cache_hits, counters.executed, counters.memo_hits) == (1, 3, 4)
     assert_channels_agree(engine, obs, directory)
+    obs.close()
+    assert_one_record(manifest, directory)
 
 
 def test_crashing_pool_under_keep_going_channels_agree(tmp_path, monkeypatch):
@@ -145,7 +180,8 @@ def test_broker_drain_channels_agree(tmp_path):
         idle_timeout_s=10.0,
         spawn=False,
     )
-    obs = Obs()
+    manifest = tmp_path / "run.jsonl"
+    obs = Obs(manifest=manifest)
     engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST, obs=obs)
     stop = threading.Event()
     stats = []
@@ -163,5 +199,47 @@ def test_broker_drain_channels_agree(tmp_path):
     counters = engine.counters
     assert (counters.published, counters.executed, counters.reclaims) == (4, 4, 0)
     assert stats[0].claimed == stats[0].executed == 4
-    assert_channels_agree(engine, obs, telemetry_dir(config.root), worker=stats[0])
-    assert lifecycle_events(telemetry_dir(config.root), "worker")["finish"] == 4
+    directory = telemetry_dir(config.root)
+    assert_channels_agree(engine, obs, directory, worker=stats[0])
+    assert lifecycle_events(directory, "worker")["finish"] == 4
+    obs.close()
+    assert_one_record(manifest, directory)
+    # The fleet views count each executed job once: the worker's finish,
+    # not the coordinator's adopt of it.
+    collector = TelemetryCollector(directory, persist=False)
+    collector.poll()
+    status = collector.snapshot().to_dict()
+    assert (status["jobs_done"], status["live_workers"]) == (4, 0)
+
+
+class _FullDisk:
+    """A stream whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_a_broken_manifest_counts_every_record_it_drops(tmp_path):
+    jobs = cheap_jobs(4)
+    obs = Obs(manifest=tmp_path / "run.jsonl")
+    engine = ExecEngine(obs=obs)
+    engine.run_jobs(jobs[:2])
+    writer = obs.manifest
+    assert writer.dropped == 0
+    written, before = writer.frames_written, len(obs.entries)
+    writer._file = _FullDisk()
+    engine.run_jobs(jobs)  # two memo hits (no record) and two runs
+    obs.record_summary(engine.counters.to_dict(), wall_s=0.0)
+    emitted = len(obs.entries) - before
+    assert emitted == 3
+    assert writer.dropped == emitted
+    assert writer.frames_written == written
+    assert obs.counters["telemetry.write_errors"] == 2  # the batch's two runs
+    obs.close()
+    assert len(read_manifest(tmp_path / "run.jsonl")) == written

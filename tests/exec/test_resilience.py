@@ -305,7 +305,7 @@ class TestAllFailedSummaries:
         assert summary.to_dict()["failed"][0]["error"] == "FaultInjected"
 
         entries = read_manifest(manifest)
-        assert [e["type"] for e in entries].count("failure") == len(jobs)
+        assert [e.get("event") for e in entries].count("fail") == len(jobs)
 
         from repro.obs.profile import ProfileReport
 
@@ -383,7 +383,7 @@ class TestCacheFaults:
         assert list(tmp_path.rglob("*.json")) == []
 
     def test_stale_tmps_are_swept_on_startup_young_ones_kept(self, tmp_path):
-        from repro.exec.engine import STALE_TMP_TTL_S
+        from repro.exec.store import STALE_TMP_TTL_S
 
         bucket = tmp_path / "ab"
         bucket.mkdir(parents=True)
@@ -527,12 +527,12 @@ class TestManifestPoison:
             obs.close()
         with probe.recording(probe.ObsScope()) as scope:
             entries = read_manifest(manifest)
-        types = [entry["type"] for entry in entries]
-        assert types[0] == "header"
-        assert types.count("job") == len(jobs)
+        types = [entry.get("event", entry["type"]) for entry in entries]
+        assert types[0] == "hello"
+        assert types.count("run") == len(jobs)
         assert types.count("summary") == 1
-        # One poison line precedes every entry after the header.
-        assert scope.counters["obs.torn_lines"] == len(entries) - 1
+        # One poison line precedes every frame.
+        assert scope.counters["obs.torn_lines"] == len(entries)
 
 
 # ------------------------------------------------------------------ #

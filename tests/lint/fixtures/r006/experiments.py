@@ -13,7 +13,9 @@ def bad_experiment(run):
     direct = _run_workload(CONFIG, run)  # noqa: F821
     chained = CNTCache(CONFIG).run(run.trace)  # noqa: F821
     rerun = harness.replay(CONFIG, run.trace)  # noqa: F821
-    return sim, direct, chained, rerun
+    facade = api.simulate(workload=run, config=CONFIG)  # noqa: F821
+    built = api.make_cache(CONFIG)  # noqa: F821
+    return sim, direct, chained, rerun, facade, built
 
 
 def blessed_exception(run):

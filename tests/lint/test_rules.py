@@ -91,16 +91,20 @@ class TestR006:
             ("R006", 13),
             ("R006", 14),
             ("R006", 15),
+            ("R006", 16),
+            ("R006", 17),
         ]
         messages = " ".join(finding.message for finding in findings)
         assert "CNTCache" in messages
         assert "_run_workload" in messages
         assert "replay" in messages
+        assert "simulate" in messages
+        assert "make_cache" in messages
         assert "SimJob" in messages
 
     def test_disable_comment_is_the_escape_hatch(self):
         findings = findings_for("r006/experiments.py")
-        assert all(finding.line != 20 for finding in findings)
+        assert all(finding.line != 22 for finding in findings)
 
     def test_quiet_outside_experiments_modules(self):
         assert findings_for(

@@ -1,4 +1,4 @@
-"""Manifest writer/reader/merger/summarizer unit tests."""
+"""Run-manifest reader/summarizer unit tests (manifests are frame streams)."""
 
 import json
 
@@ -6,15 +6,12 @@ import pytest
 
 from repro.core.config import CNTCacheConfig
 from repro.obs import probe
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    ManifestError,
-    ManifestWriter,
+from repro.obs.manifest import ManifestError, read_manifest, summarize
+from repro.obs.telemetry import (
+    TELEMETRY_SCHEMA,
+    TelemetryWriter,
     config_digest,
-    header_entry,
-    merge_manifests,
-    read_manifest,
-    summarize,
+    lifecycle_frame,
 )
 
 
@@ -23,6 +20,20 @@ def read_counting(path):
     with probe.recording(probe.ObsScope()) as scope:
         entries = read_manifest(path)
     return entries, scope.counters.get("obs.torn_lines", 0)
+
+
+def writer_at(path):
+    """The writer ``Obs(manifest=path)`` opens."""
+    return TelemetryWriter(path.parent, role="coordinator", path=path)
+
+
+def frame(record):
+    """``record`` as its frame line on disk (stamped like the writer's)."""
+    stamped = {"schema": TELEMETRY_SCHEMA, "ts": 1.0, "proc": "c", **record}
+    return json.dumps(stamped) + "\n"
+
+
+HELLO = {"type": "hello", "pid": 7, "host": "h", "interval": 1.0}
 
 
 def job(
@@ -34,13 +45,17 @@ def job(
     total_fj=2000.0,
     counters=None,
     timers=None,
+    event="run",
 ):
-    """A synthetic job entry (the shape job_entry() produces)."""
+    """A synthetic resolution record (the shape lifecycle_frame() builds)."""
     return {
-        "type": "job",
+        "type": "lifecycle",
+        "event": event,
         "fingerprint": "f" * 16,
         "label": f"{kind}:stream",
         "kind": kind,
+        "trace_id": None,
+        "span_id": None,
         "workload": "stream",
         "size": "tiny",
         "seed": 3,
@@ -51,10 +66,11 @@ def job(
         "queue_wait_s": 0.0,
         "accesses": accesses,
         "energy": {"data_write_fj": total_fj / 2, "data_read_fj": total_fj / 2},
-        "total_fj": total_fj,
+        "energy_fj": total_fj,
         "counters": counters or {},
         "timers": timers or {},
         "events": [],
+        "gauges": {},
     }
 
 
@@ -74,48 +90,59 @@ class TestConfigDigest:
 class TestWriterReader:
     def test_header_written_lazily_then_entries(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        writer = ManifestWriter(path)
-        assert not path.exists()  # nothing until the first entry
+        writer = writer_at(path)
+        assert not path.exists()  # nothing until the first record
         writer.write(job())
         writer.close()
         entries = read_manifest(path)
-        assert entries[0] == header_entry()
-        assert entries[0]["schema"] == MANIFEST_SCHEMA
-        assert entries[1]["type"] == "job"
-        assert writer.entries_written == 2
+        assert [e["type"] for e in entries] == ["hello", "lifecycle"]
+        assert {e["schema"] for e in entries} == {TELEMETRY_SCHEMA}
+        assert entries[1]["event"] == "run"
+        assert writer.frames_written == 2
 
-    def test_entry_without_type_rejected(self, tmp_path):
-        writer = ManifestWriter(tmp_path / "run.jsonl")
-        with pytest.raises(ManifestError):
-            writer.write({"no": "type"})
+    def test_rerun_replaces_the_previous_manifest(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        for wall_s in (1.0, 2.0):
+            with writer_at(path) as writer:
+                writer.write(job(wall_s=wall_s))
+        entries = read_manifest(path)
+        assert [e["type"] for e in entries] == ["hello", "lifecycle"]
+        assert entries[1]["wall_s"] == 2.0
 
     def test_non_finite_entry_is_refused_before_anything_is_written(
         self, tmp_path
     ):
         path = tmp_path / "run.jsonl"
-        writer = ManifestWriter(path)
-        with pytest.raises(ValueError):
-            writer.write(job(wall_s=float("nan")))
-        assert not path.exists()  # not even the header
-        writer.write(job())
-        with pytest.raises(ValueError):
-            writer.write(job(total_fj=float("inf")))
+        writer = writer_at(path)
+        with probe.recording(probe.ObsScope()) as scope:
+            assert writer.write(job(wall_s=float("nan"))) is False
+            assert writer.write(job()) is True
+            assert writer.write(job(total_fj=float("inf"))) is False
         writer.close()
         entries, torn = read_counting(path)
-        assert [e["type"] for e in entries] == ["header", "job"]
+        assert [e["type"] for e in entries] == ["hello", "lifecycle"]
         assert torn == 0
-        assert writer.entries_written == 2
+        assert (writer.frames_written, writer.dropped) == (2, 2)
+        assert scope.counters["telemetry.write_errors"] == 2
 
     def test_read_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"type": "job"}) + "\n")
-        with pytest.raises(ManifestError):
+        # A manifest written before frames were the one record.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            json.dumps({"type": "header", "schema": "obs-manifest-v1"})
+            + "\n"
+            + json.dumps(dict(job(), type="job"))
+            + "\n"
+        )
+        with pytest.raises(ManifestError, match=TELEMETRY_SCHEMA):
             read_manifest(path)
 
     def test_read_skips_and_counts_non_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(header_entry()) + "\nnot json\n")
-        assert read_counting(path) == ([header_entry()], 1)
+        path.write_text(frame(HELLO) + "not json\n")
+        entries, torn = read_counting(path)
+        assert [e["type"] for e in entries] == ["hello"]
+        assert torn == 1
 
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -126,36 +153,23 @@ class TestWriterReader:
     def test_skip_mode_drops_bad_lines_keeps_the_rest(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         path.write_text(
-            json.dumps(header_entry()) + "\n"
-            + '{"type": <injected manifest poison>\n'
-            + json.dumps(job()) + "\n"
+            frame(HELLO)
+            + '{"type": <injected frame poison>\n'
+            + frame(job())
             + '["not", "a", "dict"]\n'
-            + '{"no": "type"}\n'
+            + json.dumps(job())  # no schema tag
+            + "\n"
+            + frame(dict(job(), energy_fj="lots"))
         )
         entries, torn = read_counting(path)
-        assert [e["type"] for e in entries] == ["header", "job"]
-        assert torn == 3
+        assert [e["type"] for e in entries] == ["hello", "lifecycle"]
+        assert torn == 4
 
     def test_skip_mode_still_rejects_a_bad_header(self, tmp_path):
-        path = tmp_path / "headerless.jsonl"
+        path = tmp_path / "untagged.jsonl"
         path.write_text(json.dumps(job()) + "\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match=TELEMETRY_SCHEMA):
             read_manifest(path)
-
-    def test_merge_concatenates(self, tmp_path):
-        paths = []
-        for i in range(2):
-            path = tmp_path / f"run{i}.jsonl"
-            with ManifestWriter(path) as writer:
-                writer.write(job(wall_s=float(i + 1)))
-            paths.append(path)
-        merged = merge_manifests(paths)
-        assert [e["type"] for e in merged] == [
-            "header", "job", "header", "job",
-        ]
-        summary = summarize(merged)
-        assert summary.jobs == 2
-        assert summary.wall_s == pytest.approx(3.0)
 
 
 class TestSummarize:
@@ -286,7 +300,8 @@ class TestSummarize:
     def test_failure_entries_are_counted_and_trimmed(self):
         failures = [
             {
-                "type": "failure",
+                "type": "lifecycle",
+                "event": "fail",
                 "fingerprint": f"f{i}",
                 "label": f"workload:job{i}",
                 "kind": "workload",
@@ -313,26 +328,26 @@ class TestTornTail:
     """A live writer's unterminated final line must never poison a read."""
 
     def header_and_job(self):
-        return json.dumps(header_entry()) + "\n" + json.dumps(job()) + "\n"
+        return frame(HELLO) + frame(job())
 
     def test_truncated_final_record_skipped_under_both_policies(self, tmp_path):
         # Regression: a reader racing a live writer (or a crash mid-write)
         # sees half a record with no newline; the complete prefix is kept
         # and the torn tail is one counted skip.
         path = tmp_path / "torn.jsonl"
-        entry = json.dumps(job())
+        entry = frame(job())
         path.write_text(self.header_and_job() + entry[: len(entry) // 2])
         entries, torn = read_counting(path)
-        assert [e["type"] for e in entries] == ["header", "job"]
+        assert [e["type"] for e in entries] == ["hello", "lifecycle"]
         assert torn == 1
 
     def test_unterminated_but_complete_final_record_is_kept(self, tmp_path):
         # A writer that simply hasn't flushed the newline yet: the record
         # itself is whole, so it parses and counts.
         path = tmp_path / "unterminated.jsonl"
-        path.write_text(self.header_and_job() + json.dumps(job(wall_s=9.0)))
+        path.write_text(self.header_and_job() + frame(job(wall_s=9.0))[:-1])
         entries = read_manifest(path)
-        assert [e["type"] for e in entries] == ["header", "job", "job"]
+        assert [e["type"] for e in entries] == ["hello", "lifecycle", "lifecycle"]
         assert entries[-1]["wall_s"] == 9.0
 
     def test_complete_garbage_lines_are_counted_skips(self, tmp_path):
@@ -341,25 +356,30 @@ class TestTornTail:
         path = tmp_path / "poison.jsonl"
         path.write_text(self.header_and_job() + "not json\n")
         entries, torn = read_counting(path)
-        assert [e["type"] for e in entries] == ["header", "job"]
+        assert [e["type"] for e in entries] == ["hello", "lifecycle"]
         assert torn == 1
 
 
 class TestTraceCorrelationIds:
-    def test_job_entry_carries_ids_only_when_stamped(self):
+    def test_resolution_record_carries_the_stamped_ids(self):
+        from repro.exec.events import ExecEvent
         from repro.exec.job import trace_job
         from repro.exec.worker import execute_job
-        from repro.obs.manifest import job_entry
 
         job_obj = trace_job("crc32", "tiny", 3)
         result = execute_job(job_obj)
-        plain = job_entry(job_obj, result)
-        assert "trace_id" not in plain and "span_id" not in plain
-        tagged = job_entry(
-            job_obj, result, trace_id="t" * 32, span_id="s" * 16
+        plain = lifecycle_frame(ExecEvent("run", job_obj, result))
+        assert plain["trace_id"] is None and plain["span_id"] is None
+        tagged = lifecycle_frame(
+            ExecEvent(
+                "run", job_obj, result, trace_id="t" * 32, span_id="s" * 16
+            )
         )
         assert tagged["trace_id"] == "t" * 32
         assert tagged["span_id"] == "s" * 16
+        assert {k: v for k, v in tagged.items() if not k.endswith("_id")} == {
+            k: v for k, v in plain.items() if not k.endswith("_id")
+        }
 
 
 class TestMergeOrdering:
@@ -367,17 +387,17 @@ class TestMergeOrdering:
         # Two workers' manifests describe disjoint job sets; whichever
         # order the coordinator merges them in, the aggregate is the same.
         a = tmp_path / "worker-a.jsonl"
-        with ManifestWriter(a) as writer:
+        with writer_at(a) as writer:
             writer.write(job(kind="workload", scheme="cnt",
                              wall_s=2.0, accesses=100, total_fj=1000.0))
             writer.write(job(kind="oracle", scheme="baseline",
                              wall_s=0.5, accesses=50, total_fj=250.0))
         b = tmp_path / "worker-b.jsonl"
-        with ManifestWriter(b) as writer:
+        with writer_at(b) as writer:
             writer.write(job(kind="workload", scheme="dbi", source="cache",
                              wall_s=1.0, accesses=200, total_fj=4000.0))
-        forward = summarize(merge_manifests([a, b])).to_dict()
-        backward = summarize(merge_manifests([b, a])).to_dict()
+        forward = summarize(read_manifest(a) + read_manifest(b)).to_dict()
+        backward = summarize(read_manifest(b) + read_manifest(a)).to_dict()
         assert forward == backward
         assert forward["jobs"] == 3
         assert forward["total_fj"] == pytest.approx(5250.0)

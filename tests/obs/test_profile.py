@@ -50,9 +50,9 @@ class TestProfileExperiments:
 
         # The on-disk manifest carries the same jobs.
         entries = read_manifest(manifest)
-        assert entries[0]["type"] == "header"
-        kinds = [e["type"] for e in entries[1:]]
-        assert kinds.count("job") == summary.jobs
+        assert entries[0]["type"] == "hello"
+        kinds = [e.get("event", e["type"]) for e in entries[1:]]
+        assert kinds.count("run") + kinds.count("cache_hit") == summary.jobs
         assert kinds.count("summary") == 1
 
         # Rendering and the JSON payload both work.

@@ -92,6 +92,7 @@ class TestWriter:
         writer.lifecycle("claim", fingerprint="f" * 16)  # must not raise
         assert writer.heartbeat("idle", force=True) is False
         assert writer.frames_written == 0
+        assert writer.dropped == 3  # hello, claim, heartbeat: each counted
 
     def test_non_finite_frame_is_dropped_counted_and_the_writer_stays_live(
         self, tmp_path
@@ -406,6 +407,75 @@ class TestSnapshot:
             e["args"]["name"]: e["pid"] for e in events if e["ph"] == "M"
         }
         assert pid_by_name["coordinator coord"] == 1
+
+    def test_each_transition_counts_once(self, tmp_path):
+        # A drain in which job b runs locally, c is stolen from a lost
+        # worker and finished by another, d is quarantined and a is a
+        # cache hit: the coordinator's own records of the cache hit, the
+        # adopt, the reclaim and the quarantine verdict count nothing
+        # the workers' records already count.
+        from repro.core.config import CNTCacheConfig
+        from repro.exec import workload_job
+        from repro.exec.events import ExecEvent
+        from repro.exec.worker import execute_job
+        from repro.obs.telemetry import lifecycle_frame
+
+        config = CNTCacheConfig()
+        b, c, d = (
+            workload_job(config.variant(scheme=scheme), "records", "tiny", 3)
+            for scheme in ("cnt", "baseline", "dbi")
+        )
+        a = workload_job(config, "records", "tiny", 4)
+        ran, finished = execute_job(b), execute_job(c)
+        reclaim = {"fingerprint": c.fingerprint, "generation": 1,
+                   "lost_worker": "w1", "by": "w2"}
+        verdict = {"fingerprint": d.fingerprint, "label": d.label,
+                   "generation": 1, "reason": "permanent"}
+        failure = {"error": "PoisonJobError", "attempts": 1}
+        streams = {
+            ("coord", "coordinator"): [
+                ExecEvent("publish", detail={"jobs": 3, "published": 3}),
+                ExecEvent("cache_hit", a, execute_job(a)),
+                ExecEvent("run", b, ran),
+                ExecEvent("reclaim", detail=reclaim),
+                ExecEvent("adopt", c, finished),
+                ExecEvent("quarantined", detail=verdict),
+                ExecEvent("fail", d, detail=failure),
+                ExecEvent("drain", detail={"jobs": 3}),
+            ],
+            ("w1", "worker"): [ExecEvent("claim", c, generation=1)],
+            ("w2", "worker"): [
+                ExecEvent("steal", detail=reclaim),
+                ExecEvent("claim", c, generation=2),
+                ExecEvent("finish", c, finished, generation=2),
+                ExecEvent("claim", d, generation=1),
+                ExecEvent(
+                    "attempt_failed",
+                    d,
+                    generation=1,
+                    detail={"error": "ValueError", "transient": False},
+                ),
+                ExecEvent("quarantine", d, detail=verdict),
+            ],
+        }
+        for (identity, role), events in streams.items():
+            with TelemetryWriter(
+                tmp_path, identity=identity, role=role, interval_s=0.0
+            ) as writer:
+                for event in events:
+                    writer.write(lifecycle_frame(event))
+        collector = TelemetryCollector(tmp_path, persist=False)
+        collector.poll()
+        snapshot = collector.snapshot()
+        assert snapshot.jobs_done == 2
+        assert snapshot.energy_by_scheme == {
+            "cnt": ran.stats.total_fj,
+            "baseline": finished.stats.total_fj,
+        }
+        assert snapshot.render().endswith(
+            "lifecycle: 1 reclaim(s), 2 failed attempt(s), "
+            "1 quarantine event(s)"
+        )
 
     def test_eta_needs_live_throughput(self):
         snapshot = FleetSnapshot(ts=0.0, procs=[], queue_depth=5)

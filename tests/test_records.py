@@ -8,10 +8,14 @@ arbitrary byte offset, a flipped byte, a swapped schema tag, non-object
 JSON, and injected ``NaN``/``Infinity``/``1e999``/5000-digit numbers.
 The kind's own reader must then
 
-* never raise (a bench record's ``BenchError`` aside, and a
-  manifest's ``ManifestError`` when its header is gone);
+* never raise (a bench record's ``BenchError`` aside, and a run
+  manifest's ``ManifestError`` when no valid frame is left);
 * return either the original record or a skip;
 * move the kind's registered counter by exactly 1 per skip.
+
+The one JSON-lines format, the frame stream that telemetry files and
+run manifests share, is damaged line by line and read by both of its
+readers: the live collector and ``read_manifest``.
 
 A flipped byte that still decodes to a well-typed value (a digit in an
 energy total, a letter in a label) cannot be caught without a per-record
@@ -42,13 +46,7 @@ from repro.exec.broker import BrokerStore
 from repro.exec.store import ResultStore
 from repro.obs import probe
 from repro.obs.bench import RECORD, BenchError, load_pins
-from repro.obs.manifest import (
-    ManifestError,
-    ManifestWriter,
-    broker_entry,
-    read_manifest,
-    summary_entry,
-)
+from repro.obs.manifest import ManifestError, read_manifest
 from repro.obs.names import is_registered
 from repro.obs.telemetry import TelemetryCollector, TelemetryWriter
 from repro.schemas import registered_tags
@@ -277,7 +275,7 @@ KINDS: dict[str, Kind] = {
 }
 
 #: Kinds stored as JSON lines, fuzzed line by line below.
-JSONL_KINDS = ("manifest line", "telemetry frame")
+JSONL_KINDS = ("telemetry frame",)
 
 
 def test_the_fuzzer_covers_every_record_kind():
@@ -381,12 +379,6 @@ def test_damaged_records_read_as_the_original_or_a_counted_skip(
 
 
 def _jsonl_original(name: str, directory: Path) -> Path:
-    if name == "manifest line":
-        path = directory / "run.jsonl"
-        with ManifestWriter(path) as writer:
-            writer.write(broker_entry("publish", jobs=2, published=2))
-            writer.write(summary_entry({"executed": 2}, wall_s=1.25))
-        return path
     with TelemetryWriter(directory, identity="w1", interval_s=0.0) as writer:
         writer.heartbeat("running", jobs_done=1)
         writer.lifecycle(
@@ -408,15 +400,7 @@ def mutate_lines(data: Any, blob: bytes) -> tuple[str, bytes]:
         return how, blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :]
     lines = blob.split(b"\n")[:-1]
     index = data.draw(st.integers(0, len(lines) - 1))
-    if b'"schema"' in lines[index]:
-        line_how, lines[index] = mutate(data, lines[index])
-    else:  # manifest entries past the header carry no schema tag
-        line_how = data.draw(st.sampled_from(["non-object", "inject"]))
-        lines[index] = (
-            data.draw(st.sampled_from(NON_OBJECTS))
-            if line_how == "non-object"
-            else mutate_value(data, lines[index])
-        )
+    line_how, lines[index] = mutate(data, lines[index])
     return line_how, b"\n".join(lines) + b"\n"
 
 
@@ -444,29 +428,31 @@ def test_damaged_streams_keep_good_lines_and_count_each_skip(
     filename, blob = streams[name]
     original = [json.loads(line) for line in blob.splitlines()]
     how, damaged = mutate_lines(data, blob)
-    # Every non-blank line is read (a manifest's unterminated tail too);
-    # a collector defers the unterminated tail to the next poll.
+    # Every non-blank line is read by a run-manifest read (its
+    # unterminated tail too); a collector defers that tail to the next
+    # poll.
     pieces = damaged.split(b"\n")
-    if name == "telemetry frame":
-        pieces = pieces[:-1]
-    considered = len([line for line in pieces if line.strip()])
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / filename
-        path.write_bytes(damaged)
-        with probe.recording(probe.ObsScope()) as scope:
-            if name == "manifest line":
-                try:
-                    found = read_manifest(path)
-                except ManifestError:
-                    found = None  # the header itself was damaged
-            else:
-                collector = TelemetryCollector(Path(tmp), persist=False)
-                found = collector.poll()
-                assert collector.torn_lines == scope.counters.get(counter, 0)
-    moved = dict(scope.counters)
-    assert set(moved) <= {counter}, moved
-    if found is None:
-        return
-    assert moved.get(counter, 0) == considered - len(found), (how, damaged)
-    if how != "flip":
-        assert all(entry in original for entry in found), (how, damaged)
+    for reader, lines in (("collector", pieces[:-1]), ("manifest", pieces)):
+        considered = len([line for line in lines if line.strip()])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / filename
+            path.write_bytes(damaged)
+            with probe.recording(probe.ObsScope()) as scope:
+                if reader == "manifest":
+                    try:
+                        found = read_manifest(path)
+                    except ManifestError:
+                        found = []  # no valid frame left
+                else:
+                    collector = TelemetryCollector(Path(tmp), persist=False)
+                    found = collector.poll()
+                    assert collector.torn_lines == scope.counters.get(counter, 0)
+        moved = dict(scope.counters)
+        assert set(moved) <= {counter}, moved
+        assert moved.get(counter, 0) == considered - len(found), (
+            reader,
+            how,
+            damaged,
+        )
+        if how != "flip":
+            assert all(entry in original for entry in found), (reader, how, damaged)
