@@ -9,7 +9,8 @@ not serve — varies.  This registry names those strategies, mirroring
     In-process execution with bounded retries; what ``jobs=1`` always
     did, and the degradation target every other backend falls back to.
     It runs a batch in :func:`trace_chunks` order, so it records each
-    (trace, geometry) substrate once.
+    (trace, geometry) substrate once and holds one trace's memos at a
+    time.
 ``local-pool``
     ``ProcessPoolExecutor`` rounds with retries, timeouts, pool rebuilds
     and serial fallback; what ``jobs > 1`` selects.  The first round
@@ -45,6 +46,7 @@ from repro.exec.result import ExecResult
 from repro.exec.worker import (
     execute_chunk,
     execute_job,
+    hold_trace,
     init_worker_observability,
 )
 from repro.obs import probe, trace
@@ -103,26 +105,36 @@ class LocalSerialBackend(ExecBackend):
     name = "local-serial"
 
     def execute(self, engine: "ExecEngine", pending: "list[SimJob]") -> None:
-        """Run each job in this process, retrying transient failures."""
-        config = engine.resilience
-        for job in [job for chunk in trace_chunks(pending, 1) for job in chunk]:
-            attempt = 0
-            while True:
-                try:
-                    result = execute_job(job, attempt=attempt)
-                # Sanctioned broad catch: every error is classified and
-                # either retried or surfaced as a structured failure.
-                except Exception as error:  # lint: disable=R007
-                    if engine._should_retry(job, attempt, error):
-                        attempt += 1
-                        time.sleep(
-                            backoff_delay(config, job.fingerprint, attempt)
-                        )
-                        continue
-                    engine._fail(job, error, attempt + 1)
-                    break
-                engine._store(job, result)
-                break
+        """Run each job in this process, retrying transient failures.
+
+        Jobs run one trace at a time (:func:`trace_chunks`), and each
+        trace's memos are dropped when the next one starts
+        (:func:`~repro.exec.worker.hold_trace`).
+        """
+        for chunk in trace_chunks(pending, 1):
+            hold_trace(chunk[0].trace_key)
+            for job in chunk:
+                self._execute(engine, job)
+
+    @staticmethod
+    def _execute(engine: "ExecEngine", job: "SimJob") -> None:
+        attempt = 0
+        while True:
+            try:
+                result = execute_job(job, attempt=attempt)
+            # Sanctioned broad catch: every error is classified and
+            # either retried or surfaced as a structured failure.
+            except Exception as error:  # lint: disable=R007
+                if engine._should_retry(job, attempt, error):
+                    attempt += 1
+                    time.sleep(
+                        backoff_delay(engine.resilience, job.fingerprint, attempt)
+                    )
+                    continue
+                engine._fail(job, error, attempt + 1)
+                return
+            engine._store(job, result)
+            return
 
 
 def trace_chunks(pending: "list[SimJob]", workers: int) -> "list[list[SimJob]]":
@@ -139,7 +151,7 @@ def trace_chunks(pending: "list[SimJob]", workers: int) -> "list[list[SimJob]]":
     """
     groups: dict[tuple[str, str, int], list[SimJob]] = {}
     for job in pending:
-        groups.setdefault((job.workload, job.size, job.seed), []).append(job)
+        groups.setdefault(job.trace_key, []).append(job)
     for group in groups.values():
         group.sort(key=_geometry)
     cap = math.ceil(len(pending) / workers)
@@ -163,8 +175,9 @@ class LocalPoolBackend(ExecBackend):
     Jobs run in rounds of chunks, one :func:`execute_chunk` task each.
     The first round sends :func:`trace_chunks`, so one worker's memos
     build each trace and record each substrate once, as a serial run
-    does; retry rounds send one job per chunk, so a sticky failure
-    charges no chunk-mates.  A round harvests results in submission
+    does, and a worker drops a trace's memos when its next chunk is over
+    another (:func:`~repro.exec.worker.execute_chunk`); retry rounds
+    send one job per chunk, so a sticky failure charges no chunk-mates.  A round harvests results in submission
     order; a failure classified transient re-queues its job for the
     next round (up to ``max_retries``).  A timeout (``job_timeout_s``
     per job of the chunk) or a ``BrokenProcessPool`` charges every job

@@ -292,6 +292,11 @@ class SimJob:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     @property
+    def trace_key(self) -> tuple[str, str, int]:
+        """The ``(workload, size, seed)`` trace every kind rebuilds."""
+        return (self.workload, self.size, self.seed)
+
+    @property
     def label(self) -> str:
         """Short human label for progress lines and logs."""
         scheme = self.config.scheme if self.config is not None else "-"

@@ -5,21 +5,24 @@ it directly for serial execution and ships :func:`execute_chunk` to
 ``ProcessPoolExecutor`` workers for parallel execution.  A chunk is a
 list of jobs over one workload trace (the pool cuts them, see
 :class:`repro.exec.backends.LocalPoolBackend`), so one worker's memos
-serve the whole group.  Workloads (and L1-filtered streams, which are
-equally expensive to build) are memoized per process, so a sweep of N
-configs over one workload builds its trace once per worker, not N
-times.
+serve the whole group.
+
+A built workload run is memoized in this process (:func:`build_run`),
+and everything derived from it hangs on the run: its preload digest,
+its L1-filtered streams and the substrate of its last geometry
+(:meth:`~repro.workloads.program.WorkloadRun.substrate`), so a sweep of
+N configs over one workload builds its trace once and consecutive
+workload and oracle jobs of one (trace, geometry) group record the
+cache once.  The serial backend and :func:`execute_chunk` hold one trace
+at a time: when they move on to a job of another trace they drop the
+last one's memos (:func:`hold_trace`), so a process's memory is bounded
+by its largest trace, not by the sum of the traces it ran.
 
 The job kinds' modules (runner, oracle, L1 filter, audit, the default
 simulation engine) are imported here at module level: running them is
 this module's purpose, and a pool forked from a parent that imported it
 inherits them instead of importing them again in every worker.  Call
 sites still look their entry points up on those modules at call time.
-
-A workload run also keeps the substrate of its last geometry
-(:meth:`~repro.workloads.program.WorkloadRun.substrate`): consecutive
-workload and oracle jobs of one (trace, geometry) group record the cache
-once and fold each config over it.
 
 Everything here is deterministic: traces are rebuilt from
 (name, size, seed), the simulator is seeded from the config, and results
@@ -29,9 +32,7 @@ to an in-process run (asserted by ``cntcache selftest``).
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections.abc import Iterable
 
 from repro import api, faults
 from repro.analysis import accuracy
@@ -43,16 +44,9 @@ from repro.harness import multilevel, oracle, runner
 from repro.obs import probe, trace
 from repro.workloads.program import WorkloadRun, get_workload
 
-#: Per-process workload memo: (name, size, seed) -> built run.
+#: Per-process workload memo: (name, size, seed) -> built run, with the
+#: substrate, preload digest and L1 streams derived from it.
 _RUNS: dict[tuple[str, str, int], WorkloadRun] = {}
-
-#: Per-process preload-image digest memo, keyed like ``_RUNS``: the run
-#: hashed and its digest.
-_DIGESTS: dict[tuple[str, str, int], tuple[WorkloadRun, str]] = {}
-
-#: Per-process L1-filtered stream memo (streams cost a full L1 replay),
-#: keyed by backend too so a scalar mirror builds its own stream.
-_STREAMS: dict[tuple, list] = {}
 
 
 def build_run(name: str, size: str, seed: int) -> WorkloadRun:
@@ -69,30 +63,25 @@ def build_run(name: str, size: str, seed: int) -> WorkloadRun:
     return run
 
 
-def clear_memos() -> None:
-    """Drop the per-process workload/stream memos (tests, memory pressure)."""
+def hold_trace(key: tuple[str, str, int]) -> None:
+    """Drop the memos of every trace but ``key`` (the one-trace bound).
+
+    Callers run jobs grouped by trace and call this when they move on to
+    another one, so the process holds at most one trace's run with its
+    substrate, digest and streams.  A later job over a dropped trace
+    rebuilds it; the rebuild is deterministic and counted by
+    ``workload.builds``.
+    """
+    kept = _RUNS.pop(key, None)
     _RUNS.clear()
-    _DIGESTS.clear()
-    _STREAMS.clear()
+    if kept is not None:
+        _RUNS[key] = kept
 
 
-def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
-    """Short content hash of a preload image (job observability/integrity)."""
-    digest = hashlib.sha256()
-    for addr, payload in sorted(preloads):
-        digest.update(addr.to_bytes(8, "little"))
-        digest.update(len(payload).to_bytes(4, "little"))
-        digest.update(payload)
-    return digest.hexdigest()[:16]
-
-
-def _run_digest(run: WorkloadRun) -> str:
-    """:func:`preload_digest` of a built run's image, hashed once per run."""
-    key = (run.name, run.size, run.seed)
-    cached = _DIGESTS.get(key)
-    if cached is None or cached[0] is not run:
-        cached = _DIGESTS[key] = (run, preload_digest(run.preloads))
-    return cached[1]
+def clear_memos() -> None:
+    """Drop every per-process memo: each trace, with its substrate,
+    preload digest and L1 streams (tests and perfbench start cold)."""
+    _RUNS.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -120,7 +109,7 @@ def _execute_workload(job: SimJob) -> ExecResult:
         stats=sim.stats,
         values={
             "checksum": run.checksum,
-            "preload_digest": _run_digest(run),
+            "preload_digest": run.image_digest,
         },
     )
 
@@ -142,8 +131,8 @@ def _execute_l2(job: SimJob) -> ExecResult:
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
     geometry = dict(job.params)
-    stream_key = (job.workload, job.size, job.seed, job.params, job.backend)
-    stream = _STREAMS.get(stream_key)
+    stream_key = (job.params, job.backend)
+    stream = run.streams.get(stream_key)
     if stream is None:
         # The substrate-L1 replay is memoized infrastructure, not the
         # measurement; pause probes so cache.* counters stay per-job
@@ -157,7 +146,7 @@ def _execute_l2(job: SimJob) -> ExecResult:
                 line_size=geometry["l1_line_size"],
                 backend=job.backend,
             )
-        _STREAMS[stream_key] = stream
+        run.streams[stream_key] = stream
     values = {
         "stream_accesses": len(stream),
         "stream_writes": sum(1 for access in stream if access.is_write),
@@ -203,7 +192,7 @@ def _execute_trace(job: SimJob) -> ExecResult:
             "distinct_lines": stats.distinct_lines,
             "footprint_bytes": stats.footprint_bytes,
             "checksum": run.checksum,
-            "preload_digest": _run_digest(run),
+            "preload_digest": run.image_digest,
         },
     )
 
@@ -288,10 +277,16 @@ def execute_chunk(
     Each outcome is the job's payload (see :func:`execute_payload`) or
     the exception it raised; one job's error never stops the rest of
     its chunk.  ``attempts[i]`` is the engine's retry index of
-    ``jobs[i]``.
+    ``jobs[i]``.  The worker holds one trace (:func:`hold_trace`): it
+    drops the memos of the last chunk's trace, and of any trace the
+    chunk itself leaves, when it moves on to another.
     """
     outcomes: list[dict | Exception] = []
+    held = None
     for job, attempt in zip(jobs, attempts):
+        if job.trace_key != held:
+            held = job.trace_key
+            hold_trace(held)
         try:
             outcomes.append(execute_payload(job, attempt))
         # Sanctioned broad catch: every error is classified and either

@@ -31,7 +31,7 @@ session-wide :class:`~repro.obs.session.Obs` feeds both.
 Determinism note: counters in the ``cache.*`` and ``codec.*`` namespaces
 are per-job deterministic (identical under ``--jobs N`` and serial runs);
 ``workload.*`` and ``exec.*`` counters depend on process topology because
-workload builds are memoized per process.
+workload builds are memoized per process, one trace at a time.
 """
 
 from __future__ import annotations

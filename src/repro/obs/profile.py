@@ -46,6 +46,9 @@ class ProfileReport:
     summary: ManifestSummary
     engine: dict = field(default_factory=dict)
     manifest_path: str | None = None
+    #: This process's peak resident set (``ru_maxrss``) in MB; ``--jobs
+    #: N`` pool workers are separate processes and are not included.
+    peak_rss_mb: float = 0.0
 
     def to_dict(self) -> dict:
         """JSON-ready payload (``cntcache profile --json``)."""
@@ -56,6 +59,7 @@ class ProfileReport:
             "seed": self.seed,
             "jobs": self.jobs,
             "wall_s": self.wall_s,
+            "peak_rss_mb": self.peak_rss_mb,
             "engine": dict(self.engine),
             "manifest": self.manifest_path,
             "summary": self.summary.to_dict(),
@@ -69,7 +73,7 @@ class ProfileReport:
         sections = [
             f"[profile] {len(self.experiments)} experiment(s), "
             f"size={self.size}, seed={self.seed}, jobs={self.jobs}, "
-            f"{self.wall_s:.2f}s wall",
+            f"{self.wall_s:.2f}s wall, {self.peak_rss_mb:.1f} MB peak RSS",
         ]
 
         total_wall = sum(
@@ -279,7 +283,17 @@ def profile_experiments(
         summary=obs.summary(top=top),
         engine=engine.counters.to_dict(),
         manifest_path=None if manifest is None else str(manifest),
+        peak_rss_mb=_peak_rss_mb(),
     )
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set in MB (0.0 where unsupported)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return 0.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 __all__ = [

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import socket
@@ -548,7 +549,8 @@ class FleetSnapshot:
     quarantined: int | None = None
     frames: int = 0
     torn_lines: int = 0
-    #: scheme -> fJ total, deduplicated across at-least-once finishes.
+    #: scheme -> fJ total, deduplicated across at-least-once finishes and
+    #: independent of the order they arrived in.
     energy_by_scheme: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -806,7 +808,9 @@ class TelemetryCollector:
         self.views: dict[str, ProcessView] = {}
         self.frames = 0
         self.torn_lines = 0
-        self.energy_by_scheme: dict[str, float] = {}
+        #: scheme -> each counted job's fJ; summed by ``math.fsum`` in
+        #: :attr:`energy_by_scheme`, so arrival order cannot move a digit.
+        self._energy_parts: dict[str, list[float]] = {}
         #: Fingerprints whose energy is already counted (dedupe across
         #: at-least-once re-executions).
         self._energy_seen: set[str] = set()
@@ -827,7 +831,11 @@ class TelemetryCollector:
             counts = [*offsets.values(), payload["frames"], payload["torn_lines"]]
             if not all(type(count) is int and count >= 0 for count in counts):
                 raise ValueError(f"not counts: {counts!r}")
-            energy = {str(k): float(v) for k, v in payload["energy_by_scheme"].items()}
+            energy: dict[str, list[float]] = {}
+            for scheme, parts in payload["energy_by_scheme"].items():
+                if not isinstance(parts, list):  # a pre-fsum total
+                    raise TypeError(f"not a list of parts: {parts!r}")
+                energy[str(scheme)] = [float(part) for part in parts]
             seen = {str(item) for item in payload["energy_seen"]}
             views = {
                 str(name): ProcessView.from_dict(view)
@@ -836,7 +844,7 @@ class TelemetryCollector:
         except (AttributeError, KeyError, TypeError, ValueError):
             probe.counter("telemetry.state_resets")
             return
-        self.offsets, self.energy_by_scheme = offsets, energy
+        self.offsets, self._energy_parts = offsets, energy
         self.frames, self.torn_lines = payload["frames"], payload["torn_lines"]
         self._energy_seen, self.views = seen, views
 
@@ -848,7 +856,7 @@ class TelemetryCollector:
             "offsets": dict(self.offsets),
             "frames": self.frames,
             "torn_lines": self.torn_lines,
-            "energy_by_scheme": dict(self.energy_by_scheme),
+            "energy_by_scheme": self._energy_parts,
             "energy_seen": sorted(self._energy_seen),
             "procs": {
                 name: view.to_dict() for name, view in self.views.items()
@@ -920,11 +928,18 @@ class TelemetryCollector:
                 and isinstance(energy, (int, float))
             ):
                 self._energy_seen.add(fingerprint)
-                key = str(scheme)
-                self.energy_by_scheme[key] = (
-                    self.energy_by_scheme.get(key, 0.0) + float(energy)
+                self._energy_parts.setdefault(str(scheme), []).append(
+                    float(energy)
                 )
         return True
+
+    @property
+    def energy_by_scheme(self) -> dict[str, float]:
+        """scheme -> fJ executed, counted once per job fingerprint."""
+        return {
+            scheme: math.fsum(parts)
+            for scheme, parts in self._energy_parts.items()
+        }
 
     # -------------------------------------------------------------- #
     # snapshots
@@ -956,7 +971,7 @@ class TelemetryCollector:
             quarantined=self._count_files("quarantine"),
             frames=self.frames,
             torn_lines=self.torn_lines,
-            energy_by_scheme=dict(self.energy_by_scheme),
+            energy_by_scheme=self.energy_by_scheme,
         )
 
 

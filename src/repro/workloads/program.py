@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -23,6 +25,16 @@ class WorkloadError(ValueError):
     """Raised on invalid workload construction or use."""
 
 
+def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
+    """Short content hash of a preload image (job observability/integrity)."""
+    digest = hashlib.sha256()
+    for addr, payload in sorted(preloads):
+        digest.update(addr.to_bytes(8, "little"))
+        digest.update(len(payload).to_bytes(4, "little"))
+        digest.update(payload)
+    return digest.hexdigest()[:16]
+
+
 @dataclass
 class WorkloadRun:
     """The output of one workload execution."""
@@ -41,6 +53,12 @@ class WorkloadRun:
     _substrate: "Substrate | None" = field(
         default=None, repr=False, compare=False
     )
+    _digest: str | None = field(default=None, repr=False, compare=False)
+    #: L1-filtered streams of this trace, keyed by the L1 geometry and
+    #: the engine that filtered them (filled by :mod:`repro.exec.worker`).
+    streams: dict[tuple, list[Access]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def stats(self) -> TraceStats:
@@ -48,6 +66,13 @@ class WorkloadRun:
         if self._stats is None:
             self._stats = analyze_trace(self.trace)
         return self._stats
+
+    @property
+    def image_digest(self) -> str:
+        """:func:`preload_digest` of the run's image, hashed once."""
+        if self._digest is None:
+            self._digest = preload_digest(self.preloads)
+        return self._digest
 
     def substrate(self, config: "CNTCacheConfig") -> "Substrate":
         """The trace recorded at ``config``'s geometry, kept in one slot.

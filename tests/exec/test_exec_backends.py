@@ -2,7 +2,8 @@
 
 Covers the registry surface (named strategies, unknown-name errors),
 the engine's backend/broker parameter validation, result equivalence
-across explicit backends, the pool's trace-affine chunking, and the
+across explicit backends, the pool's trace-affine chunking, the
+one-trace memo bound of serial and chunk execution, and the
 :mod:`repro.exec.store` satellites: the generalized TTL janitor and the
 cache-read-error counter.
 """
@@ -22,14 +23,17 @@ from repro.exec import (
     audit_job,
     exec_backend_names,
     exec_backends,
+    l2_job,
     make_exec_backend,
     oracle_job,
     trace_job,
     workload_job,
 )
+from repro.exec import backends, worker
 from repro.exec.backends import ExecBackendError, trace_chunks
 from repro.exec.broker import BrokerStore
 from repro.exec.events import EngineCounters
+from repro.exec.result import ExecResult
 from repro.exec.store import (
     STALE_CORRUPT_TTL_S,
     STALE_LEASE_TTL_S,
@@ -37,7 +41,7 @@ from repro.exec.store import (
     ResultStore,
     sweep_stale,
 )
-from repro.exec.worker import clear_memos
+from repro.exec.worker import clear_memos, execute_chunk
 from repro.obs import Obs
 
 CONFIG = CNTCacheConfig()
@@ -223,6 +227,89 @@ class TestTraceAffinity:
         pool, counters = probed_run(jobs, 2)
         assert pool == serial
         assert counters["workload.builds"] == 2
+
+
+# ------------------------------------------------------------------ #
+# the one-trace memo bound
+# ------------------------------------------------------------------ #
+TRACES = ("records", "crc32", "bitcount")
+
+
+def three_trace_jobs():
+    """Every memo-filling kind over three traces, interleaved job by job."""
+    groups = [
+        scheme_jobs(name)[:2]
+        + [
+            oracle_job(CONFIG, name, "tiny", 3),
+            l2_job(CONFIG, name, "tiny", 3),
+            trace_job(name, "tiny", 3),
+        ]
+        for name in TRACES
+    ]
+    return [job for row in zip(*groups) for job in row]
+
+
+def watch_memos(monkeypatch, module, name):
+    """Record, as each job starts, its trace and the traces memoized."""
+    starts = []
+    original = getattr(module, name)
+
+    def watched(job, attempt=0):
+        starts.append((job.trace_key, set(worker._RUNS)))
+        return original(job, attempt)
+
+    monkeypatch.setattr(module, name, watched)
+    return starts
+
+
+class TestOneTraceBound:
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        clear_memos()
+        yield
+        clear_memos()
+
+    def test_a_serial_batch_holds_one_trace(self, monkeypatch):
+        jobs = three_trace_jobs()
+        worker.build_run("stream", "tiny", 3)  # left over from a last batch
+        starts = watch_memos(monkeypatch, backends, "execute_job")
+        ExecEngine().run_jobs(jobs)
+        assert len(starts) == len(jobs)
+        assert all(held <= {key} for key, held in starts)
+        assert set(worker._RUNS) == {starts[-1][0]}
+
+    def test_a_direct_chunk_call_holds_one_trace(self, monkeypatch):
+        jobs = three_trace_jobs()
+        serial = [result.canonical() for result in ExecEngine().run_jobs(jobs)]
+        starts = watch_memos(monkeypatch, worker, "execute_payload")
+        outcomes = execute_chunk(jobs, [0] * len(jobs))
+        assert len(starts) == len(jobs)
+        assert all(held <= {key} for key, held in starts)
+        assert [
+            ExecResult.from_payload(job, outcome, "run").canonical()
+            for job, outcome in zip(jobs, outcomes)
+        ] == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_trace_builds_once_per_batch(self, workers):
+        _, counters = probed_run(three_trace_jobs(), workers)
+        assert counters["workload.builds"] == len(TRACES)
+
+    def test_a_released_trace_is_rebuilt_with_identical_results(self):
+        jobs = three_trace_jobs()
+        obs = Obs()
+        first = ExecEngine(obs=obs).run_jobs(jobs)
+        assert obs.counters["workload.builds"] == len(TRACES)
+        (held,) = worker._RUNS
+        released = [job for job in jobs if job.trace_key != held][0].trace_key
+        again = [job for job in jobs if job.trace_key == released]
+        obs = Obs()
+        second = ExecEngine(obs=obs).run_jobs(again)
+        assert obs.counters["workload.builds"] == 1
+        by_job = dict(zip(jobs, first))
+        assert [result.canonical() for result in second] == [
+            by_job[job].canonical() for job in again
+        ]
 
 
 # ------------------------------------------------------------------ #

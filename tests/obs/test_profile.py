@@ -62,6 +62,9 @@ class TestProfileExperiments:
         payload = report.to_dict()
         assert payload["schema"] == PROFILE_SCHEMA
         json.dumps(payload)  # JSON-ready all the way down
+        # The coordinator's own peak RSS, in the header and the payload.
+        assert payload["peak_rss_mb"] == report.peak_rss_mb > 0.0
+        assert f"{report.peak_rss_mb:.1f} MB peak RSS" in text.splitlines()[0]
 
         # The probe switchboard is back at rest.
         assert probe.ENABLED is False

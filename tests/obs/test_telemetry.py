@@ -16,6 +16,7 @@ The contracts under test:
 """
 
 import json
+import math
 
 import pytest
 
@@ -202,6 +203,25 @@ class TestCollector:
         collector.poll()
         assert collector.energy_by_scheme == {"cnt": 150.0}
 
+    def test_energy_totals_do_not_depend_on_arrival_order(self, tmp_path):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit.
+        frames = [
+            ("finish", "a" * 16, 0.1),
+            ("run", "b" * 16, 0.2),
+            ("finish", "c" * 16, 0.3),
+        ]
+        totals = []
+        for name, order in (("forward", frames), ("reversed", frames[::-1])):
+            writer = TelemetryWriter(tmp_path / name, identity="w1")
+            for event, fingerprint, energy in order:
+                writer.lifecycle(event, fingerprint=fingerprint, scheme="cnt",
+                                 energy_fj=energy)
+            writer.close()
+            TelemetryCollector(tmp_path / name).poll()
+            # The persisted parts round-trip into a resumed collector.
+            totals.append(TelemetryCollector(tmp_path / name).energy_by_scheme)
+        assert totals[0] == totals[1] == {"cnt": math.fsum([0.1, 0.2, 0.3])}
+
     def test_truncated_stream_restarts_from_zero(self, tmp_path):
         writer = TelemetryWriter(tmp_path, identity="w1", interval_s=0.0)
         for _ in range(5):
@@ -244,6 +264,7 @@ class TestCollector:
             ("energy_seen", 7),
             ("procs", {"w1": None}),
             ("procs", {"w1": {"first_ts": "x"}}),
+            ("energy_by_scheme", {"cnt": 100.0}),  # a pre-fsum total
         ],
     )
     def test_bad_state_is_a_counted_fresh_start(self, tmp_path, field, value):
