@@ -77,7 +77,6 @@ def make_engine(
     progress: Callable[[str], None] | None = None,
     obs: "Obs | None" = None,
     resilience: "ResilienceConfig | None" = None,
-    exec_backend: str | None = None,
     broker: "BrokerConfig | str | Path | None" = None,
 ) -> "ExecEngine":
     """An execution engine (see :class:`repro.exec.ExecEngine`).
@@ -85,13 +84,11 @@ def make_engine(
     ``resilience`` tunes the fault-tolerance policy (retries, backoff,
     per-job timeouts, keep-going batches — see
     :class:`repro.resilience.ResilienceConfig`); ``None`` means the
-    self-healing defaults.  ``exec_backend`` names the *execution* strategy
-    (``local-serial``/``local-pool``/``broker`` — see
-    :func:`repro.exec.exec_backends`); ``broker`` points at a shared
-    work-broker directory (a path or a
-    :class:`repro.exec.BrokerConfig`) and implies the ``broker``
-    backend — the engine coordinates a worker fleet through the
-    broker's cache (see docs/DISTRIBUTED.md).
+    self-healing defaults.  ``jobs > 1`` runs a batch on a worker pool,
+    ``jobs=1`` in this process.  ``broker`` points at a shared
+    work-broker directory (a path or a :class:`repro.exec.BrokerConfig`):
+    the engine then coordinates a worker fleet through the broker's
+    cache instead (see docs/DISTRIBUTED.md).
     """
     from repro.exec import ExecEngine
 
@@ -101,7 +98,6 @@ def make_engine(
         progress=progress,
         obs=obs,
         resilience=resilience,
-        exec_backend=exec_backend,
         broker=broker,
     )
 

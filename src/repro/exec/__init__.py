@@ -16,13 +16,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.exec.backends import (
-        ExecBackendError,
-        ExecBackendSpec,
-        exec_backend_names,
-        exec_backends,
-        make_exec_backend,
-    )
     from repro.exec.broker import (
         BrokerConfig,
         BrokerError,
@@ -65,8 +58,6 @@ __all__ = [
     "BrokerError",
     "EngineCounters",
     "EngineError",
-    "ExecBackendError",
-    "ExecBackendSpec",
     "ExecEngine",
     "ExecEvent",
     "ExecResult",
@@ -85,13 +76,10 @@ __all__ = [
     "WorkerStats",
     "audit_job",
     "code_fingerprint",
-    "exec_backend_names",
-    "exec_backends",
     "execute_job",
     "execute_payload",
     "job_from_payload",
     "l2_job",
-    "make_exec_backend",
     "normalize_config",
     "oracle_job",
     "plan_jobs",
@@ -110,8 +98,6 @@ __getattr__, __dir__ = lazy_exports(
         "BrokerError": "repro.exec.broker",
         "EngineCounters": "repro.exec.events",
         "EngineError": "repro.exec.engine",
-        "ExecBackendError": "repro.exec.backends",
-        "ExecBackendSpec": "repro.exec.backends",
         "ExecEngine": "repro.exec.engine",
         "ExecEvent": "repro.exec.events",
         "ExecResult": "repro.exec.result",
@@ -130,13 +116,10 @@ __getattr__, __dir__ = lazy_exports(
         "WorkerStats": "repro.exec.broker",
         "audit_job": "repro.exec.job",
         "code_fingerprint": "repro.exec.job",
-        "exec_backend_names": "repro.exec.backends",
-        "exec_backends": "repro.exec.backends",
         "execute_job": "repro.exec.worker",
         "execute_payload": "repro.exec.worker",
         "job_from_payload": "repro.exec.job",
         "l2_job": "repro.exec.job",
-        "make_exec_backend": "repro.exec.backends",
         "normalize_config": "repro.exec.job",
         "oracle_job": "repro.exec.job",
         "plan_jobs": "repro.exec.planner",

@@ -1,8 +1,9 @@
 """The filesystem work broker: shared-cache distributed execution.
 
-The ``broker`` exec backend turns one directory — typically on a
-filesystem every participant can reach — into a crash-tolerant work
-queue next to the content-addressed result cache::
+The broker (``ExecEngine(broker=...)``, ``--broker DIR``) turns one
+directory — typically on a filesystem every participant can reach —
+into a crash-tolerant work queue next to the content-addressed result
+cache::
 
     <root>/cache/                the shared ResultStore (source of truth)
     <root>/jobs/<fp>.json        claimable job records (describe() docs)

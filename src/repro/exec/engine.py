@@ -11,13 +11,13 @@ simulation results (lint rule R006 enforces this for
    cache (``cache_dir``, a :class:`repro.exec.store.ResultStore`), keyed
    by :attr:`SimJob.fingerprint` and versioned by the engine schema +
    code fingerprint;
-3. executes the remainder through an *execution backend*
-   (:mod:`repro.exec.backends`): ``local-serial`` in-process,
-   ``local-pool`` across a ``ProcessPoolExecutor``, or ``broker`` — the
-   distributed mode where this engine coordinates a fleet of
-   ``cntcache worker`` processes through a shared filesystem broker
+3. executes the remainder: in this process or on a
+   ``ProcessPoolExecutor`` (:func:`repro.exec.backends.execute_local`,
+   chosen by ``jobs`` and the batch size), or — given a ``broker`` —
+   through the distributed mode, where this engine coordinates a fleet
+   of ``cntcache worker`` processes through a shared filesystem broker
    (:mod:`repro.exec.broker`).  Results travel as JSON-exact payloads
-   (or through the shared cache), so every backend is bit-identical to
+   (or through the shared cache), so every path is bit-identical to
    serial execution.
 
 Observability: every job transition is one :class:`ExecEvent` passed to
@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.exec.backends import exec_backend_names, make_exec_backend
+from repro.exec.backends import execute_local
 from repro.exec.events import (
     RESOLUTIONS,
     EngineCounters,
@@ -116,7 +116,6 @@ class ExecEngine:
         progress: Callable[[str], None] | None = None,
         obs=None,
         resilience: ResilienceConfig | None = None,
-        exec_backend: str | None = None,
         broker: BrokerConfig | str | Path | None = None,
         telemetry: str | Path | TelemetryWriter | None = None,
     ) -> None:
@@ -138,19 +137,6 @@ class ExecEngine:
                 raise EngineError(
                     f"broker must be a BrokerConfig or directory, got {broker!r}"
                 )
-        if broker is not None and exec_backend is None:
-            exec_backend = "broker"
-        if exec_backend is not None and exec_backend not in exec_backend_names():
-            raise EngineError(
-                f"unknown exec backend {exec_backend!r}; "
-                f"known: {exec_backend_names()}"
-            )
-        if exec_backend == "broker":
-            if broker is None:
-                raise EngineError(
-                    "the 'broker' exec backend needs a broker directory "
-                    "(broker=BrokerConfig(...) or broker=<path>)"
-                )
             # The broker's cache *is* the result transport: workers write
             # there and the coordinator adopts from there, so a divergent
             # cache_dir would split the single source of truth in two.
@@ -165,12 +151,8 @@ class ExecEngine:
         self.jobs = jobs
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.progress = progress
-        #: Execution-backend override (see :mod:`repro.exec.backends`).
-        #: ``None`` selects locally by batch shape: ``local-pool`` when
-        #: ``jobs > 1`` and more than one job is pending, else
-        #: ``local-serial`` — exactly the pre-registry behaviour.
-        self.exec_backend = exec_backend
-        #: Broker configuration (``broker`` exec backend only).
+        #: Broker configuration: set, the engine coordinates a fleet
+        #: instead of executing locally.
         self.broker = broker
         #: Optional :class:`repro.obs.Obs` session; when set, probes are
         #: enabled around every batch and job records are reported to it.
@@ -293,29 +275,34 @@ class ExecEngine:
         return result.stats
 
     # ------------------------------------------------------------------ #
-    # execution (dispatched through repro.exec.backends)
+    # execution
     # ------------------------------------------------------------------ #
     def _execute(self, pending: list[SimJob]) -> None:
         if not pending:
             return
-        name = self.exec_backend
-        if name is None:
-            name = (
-                "local-pool"
-                if self.jobs > 1 and len(pending) > 1
-                else "local-serial"
-            )
-        make_exec_backend(name).execute(self, pending)
+        if self.broker is None:
+            execute_local(self, pending)
+            return
+        # Looked up at call time (the broker module loads only for a
+        # broker engine, and tests can patch the drain).
+        from repro.exec.broker import drain
 
-    def _should_retry(
-        self, job: SimJob, attempt: int, error: BaseException
-    ) -> bool:
-        """Classify ``error``; count and announce the retry if granted."""
-        if (
-            not classify_transient(error)
-            or attempt >= self.resilience.max_retries
-        ):
-            return False
+        drain(self, pending)
+
+    def _retry_or_fail(
+        self,
+        job: SimJob,
+        attempts: dict[str, int],
+        remaining: list[SimJob],
+        error: BaseException,
+    ) -> None:
+        """One failed attempt: grant a retry (count and announce it, and
+        re-queue the job into ``remaining``) or record the failure."""
+        attempt = attempts[job.fingerprint]
+        if not classify_transient(error) or attempt >= self.resilience.max_retries:
+            self._fail(job, error, attempt + 1)
+            return
+        attempts[job.fingerprint] = attempt + 1
         self.emit(
             ExecEvent(
                 "retry",
@@ -327,21 +314,7 @@ class ExecEngine:
                 },
             )
         )
-        return True
-
-    def _retry_or_fail(
-        self,
-        job: SimJob,
-        attempts: dict[str, int],
-        remaining: list[SimJob],
-        error: BaseException,
-    ) -> None:
-        """Pool-path outcome of one failed attempt: re-queue or record."""
-        if self._should_retry(job, attempts[job.fingerprint], error):
-            attempts[job.fingerprint] += 1
-            remaining.append(job)
-        else:
-            self._fail(job, error, attempts[job.fingerprint] + 1)
+        remaining.append(job)
 
     def _fail(self, job: SimJob, error: BaseException, attempts: int) -> None:
         """A job exhausted its attempts: record it, or raise (fail-fast)."""

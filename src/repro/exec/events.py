@@ -61,7 +61,7 @@ COUNTED: dict[str, tuple[tuple[str, str | None], ...]] = {
     "adopt": (("executed", "exec.executed"),),
     "retry": (("retries", "exec.retries"),),
     "timeout": (("timeouts", "exec.timeouts"),),
-    "pool_rebuild": (("pool_rebuilds", "exec.pool_rebuilds"),),
+    "pool_rebuild": (("rebuilds", "exec.rebuilds"),),
     "serial_fallback": (("serial_fallbacks", "exec.serial_fallbacks"),),
     "fail": (("failures", "exec.failures"),),
     "cache_corrupt": (("cache_corrupt", "exec.cache_corrupt"),),
@@ -114,7 +114,7 @@ class EngineCounters:
     executed: int = 0
     retries: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0
+    rebuilds: int = 0
     serial_fallbacks: int = 0
     failures: int = 0
     cache_corrupt: int = 0
@@ -167,7 +167,7 @@ class EngineCounters:
             f"hit(s), {self.executed} simulated",
             ("retried", self.retries),
             ("timed out", self.timeouts),
-            ("pool rebuild(s)", self.pool_rebuilds),
+            ("pool rebuild(s)", self.rebuilds),
             ("serial fallback(s)", self.serial_fallbacks),
             ("failed", self.failures),
             ("corrupt cache entr(ies)", self.cache_corrupt),

@@ -1,11 +1,11 @@
 """Job execution: the one place a :class:`SimJob` turns into numbers.
 
-:func:`execute_job` runs in whatever process calls it — the engine uses
-it directly for serial execution and ships :func:`execute_chunk` to
-``ProcessPoolExecutor`` workers for parallel execution.  A chunk is a
-list of jobs over one workload trace (the pool cuts them, see
-:class:`repro.exec.backends.LocalPoolBackend`), so one worker's memos
-serve the whole group.
+:func:`execute_job` runs in whatever process calls it — the engine's
+local loop (:func:`repro.exec.backends.execute_local`) calls it directly
+in process and runs :func:`execute_chunk` in ``ProcessPoolExecutor``
+workers.  A chunk is a list of jobs over one workload trace
+(:func:`repro.exec.backends.trace_chunks`), so one worker's memos serve
+the whole group.
 
 A built workload run is memoized in this process (:func:`build_run`),
 and everything derived from it hangs on the run: its preload digest,
@@ -13,8 +13,8 @@ its L1-filtered streams and the substrate of its last geometry
 (:meth:`~repro.workloads.program.WorkloadRun.substrate`), so a sweep of
 N configs over one workload builds its trace once and consecutive
 workload and oracle jobs of one (trace, geometry) group record the
-cache once.  The serial backend and :func:`execute_chunk` hold one trace
-at a time: when they move on to a job of another trace they drop the
+cache once.  The in-process rounds and :func:`execute_chunk` hold one
+trace at a time: when they move on to a job of another trace they drop the
 last one's memos (:func:`hold_trace`), so a process's memory is bounded
 by its largest trace, not by the sum of the traces it ran.
 
@@ -33,6 +33,7 @@ to an in-process run (asserted by ``cntcache selftest``).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 
 from repro import api, faults
 from repro.analysis import accuracy
@@ -206,7 +207,13 @@ _DISPATCH = {
 }
 
 
-def execute_job(job: SimJob, attempt: int = 0) -> ExecResult:
+#: Starts one attempt, given the job fingerprint and the attempt index.
+Begin = Callable[[str, int], None]
+
+
+def execute_job(
+    job: SimJob, attempt: int = 0, begin: Begin | None = None
+) -> ExecResult:
     """Run one job in this process; wall time is measured around the kind.
 
     With probes enabled, the job runs inside a nested capture scope and
@@ -216,9 +223,11 @@ def execute_job(job: SimJob, attempt: int = 0) -> ExecResult:
     the access/span events and its tagged snapshot rides home on
     :attr:`ExecResult.trace`.  ``attempt`` is the engine's retry index;
     it only feeds the fault-injection hook (:mod:`repro.faults`), never
-    the measurement.
+    the measurement.  ``begin(fingerprint, attempt)`` starts the
+    attempt: by default that hook, :func:`repro.faults.on_job_start`; a
+    pool worker passes one that also records the start.
     """
-    faults.on_job_start(job.fingerprint, attempt)
+    (faults.on_job_start if begin is None else begin)(job.fingerprint, attempt)
     started = time.perf_counter()
     with probe.capture() as scope:
         with trace.capture() as sink:
@@ -259,25 +268,28 @@ def init_worker_observability(
         trace.enable_in_worker(every=every, capacity=capacity)
 
 
-def execute_payload(job: SimJob, attempt: int = 0) -> dict:
+def execute_payload(
+    job: SimJob, attempt: int = 0, begin: Begin | None = None
+) -> dict:
     """Run a job, return its serialized payload.
 
     Returning the payload (not the :class:`ExecResult`) forces every
     parallel result through the same lossless serialization as the disk
     cache, so parallel and serial runs cannot diverge silently.
     """
-    return execute_job(job, attempt=attempt).payload()
+    return execute_job(job, attempt=attempt, begin=begin).payload()
 
 
 def execute_chunk(
-    jobs: list[SimJob], attempts: list[int]
+    jobs: list[SimJob], attempts: list[int], begin: Begin | None = None
 ) -> list[dict | Exception]:
     """Pool entry point: run a chunk of jobs, one outcome per job.
 
     Each outcome is the job's payload (see :func:`execute_payload`) or
     the exception it raised; one job's error never stops the rest of
     its chunk.  ``attempts[i]`` is the engine's retry index of
-    ``jobs[i]``.  The worker holds one trace (:func:`hold_trace`): it
+    ``jobs[i]``, and ``begin`` starts each attempt (see
+    :func:`execute_job`).  The worker holds one trace (:func:`hold_trace`): it
     drops the memos of the last chunk's trace, and of any trace the
     chunk itself leaves, when it moves on to another.
     """
@@ -288,7 +300,7 @@ def execute_chunk(
             held = job.trace_key
             hold_trace(held)
         try:
-            outcomes.append(execute_payload(job, attempt))
+            outcomes.append(execute_payload(job, attempt, begin))
         # Sanctioned broad catch: every error is classified and either
         # retried or surfaced as a structured failure (by the engine,
         # once the error travels home as this job's outcome).

@@ -41,7 +41,6 @@ from repro.exec import (
     ExecEngine,
     JobFailure,
     ResilienceConfig,
-    exec_backend_names,
     plan_jobs,
     run_selftest,
 )
@@ -501,22 +500,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     distributed = parser.add_argument_group("distributed execution")
     distributed.add_argument(
-        "--exec-backend",
-        default=None,
-        choices=exec_backend_names(),
-        help=(
-            "execution backend (default: local-serial or local-pool, "
-            "chosen by --jobs; 'broker' needs --broker)"
-        ),
-    )
-    distributed.add_argument(
         "--broker",
         default=None,
         metavar="DIR",
         help=(
             "shared work-broker directory: publish jobs there, spawn a "
             "local worker fleet and adopt results from the broker's cache "
-            "(implies --exec-backend broker; see docs/DISTRIBUTED.md)"
+            "(see docs/DISTRIBUTED.md)"
         ),
     )
     distributed.add_argument(
@@ -623,7 +613,6 @@ def _engine_from(args: argparse.Namespace) -> ExecEngine:
         cache_dir=args.cache_dir,
         progress=progress,
         resilience=_resilience_from(args),
-        exec_backend=args.exec_backend,
         broker=broker,
         telemetry=args.telemetry,
     )
@@ -765,7 +754,7 @@ def main(argv: list[str] | None = None) -> int:
             # report and bail instead of rendering nonsense.
             for record in engine.failures:
                 print(f"FAILED {record.describe()}", file=sys.stderr)
-            print(engine.summary())
+            print(engine.summary(), file=sys.stderr)
             return 1
 
         for experiment_id in ids:
@@ -782,7 +771,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         engine.close_telemetry()
     if args.progress or args.cache_dir or args.jobs > 1 or args.broker:
-        print(engine.summary())
+        print(engine.summary(), file=sys.stderr)
     return 0
 
 

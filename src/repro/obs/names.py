@@ -40,8 +40,8 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "exec.executed",
         "exec.failures",
         "exec.memo_hits",
-        "exec.pool_rebuilds",
         "exec.queue_wait",
+        "exec.rebuilds",
         "exec.requested",
         "exec.retries",
         "exec.serial_fallbacks",

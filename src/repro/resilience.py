@@ -73,20 +73,16 @@ class ResilienceConfig:
         forever).  A first-round chunk of k jobs (see
         :func:`repro.exec.backends.trace_chunks`) gets k times the
         budget; a retry, sent alone, gets exactly the budget.  A timeout
-        counts as a transient failure of every job of its chunk and
-        condemns the pool — the hung worker is abandoned, not waited on.
-        The serial path cannot preempt a running job, so the budget is
-        unenforced there.
+        counts as a transient failure of every job of its chunk that had
+        started and condemns the pool — the hung worker is abandoned, not
+        waited on.  In-process rounds cannot preempt a running job, so
+        the budget is unenforced there.
     ``keep_going``
         When True a batch never raises on job failure: exhausted jobs
         resolve to failed placeholder results carrying a
         :class:`FailureRecord`, and the batch completes.  When False
         (the default) the first exhausted job raises a
         :class:`JobFailure`.
-    ``pool_rebuilds``
-        How many times a broken/condemned process pool is rebuilt per
-        batch before the engine degrades to serial in-process execution
-        for the remainder.
     """
 
     max_retries: int = 2
@@ -95,19 +91,16 @@ class ResilienceConfig:
     backoff_jitter: float = 0.25
     job_timeout_s: float | None = None
     keep_going: bool = False
-    pool_rebuilds: int = 1
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("max_retries", self.max_retries),
-            ("pool_rebuilds", self.pool_rebuilds),
+        if (
+            not isinstance(self.max_retries, int)
+            or isinstance(self.max_retries, bool)
+            or self.max_retries < 0
         ):
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+            raise ValueError(
+                f"max_retries must be an int >= 0, got {self.max_retries!r}"
+            )
         for name, value in (
             ("backoff_base_s", self.backoff_base_s),
             ("backoff_max_s", self.backoff_max_s),

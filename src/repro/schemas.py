@@ -117,7 +117,7 @@ BENCH = _register(
 )
 
 #: Broker job records, lease files and quarantine records (the
-#: filesystem work queue behind the distributed exec backend).
+#: filesystem work queue behind distributed execution).
 BROKER = _register(
     "BROKER",
     Schema(

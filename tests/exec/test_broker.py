@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import repro.exec.broker as broker_module
 from repro import faults, records
 from repro.exec import (
     BrokerConfig,
@@ -24,7 +25,6 @@ from repro.exec import (
     run_worker,
     trace_job,
 )
-from repro.exec.backends import BrokerExecBackend
 from repro.exec.broker import BROKER_SCHEMA, BrokerStore, Lease, _wall_now
 from repro.exec.events import EngineCounters
 from repro.obs import Obs, probe
@@ -527,9 +527,9 @@ class TestDrain:
         """
         workers = []
         stop = threading.Event()
-        drain = BrokerExecBackend.execute
+        drain = broker_module.drain
 
-        def start_worker_then_drain(backend, engine, pending):
+        def start_worker_then_drain(engine, pending):
             worker = threading.Thread(
                 target=run_worker,
                 args=(config,),
@@ -538,10 +538,10 @@ class TestDrain:
             )
             workers.append(worker)
             worker.start()
-            drain(backend, engine, pending)
+            drain(engine, pending)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(BrokerExecBackend, "execute", start_worker_then_drain)
+            patch.setattr(broker_module, "drain", start_worker_then_drain)
             try:
                 results = engine.run_jobs(jobs)
             finally:
@@ -557,7 +557,7 @@ class TestDrain:
         config = fast_config(tmp_path)
         jobs = cheap_jobs(4)
         reference = reference_canonicals(jobs)
-        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        engine = ExecEngine(broker=config, resilience=FAST)
         results = self.run_with_background_worker(engine, jobs, config)
         assert [r.canonical() for r in results] == reference
         assert all(r.source == "broker" for r in results)
@@ -578,9 +578,7 @@ class TestDrain:
         keep_going = ResilienceConfig(
             backoff_base_s=0.0, backoff_jitter=0.0, keep_going=True
         )
-        engine = ExecEngine(
-            exec_backend="broker", broker=config, resilience=keep_going
-        )
+        engine = ExecEngine(broker=config, resilience=keep_going)
         results = self.run_with_background_worker(engine, jobs, config)
         assert len(results) == 2
         assert all(not r.ok for r in results)
@@ -597,9 +595,7 @@ class TestDrain:
 
         monkeypatch.setattr(worker_module, "execute_job", explode)
         config = fast_config(tmp_path)
-        engine = ExecEngine(
-            exec_backend="broker", broker=config, resilience=FAST
-        )
+        engine = ExecEngine(broker=config, resilience=FAST)
         with pytest.raises(PermanentJobFailure):
             self.run_with_background_worker(engine, cheap_jobs(1), config)
 
@@ -618,9 +614,7 @@ class TestDrain:
         keep_going = ResilienceConfig(
             backoff_base_s=0.0, backoff_jitter=0.0, keep_going=True
         )
-        engine = ExecEngine(
-            exec_backend="broker", broker=config, resilience=keep_going
-        )
+        engine = ExecEngine(broker=config, resilience=keep_going)
         results = engine.run_jobs([job])
         assert not results[0].ok
         assert engine.counters.quarantined == 1
@@ -629,9 +623,7 @@ class TestDrain:
         config = fast_config(tmp_path)
         jobs = cheap_jobs(2)
         obs = Obs()
-        engine = ExecEngine(
-            exec_backend="broker", broker=config, resilience=FAST, obs=obs
-        )
+        engine = ExecEngine(broker=config, resilience=FAST, obs=obs)
         self.run_with_background_worker(engine, jobs, config)
         events = [entry["event"] for entry in obs.entries]
         assert "publish" in events
@@ -647,7 +639,7 @@ class TestDrain:
         path = BrokerStore(config).cache.path_for(jobs[0].fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"schema": "other-v0"}', encoding="utf-8")
-        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        engine = ExecEngine(broker=config, resilience=FAST)
         outcome = []
         coordinator = threading.Thread(
             target=lambda: outcome.append(
@@ -673,7 +665,7 @@ class TestDrain:
         # A fresh coordinator resumes the same broker directory: the
         # finished job is adopted from the shared cache, the remainder
         # is NOT republished (records already exist) and executes.
-        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        engine = ExecEngine(broker=config, resilience=FAST)
         results = self.run_with_background_worker(engine, jobs, config)
         assert [r.canonical() for r in results] == reference
         assert engine.counters.cache_hits == 1

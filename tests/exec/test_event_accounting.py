@@ -21,6 +21,7 @@ from repro.exec import (
     run_worker,
     trace_job,
 )
+from repro.exec import backends
 from repro.exec import job as job_module
 from repro.exec.events import COUNTED, EngineCounters
 from repro.obs import Obs, read_manifest
@@ -152,13 +153,13 @@ def test_crashing_pool_under_keep_going_channels_agree(tmp_path, monkeypatch):
     # first crash breaks the pool, which falls back to serial execution
     # and retries the jobs it lost; the other four heal and run.
     monkeypatch.setattr(job_module, "code_fingerprint", lambda: SCENARIO_CODE)
+    monkeypatch.setattr(backends, "POOL_REBUILDS", 0)
     monkeypatch.setenv(faults.ENV_VAR, "seed=3,crash=0.3,fires=2")
     faults.uninstall()
     policy = ResilienceConfig(
         backoff_base_s=0.0,
         backoff_jitter=0.0,
         max_retries=1,
-        pool_rebuilds=0,
         keep_going=True,
     )
     obs = Obs()
@@ -182,7 +183,7 @@ def test_broker_drain_channels_agree(tmp_path):
     )
     manifest = tmp_path / "run.jsonl"
     obs = Obs(manifest=manifest)
-    engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST, obs=obs)
+    engine = ExecEngine(broker=config, resilience=FAST, obs=obs)
     stop = threading.Event()
     stats = []
     worker = threading.Thread(

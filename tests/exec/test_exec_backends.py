@@ -1,9 +1,9 @@
-"""Exec-backend registry and engine dispatch, plus the store janitor.
+"""Local execution and engine dispatch, plus the store janitor.
 
-Covers the registry surface (named strategies, unknown-name errors),
-the engine's backend/broker parameter validation, result equivalence
-across explicit backends, the pool's trace-affine chunking, the
-one-trace memo bound of serial and chunk execution, and the
+Covers how the engine picks its path (``jobs``, ``broker``), the
+broker parameter validation, result equivalence across serial and pool
+execution, the pool's trace-affine chunking, the one-trace memo bound
+of in-process and chunk execution, the pool's shutdown, and the
 :mod:`repro.exec.store` satellites: the generalized TTL janitor and the
 cache-read-error counter.
 """
@@ -21,16 +21,13 @@ from repro.exec import (
     EngineError,
     ExecEngine,
     audit_job,
-    exec_backend_names,
-    exec_backends,
     l2_job,
-    make_exec_backend,
     oracle_job,
     trace_job,
     workload_job,
 )
 from repro.exec import backends, worker
-from repro.exec.backends import ExecBackendError, trace_chunks
+from repro.exec.backends import trace_chunks
 from repro.exec.broker import BrokerStore
 from repro.exec.events import EngineCounters
 from repro.exec.result import ExecResult
@@ -64,48 +61,25 @@ def cheap_jobs(count=3):
 
 
 # ------------------------------------------------------------------ #
-# the registry
-# ------------------------------------------------------------------ #
-class TestRegistry:
-    def test_the_three_backends_are_registered(self):
-        assert exec_backend_names() == ("local-serial", "local-pool", "broker")
-        by_name = {info.name: info for info in exec_backends()}
-        assert not by_name["local-serial"].distributed
-        assert not by_name["local-pool"].distributed
-        assert by_name["broker"].distributed
-
-    def test_factories_build_matching_backends(self):
-        for name in exec_backend_names():
-            assert make_exec_backend(name).name == name
-
-    def test_unknown_names_raise(self):
-        with pytest.raises(ExecBackendError):
-            make_exec_backend("cloud")
-
-
-# ------------------------------------------------------------------ #
 # engine dispatch
 # ------------------------------------------------------------------ #
 class TestEngineDispatch:
     def test_explicit_backends_agree_with_the_default(self):
         jobs = cheap_jobs(3)
         reference = [r.canonical() for r in ExecEngine().run_jobs(jobs)]
-        serial = ExecEngine(exec_backend="local-serial")
-        pool = ExecEngine(jobs=2, exec_backend="local-pool")
-        assert [r.canonical() for r in serial.run_jobs(jobs)] == reference
+        pool = ExecEngine(jobs=2)
         assert [r.canonical() for r in pool.run_jobs(jobs)] == reference
 
-    def test_unknown_exec_backend_rejected(self):
-        with pytest.raises(EngineError):
-            ExecEngine(exec_backend="cloud")
+    def test_a_healthy_pool_is_joined_before_the_batch_returns(self):
+        import multiprocessing
 
-    def test_broker_backend_requires_a_broker_config(self):
-        with pytest.raises(EngineError):
-            ExecEngine(exec_backend="broker")
+        before = set(multiprocessing.active_children())
+        ExecEngine(jobs=2).run_jobs(cheap_jobs(3))
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_broker_config_implies_the_broker_backend(self, tmp_path):
         engine = ExecEngine(broker=BrokerConfig(root=tmp_path))
-        assert engine.exec_backend == "broker"
+        assert engine.broker.root == tmp_path
         assert engine.cache_dir == tmp_path / "cache"
 
     def test_broker_accepts_a_bare_path(self, tmp_path):
@@ -254,9 +228,9 @@ def watch_memos(monkeypatch, module, name):
     starts = []
     original = getattr(module, name)
 
-    def watched(job, attempt=0):
+    def watched(job, attempt=0, *begin):
         starts.append((job.trace_key, set(worker._RUNS)))
-        return original(job, attempt)
+        return original(job, attempt, *begin)
 
     monkeypatch.setattr(module, name, watched)
     return starts

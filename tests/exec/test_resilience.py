@@ -9,9 +9,10 @@ events, never measurement events.
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
@@ -28,6 +29,8 @@ from repro.exec import (
     trace_job,
     workload_job,
 )
+from repro.exec import backends
+from repro.exec import job as job_module
 from repro.exec.backends import trace_chunks
 from repro.exec.worker import execute_chunk
 from repro.faults import FaultError, FaultInjected, FaultPlan
@@ -413,7 +416,7 @@ class TestPoolResilience:
         results = engine.run_jobs(jobs)
         assert [r.canonical() for r in results] == reference
         assert engine.counters.retries > 0
-        assert engine.counters.pool_rebuilds + engine.counters.serial_fallbacks >= 1
+        assert engine.counters.rebuilds + engine.counters.serial_fallbacks >= 1
 
     def test_hung_workers_time_out_and_fall_back(self, monkeypatch):
         jobs = cheap_jobs(3)
@@ -507,7 +510,7 @@ class TestChunkBlastRadius:
         assert [r.canonical() for r in results] == reference
         # The chunk's budget ran out: every job of it was charged.
         assert engine.counters.timeouts == len(chunk)
-        assert engine.counters.pool_rebuilds == 1
+        assert engine.counters.rebuilds == 1
 
 
 # ------------------------------------------------------------------ #
@@ -569,3 +572,77 @@ class TestChaosSchedules:
         again = second.run_jobs(jobs)
         assert [r.canonical() for r in again] == reference
         assert list(cache_dir.rglob("*.tmp.*")) == []
+
+
+# ------------------------------------------------------------------ #
+# the retry budget: one attempt count per job, on every local path
+# ------------------------------------------------------------------ #
+#: The simulator-source hash the budget examples were written at.  A
+#: fault plan picks its jobs by fingerprint, and fingerprints hash the
+#: simulator sources, so pinning it keeps the examples' schedules fixed.
+BUDGET_CODE = "12b6e85ba6a0d210bdefa2f977321ffcb2a47c97e6d7b5608bb4be786dd3fc18"
+
+
+class TestRetryBudget:
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        fires=st.sampled_from([1, 2]),
+        max_retries=st.sampled_from([0, 1, 2]),
+        # 4 workers outnumber the cores of a 2-core host: start marks
+        # race with crashes there too.
+        jobs=st.sampled_from([1, 2, 4]),
+        rebuilds=st.sampled_from([0, 1]),
+    )
+    # A crashed pool falls back to serial: two of the six jobs crash.
+    @example(seed=3, fires=1, max_retries=1, jobs=2, rebuilds=0)
+    @example(seed=3, fires=2, max_retries=1, jobs=2, rebuilds=0)
+    def test_a_job_never_outruns_its_retry_budget(
+        self, tmp_path_factory, seed, fires, max_retries, jobs, rebuilds
+    ):
+        batch = cheap_jobs(6)
+        starts = tmp_path_factory.mktemp("budget") / "starts"
+        start_job = faults.on_job_start
+
+        def counted_start(key, attempt=0):
+            # One append, before the hook may crash the worker it runs in.
+            fd = os.open(starts, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{key}\n".encode())
+            finally:
+                os.close(fd)
+            start_job(key, attempt)
+
+        events = []
+        policy = ResilienceConfig(
+            backoff_base_s=0.0,
+            backoff_jitter=0.0,
+            max_retries=max_retries,
+            keep_going=True,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(job_module, "code_fingerprint", lambda: BUDGET_CODE)
+            reference = reference_canonicals(batch)
+            patch.setattr(backends, "POOL_REBUILDS", rebuilds)
+            patch.setattr(faults, "on_job_start", counted_start)
+            with faults.injected(FaultPlan(seed=seed, crash=0.3, fires=fires)):
+                engine = ExecEngine(jobs=jobs, resilience=policy)
+                emit = engine.emit
+                engine.emit = lambda event: (events.append(event), emit(event))
+                results = engine.run_jobs(batch)
+        ran = Counter(starts.read_text(encoding="utf-8").split())
+        retries = Counter(
+            event.job.fingerprint for event in events if event.kind == "retry"
+        )
+        for job in batch:
+            assert retries[job.fingerprint] <= max_retries, job.label
+            # Every attempt that ran was charged, and no other.
+            assert ran[job.fingerprint] == retries[job.fingerprint] + 1, job.label
+        for record in engine.failures:
+            assert record.attempts == ran[record.fingerprint], record.label
+        if not engine.failures:
+            assert [result.canonical() for result in results] == reference
