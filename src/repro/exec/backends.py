@@ -1,24 +1,32 @@
-"""Local execution: one round loop, in this process or on a worker pool.
+"""Local execution: one round loop, in this process or on owned workers.
 
 The engine's resolve pipeline (dedup -> memo -> cache) leaves a list of
 pending jobs; :func:`execute_local` runs them unless the engine has a
 broker (:mod:`repro.exec.broker`, the distributed mode).  It runs them
 in rounds, and every job carries one attempt count through all of them:
 
-* A round runs on a ``ProcessPoolExecutor`` while the batch has one
-  (``jobs > 1`` and more than one pending job), else in this process.
+* A round runs on worker processes the loop owns while the batch has
+  them (``jobs > 1`` and more than one pending job), else in this
+  process.  A worker is one forked process with one pipe: it takes a
+  chunk and sends back each job's outcome as the job finishes, so the
+  loop knows which job it is running (the front unanswered one) and
+  since when.
 * The first round goes in :func:`trace_chunks` order, so each trace is
   built and each (trace, geometry) substrate recorded once, whether a
-  pool worker or this process runs it.  Retry rounds keep trace order.
+  worker or this process runs it.  Retry rounds keep trace order.
 * A failed attempt goes through ``engine._retry_or_fail``: a transient
   error re-queues the job for the next round (up to ``max_retries``),
   anything else records the failure.  The loop backs off once between
   rounds, by the slowest job's ladder.
-* A timeout (``job_timeout_s`` per job of a chunk) or a
-  ``BrokenProcessPool`` *condemns* the pool.  Finished chunks are still
-  harvested; a lost chunk charges the jobs of it that started, and the
-  rest go back uncharged.  The pool is rebuilt :data:`POOL_REBUILDS`
-  times, then the loop runs the remaining rounds in this process.
+* A worker is *lost* when its pipe hits EOF (a crash) or its job
+  outlives ``job_timeout_s`` (the loop kills it).  Only the job it was
+  running is charged; outcomes already back are kept, the rest of its
+  chunk goes back uncharged, and the other workers finish the round.
+  After a round that lost a worker the loop starts replacements,
+  :data:`POOL_REBUILDS` times, then runs the remaining rounds in this
+  process.
+* No worker outlives the batch: on-time workers are stopped with a
+  ``None`` sentinel, the rest killed, and every one is joined.
 
 Outcomes go through the same engine helpers the broker uses
 (``_store`` / ``_fail`` / ``_retry_or_fail``), and the loop reports its
@@ -31,11 +39,10 @@ are the same on every path.
 from __future__ import annotations
 
 import math
-import signal
 import time
+from contextlib import suppress
 from typing import TYPE_CHECKING
 
-from repro import faults
 from repro.backends.array import substrate_key
 from repro.exec.events import ExecEvent
 from repro.exec.result import ExecResult
@@ -49,36 +56,39 @@ from repro.obs import probe, trace
 from repro.resilience import backoff_delay
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
+
     from repro.exec.engine import ExecEngine
     from repro.exec.job import SimJob
 
-#: Times a condemned pool is rebuilt per batch before the loop runs the
-#: rest of the batch in this process.
+#: Times a round that lost workers is followed by replacements, per
+#: batch, before the loop runs the rest of the batch in this process.
 POOL_REBUILDS = 1
 
 
 def execute_local(engine: "ExecEngine", pending: "list[SimJob]") -> None:
     """Resolve every job of ``pending`` through ``engine`` (see above)."""
     attempts = {job.fingerprint: 0 for job in pending}
-    slots = {job.fingerprint: slot for slot, job in enumerate(pending)}
     workers = engine.jobs if len(pending) > 1 else 1
     chunks = trace_chunks(pending, workers)
     workers = min(workers, len(chunks))
-    pool = _Pool(workers, len(pending)) if workers > 1 else None
+    pool = _Pool(workers) if workers > 1 else None
     rebuilds_left = POOL_REBUILDS
     try:
         while chunks:
             remaining: list[SimJob] = []
             if pool is None:
                 _run_in_process(engine, chunks, attempts, remaining)
-            elif pool.run(engine, chunks, attempts, slots, remaining):
-                pool = None
-                if remaining and rebuilds_left > 0:
+            elif pool.run(engine, chunks, attempts, remaining) and remaining:
+                if rebuilds_left > 0:
                     rebuilds_left -= 1
                     engine.emit(ExecEvent("pool_rebuild"))
-                    pool = _Pool(workers, len(pending))
-                elif remaining:
+                    pool.fill()
+                else:
                     engine.emit(ExecEvent("serial_fallback"))
+                    pool.close()
+                    pool = None
             if remaining:
                 time.sleep(
                     max(
@@ -94,14 +104,9 @@ def execute_local(engine: "ExecEngine", pending: "list[SimJob]") -> None:
             if pool is not None:
                 # One job per chunk: a sticky failure charges no chunk-mates.
                 chunks = [[job] for chunk in chunks for job in chunk]
-        if pool is not None:
-            # The last round left the pool healthy: join its workers, so
-            # none outlives the batch.
-            pool.executor.shutdown(wait=True)
-            pool = None
     finally:
-        if pool is not None:  # a failure is propagating: don't wait
-            pool.executor.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.close()
 
 
 def trace_chunks(pending: "list[SimJob]", workers: int) -> "list[list[SimJob]]":
@@ -157,187 +162,164 @@ def _run_in_process(
                 engine._store(job, result)
 
 
-#: A pool worker's start marks (set by :func:`_init_pool_worker`).
-_STARTED = None
-
-
-def _init_pool_worker(started, observe: tuple | None) -> None:
-    """Pool initializer: keep the start marks, arm observability."""
-    global _STARTED
-    _STARTED = started
+def _serve(conn: "Connection", observe: tuple | None) -> None:
+    """A worker's life: run each chunk it is sent, sending back one
+    outcome per job (:func:`~repro.exec.worker.execute_chunk`), until
+    the ``None`` sentinel."""
     if observe is not None:
         init_worker_observability(*observe)
+    while (task := conn.recv()) is not None:
+        for outcome in execute_chunk(*task):
+            conn.send(outcome)
 
 
-def _run_chunk(
-    chunk: "list[SimJob]", attempts: list[int], slots: dict[str, int], mark: int
-) -> list[dict | Exception]:
-    """Pool entry point: :func:`~repro.exec.worker.execute_chunk`, with
-    each job's slot set to ``mark`` as its attempt begins."""
+class _Worker:
+    """One owned worker: its process, its pipe and the jobs it owes."""
 
-    def begin(fingerprint: str, attempt: int) -> None:
-        # A pool teardown's SIGTERM waits for the mark and the start hook
-        # together, so an attempt is marked exactly when its hook ran.  The
-        # hook returns at once unless a fault plan makes it hang.
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        try:
-            _STARTED[slots[fingerprint]] = mark
-            faults.on_job_start(fingerprint, attempt)
-        finally:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-    return execute_chunk(chunk, attempts, begin)
+    def __init__(self, process: "BaseProcess", conn: "Connection") -> None:
+        self.process = process
+        self.conn = conn
+        #: The unanswered jobs of its chunk; the front one is running.
+        self.owed: list[SimJob] = []
+        #: When the front owed job began (``time.perf_counter``).
+        self.began = 0.0
 
 
 class _Pool:
-    """A worker pool, and the marks its workers leave as jobs start.
+    """The worker processes one batch owns."""
 
-    A chunk lost with its worker (a crash, a timeout) returns no
-    outcomes; the marks tell which of its jobs had started, so only
-    those are charged an attempt.
-    """
-
-    def __init__(self, workers: int, slots: int) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing.sharedctypes import RawArray
-
+    def __init__(self, size: int) -> None:
+        self.size = size
         # Force-enable probes/tracing in the workers iff they are on
         # here; per-job captures come back inside the result payloads.
-        observe = None
+        self.observe: tuple | None = None
         if probe.ENABLED or trace.ACTIVE:
-            observe = (probe.ENABLED, trace.ACTIVE, trace.EVERY, trace.CAPACITY)
-        #: Slot -> the last round that started the job there (0: none).
-        self.started = RawArray("i", slots)
-        self.rounds = 0
-        self.executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_pool_worker,
-            initargs=(self.started, observe),
-        )
+            self.observe = (probe.ENABLED, trace.ACTIVE, trace.EVERY, trace.CAPACITY)
+        self.workers: list[_Worker] = []
+        self.fill()
+
+    def fill(self) -> None:
+        """Start workers until the pool is at its size."""
+        import multiprocessing
+
+        while len(self.workers) < self.size:
+            ours, theirs = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_serve, args=(theirs, self.observe), daemon=True
+            )
+            process.start()
+            theirs.close()  # the worker's EOF is then ours to see
+            self.workers.append(_Worker(process, ours))
+
+    def close(self) -> None:
+        """Stop every worker and join it: an idle one takes the sentinel
+        (its pipe never reads EOF, since later forks hold copies of this
+        end), a busy one (a failure is propagating) is killed."""
+        for worker in self.workers:
+            if worker.owed:
+                worker.process.kill()
+            else:
+                with suppress(OSError):
+                    worker.conn.send(None)
+        for worker in self.workers:
+            worker.process.join()
+            worker.conn.close()
+        self.workers = []
 
     def run(
         self,
         engine: "ExecEngine",
         chunks: "list[list[SimJob]]",
         attempts: dict[str, int],
-        slots: dict[str, int],
         remaining: "list[SimJob]",
     ) -> bool:
-        """Run one round of ``chunks``; True if it condemned the pool.
+        """Run one round of ``chunks``; True if it lost a worker.
 
-        A condemned pool is shut down here: a broken one is joined, so
-        its start marks are final; one holding a hung worker is
-        abandoned, not waited on.
+        Job *i* of a chunk begins when the outcome of job *i - 1* comes
+        back, or job 0 when the chunk is sent: its ``job_timeout_s``
+        deadline and its queue wait count from there.
         """
-        from concurrent.futures import TimeoutError as FuturesTimeoutError
-        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.connection import wait
 
-        config = engine.resilience
-        self.rounds += 1
-        # What condemned the pool (None: nothing yet).
-        cause: BaseException | None = None
-        broken = False
-        # Chunks whose outcomes never came back, each with its error.
-        lost: list[tuple[list[SimJob], BaseException]] = []
-        done_at: dict[int, float] = {}
+        timeout_s = engine.resilience.job_timeout_s
+        queue = chunks[::-1]  # the next chunk is popped off the end
         queued_at = time.perf_counter()
-        submitted = []
-        for chunk in chunks:
+        lost = False
+
+        def lose(worker: _Worker) -> "SimJob":
+            # Kill and reap it, re-queue the jobs of its chunk that never
+            # began, and return the one it was running.
+            nonlocal lost
+            lost = True
+            self.workers.remove(worker)
+            worker.process.kill()  # a no-op on a crashed worker
+            worker.process.join()
+            worker.conn.close()
+            remaining.extend(worker.owed[1:])
+            return worker.owed[0]
+
+        def feed(worker: _Worker) -> None:
+            if not queue:
+                return
+            worker.owed = queue.pop()
+            worker.began = time.perf_counter()
             try:
-                future = self.executor.submit(
-                    _run_chunk,
-                    chunk,
-                    [attempts[job.fingerprint] for job in chunk],
-                    {job.fingerprint: slots[job.fingerprint] for job in chunk},
-                    self.rounds,
+                worker.conn.send(
+                    (worker.owed, [attempts[job.fingerprint] for job in worker.owed])
                 )
-            except BrokenProcessPool as error:
-                # A worker died while the round was being submitted.
-                broken = True
-                cause = cause or error
-                lost.append((chunk, error))
-                continue
-            future.add_done_callback(
-                lambda f, d=done_at: d.setdefault(id(f), time.perf_counter())
-            )
-            submitted.append((chunk, future))
-        for chunk, future in submitted:
-            if cause is not None and not future.done():
-                # The pool is already condemned; don't wait on it.
-                future.cancel()
-                lost.append((chunk, cause))
-                continue
-            budget = (
-                None
-                if config.job_timeout_s is None
-                else config.job_timeout_s * len(chunk)
-            )
-            outcomes: list[dict | Exception]
-            try:
-                outcomes = future.result(timeout=budget)
-            except FuturesTimeoutError:
-                for job in chunk:
-                    engine.emit(ExecEvent("timeout", job))
-                timeout = TimeoutError(
-                    f"a chunk of {len(chunk)} job(s) exceeded its "
-                    f"{budget}s budget ({config.job_timeout_s}s per job)"
-                )
-                cause = cause or timeout
-                lost.append((chunk, timeout))
-                continue
-            except BrokenProcessPool as error:
-                broken = True
-                cause = cause or error
-                lost.append((chunk, error))
-                continue
-            # Sanctioned broad catch: the chunk's transport failed
-            # — classify it per job, retry or record, never swallow.
-            except Exception as error:  # lint: disable=R007
-                outcomes = [error for _ in chunk]
-            finished = done_at.get(id(future), time.perf_counter())
-            _harvest(
-                engine, chunk, outcomes, finished - queued_at, attempts, remaining
-            )
-        if cause is not None:
-            self.executor.shutdown(wait=broken, cancel_futures=True)
-        for chunk, error in lost:
-            for job in chunk:
-                if self.started[slots[job.fingerprint]] == self.rounds:
-                    engine._retry_or_fail(job, attempts, remaining, error)
+            except OSError:  # it died idle, before any job of the chunk
+                remaining.append(lose(worker))
+
+        for worker in list(self.workers):
+            feed(worker)
+        while busy := [worker for worker in self.workers if worker.owed]:
+            wait_s = None
+            if timeout_s is not None:
+                due = min(worker.began for worker in busy) + timeout_s
+                wait_s = max(0.0, due - time.perf_counter())
+            ready = wait([worker.conn for worker in busy], wait_s)
+            for worker in busy:
+                if worker.conn not in ready:
+                    if (
+                        timeout_s is not None
+                        and time.perf_counter() - worker.began >= timeout_s
+                        and not worker.conn.poll()
+                    ):
+                        job = lose(worker)
+                        engine.emit(ExecEvent("timeout", job))
+                        error = TimeoutError(
+                            f"{job.label} exceeded its {timeout_s}s budget"
+                        )
+                        engine._retry_or_fail(job, attempts, remaining, error)
+                    continue
+                try:
+                    outcome = worker.conn.recv()
+                except (EOFError, OSError):
+                    job = lose(worker)
+                    crash = EOFError(
+                        f"worker {worker.process.pid} died with exit code "
+                        f"{worker.process.exitcode}"
+                    )
+                    engine._retry_or_fail(job, attempts, remaining, crash)
+                    continue
+                # Sanctioned broad catch: the outcome did not survive the
+                # pipe — classify it as the job's error, retry or record.
+                except Exception as error:  # lint: disable=R007
+                    outcome = error
+                job = worker.owed.pop(0)
+                began, worker.began = worker.began, time.perf_counter()
+                if isinstance(outcome, Exception):
+                    engine._retry_or_fail(job, attempts, remaining, outcome)
                 else:
-                    remaining.append(job)  # never started: nothing to charge
-        return cause is not None
-
-
-def _harvest(
-    engine: "ExecEngine",
-    chunk: "list[SimJob]",
-    outcomes: "list[dict | Exception]",
-    turnaround_s: float,
-    attempts: dict[str, int],
-    remaining: "list[SimJob]",
-) -> None:
-    """Store or re-queue each job of a chunk, in chunk order."""
-    results = [
-        outcome
-        if isinstance(outcome, Exception)
-        else ExecResult.from_payload(job, outcome, "run")
-        for job, outcome in zip(chunk, outcomes)
-    ]
-    # A worker runs a chunk front to back, so job i waited for a
-    # slot the chunk's turnaround minus the wall time of jobs i..end.
-    waits: list[float] = []
-    tail_s = turnaround_s
-    for result in reversed(results):
-        if isinstance(result, ExecResult):
-            tail_s -= result.wall_s
-        waits.append(max(0.0, tail_s))
-    waits.reverse()
-    for job, result, wait in zip(chunk, results, waits):
-        if isinstance(result, Exception):
-            engine._retry_or_fail(job, attempts, remaining, result)
-        else:
-            engine._store(job, result, queue_wait_s=wait, absorb=True)
+                    result = ExecResult.from_payload(job, outcome, "run")
+                    engine._store(
+                        job, result, queue_wait_s=began - queued_at, absorb=True
+                    )
+                if not worker.owed:
+                    feed(worker)
+        # Chunks no worker was left to take never began.
+        remaining.extend(job for chunk in reversed(queue) for job in chunk)
+        return lost
 
 
 __all__ = ["POOL_REBUILDS", "execute_local", "trace_chunks"]

@@ -11,9 +11,9 @@ simulation results (lint rule R006 enforces this for
    cache (``cache_dir``, a :class:`repro.exec.store.ResultStore`), keyed
    by :attr:`SimJob.fingerprint` and versioned by the engine schema +
    code fingerprint;
-3. executes the remainder: in this process or on a
-   ``ProcessPoolExecutor`` (:func:`repro.exec.backends.execute_local`,
-   chosen by ``jobs`` and the batch size), or — given a ``broker`` —
+3. executes the remainder: in this process or on worker processes it
+   owns (:func:`repro.exec.backends.execute_local`, chosen by ``jobs``
+   and the batch size), or — given a ``broker`` —
    through the distributed mode, where this engine coordinates a fleet
    of ``cntcache worker`` processes through a shared filesystem broker
    (:mod:`repro.exec.broker`).  Results travel as JSON-exact payloads
@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.exec.backends import execute_local
+from repro.exec.backends import _Pool, execute_local
 from repro.exec.events import (
     RESOLUTIONS,
     EngineCounters,
@@ -58,7 +58,7 @@ from repro.exec.job import SimJob
 from repro.exec.planner import plan_jobs
 from repro.exec.result import ExecResult
 from repro.exec.store import ResultStore
-from repro.exec.worker import execute_chunk, execute_job
+from repro.exec.worker import execute_job
 from repro.obs import probe, trace
 from repro.resilience import (
     FailureRecord,
@@ -453,8 +453,9 @@ def run_selftest(
     For a representative job of every kind, the measurement must be
     byte-identical (``ExecResult.canonical``) when executed in-process,
     in a worker subprocess, and after an on-disk cache round-trip.  This
-    is the determinism contract the parallel executor and the result
-    cache both rest on.
+    is the determinism contract the local workers and the result cache
+    both rest on; the subprocess leg runs on one of the loop's own
+    workers, through the pipe that carries every parallel job.
 
     Every simulating candidate (workload, oracle, l2, audit) is
     additionally re-executed under ``backend="scalar"`` and its canonical
@@ -465,7 +466,6 @@ def run_selftest(
     so the default engine's substrate projections are cross-checked too.
     """
     import tempfile
-    from concurrent.futures import ProcessPoolExecutor
     from dataclasses import replace
 
     from repro.core.config import CNTCacheConfig
@@ -489,12 +489,15 @@ def run_selftest(
         trace_job("crc32", size, seed),
     ]
     failures: list[str] = []
-    with ProcessPoolExecutor(max_workers=1) as pool:
+    pool = _Pool(1)
+    (worker,) = pool.workers
+    try:
         for job in candidates:
             started = time.perf_counter()
             inproc = execute_job(job)
             # The transport parallel runs take: a chunk, one outcome each.
-            (outcome,) = pool.submit(execute_chunk, [job], [0]).result()
+            worker.conn.send(([job], [0]))
+            outcome = worker.conn.recv()
             if isinstance(outcome, Exception):
                 raise outcome
             sub = ExecResult.from_payload(job, outcome, "run")
@@ -526,4 +529,6 @@ def run_selftest(
                     f"selftest {job.label:<40} {verdict} "
                     f"({time.perf_counter() - started:.2f}s)"
                 )
+    finally:
+        pool.close()
     return failures

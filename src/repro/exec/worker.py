@@ -2,8 +2,8 @@
 
 :func:`execute_job` runs in whatever process calls it — the engine's
 local loop (:func:`repro.exec.backends.execute_local`) calls it directly
-in process and runs :func:`execute_chunk` in ``ProcessPoolExecutor``
-workers.  A chunk is a list of jobs over one workload trace
+in process and runs :func:`execute_chunk` in the worker processes it
+owns.  A chunk is a list of jobs over one workload trace
 (:func:`repro.exec.backends.trace_chunks`), so one worker's memos serve
 the whole group.
 
@@ -20,8 +20,8 @@ by its largest trace, not by the sum of the traces it ran.
 
 The job kinds' modules (runner, oracle, L1 filter, audit, the default
 simulation engine) are imported here at module level: running them is
-this module's purpose, and a pool forked from a parent that imported it
-inherits them instead of importing them again in every worker.  Call
+this module's purpose, and a worker forked from a parent that imported
+it inherits them instead of importing them again in every worker.  Call
 sites still look their entry points up on those modules at call time.
 
 Everything here is deterministic: traces are rebuilt from
@@ -33,7 +33,7 @@ to an in-process run (asserted by ``cntcache selftest``).
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Iterator
 
 from repro import api, faults
 from repro.analysis import accuracy
@@ -207,13 +207,7 @@ _DISPATCH = {
 }
 
 
-#: Starts one attempt, given the job fingerprint and the attempt index.
-Begin = Callable[[str, int], None]
-
-
-def execute_job(
-    job: SimJob, attempt: int = 0, begin: Begin | None = None
-) -> ExecResult:
+def execute_job(job: SimJob, attempt: int = 0) -> ExecResult:
     """Run one job in this process; wall time is measured around the kind.
 
     With probes enabled, the job runs inside a nested capture scope and
@@ -222,12 +216,10 @@ def execute_job(
     the same way: a per-job :class:`~repro.obs.trace.TraceSink` captures
     the access/span events and its tagged snapshot rides home on
     :attr:`ExecResult.trace`.  ``attempt`` is the engine's retry index;
-    it only feeds the fault-injection hook (:mod:`repro.faults`), never
-    the measurement.  ``begin(fingerprint, attempt)`` starts the
-    attempt: by default that hook, :func:`repro.faults.on_job_start`; a
-    pool worker passes one that also records the start.
+    it only feeds the fault-injection hook
+    (:func:`repro.faults.on_job_start`), never the measurement.
     """
-    (faults.on_job_start if begin is None else begin)(job.fingerprint, attempt)
+    faults.on_job_start(job.fingerprint, attempt)
     started = time.perf_counter()
     with probe.capture() as scope:
         with trace.capture() as sink:
@@ -256,11 +248,10 @@ def init_worker_observability(
     every: int = 1,
     capacity: int | None = None,
 ) -> None:
-    """Pool initializer: arm the probe/trace switchboards in a fresh worker.
+    """Arm the probe/trace switchboards in a fresh worker process.
 
-    Module globals do not survive ``ProcessPoolExecutor`` spawn, so the
-    engine ships the parent's switchboard state as ``initargs`` and this
-    runs once per worker process before any job executes.
+    The local loop ships the parent's switchboard state to each worker
+    it starts, and the worker runs this once, before any job executes.
     """
     if probe_on:
         probe.enable_in_worker()
@@ -268,42 +259,39 @@ def init_worker_observability(
         trace.enable_in_worker(every=every, capacity=capacity)
 
 
-def execute_payload(
-    job: SimJob, attempt: int = 0, begin: Begin | None = None
-) -> dict:
+def execute_payload(job: SimJob, attempt: int = 0) -> dict:
     """Run a job, return its serialized payload.
 
     Returning the payload (not the :class:`ExecResult`) forces every
     parallel result through the same lossless serialization as the disk
     cache, so parallel and serial runs cannot diverge silently.
     """
-    return execute_job(job, attempt=attempt, begin=begin).payload()
+    return execute_job(job, attempt=attempt).payload()
 
 
 def execute_chunk(
-    jobs: list[SimJob], attempts: list[int], begin: Begin | None = None
-) -> list[dict | Exception]:
-    """Pool entry point: run a chunk of jobs, one outcome per job.
+    jobs: list[SimJob], attempts: list[int]
+) -> Iterator[dict | Exception]:
+    """Worker entry point: run a chunk of jobs, yielding each job's
+    outcome as the job finishes.
 
     Each outcome is the job's payload (see :func:`execute_payload`) or
     the exception it raised; one job's error never stops the rest of
     its chunk.  ``attempts[i]`` is the engine's retry index of
-    ``jobs[i]``, and ``begin`` starts each attempt (see
-    :func:`execute_job`).  The worker holds one trace (:func:`hold_trace`): it
+    ``jobs[i]``.  The worker holds one trace (:func:`hold_trace`): it
     drops the memos of the last chunk's trace, and of any trace the
     chunk itself leaves, when it moves on to another.
     """
-    outcomes: list[dict | Exception] = []
     held = None
     for job, attempt in zip(jobs, attempts):
         if job.trace_key != held:
             held = job.trace_key
             hold_trace(held)
         try:
-            outcomes.append(execute_payload(job, attempt, begin))
+            outcome: dict | Exception = execute_payload(job, attempt)
         # Sanctioned broad catch: every error is classified and either
         # retried or surfaced as a structured failure (by the engine,
         # once the error travels home as this job's outcome).
         except Exception as error:  # lint: disable=R007
-            outcomes.append(error)
-    return outcomes
+            outcome = error
+        yield outcome

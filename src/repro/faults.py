@@ -14,9 +14,8 @@ Installation
   :func:`injected` context manager (what the chaos tests use).
 * **Across worker processes** — the :data:`ENV_VAR` environment
   variable (``REPRO_FAULTS="seed=7,crash=0.2,corrupt=0.1"``); every
-  process parses it lazily on its first fault check, so
-  ``ProcessPoolExecutor`` workers inherit the plan with no initializer
-  plumbing.
+  process parses it lazily on its first fault check, so local and
+  broker workers inherit the plan with no initializer plumbing.
 
 Fault model
 -----------

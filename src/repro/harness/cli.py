@@ -543,8 +543,8 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-job wall-clock budget in the worker pool; a first-round "
-            "chunk of k jobs over one trace gets k times it "
+            "per-job wall-clock deadline on a pool worker, from the moment "
+            "the job begins; its worker is killed past it "
             "(default: wait forever)"
         ),
     )

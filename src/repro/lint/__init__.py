@@ -15,7 +15,7 @@ Layers (see docs/STATIC_ANALYSIS.md for the full rule catalog):
   BitEnergyModel` over all process corners and the Vdd sweep range
   (checks P001-P006);
 * CLI wiring: ``cntcache lint`` and ``python -m repro.lint``, with
-  ``--changed`` incremental mode and ``--format json``.
+  ``--format json``.
 """
 
 from repro.lint.engine import (

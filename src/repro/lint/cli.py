@@ -1,21 +1,15 @@
 """The ``cntcache lint`` / ``python -m repro.lint`` command.
 
 Exit codes: 0 = clean, 1 = findings / physics violations, 2 = usage
-error (bad paths, ``--changed`` outside a git checkout).  Output is one
+error (bad paths, malformed rule ids).  Output is one
 ``file:line: R00X severity message`` line per finding, or JSON with
 ``--format``; ``--output`` redirects the report to a file.
-
-``--changed [REF]`` is the incremental mode: the whole tree is still
-parsed (project-scope rules need the full import graph) but only
-findings in files that differ from ``REF`` (default ``HEAD``) or are
-untracked are reported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -72,43 +66,7 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the registered rules and exit",
     )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "only report findings in files changed vs REF (default HEAD) "
-            "or untracked; the full tree is still indexed"
-        ),
-    )
     return parser
-
-
-def _changed_files(ref: str) -> frozenset[Path]:
-    """Python files that differ from ``ref`` plus untracked ones."""
-    changed: set[Path] = set()
-    for args in (
-        ["git", "diff", "--name-only", "-z", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-    ):
-        try:
-            proc = subprocess.run(
-                args, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise LintError(
-                f"--changed requires a git checkout and a valid ref: "
-                f"{detail.strip()}"
-            ) from exc
-        for token in proc.stdout.split("\0"):
-            if token.endswith(".py"):
-                path = Path(token)
-                if path.is_file():
-                    changed.add(path.resolve())
-    return frozenset(changed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,10 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     paths = args.paths if args.paths else _default_paths()
     try:
-        restrict = (
-            _changed_files(args.changed) if args.changed is not None else None
-        )
-        config = LintConfig(enabled_rules=enabled, restrict_to=restrict)
+        config = LintConfig(enabled_rules=enabled)
         findings = lint_paths(paths, config)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,19 +63,12 @@ class LintConfig:
         When True the CLI also runs the physics-invariant checker
         (:mod:`repro.lint.invariants`) and reports violations as ``P0xx``
         findings.
-    ``restrict_to``
-        When set (``cntcache lint --changed``), only findings located in
-        these files are reported.  The *whole* tree is still parsed and
-        indexed — project-scope rules need the full import graph — but
-        module-scope rules skip unrestricted files and every surviving
-        finding must sit in the restriction set.
     """
 
     enabled_rules: frozenset[str] | None = None
     honor_skip_file: bool = True
     scope_to_source: bool = True
     check_invariants: bool = True
-    restrict_to: frozenset[Path] | None = None
 
     def __post_init__(self) -> None:
         if self.enabled_rules is not None:
@@ -92,19 +85,6 @@ class LintConfig:
             raise LintError("scope_to_source must be a bool")
         if not isinstance(self.check_invariants, bool):
             raise LintError("check_invariants must be a bool")
-        if self.restrict_to is not None:
-            object.__setattr__(
-                self,
-                "restrict_to",
-                frozenset(Path(p).resolve() for p in self.restrict_to),
-            )
-
-    def restricts_away(self, path: Path) -> bool:
-        """True if ``restrict_to`` is set and excludes ``path``."""
-        return (
-            self.restrict_to is not None
-            and path.resolve() not in self.restrict_to
-        )
 
 
 @dataclass
@@ -254,25 +234,14 @@ def lint_paths(
     for rule in _selected_rules(config):
         if rule.scope == "module":
             for module in context.modules:
-                if config.restricts_away(module.path):
-                    continue
                 findings.extend(rule.check_module(module, context))
         else:
             findings.extend(rule.check_project(context))
 
-    restricted_paths = (
-        None
-        if config.restrict_to is None
-        else {str(p) for p in config.restrict_to}
-    )
     kept = [
         finding
         for finding in findings
         if not _finding_suppressed(finding, context)
-        and (
-            restricted_paths is None
-            or str(Path(finding.path).resolve()) in restricted_paths
-        )
     ]
     return sorted(kept, key=lambda finding: finding.sort_key)
 

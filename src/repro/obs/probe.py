@@ -25,8 +25,8 @@ session-wide :class:`~repro.obs.session.Obs` feeds both.
 * :func:`paused` — temporarily disable probes (used around memoized
   infrastructure work, e.g. L1 stream filtering, whose probe traffic
   would otherwise depend on worker-process topology).
-* :func:`enable_in_worker` — ``ProcessPoolExecutor`` initializer that
-  force-enables probes in a worker process, where no parent scope exists.
+* :func:`enable_in_worker` — run once by a local worker process to
+  force-enable probes there, where no parent scope exists.
 
 Determinism note: counters in the ``cache.*`` and ``codec.*`` namespaces
 are per-job deterministic (identical under ``--jobs N`` and serial runs);
@@ -235,7 +235,7 @@ def paused() -> Iterator[None]:
 
 
 def enable_in_worker() -> None:
-    """``ProcessPoolExecutor`` initializer: force probes on in this process.
+    """Worker-process setup: force probes on in this process.
 
     Workers have no parent scope; per-job :func:`capture` scopes collect
     the traffic and ship it home through the result payload.

@@ -239,7 +239,7 @@ def configure(every: int | None = None, capacity: int | None = None) -> None:
 def enable_in_worker(
     every: int = 1, capacity: int | None = None
 ) -> None:
-    """``ProcessPoolExecutor`` initializer: force tracing on in-process.
+    """Worker-process setup: force tracing on in this process.
 
     Workers have no parent sink; per-job :func:`capture` sinks collect
     the events and ship them home through the result payload.

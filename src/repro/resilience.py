@@ -4,14 +4,14 @@
 self-healing behaviour (see docs/RESILIENCE.md):
 
 * an **error taxonomy** — :func:`classify_transient` splits job errors
-  into *transient* (a crashed worker, a broken pool, a timeout, an
-  ``OSError``, an injected fault — worth retrying) and *permanent*
+  into *transient* (a crashed worker, a timeout, an ``OSError``, an
+  injected fault — worth retrying) and *permanent*
   (a malformed job, a simulator invariant error — retrying cannot
   help), surfaced as :class:`TransientJobFailure` /
   :class:`PermanentJobFailure`;
 * a **retry policy** — :class:`ResilienceConfig` bounds retries, adds
   exponential backoff with deterministic jitter
-  (:func:`backoff_delay`), caps per-job wall-clock time in the pool and
+  (:func:`backoff_delay`), caps per-job wall-clock time on a worker and
   selects fail-fast vs keep-going batch semantics;
 * **structured failure records** — :class:`FailureRecord`, the
   JSON-ready shape a failed job leaves behind in keep-going batches and
@@ -25,16 +25,14 @@ same faulted batch behave identically.
 from __future__ import annotations
 
 import hashlib
-import sys
 from dataclasses import dataclass
 
 from repro.faults import FaultInjected
 
 #: Error types worth retrying: infrastructure died, not the job itself.
 #: ``OSError`` covers the broken-pipe/connection-reset family a dying
-#: worker leaves behind; ``EOFError`` is a torn multiprocessing channel.
-#: The process pool's own ``BrokenProcessPool`` and futures
-#: ``TimeoutError`` are transient too (see :func:`classify_transient`).
+#: worker leaves behind; ``EOFError`` is a worker's pipe closing under
+#: the job it was running (a crash).
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
     TimeoutError,
     OSError,
@@ -45,16 +43,7 @@ TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
 
 def classify_transient(error: BaseException) -> bool:
     """True if ``error`` is transient (retryable), False if permanent."""
-    if isinstance(error, TRANSIENT_ERRORS):
-        return True
-    # The pool's error types exist only once ``concurrent.futures`` is
-    # loaded, so a process that never built a pool need not import it.
-    if "concurrent.futures" not in sys.modules:
-        return False
-    from concurrent.futures import TimeoutError as FuturesTimeoutError
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(error, (BrokenProcessPool, FuturesTimeoutError))
+    return isinstance(error, TRANSIENT_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -69,14 +58,14 @@ class ResilienceConfig:
         capped at ``backoff_max_s``, stretched by up to ``jitter``
         (deterministically, per job fingerprint).
     ``job_timeout_s``
-        Per-job wall-clock budget in the worker pool (``None`` = wait
-        forever).  A first-round chunk of k jobs (see
-        :func:`repro.exec.backends.trace_chunks`) gets k times the
-        budget; a retry, sent alone, gets exactly the budget.  A timeout
-        counts as a transient failure of every job of its chunk that had
-        started and condemns the pool — the hung worker is abandoned, not
-        waited on.  In-process rounds cannot preempt a running job, so
-        the budget is unenforced there.
+        Per-job wall-clock deadline on a local worker (``None`` = wait
+        forever).  A job begins when its worker sends back the outcome
+        of the job before it in the chunk (see
+        :func:`repro.exec.backends.trace_chunks`), or when the chunk is
+        sent.  A job past its deadline is charged one transient failure
+        and its worker is killed; the rest of the chunk goes back
+        uncharged.  In-process rounds cannot preempt a running job, so
+        the deadline is unenforced there.
     ``keep_going``
         When True a batch never raises on job failure: exhausted jobs
         resolve to failed placeholder results carrying a

@@ -4,11 +4,10 @@ Hypothesis draws (scheme, workload, size) combinations; for each, the
 same :class:`SimJob` is executed in-process, in a worker subprocess and
 round-tripped through the on-disk cache — the ``total_fj`` and every
 per-category counter must be *identical* (``==`` on floats, not
-approx), because the parallel executor and the result cache both assume
-results are interchangeable across modes.
+approx), because the local workers and the result cache both assume
+results are interchangeable across modes.  The subprocess leg runs on
+one of the local loop's own workers, through the pipe parallel jobs take.
 """
-
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,9 +19,9 @@ from repro.exec import (
     ExecEngine,
     ExecResult,
     execute_job,
-    execute_payload,
     workload_job,
 )
+from repro.exec.backends import _Pool
 
 _COUNTERS = (
     "accesses",
@@ -41,9 +40,12 @@ _COUNTERS = (
 
 
 @pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=1) as executor:
-        yield executor
+def worker():
+    pool = _Pool(1)
+    try:
+        yield pool.workers[0]
+    finally:
+        pool.close()
 
 
 @settings(
@@ -58,13 +60,12 @@ def pool():
     workload=st.sampled_from(["records", "stream", "crc32"]),
     size=st.sampled_from(["tiny", "small"]),
 )
-def test_three_modes_bit_identical(pool, tmp_path_factory, scheme, workload, size):
+def test_three_modes_bit_identical(worker, tmp_path_factory, scheme, workload, size):
     job = workload_job(CNTCacheConfig(scheme=scheme), workload, size, 3)
 
     inproc = execute_job(job)
-    sub = ExecResult.from_payload(
-        job, pool.submit(execute_payload, job).result(), "run"
-    )
+    worker.conn.send(([job], [0]))
+    sub = ExecResult.from_payload(job, worker.conn.recv(), "run")
     cache_dir = tmp_path_factory.mktemp("exec-cache")
     writer = ExecEngine(cache_dir=cache_dir)
     writer.run_job(job)

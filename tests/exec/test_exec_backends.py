@@ -228,9 +228,9 @@ def watch_memos(monkeypatch, module, name):
     starts = []
     original = getattr(module, name)
 
-    def watched(job, attempt=0, *begin):
+    def watched(job, attempt=0):
         starts.append((job.trace_key, set(worker._RUNS)))
-        return original(job, attempt, *begin)
+        return original(job, attempt)
 
     monkeypatch.setattr(module, name, watched)
     return starts
@@ -256,7 +256,7 @@ class TestOneTraceBound:
         jobs = three_trace_jobs()
         serial = [result.canonical() for result in ExecEngine().run_jobs(jobs)]
         starts = watch_memos(monkeypatch, worker, "execute_payload")
-        outcomes = execute_chunk(jobs, [0] * len(jobs))
+        outcomes = list(execute_chunk(jobs, [0] * len(jobs)))
         assert len(starts) == len(jobs)
         assert all(held <= {key} for key, held in starts)
         assert [

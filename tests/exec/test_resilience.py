@@ -133,10 +133,7 @@ class TestFaultPlan:
 # ------------------------------------------------------------------ #
 class TestTaxonomy:
     def test_transient_vs_permanent_classification(self):
-        from concurrent.futures.process import BrokenProcessPool
-
         for error in (
-            BrokenProcessPool("dead"),
             TimeoutError("slow"),
             OSError("pipe"),
             EOFError(),
@@ -435,6 +432,19 @@ class TestPoolResilience:
         # Recovery must abandon the sleepers, not wait out every 5s nap.
         assert elapsed < 4 * 5.0
 
+    def test_no_worker_outlives_a_batch_that_timed_out(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setenv(faults.ENV_VAR, "seed=3,hang=1.0,hang_s=5.0")
+        faults.uninstall()
+        config = ResilienceConfig(
+            backoff_base_s=0.0, backoff_jitter=0.0, job_timeout_s=0.75
+        )
+        before = set(multiprocessing.active_children())
+        ExecEngine(jobs=2, resilience=config).run_jobs(cheap_jobs(3))
+        # The hung workers were killed and joined, not left to sleep on.
+        assert set(multiprocessing.active_children()) - before == set()
+
 
 # ------------------------------------------------------------------ #
 # blast radius of a fault inside a trace-affine chunk
@@ -448,16 +458,16 @@ def chunked_jobs():
     ]
 
 
-def one_doomed_job(jobs, site, **knobs):
-    """The first seed whose ``site`` fault fires on exactly one job, the
-    plan and that job (fingerprints hash the source tree, so no fixed
-    seed works for every revision)."""
+def one_doomed_job(jobs, site, skip=(), **knobs):
+    """The first seed whose ``site`` fault fires on exactly one job, not
+    one of ``skip``: the plan and that job (fingerprints hash the source
+    tree, so no fixed seed works for every revision)."""
     for seed in range(200):
         candidate = FaultPlan(seed=seed, **{site: 0.2}, **knobs)
         doomed = [
             job for job in jobs if candidate.fires_at(site, job.fingerprint)
         ]
-        if len(doomed) == 1:
+        if len(doomed) == 1 and doomed[0] not in skip:
             return candidate, doomed[0]
     raise AssertionError(f"no seed dooms exactly one job at {site}")
 
@@ -468,7 +478,7 @@ class TestChunkBlastRadius:
         reference = reference_canonicals(jobs)
         plan, doomed = one_doomed_job(jobs, "crash")
         with faults.injected(plan):  # in-process: raises FaultInjected
-            outcomes = execute_chunk(jobs, [0] * len(jobs))
+            outcomes = list(execute_chunk(jobs, [0] * len(jobs)))
         for job, outcome, expected in zip(jobs, outcomes, reference):
             if job == doomed:
                 assert isinstance(outcome, FaultInjected)
@@ -495,7 +505,33 @@ class TestChunkBlastRadius:
             if result.job != doomed:
                 assert result.canonical() == expected
 
-    def test_a_hung_job_times_out_its_chunk_and_heals(self, monkeypatch):
+    def test_a_crash_charges_only_the_job_it_hit(self, monkeypatch, tmp_path):
+        jobs = chunked_jobs()
+        reference = reference_canonicals(jobs)
+        fronts = [chunk[0] for chunk in trace_chunks(jobs, 2)]
+        # A job behind others in its chunk: they finished before it crashed.
+        plan, doomed = one_doomed_job(jobs, "crash", skip=fronts)
+        starts = tmp_path / "starts"
+        start_job = faults.on_job_start
+
+        def counted_start(key, attempt=0):
+            # One append, before the hook may crash the worker it runs in.
+            with open(starts, "a", encoding="utf-8") as log:
+                log.write(f"{key}\n")
+            start_job(key, attempt)
+
+        monkeypatch.setattr(faults, "on_job_start", counted_start)
+        with faults.injected(plan):
+            engine = ExecEngine(jobs=2, resilience=FAST)
+            results = engine.run_jobs(jobs)
+        assert [r.canonical() for r in results] == reference
+        ran = Counter(starts.read_text(encoding="utf-8").split())
+        assert ran == Counter(
+            {job.fingerprint: 1 + (job == doomed) for job in jobs}
+        )
+        assert engine.counters.retries == 1
+
+    def test_a_hung_job_times_out_alone_and_heals(self, monkeypatch):
         jobs = chunked_jobs()
         reference = reference_canonicals(jobs)
         plan, hung = one_doomed_job(jobs, "hang", hang_s=5.0)
@@ -506,10 +542,11 @@ class TestChunkBlastRadius:
             backoff_base_s=0.0, backoff_jitter=0.0, job_timeout_s=0.5
         )
         engine = ExecEngine(jobs=2, resilience=config)
-        results = engine.run_jobs(jobs)  # chunk budget: 3 x 0.5 s < 5 s
+        results = engine.run_jobs(jobs)  # deadline: 0.5 s per job < 5 s
         assert [r.canonical() for r in results] == reference
-        # The chunk's budget ran out: every job of it was charged.
-        assert engine.counters.timeouts == len(chunk)
+        # Only the hung job passed its deadline, so only it was charged.
+        assert len(chunk) > 1
+        assert engine.counters.timeouts == 1
         assert engine.counters.rebuilds == 1
 
 
@@ -593,8 +630,8 @@ class TestRetryBudget:
         seed=st.integers(min_value=0, max_value=2**16),
         fires=st.sampled_from([1, 2]),
         max_retries=st.sampled_from([0, 1, 2]),
-        # 4 workers outnumber the cores of a 2-core host: start marks
-        # race with crashes there too.
+        # 4 workers outnumber the cores of a 2-core host: outcomes race
+        # with crashes there too.
         jobs=st.sampled_from([1, 2, 4]),
         rebuilds=st.sampled_from([0, 1]),
     )

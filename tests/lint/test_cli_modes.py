@@ -1,9 +1,6 @@
-"""CLI modes: --changed, --output, --format json, empty-path exit codes."""
+"""CLI modes: --output, --format json, empty-path exit codes."""
 
 import json
-import subprocess
-
-import pytest
 
 from repro.lint.cli import main as lint_main
 
@@ -33,62 +30,6 @@ class TestPathErrors:
         err = capsys.readouterr().err
         assert "no Python files found" in err
         assert str(tmp_path) in err
-
-
-class TestChangedMode:
-    @pytest.fixture
-    def git_repo(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-        subprocess.run(["git", "init", "-q"], check=True)
-        write_module(tmp_path, "old.py")
-        subprocess.run(["git", "add", "-A"], check=True)
-        subprocess.run([*git, "commit", "-qm", "seed"], check=True)
-        return tmp_path
-
-    def test_only_changed_files_are_reported(self, git_repo, capsys):
-        # old.py carries a committed, unchanged violation; new.py is
-        # untracked with the same violation.
-        write_module(git_repo, "new.py")
-        code = lint_main(
-            ["--changed", "--no-invariants", "repro"]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "new.py" in out
-        assert "old.py" not in out
-
-    def test_clean_when_nothing_changed(self, git_repo):
-        assert (
-            lint_main(
-                ["--changed", "--no-invariants", "repro"]
-            )
-            == 0
-        )
-
-    def test_modified_tracked_file_is_reported(self, git_repo, capsys):
-        write_module(
-            git_repo,
-            "old.py",
-            VIOLATING + 'PATH = os.getenv("PATH")\n',
-        )
-        code = lint_main(
-            ["--changed", "--no-invariants", "repro"]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "old.py" in out
-
-    def test_outside_a_git_checkout_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nowhere"))
-        write_module(tmp_path, "bad.py")
-        assert (
-            lint_main(
-                ["--changed", "--no-invariants", "repro"]
-            )
-            == 2
-        )
 
 
 class TestOutputFormats:
