@@ -6,34 +6,29 @@ into a crash-tolerant work queue next to the content-addressed result
 cache::
 
     <root>/cache/                the shared ResultStore (source of truth)
-    <root>/jobs/<fp>.json        claimable job records (describe() docs)
-    <root>/leases/<fp>.json      lease files (exclusive claim, heartbeat renew)
+    <root>/jobs/<chunk>.json     claimable chunk records (describe() docs)
+    <root>/leases/<chunk>.json   leases: claim, heartbeat, the job it is on
     <root>/quarantine/<fp>.json  poison jobs (outlived K straight workers)
+    <root>/reclaims/             one record per stolen expired lease
 
-Lifecycle
----------
-A *coordinator* (an :class:`~repro.exec.engine.ExecEngine` running
-:func:`drain`) publishes one job record per unresolved job, optionally
-spawns a local worker fleet, and polls the shared cache for results.  A
-*worker* (:func:`run_worker`, the ``cntcache worker`` subcommand) claims
-a job by creating its lease file exclusively (a hard link that fails
-when the name exists — the filesystem arbitrates the race), renews the
-lease's deadline from a heartbeat thread while the job simulates,
-writes the result into the shared cache, and removes job record and
-lease.
+A *coordinator* (:func:`drain`) publishes its unresolved jobs as the
+trace chunks the local loop dispatches
+(:func:`~repro.exec.backends.trace_chunks`), one record per chunk named
+by the hash of its job fingerprints, and polls the shared cache for
+results.  A *worker* (:func:`run_worker`, ``cntcache worker``) claims a
+chunk by creating its lease exclusively (a hard link that fails when the
+name exists), holds the chunk's trace and runs its jobs that have no
+result yet, in order, under one heartbeat thread; each result goes to
+the cache as its job ends, and the lease names the job it is on.
 
-Crash recovery is lease-based and **at-least-once**: a worker that is
-SIGKILLed mid-job stops heartbeating, its lease deadline passes, and the
-next claimer *steals* the expired lease (an ``os.replace`` to a private
-name, so exactly one stealer wins) and re-claims the job at the next
-lease *generation*.  Double execution is safe — results are
-content-addressed, so the second writer publishes a byte-identical
-document — lost work is not, and the generation counter is the fuse: a
-job whose leases expire ``max_generations`` times is *quarantined* as a
-poison job (it keeps killing or outliving its workers) and surfaces as
-a permanent :class:`~repro.resilience.PoisonJobError` failure at the
-coordinator, riding the existing :class:`~repro.resilience.FailureRecord`
-machinery.
+Crash recovery is lease-based, per job and **at-least-once**: a
+SIGKILLed worker stops heartbeating, its lease expires, and the next
+claimer *steals* it (an ``os.replace`` to a private name, so exactly one
+stealer wins) and reruns the chunk from the job the lease named, at that
+job's next *generation*.  Double execution is safe — results are
+content-addressed — and the generation counter is the fuse: a job whose
+leases expire ``max_generations`` times is *quarantined* alone and
+surfaces as a permanent :class:`~repro.resilience.PoisonJobError`.
 
 Deadlines are wall-clock (the one ``time.time`` sanctioned in
 ``repro.exec``): lease files are compared across *processes and hosts*,
@@ -41,14 +36,15 @@ where monotonic clocks don't travel.  TTL slack is expected to absorb
 NTP-level skew; renewal only ever extends a deadline.  Nothing here
 feeds measurement results — leases are pure coordination.
 
-Resume is free: job records and the cache live on disk, so a restarted
-coordinator republishes (idempotently) only what its own resolve
-pipeline still misses, adopts what workers finished in the meantime as
-cache hits, and the drain continues where it stopped.
+Resume is free: chunk records and the cache live on disk, so a
+restarted coordinator publishes only the jobs no record lists yet,
+adopts what workers finished in the meantime as cache hits, and the
+drain continues where it stopped.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import re
@@ -65,6 +61,7 @@ from typing import TypeVar
 
 import repro.exec.worker as _worker
 from repro import faults, records
+from repro.exec.backends import trace_chunks
 from repro.exec.events import (
     EngineCounters,
     ExecEvent,
@@ -87,7 +84,7 @@ from repro.resilience import (
 )
 from repro.schemas import BROKER
 
-#: Version tag of the broker's job-record/lease/quarantine layout.
+#: Version tag of the broker's chunk-record/lease/quarantine layout.
 BROKER_SCHEMA = BROKER.tag
 
 _T = TypeVar("_T")
@@ -121,6 +118,12 @@ def _evidence(record: dict) -> dict:
     return record
 
 
+def chunk_id(jobs: list[SimJob]) -> str:
+    """A chunk record's name: the hash of its jobs' fingerprints, in order."""
+    joined = "\n".join(job.fingerprint for job in jobs)
+    return hashlib.sha256(joined.encode()).hexdigest()
+
+
 def default_worker_id() -> str:
     """A stable, filesystem-safe worker identity: ``<hostname>-<pid>``.
 
@@ -138,7 +141,7 @@ class BrokerConfig:
 
     ``lease_ttl_s``
         How long a claim lives without renewal.  The crash-detection
-        latency: a SIGKILLed worker's job becomes stealable one TTL
+        latency: a SIGKILLed worker's chunk becomes stealable one TTL
         after its last heartbeat.
     ``heartbeat_s``
         Renewal interval (default ``lease_ttl_s / 3`` — two missed
@@ -146,7 +149,7 @@ class BrokerConfig:
     ``poll_s``
         Idle poll interval for both coordinator and workers.
     ``max_generations``
-        Lease generations before a job is quarantined as poison
+        Lease generations of one job before it is quarantined as poison
         (default ``resilience.max_retries + 1`` — the retry budget,
         transferred).
     ``spawn`` / ``worker_respawns``
@@ -170,47 +173,29 @@ class BrokerConfig:
     def __post_init__(self) -> None:
         if not str(self.root):
             raise BrokerError("root must be a non-empty directory path")
-        if (
-            not isinstance(self.lease_ttl_s, (int, float))
-            or self.lease_ttl_s <= 0
-        ):
-            raise BrokerError(
-                f"lease_ttl_s must be > 0, got {self.lease_ttl_s!r}"
-            )
-        if not isinstance(self.poll_s, (int, float)) or self.poll_s <= 0:
-            raise BrokerError(f"poll_s must be > 0, got {self.poll_s!r}")
-        if (
-            not isinstance(self.idle_timeout_s, (int, float))
-            or self.idle_timeout_s <= 0
-        ):
-            raise BrokerError(
-                f"idle_timeout_s must be > 0, got {self.idle_timeout_s!r}"
-            )
+        positive = {
+            "lease_ttl_s": self.lease_ttl_s,
+            "poll_s": self.poll_s,
+            "idle_timeout_s": self.idle_timeout_s,
+        }
+        for name, value in positive.items():
+            if not isinstance(value, (int, float)) or value <= 0:
+                raise BrokerError(f"{name} must be > 0, got {value!r}")
         if not isinstance(self.spawn, bool):
             raise BrokerError(f"spawn must be a bool, got {self.spawn!r}")
-        if self.heartbeat_s is not None and not (
-            isinstance(self.heartbeat_s, (int, float))
-            and 0 < self.heartbeat_s < self.lease_ttl_s
+        heartbeat = self.heartbeat_s
+        if heartbeat is not None and not (
+            isinstance(heartbeat, (int, float)) and 0 < heartbeat < self.lease_ttl_s
         ):
             raise BrokerError(
-                f"heartbeat_s must be in (0, lease_ttl_s), got {self.heartbeat_s!r}"
+                f"heartbeat_s must be in (0, lease_ttl_s), got {heartbeat!r}"
             )
-        if self.max_generations is not None and (
-            not isinstance(self.max_generations, int)
-            or isinstance(self.max_generations, bool)
-            or self.max_generations < 1
-        ):
-            raise BrokerError(
-                f"max_generations must be an int >= 1, got {self.max_generations!r}"
-            )
-        if (
-            not isinstance(self.worker_respawns, int)
-            or isinstance(self.worker_respawns, bool)
-            or self.worker_respawns < 0
-        ):
-            raise BrokerError(
-                f"worker_respawns must be an int >= 0, got {self.worker_respawns!r}"
-            )
+        counts = {"worker_respawns": (self.worker_respawns, 0)}
+        if self.max_generations is not None:  # None: the retry budget
+            counts = {"max_generations": (self.max_generations, 1), **counts}
+        for name, (value, least) in counts.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise BrokerError(f"{name} must be an int >= {least}, got {value!r}")
 
     @property
     def cache_dir(self) -> Path:
@@ -219,12 +204,12 @@ class BrokerConfig:
 
     @property
     def jobs_dir(self) -> Path:
-        """Claimable job records, one ``<fingerprint>.json`` each."""
+        """Claimable chunk records, one ``<chunk id>.json`` each."""
         return Path(self.root) / "jobs"
 
     @property
     def leases_dir(self) -> Path:
-        """Live claims: one lease file per job being worked on."""
+        """Live claims: one lease file per chunk being worked on."""
         return Path(self.root) / "leases"
 
     @property
@@ -261,8 +246,10 @@ class BrokerConfig:
 
 @dataclass(frozen=True)
 class Lease:
-    """One worker's claim on one job, for one generation."""
+    """One worker's claim on one chunk: the job of it the worker is on
+    (``fingerprint``), at that job's ``generation``."""
 
+    chunk: str
     fingerprint: str
     worker: str
     generation: int
@@ -274,6 +261,11 @@ class Lease:
         """True once the deadline passed: the claim is stealable."""
         return _wall_now() > self.deadline
 
+    @property
+    def holder(self) -> tuple[str, str, int]:
+        """Who holds the chunk and where: (worker, job, generation)."""
+        return (self.worker, self.fingerprint, self.generation)
+
     def to_dict(self) -> dict:
         """JSON-ready lease document; inverse of :meth:`from_dict`."""
         return {"schema": BROKER_SCHEMA, **asdict(self)}
@@ -283,7 +275,8 @@ class Lease:
         """Inverse of :meth:`to_dict` (``ValueError`` on a bad field)."""
         lease = cls(**{k: v for k, v in payload.items() if k != "schema"})
         if not (
-            isinstance(lease.fingerprint, str)
+            isinstance(lease.chunk, str)
+            and isinstance(lease.fingerprint, str)
             and isinstance(lease.worker, str)
             and type(lease.generation) is int
             and type(lease.renewals) is int
@@ -293,21 +286,27 @@ class Lease:
         return lease
 
 
-@dataclass(frozen=True)
+@dataclass
 class Claim:
-    """A successfully acquired job: what :meth:`BrokerStore.claim` returns.
+    """A leased chunk (:meth:`BrokerStore.claim`): its ``jobs`` from the
+    one first leased, the ``job`` the worker is on with its ``lease``
+    (moved on by :meth:`BrokerStore.advance`), the record's ``trace_id``,
+    when the job ``began`` (the hang budget's start) and the ``lock`` that
+    orders heartbeat renewals with the worker's own lease writes."""
 
-    ``trace_id``/``span_id`` are the correlation ids the coordinator
-    stamped into the job record (``None`` for records published before
-    telemetry, or by a coordinator running without it); the worker
-    propagates them into its telemetry frames and the result's trace
-    snapshot.  Pure observability — they never enter the job identity.
-    """
-
+    jobs: list[SimJob]
     job: SimJob
     lease: Lease
     trace_id: str | None = None
-    span_id: str | None = None
+    began: float = field(default_factory=time.monotonic)
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def event(self, kind: str, **fields) -> ExecEvent:
+        """A transition of the current job, with its generation and ids."""
+        trace_id, job = self.trace_id, self.job
+        span = None if trace_id is None else span_for(trace_id, job.fingerprint)
+        ids = {"trace_id": trace_id, "span_id": span}
+        return ExecEvent(kind, job, generation=self.lease.generation, **ids, **fields)
 
 
 #: Worker event kind -> the :class:`WorkerStats` field it bumps.
@@ -394,41 +393,30 @@ class BrokerStore:
         cache: ResultStore | None = None,
     ) -> None:
         self.config = config
-        self.resilience = (
-            ResilienceConfig() if resilience is None else resilience
-        )
-        self.emit = EngineCounters().apply if emit is None else emit
-        self.cache = ResultStore(config.cache_dir, self.emit) if cache is None else cache
+        self.resilience = resilience or ResilienceConfig()
+        self.emit = emit or EngineCounters().apply
+        self.cache = cache or ResultStore(config.cache_dir, self.emit)
         self.max_generations = config.generations(self.resilience)
-        #: fingerprint -> (trace_id, span_id) read off published records,
-        #: so claims carry the coordinator's correlation ids.
-        self.trace_context: dict = {}
-        #: Fingerprints this process decided never to claim again
-        #: (foreign code versions, quarantined jobs) — stops the claim
-        #: scan from re-parsing them every poll.
+        #: Chunk records this process found unusable (torn, foreign code
+        #: versions) — stops the claim scan from re-parsing them every poll.
         self._skip: set[str] = set()
         #: (device, inode, mtime, size) of each bad file counted, so a
         #: re-read (next poll, a steal's rename) does not count it again.
         self._counted: set[tuple[int, int, int, int]] = set()
-        for directory in (
-            config.cache_dir,
-            config.jobs_dir,
-            config.leases_dir,
-            config.quarantine_dir,
-            config.reclaims_dir,
-        ):
+        layout = (config.cache_dir, config.jobs_dir, config.leases_dir)
+        for directory in (*layout, config.quarantine_dir, config.reclaims_dir):
             directory.mkdir(parents=True, exist_ok=True)
 
     # -------------------------------------------------------------- #
     # paths
     # -------------------------------------------------------------- #
-    def job_path(self, fingerprint: str) -> Path:
-        """Where the job record for ``fingerprint`` lives."""
-        return self.config.jobs_dir / f"{fingerprint}.json"
+    def job_path(self, chunk: str) -> Path:
+        """Where the record of chunk ``chunk`` lives."""
+        return self.config.jobs_dir / f"{chunk}.json"
 
-    def lease_path(self, fingerprint: str) -> Path:
-        """Where the lease for ``fingerprint`` lives."""
-        return self.config.leases_dir / f"{fingerprint}.json"
+    def lease_path(self, chunk: str) -> Path:
+        """Where the lease on chunk ``chunk`` lives."""
+        return self.config.leases_dir / f"{chunk}.json"
 
     def quarantine_path(self, fingerprint: str) -> Path:
         """Where the quarantine record for ``fingerprint`` lives."""
@@ -437,79 +425,86 @@ class BrokerStore:
     # -------------------------------------------------------------- #
     # coordinator side: publish
     # -------------------------------------------------------------- #
-    def publish(self, jobs: list[SimJob], trace_id: str | None = None) -> int:
-        """Publish claimable records for ``jobs``; returns how many are new.
+    def publish(
+        self, jobs: list[SimJob], workers: int = 1, trace_id: str | None = None
+    ) -> dict[str, list[SimJob]]:
+        """Publish ``jobs`` as trace chunks for ``workers`` workers
+        (:func:`~repro.exec.backends.trace_chunks`), one record each.
 
-        Idempotent: an existing record (same content-addressed name) is
-        left untouched, so a resumed coordinator republishes nothing a
-        previous drain already posted.  Jobs with a readable cached
-        result or a quarantine record are already settled and skipped.
-        With a ``trace_id``, every new record is stamped with it plus the
-        job's derived span id (:func:`repro.obs.telemetry.span_for`) so
-        workers propagate the coordinator's correlation ids; records are
-        still claimable by fleets that ignore the fields.
+        Returns the chunk records, new or already on disk, that list any
+        of ``jobs``, by chunk id.  A job an existing record lists is not
+        published again, so a resumed coordinator posts nothing a
+        previous drain already did; nor is one with a readable cached
+        result or a quarantine record.  With a ``trace_id``, each new
+        record carries it once, so workers propagate the coordinator's
+        correlation ids (records are still claimable by fleets that
+        ignore the field).
         """
-        published = 0
-        for job in jobs:
-            fingerprint = job.fingerprint
-            path = self.job_path(fingerprint)
-            if path.exists() or self.quarantine_path(fingerprint).exists():
-                continue
-            if self.cache.read(job) is not None:
-                continue  # finished since the coordinator's own cache read
-            record = {
-                "schema": BROKER_SCHEMA,
-                "fingerprint": fingerprint,
-                "label": job.label,
-                "job": job.describe(),
-            }
+        listed: dict[str, list[SimJob]] = {}
+        for chunk in self.pending():
+            loaded = self.load_chunk(chunk)
+            if loaded is not None:
+                listed[chunk] = loaded[0]
+        known = {job.fingerprint for chunk in listed.values() for job in chunk}
+        fresh = [job for job in jobs if job.fingerprint not in known]
+        fresh = [job for job in fresh if not self.settled(job)]
+        for chunk in trace_chunks(fresh, workers):
+            payloads = [job.describe() for job in chunk]
+            record: dict = {"schema": BROKER_SCHEMA, "jobs": payloads}
             if trace_id is not None:
                 record["trace_id"] = trace_id
-                record["span_id"] = span_for(trace_id, fingerprint)
-            records.write_atomic(path, records.dumps(record))
-            published += 1
-        evidence = {"jobs": len(jobs), "published": published}
-        self.emit(ExecEvent("publish", n=published, detail=evidence))
-        return published
+            name = chunk_id(chunk)
+            records.write_atomic(self.job_path(name), records.dumps(record))
+            listed[name] = chunk
+        evidence = {"jobs": len(jobs), "published": len(fresh)}
+        self.emit(ExecEvent("publish", n=len(fresh), detail=evidence))
+        wanted = {job.fingerprint for job in jobs}
+        return {
+            name: chunk
+            for name, chunk in listed.items()
+            if any(job.fingerprint in wanted for job in chunk)
+        }
+
+    def settled(self, job: SimJob) -> bool:
+        """True once ``job`` has a quarantine record or a readable result."""
+        quarantined = self.quarantine_path(job.fingerprint).exists()
+        return quarantined or self.cache.read(job) is not None
 
     # -------------------------------------------------------------- #
-    # worker side: claim / renew / complete
+    # worker side: claim / renew / advance / complete
     # -------------------------------------------------------------- #
     def pending(self) -> list[str]:
-        """Fingerprints with a published job record, sorted for fairness."""
+        """Chunk ids with a published record, sorted for fairness."""
         try:
-            names = sorted(
-                path.stem
-                for path in self.config.jobs_dir.glob("*.json")
-                if path.stem not in self._skip
-            )
+            paths = list(self.config.jobs_dir.glob("*.json"))
         except OSError:
             return []
-        return names
+        return sorted(path.stem for path in paths if path.stem not in self._skip)
 
-    def load_job(self, fingerprint: str) -> SimJob | None:
-        """Reconstruct the published job, or ``None`` when unusable.
+    def load_chunk(self, chunk: str) -> tuple[list[SimJob], str | None] | None:
+        """The published chunk's jobs and trace id, or ``None`` when unusable.
 
-        A bad record (torn, foreign version, another job's hash) is
-        skipped for good by this process (a matching fleet may own it).
+        A bad record (torn, foreign version, jobs that do not hash to its
+        name) is skipped for good by this process (a matching fleet may
+        own it).
         """
 
-        def parse(record: dict) -> SimJob:
-            job = job_from_payload(record["job"])
-            if job.fingerprint != fingerprint:
+        def parse(record: dict) -> tuple[list[SimJob], str | None]:
+            jobs = [job_from_payload(payload) for payload in record["jobs"]]
+            if not jobs or chunk_id(jobs) != chunk:
                 raise ValueError("hash mismatch")
-            trace_id = record.get("trace_id")
-            if trace_id is not None:
-                self.trace_context[fingerprint] = (str(trace_id), record.get("span_id"))
-            return job
+            trace_id = record.get("trace_id", "")
+            if not isinstance(trace_id, str):
+                raise ValueError(f"malformed trace_id: {trace_id!r}")
+            return jobs, trace_id or None
 
-        job = self._read(self.job_path(fingerprint), parse)
-        if isinstance(job, records.Skip):
-            self._skip.add(fingerprint)
-            evidence = {"fingerprint": fingerprint, "reason": job.reason}
+        loaded = self._read(self.job_path(chunk), parse)
+        if isinstance(loaded, records.Skip):
+            self._skip.add(chunk)
+            evidence = {"chunk": chunk, "reason": loaded.reason}
             self.emit(ExecEvent("skip", detail=evidence))
             return None
-        return job
+        return loaded
 
     def _read(
         self, path: Path, parse: Callable[[dict], _T]
@@ -537,97 +532,83 @@ class BrokerStore:
                     self._counted.add(key)
         return record
 
-    def read_lease(self, fingerprint: str) -> Lease | None:
+    def read_lease(self, chunk: str) -> Lease | None:
         """The current lease, or ``None`` (absent, torn, or foreign: no
         live claim either way)."""
-        lease = self._read(self.lease_path(fingerprint), Lease.from_dict)
+        lease = self._read(self.lease_path(chunk), Lease.from_dict)
         return lease if isinstance(lease, Lease) else None
 
     def claim(self, worker_id: str) -> Claim | None:
-        """Try to acquire one pending job; ``None`` when nothing claimable.
+        """Try to lease one pending chunk; ``None`` when nothing claimable.
 
-        Scans published records in fingerprint order.  For each: a live
-        lease means someone is working on it; an expired/torn lease is
-        *stolen* (renamed to a private name — exactly one stealer wins
-        the ``os.replace`` race) and the job re-claimed at the next
-        generation; a generation past the poison fuse quarantines the
-        job instead.  An absent lease is never stolen: the claim creates
-        it at generation 1, and the exclusive create settles any race
-        with a peer doing the same (see :meth:`_create_lease`).
+        Scans records in chunk-id order.  A live lease means someone is
+        working on it; an expired/torn one is *stolen* (exactly one
+        stealer wins the ``os.replace`` race).  The claim starts at the
+        chunk's first unsettled job: at the stolen lease's generation + 1
+        if that lease named it (a torn one is taken to), else at 1; a job
+        past the poison fuse is quarantined and the next one tried.  An
+        absent lease is never stolen: the claim creates it, exclusively
+        (:meth:`_create_lease`).
         """
-        for fingerprint in self.pending():
-            claim = self._try_claim(fingerprint, worker_id)
+        for chunk in self.pending():
+            claim = self._try_claim(chunk, worker_id)
             if claim is not None:
                 return claim
         return None
 
-    def _try_claim(self, fingerprint: str, worker_id: str) -> Claim | None:
-        lease_path = self.lease_path(fingerprint)
+    def _try_claim(self, chunk: str, worker_id: str) -> Claim | None:
+        lease_path = self.lease_path(chunk)
         # None: no lease file (create one below).  A Skip: a torn or
         # foreign lease, stolen like an expired one.
         prior = self._read(lease_path, Lease.from_dict)
         if isinstance(prior, Lease) and not prior.expired:
             return None  # live claim: someone's working on it
-        generation = 1
+        loaded = self.load_chunk(chunk)
+        if loaded is None:
+            return None  # completed elsewhere, or unusable (now skipped)
+        jobs, trace_id = loaded
+        charged, stolen_gen = None, 0
         if prior is not None:
             stolen = self._steal(lease_path, worker_id)
             if stolen is None:
                 return None  # lost the steal race
-            lost_worker, stolen_generation = stolen
-            generation = stolen_generation + 1
-            self._record_reclaim(
-                fingerprint, generation, lost_worker, worker_id
-            )
-        job = self.load_job(fingerprint)
-        if job is None:
-            return None  # completed elsewhere, or unusable (now skipped)
-        if self.cache.read(job) is not None:
-            # Someone finished it but died before retiring the record.
-            self.finish_job(fingerprint)
-            return None
-        if generation > self.max_generations:
-            self.quarantine_job(
-                job,
-                generation - 1,
-                f"{generation - 1} consecutive lease generation(s) expired "
-                f"without a result (poison fuse: {self.max_generations})",
-            )
-            return None
-        lease = Lease(
-            fingerprint=fingerprint,
-            worker=worker_id,
-            generation=generation,
-            deadline=_wall_now() + self.config.lease_ttl_s,
-        )
-        if not self._create_lease(lease):
-            return None  # lost the claim race
-        trace_id, span_id = self.trace_context.get(fingerprint, (None, None))
-        self.emit(
-            ExecEvent(
-                "claim",
-                job,
-                generation=generation,
-                trace_id=trace_id,
-                span_id=span_id,
-                detail={"worker": worker_id},
-            )
-        )
-        return Claim(
-            job=job, lease=lease, trace_id=trace_id, span_id=span_id
-        )
+            lost_worker, charged, stolen_gen = stolen
+            named = charged or jobs[0].fingerprint
+            self._record_reclaim(named, stolen_gen + 1, lost_worker, worker_id)
+        for index, job in enumerate(jobs):
+            if self.settled(job):
+                continue
+            # The stolen lease's job (a torn lease: this one) climbs its ladder.
+            generation = stolen_gen + 1 if charged in (None, job.fingerprint) else 1
+            charged = ""  # the jobs after it never began
+            if generation > self.max_generations:
+                self.blow_fuse(job, generation - 1)
+                continue
+            deadline = _wall_now() + self.config.lease_ttl_s
+            lease = Lease(chunk, job.fingerprint, worker_id, generation, deadline)
+            if not self._create_lease(lease):
+                return None  # lost the claim race
+            claim = Claim(jobs[index:], job, lease, trace_id)
+            self.emit(claim.event("claim", detail={"worker": worker_id}))
+            return claim
+        # Every job is settled: someone finished it but died before
+        # retiring the record.
+        self.retire(chunk)
+        return None
 
-    def _steal(self, lease_path: Path, worker_id: str) -> tuple[str, int] | None:
-        """Atomically take an expired lease; ``(lost worker, generation)``.
+    def _steal(
+        self, lease_path: Path, worker_id: str
+    ) -> tuple[str, str | None, int] | None:
+        """Atomically take an expired lease: ``(lost worker, the job it
+        named, its generation)``.
 
         ``os.replace`` to a name private to this worker: of N concurrent
         stealers exactly one succeeds, the rest get ``FileNotFoundError``.
-        A torn (unparseable) stolen lease counts as generation 1 by an
-        unknown worker — the ladder restarts conservatively rather than
-        never.
+        A torn (unparseable) stolen lease counts as generation 1 of an
+        unknown job by an unknown worker — the ladder restarts
+        conservatively rather than never.
         """
-        private = lease_path.with_name(
-            f"{lease_path.name}.steal.{worker_id}"
-        )
+        private = lease_path.with_name(f"{lease_path.name}.steal.{worker_id}")
         try:
             os.replace(lease_path, private)
         except OSError:
@@ -638,8 +619,8 @@ class BrokerStore:
         except OSError:  # lint: disable=R007
             pass  # leftover steal litter; the janitor TTL-sweeps it
         if not isinstance(stolen, Lease):
-            return ("unknown", 1)
-        return (stolen.worker, stolen.generation)
+            return ("unknown", None, 1)
+        return (stolen.worker, stolen.fingerprint, stolen.generation)
 
     def _record_reclaim(
         self, fingerprint: str, generation: int, lost_worker: str, by: str
@@ -686,10 +667,9 @@ class BrokerStore:
         content (an empty lease reads as torn, and a torn lease is
         stolen).
         """
-        path = self.lease_path(lease.fingerprint)
-        private = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
+        path = self.lease_path(lease.chunk)
+        tag = f"{os.getpid()}.{threading.get_ident()}"
+        private = path.with_name(f"{path.name}.tmp.{tag}")
         data = faults.mangle_lease_write(
             lease.fingerprint, records.dumps(lease.to_dict())
         )
@@ -702,75 +682,102 @@ class BrokerStore:
             private.unlink(missing_ok=True)
         return True
 
+    def _holds(self, claim: Claim, live: bool = False) -> Lease | None:
+        """The on-disk lease if it is still ``claim``'s (same worker, job
+        and generation) — and, with ``live``, not expired, so no stealer
+        can be taking it — else ``None``."""
+        current = self.read_lease(claim.lease.chunk)
+        ours = current is not None and current.holder == claim.lease.holder
+        return current if ours and not (live and current.expired) else None
+
+    def _write_lease(self, lease: Lease) -> bool:
+        """Replace the lease file with ``lease``; False on an I/O error."""
+        data = faults.mangle_lease_write(
+            lease.fingerprint, records.dumps(lease.to_dict())
+        )
+        try:
+            records.write_atomic(self.lease_path(lease.chunk), data)
+        except OSError:
+            return False
+        return True
+
     def renew(self, claim: Claim) -> bool:
         """Heartbeat: extend the claim's deadline; False when it was lost.
 
-        Read-check-then-replace: if the on-disk lease no longer names
-        this worker at this generation, a stealer decided we were dead
-        and owns the job now — the renewal is refused and the caller
-        should treat its own execution as a benign duplicate (results
-        are content-addressed, so finishing anyway is safe).
+        Read-check-then-replace: if the on-disk lease is no longer ours,
+        a stealer decided we were dead; the renewal is refused and the
+        caller should treat its own execution as a benign duplicate
+        (results are content-addressed, so finishing anyway is safe).
         """
-        current = self.read_lease(claim.lease.fingerprint)
-        if current is None or (
-            current.worker != claim.lease.worker
-            or current.generation != claim.lease.generation
-        ):
-            return False
-        renewed = replace(
-            current,
-            deadline=_wall_now() + self.config.lease_ttl_s,
-            renewals=current.renewals + 1,
-        )
-        path = self.lease_path(claim.lease.fingerprint)
-        data = faults.mangle_lease_write(
-            renewed.fingerprint, records.dumps(renewed.to_dict())
-        )
-        try:
-            records.write_atomic(path, data)
-        except OSError:
-            return False
-        self.emit(
-            ExecEvent("renew", claim.job, generation=claim.lease.generation)
-        )
+        with claim.lock:
+            current = self._holds(claim)
+            if current is None:
+                return False
+            deadline = _wall_now() + self.config.lease_ttl_s
+            renewed = replace(current, deadline=deadline, renewals=current.renewals + 1)
+            if not self._write_lease(renewed):
+                return False
+            claim.lease = renewed
+        self.emit(claim.event("renew"))
+        return True
+
+    def advance(self, claim: Claim, job: SimJob) -> bool:
+        """Move ``claim``'s lease on to ``job`` at generation 1 (it never
+        began); False when the lease is no longer ours or has expired."""
+        with claim.lock:
+            if self._holds(claim, live=True) is None:
+                return False
+            deadline = _wall_now() + self.config.lease_ttl_s
+            moved = {"fingerprint": job.fingerprint, "generation": 1}
+            lease = replace(claim.lease, deadline=deadline, **moved)
+            if not self._write_lease(lease):
+                return False
+            claim.job, claim.lease = job, lease
+            claim.began = time.monotonic()
+        self.emit(claim.event("claim", detail={"worker": lease.worker}))
         return True
 
     def fail_attempt(self, claim: Claim) -> None:
         """Give up this attempt (transient error): expire our own lease.
 
-        The generation is *kept* — rewriting the lease with an
-        already-past deadline makes the job immediately stealable while
-        preserving the poison-fuse ladder, exactly as if this worker
-        had crashed.
+        The lease keeps naming the failed job at its generation — with
+        an already-past deadline the chunk is immediately stealable, and
+        the job climbs the poison-fuse ladder exactly as if this worker
+        had crashed.  An expired lease is left to its stealer.
         """
-        path = self.lease_path(claim.lease.fingerprint)
-        expired = replace(claim.lease, deadline=_wall_now() - 1.0)
-        try:
-            records.write_atomic(path, records.dumps(expired.to_dict()))
-        except OSError:  # lint: disable=R007
-            pass  # worst case the lease expires by TTL instead
+        if self._holds(claim, live=True) is not None:
+            self._write_lease(replace(claim.lease, deadline=_wall_now() - 1.0))
+
+    def release(self, claim: Claim) -> None:
+        """Give the chunk back between jobs (a graceful stop): remove our
+        live lease with no generation charged; an expired one is left to
+        its stealer."""
+        if self._holds(claim, live=True) is not None:
+            self._unlink(self.lease_path(claim.lease.chunk))
 
     def complete(self, claim: Claim) -> None:
-        """Retire a finished job: remove its record, then our lease."""
-        self.finish_job(claim.lease.fingerprint)
-        try:
-            self.lease_path(claim.lease.fingerprint).unlink(missing_ok=True)
-        except OSError:  # lint: disable=R007
-            pass  # lease already stolen/removed; harmless
+        """Retire a chunk whose every job is settled."""
+        self.retire(claim.lease.chunk)
         probe.counter("exec.lease_released")
 
-    def finish_job(self, fingerprint: str) -> None:
-        """Remove a job record (its result is in the shared cache)."""
+    def retire(self, chunk: str) -> None:
+        """Remove a chunk's record, then its lease."""
+        self._unlink(self.job_path(chunk))
+        self._unlink(self.lease_path(chunk))
+
+    @staticmethod
+    def _unlink(path: Path) -> None:
         try:
-            self.job_path(fingerprint).unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
         except OSError:  # lint: disable=R007
-            pass  # raced with another finisher: the job is gone either way
+            pass  # raced with another remover: the file is gone either way
 
     # -------------------------------------------------------------- #
     # quarantine (poison jobs)
     # -------------------------------------------------------------- #
     def quarantine_job(self, job: SimJob, generation: int, reason: str) -> None:
-        """Mark ``job`` poison: persist the evidence, retire the record.
+        """Mark ``job`` poison: persist the evidence.  Its chunk-mates
+        are untouched; the record settles the job for every claimer.
 
         Emits ``quarantine``, which counts nothing on the coordinator:
         it counts the quarantine record once, when it consumes it
@@ -786,13 +793,16 @@ class BrokerStore:
             )
         except OSError:  # lint: disable=R007
             pass  # the coordinator watchdog will re-reach the verdict
-        self.finish_job(job.fingerprint)
-        try:
-            self.lease_path(job.fingerprint).unlink(missing_ok=True)
-        except OSError:  # lint: disable=R007
-            pass  # racing stealer holds it; it will hit the quarantine too
-        self._skip.add(job.fingerprint)
         self.emit(ExecEvent("quarantine", job, detail=evidence))
+
+    def blow_fuse(self, job: SimJob, generation: int) -> None:
+        """Quarantine ``job`` after ``generation`` expired leases."""
+        self.quarantine_job(
+            job,
+            generation,
+            f"{generation} consecutive lease generation(s) expired without a "
+            f"result (poison fuse: {self.max_generations})",
+        )
 
     def quarantined(self) -> list[dict]:
         """Every readable quarantine record (coordinator consumption)."""
@@ -833,23 +843,22 @@ def _renewing(
 ) -> Iterator[None]:
     """Renew ``claim``'s lease every ``interval`` while the block runs.
 
-    Renewal stops when the lease is stolen (we were presumed dead) or
-    once a ``budget_s`` wall budget is exhausted — the hang protection:
-    a worker stuck inside a job stops refreshing its claim, the lease
-    expires, and the fleet reclaims the job even though this process
-    never returns.
+    Renewal stops when the lease is stolen (we were presumed dead), and
+    pauses while the current job has run past a ``budget_s`` wall budget
+    — the hang protection: a worker stuck inside a job stops refreshing
+    its claim, the lease expires, and the fleet reclaims the chunk even
+    though this process never returns.
     """
     done = threading.Event()
 
     def renew() -> None:
-        started = time.monotonic()
         while not done.wait(interval):
-            if budget_s is not None and time.monotonic() - started >= budget_s:
-                return  # over budget: let the lease lapse (hang guard)
+            if budget_s is not None and time.monotonic() - claim.began >= budget_s:
+                continue  # over budget: let the lease lapse (hang guard)
             if not store.renew(claim):
-                return  # stolen: the job belongs to someone else now
+                return  # stolen: the chunk belongs to someone else now
 
-    name = f"lease-heartbeat-{claim.lease.fingerprint[:8]}"
+    name = f"lease-heartbeat-{claim.lease.chunk[:8]}"
     thread = threading.Thread(target=renew, daemon=True, name=name)
     thread.start()
     try:
@@ -857,6 +866,50 @@ def _renewing(
     finally:
         done.set()
         thread.join(timeout=5.0)
+
+
+def _run_chunk(
+    store: BrokerStore, claim: Claim, more: Callable[[], bool]
+) -> Callable[[Claim], None]:
+    """Run a claimed chunk's unsettled jobs in order, each result written
+    to the shared cache as its job ends; returns how the claim ends.
+
+    A transient error ends it with :meth:`BrokerStore.fail_attempt` (the
+    per-job ladder a crash would climb); a permanent one quarantines the
+    job alone and the chunk goes on.  A stop at a job boundary (``more``)
+    or a lost lease ends it with :meth:`BrokerStore.release`, the end of
+    the chunk with :meth:`BrokerStore.complete`.
+    """
+    for job in claim.jobs:
+        if job is not claim.job:
+            if store.settled(job):
+                continue
+            if not more() or not store.advance(claim, job):
+                return store.release
+        generation = claim.lease.generation
+        try:
+            result = _worker.execute_job(job, attempt=generation - 1)
+        # Sanctioned broad catch: classified below into the same
+        # transient/permanent taxonomy the local loop uses.
+        except Exception as error:  # lint: disable=R007
+            transient = classify_transient(error)
+            name = type(error).__name__
+            detail = dict(worker=claim.lease.worker, error=name, transient=transient)
+            store.emit(claim.event("attempt_failed", detail=detail))
+            if transient:
+                return store.fail_attempt
+            store.quarantine_job(job, generation, f"permanent {name}: {error}")
+            continue
+        event = claim.event("finish", result=result)
+        if event.trace_id is not None and result.trace:
+            # Correlation ids ride the trace snapshot (transport
+            # observability, excluded from the canonical measurement) so
+            # a fleet's traces stitch into one timeline.
+            result.trace.setdefault("trace_id", event.trace_id)
+            result.trace.setdefault("span_id", event.span_id)
+        store.cache.write(job, result)
+        store.emit(event)
+    return store.complete
 
 
 def run_worker(
@@ -869,19 +922,16 @@ def run_worker(
     hard_faults: bool = False,
     stop: threading.Event | None = None,
 ) -> WorkerStats:
-    """One worker loop: claim, heartbeat, execute, publish, repeat.
+    """One worker loop: lease a chunk, heartbeat, run its jobs, repeat.
 
-    Exits cleanly after ``idle_timeout_s`` with nothing claimable, after
-    ``max_jobs`` claims, or when ``stop`` is set (the CLI wires SIGTERM
-    to it for graceful drain).  ``hard_faults=True`` marks the process a
-    fault-injection *worker* (see :func:`repro.faults.mark_worker_process`)
-    so injected crashes really ``os._exit`` — reversible, for in-process
-    tests.
-
-    Error handling transfers the engine's taxonomy: a transient error
-    expires this worker's own lease in place (same fingerprint ladder a
-    crash would climb), a permanent error quarantines the job
-    immediately — no other worker should die discovering the same bug.
+    A chunk runs under one lease and one heartbeat thread, holding one
+    trace (:func:`~repro.exec.worker.hold_trace`; see :func:`_run_chunk`).
+    The loop exits after ``idle_timeout_s`` with nothing claimable, or at
+    the first job boundary once ``max_jobs`` jobs were claimed or ``stop``
+    is set (the CLI wires SIGTERM to it), releasing its chunk uncharged.
+    ``hard_faults=True`` marks the process a fault-injection *worker*
+    (:func:`repro.faults.mark_worker_process`) so injected crashes really
+    ``os._exit`` — reversible, for in-process tests.
     """
     config = broker if isinstance(broker, BrokerConfig) else BrokerConfig(root=broker)
     resilience = ResilienceConfig() if resilience is None else resilience
@@ -929,6 +979,12 @@ def run_worker(
             if line is not None:
                 progress(line)
 
+    stop = threading.Event() if stop is None else stop
+
+    def more() -> bool:
+        """False once ``stop`` is set or ``max_jobs`` jobs were claimed."""
+        return not stop.is_set() and (max_jobs is None or stats.claimed < max_jobs)
+
     store = BrokerStore(config, resilience=resilience, emit=emit)
     idle_budget = (
         config.idle_timeout_s if idle_timeout_s is None else idle_timeout_s
@@ -938,69 +994,21 @@ def run_worker(
     try:
         idle_since = time.monotonic()
         telemetry.heartbeat("idle", force=True, **stats.gauges())
-        while stop is None or not stop.is_set():
+        while more():
             claim = store.claim(identity)
             if claim is None:
                 if time.monotonic() - idle_since >= idle_budget:
                     break
                 telemetry.heartbeat("idle", **stats.gauges())
-                time.sleep(config.poll_s)
+                stop.wait(config.poll_s)
                 continue
+            _worker.hold_trace(claim.job.trace_key)
+            with _renewing(
+                store, claim, config.heartbeat_interval, resilience.job_timeout_s
+            ):
+                end = _run_chunk(store, claim, more)
+            end(claim)
             idle_since = time.monotonic()
-            generation = claim.lease.generation
-            try:
-                with _renewing(
-                    store, claim, config.heartbeat_interval, resilience.job_timeout_s
-                ):
-                    result = _worker.execute_job(claim.job, attempt=generation - 1)
-            # Sanctioned broad catch: classified below into the same
-            # transient/permanent taxonomy the local backends use.
-            except Exception as error:  # lint: disable=R007
-                transient = classify_transient(error)
-                emit(
-                    ExecEvent(
-                        "attempt_failed",
-                        claim.job,
-                        generation=generation,
-                        trace_id=claim.trace_id,
-                        span_id=claim.span_id,
-                        detail={
-                            "worker": identity,
-                            "error": type(error).__name__,
-                            "transient": transient,
-                        },
-                    )
-                )
-                if transient:
-                    store.fail_attempt(claim)
-                else:
-                    store.quarantine_job(
-                        claim.job,
-                        generation,
-                        f"permanent {type(error).__name__}: {error}",
-                    )
-            else:
-                if claim.trace_id is not None and result.trace:
-                    # Correlation ids ride the trace snapshot (transport
-                    # observability, excluded from the canonical
-                    # measurement) so a fleet's traces stitch into one
-                    # timeline.
-                    result.trace.setdefault("trace_id", claim.trace_id)
-                    result.trace.setdefault("span_id", claim.span_id)
-                store.cache.write(claim.job, result)
-                store.complete(claim)
-                emit(
-                    ExecEvent(
-                        "finish",
-                        claim.job,
-                        result,
-                        generation=generation,
-                        trace_id=claim.trace_id,
-                        span_id=claim.span_id,
-                    )
-                )
-            if max_jobs is not None and stats.claimed >= max_jobs:
-                break
     finally:
         if hard_faults:
             faults.mark_worker_process(False)
@@ -1029,25 +1037,12 @@ class _Fleet:
     def _spawn(self):
         # Spawned workers must outlast any single lease expiry, or an
         # idle fleet could exit while a crashed peer's lease runs down.
-        idle = max(
-            self.config.idle_timeout_s, 3.0 * self.config.lease_ttl_s + 5.0
-        )
-        command = [
-            sys.executable,
-            "-m",
-            "repro.harness.cli",
-            "worker",
-            "--broker",
-            str(self.config.root),
-            "--lease-ttl",
-            str(self.config.lease_ttl_s),
-            "--poll",
-            str(self.config.poll_s),
-            "--idle-timeout",
-            str(idle),
-            "--max-generations",
-            str(self.config.generations(self.resilience)),
-        ]
+        config = self.config
+        idle = max(config.idle_timeout_s, 3.0 * config.lease_ttl_s + 5.0)
+        command = [sys.executable, "-m", "repro.harness.cli", "worker"]
+        command += ["--broker", str(config.root), "--poll", str(config.poll_s)]
+        command += ["--lease-ttl", str(config.lease_ttl_s), "--idle-timeout", str(idle)]
+        command += ["--max-generations", str(config.generations(self.resilience))]
         if self.resilience.job_timeout_s is not None:
             command += ["--job-timeout", str(self.resilience.job_timeout_s)]
         # Workers inherit the parent environment untouched (REPRO_FAULTS
@@ -1099,6 +1094,7 @@ class _Fleet:
                 proc.wait(timeout=10.0)
 
 
+
 def drain(engine, pending: list[SimJob]) -> None:
     """Coordinator loop: publish ``pending``, watch the fleet converge.
 
@@ -1106,9 +1102,9 @@ def drain(engine, pending: list[SimJob]) -> None:
     so ``pending`` is exactly the unfinished remainder — which makes
     coordinator restart a resume for free.  The loop: adopt results as
     they land in the shared cache; convert quarantine records into
-    permanent failures; observe lease generations as the liveness
-    watchdog (a generation bump = a reclaim from a lost worker); keep
-    the local fleet staffed.
+    permanent failures; count reclaims; run the liveness watchdog over
+    one lease per open chunk; retire chunks whose jobs are all settled;
+    keep the local fleet staffed.
     """
     config = engine.broker
     if config is None:
@@ -1116,15 +1112,10 @@ def drain(engine, pending: list[SimJob]) -> None:
     if engine.store is None:
         raise BrokerError("broker engine has no result store")
     telemetry = engine.telemetry
-    store = BrokerStore(
-        config,
-        resilience=engine.resilience,
-        emit=engine.emit,
-        cache=engine.store,
-    )
-    store.sweep()
-    store.publish(pending, trace_id=engine.trace_id)
+    store = BrokerStore(config, engine.resilience, engine.emit, engine.store)
     unresolved: dict[str, SimJob] = {job.fingerprint: job for job in pending}
+    ours = set(unresolved)
+    chunks: dict[str, list[SimJob]] = {}
     lost_workers: set[str] = set()
 
     def account_reclaims() -> None:
@@ -1137,29 +1128,44 @@ def drain(engine, pending: list[SimJob]) -> None:
             if lost not in lost_workers:
                 lost_workers.add(lost)
                 engine.emit(ExecEvent("worker_lost"))
-    fleet = (
-        _Fleet(
-            config,
-            engine.resilience,
-            count=min(engine.jobs, len(pending)),
-            progress=engine.progress,
-        )
-        if config.spawn
-        else None
-    )
+
+    def retire_settled() -> None:
+        """Retire the chunks with no job left to resolve (a worker that
+        died after its chunk's last result leaves the record behind)."""
+        for name, chunk in list(chunks.items()):
+            if any(job.fingerprint in unresolved for job in chunk):
+                continue
+            del chunks[name]
+            if all(job.fingerprint in ours or store.settled(job) for job in chunk):
+                store.retire(name)
+
+    # The fleet starts first: its workers' interpreter start-up overlaps
+    # the sweep and the publish.
+    fleet = None
+    if config.spawn:
+        count = min(engine.jobs, len(pending))
+        fleet = _Fleet(config, engine.resilience, count, engine.progress)
     try:
+        store.sweep()
+        chunks = store.publish(pending, engine.jobs, trace_id=engine.trace_id)
+        listed = {job.fingerprint for chunk in chunks.values() for job in chunk}
+        # A chunk runs front to back, so its results land in order; a job
+        # no record lists (settled since the engine's cache read) is a lane.
+        lanes = [*chunks.values()]
+        lanes += ([job] for job in pending if job.fingerprint not in listed)
         while unresolved:
-            progressed = False
-            # 1. Adopt whatever the fleet finished into the engine.
-            for fingerprint, job in list(unresolved.items()):
-                result = store.cache.read(job)
-                if result is None:
-                    continue
-                result.source = "broker"
-                engine._adopt(job, result)
-                store.finish_job(fingerprint)
-                del unresolved[fingerprint]
-                progressed = True
+            # 1. Adopt whatever the fleet finished into the engine: each
+            #    lane up to its first open job without a result.
+            for lane in lanes:
+                for job in lane:
+                    if job.fingerprint not in unresolved:
+                        continue
+                    result = store.cache.read(job)
+                    if result is None:
+                        break
+                    result.source = "broker"
+                    engine._adopt(job, result)
+                    del unresolved[job.fingerprint]
             if not unresolved:
                 break
             # 2. Quarantine records become permanent structured failures.
@@ -1168,41 +1174,24 @@ def drain(engine, pending: list[SimJob]) -> None:
                 job = unresolved.pop(fingerprint, None)  # type: ignore[arg-type]
                 if job is None:
                     continue
-                progressed = True
                 evidence = {key: record.get(key) for key in QUARANTINE_FIELDS}
                 engine.emit(ExecEvent("quarantined", detail=evidence))
-                attempts = int(
-                    record.get("generation") or store.max_generations
-                )
-                engine._fail(
-                    job,
-                    PoisonJobError(
-                        record.get("reason") or "poison job quarantined"
-                    ),
-                    attempts,
-                )
+                attempts = int(record.get("generation") or store.max_generations)
+                reason = record.get("reason") or "poison job quarantined"
+                engine._fail(job, PoisonJobError(reason), attempts)
             # 3. Liveness accounting: every stolen expired lease left a
             #    durable reclaim record — consume each exactly once.
             account_reclaims()
-            # 4. Watchdog: a lease expired at the poison fuse is
-            #    quarantined here in case every worker is dead and
-            #    nobody else will reach the verdict.
-            for fingerprint in list(unresolved):
-                lease = store.read_lease(fingerprint)
-                if lease is None:
-                    continue
-                if (
-                    lease.expired
-                    and lease.generation >= store.max_generations
-                ):
-                    store.quarantine_job(
-                        unresolved[fingerprint],
-                        lease.generation,
-                        f"{lease.generation} consecutive lease "
-                        f"generation(s) expired without a result "
-                        f"(poison fuse: {store.max_generations})",
-                    )
-                    progressed = True  # consumed by step 2 next round
+            # 4. Watchdog, one lease per open chunk: a job whose lease
+            #    expired at the poison fuse is quarantined here in case
+            #    every worker is dead and nobody else will reach the
+            #    verdict.
+            retire_settled()
+            for name in chunks:
+                lease = store.read_lease(name)
+                if lease and lease.expired and lease.fingerprint in unresolved:
+                    if lease.generation >= store.max_generations:
+                        store.blow_fuse(unresolved[lease.fingerprint], lease.generation)
             if fleet is not None:
                 fleet.maintain(active_jobs=len(unresolved))
             if telemetry is not None and telemetry.due:
@@ -1215,11 +1204,12 @@ def drain(engine, pending: list[SimJob]) -> None:
                     reclaims=engine.counters.reclaims,
                     quarantined=engine.counters.quarantined,
                 )
-            if not progressed:
-                time.sleep(config.poll_s)
-        # Final accounting pass: the loop exits the moment the last job
-        # is adopted, which can leave that job's reclaim record unread.
+            time.sleep(config.poll_s)
+        # Final pass: the loop exits the moment the last job is adopted,
+        # which can leave that job's reclaim record unread and its chunk
+        # unretired.
         account_reclaims()
+        retire_settled()
         counters = engine.counters
         evidence = {
             "jobs": len(pending),
@@ -1229,9 +1219,7 @@ def drain(engine, pending: list[SimJob]) -> None:
         }
         engine.emit(ExecEvent("drain", detail=evidence))
         if telemetry is not None:
-            telemetry.heartbeat(
-                "draining", force=True, queue_depth=0, unresolved=0
-            )
+            telemetry.heartbeat("draining", force=True, queue_depth=0, unresolved=0)
     finally:
         if fleet is not None:
             fleet.shutdown()
@@ -1245,6 +1233,7 @@ __all__ = [
     "Claim",
     "Lease",
     "WorkerStats",
+    "chunk_id",
     "default_worker_id",
     "drain",
     "run_worker",

@@ -89,7 +89,7 @@ PROGRESS: dict[str, str] = {
     "cache_corrupt": "[exec] quarantined corrupt cache entry {entry}",
     "cache_read_error": "[exec] cache read failed for {label}: {reason}",
     "cache_write_error": "[exec] cache write failed for {label}: {error}",
-    "skip": "[broker] skipping unusable job record {fingerprint:.12}: {reason}",
+    "skip": "[broker] skipping unusable chunk record {chunk:.12}: {reason}",
     "steal": (
         "[broker] reclaimed expired lease {fingerprint:.12} "
         "from {lost_worker} (generation {generation})"

@@ -375,7 +375,11 @@ def _worker_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--max-jobs", type=int, default=None, metavar="N",
-        help="exit after claiming N jobs (default: run until idle)",
+        help=(
+            "exit after claiming N jobs, counted per job: an unfinished "
+            "chunk is released at the next job boundary (default: run "
+            "until idle)"
+        ),
     )
     parser.add_argument(
         "--worker-id", default=None, metavar="ID",
@@ -401,7 +405,8 @@ def _worker_main(argv: list[str]) -> int:
         return 2
     stop = threading.Event()
     try:
-        # SIGTERM = graceful drain: finish the current claim, then exit.
+        # SIGTERM = graceful drain: finish the current job, release the
+        # chunk, then exit.
         signal.signal(signal.SIGTERM, lambda *_: stop.set())
     except ValueError:  # lint: disable=R007
         pass  # not the main thread (embedded use): idle timeout still exits

@@ -542,8 +542,8 @@ class FleetSnapshot:
 
     ts: float
     procs: list[ProcessView] = field(default_factory=list)
-    #: Broker work-queue depth (published, unclaimed-or-leased records);
-    #: ``None`` when no broker directory is visible.
+    #: Broker work-queue depth: published chunk records, unclaimed or
+    #: leased; ``None`` when no broker directory is visible.
     queue_depth: int | None = None
     active_leases: int | None = None
     quarantined: int | None = None
@@ -594,10 +594,14 @@ class FleetSnapshot:
 
     @property
     def eta_s(self) -> float | None:
-        """Seconds to drain the visible queue at the live finish rate."""
+        """Seconds to drain the visible queue at the live finish rate: the
+        jobs the live coordinators report unresolved (the queue counts
+        chunks)."""
         if self.queue_depth is None:
             return None
-        remaining = self.queue_depth
+        live = [proc for proc in self.coordinators if proc.alive(self.ts)]
+        gauges = [proc.gauges.get("unresolved") for proc in live]
+        remaining = sum(left for left in gauges if type(left) is int)
         rate = sum(
             self._worker_rate(proc)
             for proc in self.workers

@@ -116,15 +116,15 @@ BENCH = _register(
     ),
 )
 
-#: Broker job records, lease files and quarantine records (the
+#: Broker chunk records, lease files and quarantine records (the
 #: filesystem work queue behind distributed execution).
 BROKER = _register(
     "BROKER",
     Schema(
         family="exec-broker",
-        version=1,
+        version=2,
         owner="repro.exec.broker",
-        doc="work-broker job records, lease files and quarantine records",
+        doc="work-broker chunk records, lease files and quarantine records",
     ),
 )
 

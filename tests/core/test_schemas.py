@@ -44,7 +44,7 @@ class TestRegistry:
     def test_every_expected_payload_family_is_registered(self):
         assert set(registered_tags()) == {
             "exec-v3",
-            "exec-broker-v1",
+            "exec-broker-v2",
             "obs-telemetry-v2",
             "obs-trace-v1",
             "obs-bench-v2",

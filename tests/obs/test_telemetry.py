@@ -22,13 +22,14 @@ import pytest
 
 from repro import records
 from repro.exec import BrokerConfig, trace_job
-from repro.exec.broker import BrokerStore
+from repro.exec.broker import BrokerStore, chunk_id
 from repro.harness.cli import main as cli_main
 from repro.obs import probe
 from repro.obs.export import fleet_chrome_trace
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     FleetSnapshot,
+    ProcessView,
     TelemetryCollector,
     TelemetryError,
     TelemetryWriter,
@@ -502,6 +503,21 @@ class TestSnapshot:
         snapshot = FleetSnapshot(ts=0.0, procs=[], queue_depth=5)
         assert snapshot.eta_s is None
 
+    def test_eta_counts_the_jobs_coordinators_report_unresolved(self):
+        # The queue holds one chunk record; ten of its jobs are left.  A
+        # coordinator that stopped heartbeating long ago no longer counts.
+        coordinator = ProcessView(
+            "c", role="coordinator", state="draining", last_ts=10.0,
+            gauges={"unresolved": 10},
+        )
+        gone = ProcessView("old", role="coordinator", gauges={"unresolved": 99})
+        worker = ProcessView(
+            "w", state="running", first_ts=6.0, last_ts=10.0, events={"finish": 8}
+        )
+        procs = [coordinator, gone, worker]
+        snapshot = FleetSnapshot(ts=10.0, procs=procs, queue_depth=1)
+        assert snapshot.eta_s == pytest.approx(5.0)  # 10 jobs at 2 jobs/s
+
 
 # ------------------------------------------------------------------ #
 # trace correlation through the broker
@@ -522,14 +538,16 @@ class TestTraceCorrelation:
         trace_id = make_trace_id("coord")
         store.publish([job], trace_id=trace_id)
         record = json.loads(
-            store.job_path(job.fingerprint).read_text(encoding="utf-8")
+            store.job_path(chunk_id([job])).read_text(encoding="utf-8")
         )
         assert record["trace_id"] == trace_id
-        assert record["span_id"] == span_for(trace_id, job.fingerprint)
+        assert "span_id" not in record  # derived per job, never stored
         claim = BrokerStore(config).claim("w1")
         assert claim is not None
         assert claim.trace_id == trace_id
-        assert claim.span_id == span_for(trace_id, job.fingerprint)
+        event = claim.event("claim")
+        assert event.trace_id == trace_id
+        assert event.span_id == span_for(trace_id, job.fingerprint)
 
     def test_untraced_records_claim_with_no_ids(self, tmp_path):
         config = BrokerConfig(root=tmp_path / "broker", spawn=False)
@@ -537,7 +555,8 @@ class TestTraceCorrelation:
         store.publish([trace_job("crc32", "tiny", 3)])
         claim = BrokerStore(config).claim("w1")
         assert claim is not None
-        assert claim.trace_id is None and claim.span_id is None
+        event = claim.event("claim")
+        assert claim.trace_id is None and event.span_id is None
 
 
 # ------------------------------------------------------------------ #

@@ -41,8 +41,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import records
-from repro.exec import BrokerConfig, ExecEngine, trace_job
-from repro.exec.broker import BrokerStore
+from repro.core.config import CNTCacheConfig
+from repro.exec import BrokerConfig, ExecEngine, trace_job, workload_job
+from repro.exec.backends import trace_chunks
+from repro.exec.broker import BrokerStore, chunk_id
 from repro.exec.store import ResultStore
 from repro.obs import probe
 from repro.obs.bench import RECORD, BenchError, load_pins
@@ -52,6 +54,10 @@ from repro.obs.telemetry import TelemetryCollector, TelemetryWriter
 from repro.schemas import registered_tags
 
 JOB = trace_job("records", "tiny", 3)
+
+#: A two-job broker chunk over JOB's trace, and its record's name.
+(CHUNK,) = trace_chunks([JOB, workload_job(CNTCacheConfig(), "records", "tiny", 3)], 1)
+CHUNK_ID = chunk_id(CHUNK)
 
 #: What a reader returned when it skipped (or found nothing).
 SKIPPED = None
@@ -189,15 +195,17 @@ def _read_cache(root: Path) -> Any:
 
 
 def _write_job(root: Path) -> Path:
-    _broker(root).publish([JOB], trace_id="t" * 32)
-    return _broker(root).job_path(JOB.fingerprint)
+    _broker(root).publish(CHUNK, trace_id="t" * 32)
+    return _broker(root).job_path(CHUNK_ID)
 
 
 def _write_lease(root: Path) -> Path:
+    # A lease whose job field names the chunk's second job.
     store = _broker(root)
-    store.publish([JOB])
-    assert store.claim("w1") is not None
-    return store.lease_path(JOB.fingerprint)
+    store.publish(CHUNK)
+    claim = store.claim("w1")
+    assert claim is not None and store.advance(claim, CHUNK[1])
+    return store.lease_path(CHUNK_ID)
 
 
 def _write_reclaim(root: Path) -> Path:
@@ -262,12 +270,8 @@ def _read_bench(root: Path) -> Any:
 
 KINDS: dict[str, Kind] = {
     "cache entry": Kind(_write_cache, _read_cache),
-    "broker job": Kind(
-        _write_job, lambda root: _broker(root).load_job(JOB.fingerprint)
-    ),
-    "broker lease": Kind(
-        _write_lease, lambda root: _broker(root).read_lease(JOB.fingerprint)
-    ),
+    "broker job": Kind(_write_job, lambda root: _broker(root).load_chunk(CHUNK_ID)),
+    "broker lease": Kind(_write_lease, lambda root: _broker(root).read_lease(CHUNK_ID)),
     "broker reclaim": Kind(_write_reclaim, _read_reclaim),
     "broker quarantine": Kind(_write_quarantine, _read_quarantine),
     "collector state": Kind(_write_state, _read_state),
@@ -376,6 +380,57 @@ def test_damaged_records_read_as_the_original_or_a_counted_skip(
     assert moved == {}, (how, damaged[:200])
     if how != "flip":
         assert value == original, (how, damaged[:200])
+
+
+def _read_damaged(name: str, relative: Path, damaged: bytes) -> tuple[Any, dict]:
+    """What kind ``name``'s reader makes of ``damaged``, and the counters."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(damaged)
+        with probe.recording(probe.ObsScope()) as scope:
+            value = KINDS[name].read(root)
+    return value, dict(scope.counters)
+
+
+#: Values of the wrong JSON type for any field of a chunk record or lease.
+WRONG_TYPES = ['"x"', "[]", "{}", "null", "true"]
+
+
+@pytest.mark.parametrize("name", ["broker job", "broker lease"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_retyped_field_reads_as_the_original_or_a_counted_skip(
+    originals, name, data
+):
+    relative, blob, original = originals[name]
+    record = json.loads(blob)
+    container, key = data.draw(st.sampled_from(_nodes(record)))
+    wrong = [text for text in WRONG_TYPES if type(json.loads(text)) is not type(container[key])]
+    container[key] = "@@retype@@"
+    literal = data.draw(st.sampled_from(wrong))
+    damaged = json.dumps(record).replace('"@@retype@@"', literal).encode()
+    value, moved = _read_damaged(name, relative, damaged)
+    if value is SKIPPED:
+        assert moved == {"exec.broker_skips": 1}, damaged[:200]
+    else:
+        assert moved == {} and value == original, damaged[:200]
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.permutations(range(len(CHUNK))), keep=st.integers(1, len(CHUNK)))
+def test_a_chunk_record_that_does_not_hash_to_its_name_is_a_counted_skip(
+    originals, order, keep
+):
+    relative, blob, original = originals["broker job"]
+    record = json.loads(blob)
+    record["jobs"] = [record["jobs"][index] for index in order[:keep]]
+    value, moved = _read_damaged("broker job", relative, json.dumps(record).encode())
+    if [CHUNK[index] for index in order[:keep]] == CHUNK:
+        assert value == original
+    else:
+        assert value is SKIPPED and moved == {"exec.broker_skips": 1}
 
 
 def _jsonl_original(name: str, directory: Path) -> Path:
