@@ -8,7 +8,7 @@ Examples::
     cntcache all --size small     # every experiment, one deduplicated plan
     cntcache all --jobs 4 --cache-dir .exec-cache --progress
     cntcache selftest             # exec-engine determinism self-check
-    cntcache lint src tests       # domain lint + physics-invariant checks
+    cntcache lint src tests       # domain lint of the source tree
     cntcache profile --size smoke --jobs 2   # pipeline breakdown + manifest
     cntcache profile --json --manifest run.jsonl  # machine-readable
     cntcache trace --export chrome --out trace.json   # per-access events

@@ -1,9 +1,9 @@
 """The ``cntcache lint`` / ``python -m repro.lint`` command.
 
-Exit codes: 0 = clean, 1 = findings / physics violations, 2 = usage
-error (bad paths, malformed rule ids).  Output is one
-``file:line: R00X severity message`` line per finding, or JSON with
-``--format``; ``--output`` redirects the report to a file.
+Exit codes: 0 = clean, 1 = findings, 2 = usage error (bad paths,
+malformed rule ids).  Output is one ``file:line: R00X message`` line
+per finding, or JSON with ``--format``; ``--output`` redirects the
+report to a file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from repro.lint.engine import LintConfig, LintError, lint_paths
-from repro.lint.findings import Severity
 from repro.lint.rules import iter_rules
 
 
@@ -28,9 +27,9 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cntcache lint",
         description=(
-            "CNT-Cache project analyzer: energy/architecture rules "
-            "R001-R008, determinism sanitizer D001-D005, schema "
-            "consistency S001-S002, physics invariants P001-P006"
+            "CNT-Cache source analyzer: energy/architecture rules "
+            "R001-R004 and R006-R008, determinism sanitizer D001-D005, "
+            "schema consistency S001-S002"
         ),
     )
     parser.add_argument(
@@ -57,11 +56,6 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--no-invariants",
-        action="store_true",
-        help="skip the physics-invariant checks over the shipped models",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
@@ -75,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list_rules:
         for rule in iter_rules():
-            print(f"{rule.rule_id} [{rule.severity.value}] {rule.summary}")
+            print(f"{rule.rule_id} {rule.summary}")
         return 0
 
     enabled = (
@@ -91,49 +85,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    violations = []
-    if not args.no_invariants:
-        from repro.lint.invariants import check_shipped_models
-
-        violations = check_shipped_models()
-
     if args.format == "json":
         report = json.dumps(
-            {
-                "findings": [finding.as_dict() for finding in findings],
-                "physics": [
-                    {
-                        "code": violation.code,
-                        "context": violation.context,
-                        "message": violation.message,
-                    }
-                    for violation in violations
-                ],
-            },
-            indent=2,
+            {"findings": [finding.as_dict() for finding in findings]}, indent=2
         )
     else:
         lines = [finding.format() for finding in findings]
-        lines.extend(violation.format() for violation in violations)
-        errors = sum(
-            1 for finding in findings if finding.severity is Severity.ERROR
-        )
-        summary = (
-            f"lint: {len(findings)} finding(s) ({errors} error(s)), "
-            f"{len(violations)} physics violation(s)"
-        )
-        lines.append(summary)
+        lines.append(f"lint: {len(findings)} finding(s)")
         report = "\n".join(lines)
 
     if args.output is not None:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
-
-    failed = bool(violations) or any(
-        finding.severity is Severity.ERROR for finding in findings
-    )
-    return 1 if failed else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

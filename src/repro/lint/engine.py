@@ -6,7 +6,7 @@ deliberate violations.
 
 Suppression protocol (mirrors the usual ``# noqa`` conventions):
 
-* ``# lint: disable=R001`` (or ``R001,R005``) at the end of a line
+* ``# lint: disable=R001`` (or ``R001,D003``) at the end of a line
   suppresses those rules for that line; ``# lint: disable`` with no ids
   suppresses every rule on the line.
 * ``# lint: skip-file`` within the first two lines excludes the file from
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.project import ProjectIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -59,16 +59,11 @@ class LintConfig:
         under a ``repro`` source tree, so test/fixture code may freely
         build energy tables and codec stubs.  The lint test suite turns
         this off to lint its fixtures.
-    ``check_invariants``
-        When True the CLI also runs the physics-invariant checker
-        (:mod:`repro.lint.invariants`) and reports violations as ``P0xx``
-        findings.
     """
 
     enabled_rules: frozenset[str] | None = None
     honor_skip_file: bool = True
     scope_to_source: bool = True
-    check_invariants: bool = True
 
     def __post_init__(self) -> None:
         if self.enabled_rules is not None:
@@ -83,8 +78,6 @@ class LintConfig:
             raise LintError("honor_skip_file must be a bool")
         if not isinstance(self.scope_to_source, bool):
             raise LintError("scope_to_source must be a bool")
-        if not isinstance(self.check_invariants, bool):
-            raise LintError("check_invariants must be a bool")
 
 
 @dataclass
@@ -157,13 +150,7 @@ def parse_module(path: Path) -> ParsedModule | Finding:
     try:
         tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
-        return Finding(
-            path=display,
-            line=exc.lineno or 1,
-            rule_id="R000",
-            severity=Severity.ERROR,
-            message=f"syntax error: {exc.msg}",
-        )
+        return Finding(display, exc.lineno or 1, "R000", f"syntax error: {exc.msg}")
     suppressions, skip = _parse_suppressions(source)
     return ParsedModule(
         path=path,

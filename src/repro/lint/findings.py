@@ -1,29 +1,17 @@
-"""Finding and severity types shared by every lint layer."""
+"""The finding type every lint rule reports; any finding fails the gate."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Severity(enum.Enum):
-    """How bad a finding is; only errors fail the gate."""
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic: ``file:line rule-id message`` plus severity."""
+    """One diagnostic: ``file:line: rule-id message``."""
 
     path: str
     line: int
     rule_id: str
-    severity: Severity
     message: str
 
     @property
@@ -32,11 +20,8 @@ class Finding:
         return (self.path, self.line, self.rule_id)
 
     def format(self) -> str:
-        """The canonical ``file:line: R00X severity message`` line."""
-        return (
-            f"{self.path}:{self.line}: {self.rule_id} "
-            f"{self.severity.value} {self.message}"
-        )
+        """The canonical ``file:line: R00X message`` line."""
+        return f"{self.path}:{self.line}: {self.rule_id} {self.message}"
 
     def as_dict(self) -> dict[str, str | int]:
         """JSON-friendly view (the ``--format json`` output record)."""
@@ -44,6 +29,5 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "rule": self.rule_id,
-            "severity": self.severity.value,
             "message": self.message,
         }

@@ -16,7 +16,6 @@ from repro.lint.rules.determinism import (
 from repro.lint.rules.energy import EnergyAccumulationRule, EnergyLiteralRule
 from repro.lint.rules.execution import DirectSimulationRule
 from repro.lint.rules.exports import CodecRegistrationRule
-from repro.lint.rules.hygiene import HygieneRule
 from repro.lint.rules.metrics import MetricNameRule
 from repro.lint.rules.resilience import ErrorSwallowRule
 from repro.lint.rules.schema_rules import (
@@ -32,7 +31,6 @@ RULES: dict[str, LintRule] = {
         EnergyLiteralRule(),
         CodecRegistrationRule(),
         ConfigValidationRule(),
-        HygieneRule(),
         DirectSimulationRule(),
         ErrorSwallowRule(),
         MetricNameRule(),
@@ -66,7 +64,6 @@ __all__ = [
     "ErrorSwallowRule",
     "FingerprintCoverageRule",
     "FloatAccumulationRule",
-    "HygieneRule",
     "MetricNameRule",
     "SchemaTagLiteralRule",
     "UnorderedSerializationRule",

@@ -6,7 +6,7 @@ import abc
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.lint.engine import LintContext, ParsedModule
@@ -23,7 +23,6 @@ class LintRule(abc.ABC):
 
     #: Stable identifier (``R001``...); used in output and suppressions.
     rule_id: str = "R000"
-    severity: Severity = Severity.ERROR
     #: One-line description shown by ``--list-rules``.
     summary: str = ""
     scope: str = "module"
@@ -41,11 +40,5 @@ class LintRule(abc.ABC):
     def finding(
         self, path: str, line: int, message: str
     ) -> Finding:
-        """Build a finding carrying this rule's id and severity."""
-        return Finding(
-            path=path,
-            line=line,
-            rule_id=self.rule_id,
-            severity=self.severity,
-            message=message,
-        )
+        """Build a finding carrying this rule's id."""
+        return Finding(path, line, self.rule_id, message)

@@ -34,7 +34,13 @@ def _annotation_text(node: ast.expr) -> str:
 
 
 class ConfigValidationRule(LintRule):
-    """R004: every ``*Config`` dataclass field is validated."""
+    """R004: every ``*Config`` dataclass field is validated.
+
+    Invariant: a bad config value fails at construction, before it
+    reaches a simulator or a cache key.  Fails without it:
+    ``TestR004::test_fires_on_unvalidated_field_and_missing_post_init``
+    in ``tests/lint/test_rules.py``.
+    """
 
     rule_id = "R004"
     summary = (

@@ -125,6 +125,11 @@ class WallClockRule(LintRule):
     from them varies run-to-run and poisons cached results.  Duration
     clocks (``time.perf_counter``, ``time.monotonic``) are fine — they
     only ever feed *reporting*, never simulation state.
+
+    Invariant: a cached result is a pure function of config, seed and
+    code fingerprint, so it never holds a clock reading.  Fails without
+    it: ``TestD001::test_fires_on_wall_clock_reads_only`` in
+    ``tests/lint/test_determinism_rules.py``.
     """
 
     rule_id = "D001"
@@ -167,6 +172,10 @@ class UnseededRandomRule(LintRule):
     ``os.urandom``, ``secrets.*`` and ``uuid.uuid4``.  The sanctioned
     pattern is ``random.Random(seed)`` with the seed threaded from the
     workload/experiment config.
+
+    Invariant: two runs with the same seed draw the same numbers.  Fails
+    without it: ``TestD002::test_fires_on_every_entropy_source`` in
+    ``tests/lint/test_determinism_rules.py``.
     """
 
     rule_id = "D002"
@@ -220,6 +229,10 @@ class EnvironReadRule(LintRule):
     codebase through explicit config objects and CLI flags; the one
     sanctioned exception is the fault-plan channel in ``repro.faults``
     (env is the only way to reach spawned worker processes).
+
+    Invariant: behaviour depends only on explicit config and flags.
+    Fails without it: ``TestD003::test_fires_on_environ_and_getenv`` in
+    ``tests/lint/test_determinism_rules.py``.
     """
 
     rule_id = "D003"
@@ -291,6 +304,11 @@ class UnorderedSerializationRule(LintRule):
     any definition that reaches the sink binds a set/dict literal,
     comprehension, builder call or set algebra — including loop
     variables bound by iterating a set.
+
+    Invariant: serialized and hashed bytes are identical run to run.
+    Fails without it:
+    ``TestD004::test_fires_on_set_dict_and_loop_var_taint`` in
+    ``tests/lint/test_determinism_rules.py``.
     """
 
     rule_id = "D004"
@@ -384,6 +402,10 @@ class FloatAccumulationRule(LintRule):
     order.  Complements R001: R001 guards *attribute* stores
     (``stats.x_fj +=``), D005 guards local *name* accumulators inside
     loops (``total += stats.leakage_fj``).
+
+    Invariant: an fJ total does not depend on iteration order.  Fails
+    without it: ``TestD005::test_fires_on_fj_accumulators_in_loops`` in
+    ``tests/lint/test_determinism_rules.py``.
     """
 
     rule_id = "D005"

@@ -51,6 +51,11 @@ class EnergyAccumulationRule(LintRule):
     ``repro/core/stats.py``.  Call ``EnergyStats.add(component, fj)``
     instead so totals, validation and compensated summation stay in one
     place.
+
+    Invariant: every femtojoule total is summed by ``EnergyStats``
+    (validated, compensated), so the reported savings stay auditable.
+    Fails without it: ``TestR001::test_fires_on_adhoc_accumulation`` in
+    ``tests/lint/test_rules.py``.
     """
 
     rule_id = "R001"
@@ -86,8 +91,13 @@ class EnergyLiteralRule(LintRule):
 
     Flags non-zero numeric literals bound to ``*_fj*`` names (assignments,
     annotated defaults and keyword arguments).  Calibration constants
-    belong in :mod:`repro.cnfet` where the invariant checker can see them;
-    everywhere else, reference the named constant.
+    belong in :mod:`repro.cnfet`; everywhere else, reference the named
+    constant.
+
+    Invariant: each calibration constant has one home, beside the device
+    physics in ``repro/cnfet/``.  Fails without it:
+    ``TestR002::test_fires_on_literals`` in
+    ``tests/lint/test_rules.py``.
     """
 
     rule_id = "R002"

@@ -77,6 +77,12 @@ class DirectSimulationRule(LintRule):
     the simulators' own modules, flags simulator construction — use
     :func:`repro.api.make_cache`.
     ``# lint: disable=R006`` marks the rare deliberate exception.
+
+    Invariant: every experiment job is deduplicated, cached and
+    parallelized by the exec engine, and built through one facade.
+    Fails without it:
+    ``TestR006::test_fires_on_direct_simulation_in_experiments_module``
+    in ``tests/lint/test_rules.py``.
     """
 
     rule_id = "R006"

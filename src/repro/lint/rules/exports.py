@@ -26,7 +26,13 @@ _ROOT = "LineCodec"
 
 
 class CodecRegistrationRule(LintRule):
-    """R003: concrete codec classes are exported and registered."""
+    """R003: concrete codec classes are exported and registered.
+
+    Invariant: every scheme a config names resolves to a codec that its
+    package exports.  Fails without it:
+    ``TestR003::test_fires_on_unexported_unregistered_codec`` in
+    ``tests/lint/test_rules.py``.
+    """
 
     rule_id = "R003"
     scope = "project"

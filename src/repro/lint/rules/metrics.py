@@ -78,6 +78,11 @@ class MetricNameRule(LintRule):
     :data:`repro.obs.names.METRIC_NAMES` (or fall under a declared
     dynamic family prefix).  ``# lint: disable=R008`` suppresses a
     deliberate one-off.
+
+    Invariant: reports and trends never key on a misspelt metric.  Fails
+    without it:
+    ``TestR008::test_fires_on_typos_malformed_and_unregistered_names``
+    in ``tests/lint/test_rules.py``.
     """
 
     rule_id = "R008"

@@ -63,9 +63,14 @@ class ErrorSwallowRule(LintRule):
     catches ``Exception``/``BaseException`` (alone or inside a tuple)
     and every typed handler whose body is pure ``pass`` — errors must be
     classified through :mod:`repro.resilience`, logged, re-raised or
-    recorded, never swallowed.  Bare ``except:`` stays R005's finding.
+    recorded, never swallowed.  A bare ``except:`` is ruff's ``E722``.
     ``# lint: disable=R007`` on the ``except`` line marks the sanctioned
     sites (classify-and-retry, best-effort cleanup).
+
+    Invariant: every job error reaches the :mod:`repro.resilience`
+    taxonomy.  Fails without it:
+    ``TestR007::test_fires_on_broad_catches_and_silent_swallows`` in
+    ``tests/lint/test_rules.py``.
     """
 
     rule_id = "R007"
@@ -82,7 +87,7 @@ class ErrorSwallowRule(LintRule):
         if context.config.scope_to_source and not in_repro_source(module):
             return
         for node in ast.walk(module.tree):
-            # Bare `except:` (type is None) is already R005 territory.
+            # A bare `except:` (type is None) is ruff's E722.
             if not isinstance(node, ast.ExceptHandler) or node.type is None:
                 continue
             caught = _caught_names(node.type)

@@ -56,6 +56,11 @@ class SchemaTagLiteralRule(LintRule):
     constant to use (``CONSTANT.tag``); tag-shaped literals that are
     *not* registered are flagged as unregistered — either register
     the schema or rename the string so it stops looking like a tag.
+
+    Invariant: each schema tag is defined once, in :mod:`repro.schemas`.
+    Fails without it:
+    ``TestS001::test_fires_on_registered_and_unknown_tag_literals`` in
+    ``tests/lint/test_schema_rules.py``.
     """
 
     rule_id = "S001"
@@ -145,6 +150,11 @@ class FingerprintCoverageRule(LintRule):
     The spec is injectable for tests; the default reads the live
     declaration in :mod:`repro.exec.job` at check time, so a stale
     fingerprint list turns the gate red immediately.
+
+    Invariant: editing any module that can change a result invalidates
+    the cached results it produced.  Fails without it:
+    ``TestS002OnTheMiniPackage::test_uncovered_reachable_module_is_flagged_with_witness``
+    in ``tests/lint/test_schema_rules.py``.
     """
 
     rule_id = "S002"

@@ -205,6 +205,9 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
                 )
 
     job_gauges: dict = {}
+    total_parts: list[float] = []
+    energy_parts: dict[str, list[float]] = {}
+    scheme_parts: dict[str, list[float]] = {}
     for entry in job_entries:
         wall_s = _finite(entry.get("wall_s", 0.0))
         accesses = int(_finite(entry.get("accesses", 0)))
@@ -228,23 +231,25 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
 
         energy = entry.get("energy")
         if energy:
-            components = {
-                name: _finite(value)
-                for name, value in energy.items()
-                if isinstance(value, (int, float)) and name.endswith("_fj")
-            }
-            _merge_numeric(summary.energy_fj, components)
+            for name, value in energy.items():
+                if isinstance(value, (int, float)) and name.endswith("_fj"):
+                    energy_parts.setdefault(name, []).append(_finite(value))
             total = _finite(entry.get("energy_fj") or 0.0)
-            # Report-side aggregation of already-metered energy, not a
-            # new energy source.
-            summary.total_fj += total  # lint: disable=R001
+            total_parts.append(total)
             scheme = entry.get("scheme") or "?"
             by_scheme = summary.by_scheme.setdefault(
                 scheme, {"jobs": 0, "total_fj": 0.0, "accesses": 0}
             )
             by_scheme["jobs"] += 1
-            by_scheme["total_fj"] += total
+            scheme_parts.setdefault(scheme, []).append(total)
             by_scheme["accesses"] += int(_finite(entry.get("accesses", 0)))
+
+    # fJ totals keep their parts and are summed exactly, so record
+    # (arrival) order cannot change them.
+    summary.total_fj = math.fsum(total_parts)
+    summary.energy_fj = {
+        name: math.fsum(parts) for name, parts in energy_parts.items()
+    }
 
     if not saw_summary:
         summary.counters = job_counters
@@ -259,7 +264,8 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
             by_kind["accesses"] / wall if wall > 0 else 0.0
         )
 
-    for by_scheme in summary.by_scheme.values():
+    for scheme, by_scheme in summary.by_scheme.items():
+        by_scheme["total_fj"] = math.fsum(scheme_parts[scheme])
         accesses = by_scheme["accesses"]
         by_scheme["fj_per_access"] = (
             by_scheme["total_fj"] / accesses if accesses else 0.0

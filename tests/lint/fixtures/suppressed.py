@@ -2,11 +2,9 @@
 """Suppression fixture: identical violations, first one disabled."""
 
 
-def quiet(items=[]):  # lint: disable=R005
-    """Suppressed seeded violation."""
-    return items
+quiet_fj = 0.3  # lint: disable=R002
 
+# Lines 5 and 10 seed the same R002 violation; only line 5 carries
+# the disable comment, so only line 10 is reported.
 
-def loud(items=[]):
-    """Unsuppressed seeded violation."""
-    return items
+loud_fj = 0.3

@@ -45,7 +45,6 @@ class TestOutputFormats:
                 "json",
                 "--output",
                 str(report),
-                "--no-invariants",
                 "repro",
             ]
         )
@@ -55,11 +54,11 @@ class TestOutputFormats:
         assert finding["rule"] == "D003"
         assert finding["path"].endswith("bad.py")
 
-    def test_json_format_reports_findings_and_physics(
+    def test_json_format_holds_only_findings(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         write_module(tmp_path, "clean.py", CLEAN)
         assert lint_main(["--format", "json", "repro"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"findings": [], "physics": []}
+        assert payload == {"findings": []}

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.cli import main as cntcache_main
-from repro.lint import LintConfig, LintError, lint_paths
+from repro.lint import RULES, LintConfig, LintError, lint_paths
 from repro.lint.cli import main as lint_main
 
 REPO = Path(__file__).resolve().parents[2]
@@ -48,48 +48,61 @@ class TestConfig:
             LintConfig(scope_to_source="yes")
 
 
+#: A handler that silently swallows its error: R007 fires on line 3.
+SWALLOW = "try:\n    pass\nexcept ValueError:\n    pass\n"
+
+#: The rule ids the registry ships, in ``--list-rules`` order.
+RULE_IDS = [
+    "D001", "D002", "D003", "D004", "D005",
+    "R001", "R002", "R003", "R004", "R006", "R007", "R008",
+    "S001", "S002",
+]
+
+
+def swallowing_module(tmp_path):
+    """A seeded R007 violation under a ``repro`` dir (source scoping)."""
+    package = tmp_path / "repro"
+    package.mkdir()
+    bad = package / "bad.py"
+    bad.write_text(SWALLOW, encoding="utf-8")
+    return bad
+
+
 class TestCli:
     def test_green_on_the_real_tree(self):
-        # The acceptance gate: `python -m repro.lint src tests` exits 0,
-        # physics invariants included.
+        # The acceptance gate: `python -m repro.lint src tests` exits 0.
         assert lint_main([str(REPO / "src"), str(REPO / "tests")]) == 0
 
     def test_red_on_a_violating_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            '"""Doc."""\n\n\ndef f(xs=[]):\n    """Doc."""\n    return xs\n',
-            encoding="utf-8",
-        )
-        assert lint_main([str(bad), "--no-invariants"]) == 1
+        bad = swallowing_module(tmp_path)
+        assert lint_main([str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "R005" in out
-        assert f"{bad}:4:" in out
+        assert f"{bad}:3: R007 handler for 'ValueError'" in out
+        assert out.endswith("lint: 1 finding(s)\n")
 
     def test_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    pass\nexcept:\n    pass\n", encoding="utf-8")
-        assert lint_main([str(bad), "--format", "json", "--no-invariants"]) == 1
+        bad = swallowing_module(tmp_path)
+        assert lint_main([str(bad), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["physics"] == []
-        assert [record["rule"] for record in payload["findings"]] == ["R005"]
-        assert payload["findings"][0]["line"] == 3
+        (record,) = payload["findings"]
+        assert list(payload) == ["findings"]
+        assert sorted(record) == ["line", "message", "path", "rule"]
+        assert (record["rule"], record["line"]) == ("R007", 3)
 
     def test_rules_filter(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    pass\nexcept:\n    pass\n", encoding="utf-8")
-        assert (
-            lint_main([str(bad), "--rules", "R001", "--no-invariants"]) == 0
-        )
+        bad = swallowing_module(tmp_path)
+        assert lint_main([str(bad), "--rules", "R001"]) == 0
+        assert lint_main([str(bad), "--rules", "R001,R007"]) == 1
 
     def test_malformed_rules_flag_is_a_usage_error(self, capsys):
-        assert lint_main(["--rules", "bogus,R001", "--no-invariants"]) == 2
+        assert lint_main(["--rules", "bogus,R001"]) == 2
         assert "malformed rule ids" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005"):
-            assert rule_id in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == RULE_IDS
+        assert f"R001 {RULES['R001'].summary}" in lines
 
     def test_cntcache_lint_subcommand_dispatch(self, capsys):
         assert cntcache_main(["lint", "--list-rules"]) == 0

@@ -1,5 +1,6 @@
 """Run-manifest reader/summarizer unit tests (manifests are frame streams)."""
 
+import itertools
 import json
 
 import pytest
@@ -173,6 +174,25 @@ class TestWriterReader:
 
 
 class TestSummarize:
+    def test_energy_totals_do_not_depend_on_record_order(self):
+        # Under --jobs/--broker record order is arrival order; 0.1 + 0.2
+        # + 0.3 summed left to right is 0.6000000000000001 in this order
+        # and 0.6 reversed, so totals must be exact sums of the parts.
+        entries = [job(total_fj=fj) for fj in (0.1, 0.2, 0.3)]
+        seen = set()
+        for order in itertools.permutations(entries):
+            summary = summarize(order)
+            seen.add(
+                (
+                    summary.total_fj,
+                    summary.by_scheme["cnt"]["total_fj"],
+                    tuple(sorted(summary.energy_fj.items())),
+                )
+            )
+        assert seen == {
+            (0.6, 0.6, (("data_read_fj", 0.3), ("data_write_fj", 0.3)))
+        }
+
     def test_empty_stream_is_all_zeros(self):
         summary = summarize([])
         assert summary.jobs == 0
