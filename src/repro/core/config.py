@@ -297,12 +297,12 @@ class CNTCacheConfig:
         canonical form suitable for content hashing.
         """
         payload: dict[str, Any] = {}
-        for spec in dataclass_fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in ("energy", "leakage"):
-                payload[spec.name] = None if value is None else value.to_dict()
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if name in ("energy", "leakage"):
+                payload[name] = None if value is None else value.to_dict()
             else:
-                payload[spec.name] = value
+                payload[name] = value
         return payload
 
     @classmethod
@@ -312,7 +312,7 @@ class CNTCacheConfig:
             raise ConfigError(
                 f"config payload must be a dict, got {type(payload).__name__}"
             )
-        expected = {spec.name for spec in dataclass_fields(cls)}
+        expected = set(_FIELD_NAMES)
         unknown = set(payload) - expected
         missing = expected - set(payload)
         if unknown or missing:
@@ -335,3 +335,8 @@ class CNTCacheConfig:
             f"H&D={self.metadata_bits_per_line} bits/line "
             f"({100 * self.storage_overhead:.1f}%)"
         )
+
+
+#: :class:`CNTCacheConfig`'s field names in declaration order, resolved
+#: once rather than by ``dataclasses.fields`` on every snapshot.
+_FIELD_NAMES = tuple(spec.name for spec in dataclass_fields(CNTCacheConfig))

@@ -162,17 +162,12 @@ class EnergyStats:
         """
         materialized = list(parts)
         merged = cls()
-        energy_names = set(ENERGY_COMPONENTS)
-        for spec in fields(cls):
-            if spec.name == "extra":
-                continue
-            if spec.name in energy_names:
-                value: float | int = math.fsum(
-                    getattr(part, spec.name) for part in materialized
-                )
-            else:
-                value = sum(getattr(part, spec.name) for part in materialized)
-            setattr(merged, spec.name, value)
+        for name in _COUNTER_FIELDS:
+            setattr(merged, name, sum(getattr(part, name) for part in materialized))
+        for name in ENERGY_COMPONENTS:
+            setattr(
+                merged, name, math.fsum(getattr(part, name) for part in materialized)
+            )
         keys = sorted({key for part in materialized for key in part.extra})
         for key in keys:
             merged.extra[key] = math.fsum(
@@ -195,11 +190,7 @@ class EnergyStats:
         reproduces ``stats`` bit for bit — the property the exec engine's
         result cache and worker transport rely on.
         """
-        payload: dict = {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name != "extra"
-        }
+        payload: dict = {name: getattr(self, name) for name in _SCALAR_FIELDS}
         payload["extra"] = dict(self.extra)
         return payload
 
@@ -215,38 +206,29 @@ class EnergyStats:
             raise StatsError(
                 f"stats payload must be a dict, got {type(payload).__name__}"
             )
-        specs = [spec for spec in fields(cls) if spec.name != "extra"]
-        expected = {spec.name for spec in specs} | {"extra"}
-        unknown = set(payload) - expected
-        missing = expected - set(payload)
-        if unknown or missing:
+        if payload.keys() != _PAYLOAD_KEYS:
+            unknown = payload.keys() - _PAYLOAD_KEYS
+            missing = _PAYLOAD_KEYS - payload.keys()
             raise StatsError(
                 f"stats payload key mismatch: unknown={sorted(unknown)} "
                 f"missing={sorted(missing)}"
             )
-        energy_names = set(ENERGY_COMPONENTS)
         stats = cls()
-        for spec in specs:
-            value = payload[spec.name]
-            if spec.name in energy_names:
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    raise StatsError(
-                        f"{spec.name} must be a number, got {value!r}"
-                    )
-                value = float(value)
-                if not math.isfinite(value) or value < 0:
-                    raise StatsError(
-                        f"{spec.name} must be finite and non-negative, "
-                        f"got {value!r}"
-                    )
-            else:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise StatsError(
-                        f"{spec.name} must be an int, got {value!r}"
-                    )
-            setattr(stats, spec.name, value)
+        for name in _COUNTER_FIELDS:
+            value = payload[name]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise StatsError(f"{name} must be an int, got {value!r}")
+            setattr(stats, name, value)
+        for name in ENERGY_COMPONENTS:
+            value = payload[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise StatsError(f"{name} must be a number, got {value!r}")
+            value = float(value)
+            if not math.isfinite(value) or value < 0:
+                raise StatsError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+            setattr(stats, name, value)
         extra = payload["extra"]
         if not isinstance(extra, dict):
             raise StatsError(f"extra must be a dict, got {type(extra).__name__}")
@@ -263,9 +245,7 @@ class EnergyStats:
     def as_dict(self) -> dict[str, float | int]:
         """Flat-dict view (counters + energies + derived)."""
         out: dict[str, float | int] = {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(EnergyStats)
-            if spec.name != "extra"
+            name: getattr(self, name) for name in _SCALAR_FIELDS
         }
         out["total_fj"] = self.total_fj
         out["data_fj"] = self.data_fj
@@ -294,3 +274,16 @@ class EnergyStats:
             f"  per access        {self.energy_per_access_fj:>16.2f}"
         )
         return "\n".join(lines)
+
+
+#: The scalar fields of :class:`EnergyStats` (``extra`` aside) in
+#: declaration order, and the counters among them: resolved once here
+#: rather than by ``dataclasses.fields`` on every cache-read decode.
+_SCALAR_FIELDS = tuple(
+    spec.name for spec in fields(EnergyStats) if spec.name != "extra"
+)
+_COUNTER_FIELDS = tuple(
+    name for name in _SCALAR_FIELDS if name not in ENERGY_COMPONENTS
+)
+#: The keys of a :meth:`EnergyStats.to_dict` snapshot.
+_PAYLOAD_KEYS = frozenset(_SCALAR_FIELDS + ("extra",))

@@ -215,6 +215,12 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
+#: The canonical JSON form fingerprints hash: the bytes of
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, from one
+#: encoder instead of one built per call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One simulation, described as a pure value.
@@ -286,9 +292,7 @@ class SimJob:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of the job: equal jobs <=> equal fingerprints."""
-        canonical = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
+        canonical = _CANONICAL_JSON.encode(self.describe())
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     @property

@@ -29,6 +29,9 @@ class ResultError(ValueError):
 #: instead of a measurement.
 SOURCES = ("run", "memo", "cache", "broker", "failed")
 
+#: The keys of a :meth:`ExecResult.payload` document, no more, no fewer.
+_PAYLOAD_KEYS = frozenset({"stats", "values", "wall_s", "obs", "trace"})
+
 
 @dataclass
 class ExecResult:
@@ -128,13 +131,7 @@ class ExecResult:
         cls, job: SimJob, payload: dict, source: str = "run"
     ) -> "ExecResult":
         """Rebuild a result from :meth:`payload` output."""
-        if not isinstance(payload, dict) or set(payload) != {
-            "stats",
-            "values",
-            "wall_s",
-            "obs",
-            "trace",
-        }:
+        if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
             raise ResultError(f"malformed result payload: {payload!r}")
         if source not in SOURCES:
             raise ResultError(f"unknown source {source!r}; known: {SOURCES}")

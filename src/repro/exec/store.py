@@ -92,7 +92,7 @@ class ResultStore:
 
     def path_for(self, fingerprint: str) -> Path:
         """Where a result with ``fingerprint`` lives (or would live)."""
-        return self.directory / fingerprint[:2] / f"{fingerprint}.json"
+        return self.directory.joinpath(fingerprint[:2], f"{fingerprint}.json")
 
     def read(self, job: SimJob) -> ExecResult | None:
         """The cached result of ``job``, or ``None`` on any kind of miss.
@@ -162,13 +162,39 @@ class ResultStore:
         * ``*.corrupt`` older than :data:`STALE_CORRUPT_TTL_S` —
           quarantined evidence nobody came back for.
 
-        Counted per class (``tmp_swept`` / ``corrupt_swept``) so a cache
-        that keeps accumulating residue is visible in summaries.
+        One ``os.scandir`` walk over the shard directories classifies
+        both (a name matching both patterns is a tmp file).  Counted per
+        class (``tmp_swept`` / ``corrupt_swept``) so a cache that keeps
+        accumulating residue is visible in summaries.
         """
-        tmp = sweep_stale(self.directory, "*/*.tmp.*", STALE_TMP_TTL_S)
-        self.emit(ExecEvent("tmp_swept", n=tmp))
-        corrupt = sweep_stale(self.directory, "*/*.corrupt", STALE_CORRUPT_TTL_S)
-        self.emit(ExecEvent("corrupt_swept", n=corrupt))
+        # Wall clock by necessity, as in sweep_stale.
+        now = time.time()  # lint: disable=D001
+        swept = {"tmp_swept": 0, "corrupt_swept": 0}
+        for shard in _entries(self.directory):
+            for entry in _entries(shard.path):
+                if ".tmp." in entry.name:
+                    kind, ttl_s = "tmp_swept", STALE_TMP_TTL_S
+                elif entry.name.endswith(".corrupt"):
+                    kind, ttl_s = "corrupt_swept", STALE_CORRUPT_TTL_S
+                else:
+                    continue
+                try:
+                    if entry.stat().st_mtime < now - ttl_s:
+                        os.unlink(entry.path)
+                        swept[kind] += 1
+                except OSError:  # lint: disable=R007
+                    pass  # vanished mid-sweep (concurrent janitor): fine
+        for kind, n in swept.items():
+            self.emit(ExecEvent(kind, n=n))
+
+
+def _entries(directory: str | Path) -> list[os.DirEntry]:
+    """The entries of ``directory``: none if it is absent, unreadable or a file."""
+    try:
+        with os.scandir(directory) as scan:
+            return list(scan)
+    except OSError:
+        return []
 
 
 __all__ = [

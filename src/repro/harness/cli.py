@@ -35,8 +35,6 @@ import time
 from pathlib import Path
 
 from repro.exec import (
-    BrokerConfig,
-    BrokerError,
     EngineError,
     ExecEngine,
     JobFailure,
@@ -326,7 +324,7 @@ def _worker_main(argv: list[str]) -> int:
     import signal
     import threading
 
-    from repro.exec.broker import run_worker
+    from repro.exec.broker import BrokerConfig, BrokerError, run_worker
 
     parser = argparse.ArgumentParser(
         prog="cntcache worker",
@@ -607,11 +605,26 @@ def _resilience_from(args: argparse.Namespace) -> ResilienceConfig:
     )
 
 
+def _flag_errors(args: argparse.Namespace) -> tuple[type[Exception], ...]:
+    """The errors that mean the flags describe no usable engine.
+
+    Only ``--broker`` can raise ``BrokerError``, so only that path imports
+    the broker (and with it telemetry, ``socket`` and ``subprocess``).
+    """
+    if args.broker is None:
+        return (EngineError,)
+    from repro.exec.broker import BrokerError
+
+    return (EngineError, BrokerError)
+
+
 def _engine_from(args: argparse.Namespace) -> ExecEngine:
-    """Build the engine the flags describe (may raise Engine/BrokerError)."""
+    """Build the engine the flags describe (may raise a :func:`_flag_errors`)."""
     progress = (lambda line: print(line, flush=True)) if args.progress else None
     broker = None
     if args.broker is not None:
+        from repro.exec.broker import BrokerConfig
+
         broker = BrokerConfig(root=args.broker, lease_ttl_s=args.lease_ttl)
     return ExecEngine(
         jobs=args.jobs,
@@ -716,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.output, size=size, seed=args.seed, engine=engine
             )
             engine.close_telemetry()
-        except (EngineError, BrokerError) as error:
+        except _flag_errors(args) as error:
             print(str(error), file=sys.stderr)
             return 2
         except JobFailure as error:
@@ -735,7 +748,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         engine = _engine_from(args)
-    except (EngineError, BrokerError) as error:
+    except _flag_errors(args) as error:
         print(str(error), file=sys.stderr)
         return 2
     try:

@@ -15,7 +15,10 @@ registry — and consumes :class:`~repro.exec.ExecResult`\\ s from an
 across all experiments of a session (e.g. the baseline reference run is
 simulated once, however many figures divide by it), can execute the plan
 across worker processes (``cntcache --jobs N``) and can persist results
-in a content-addressed cache (``--cache-dir``).
+in a content-addressed cache (``--cache-dir``).  A plan is built once per
+process for each ``(size, seed, workload_names())``: ``cntcache all``
+unions the plans up front, and each experiment's own call then reuses
+the same jobs instead of building and hashing them again.
 
 Run them all with ``python -m repro.harness.cli all`` or individually, e.g.
 ``python -m repro.harness.cli f3 --size default``.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 from typing import Callable
 
 from repro.cnfet.corners import cmos_reference_model, scale_to_vdd
@@ -93,6 +97,44 @@ def _engine(engine: ExecEngine | None) -> ExecEngine:
     from repro.api import make_engine
 
     return make_engine()
+
+
+# --------------------------------------------------------------------- #
+# plan memo: each job is built and fingerprinted once per process
+# --------------------------------------------------------------------- #
+@lru_cache(maxsize=1, typed=True)
+def _plans_for(
+    size: str, seed: int, programs: tuple[str, ...]
+) -> dict[str, JobPlan]:
+    """The plans built so far for one ``(size, seed, programs)``.
+
+    ``maxsize=1``: a call with another key drops every plan of the old
+    one, so the memo never holds more than one suite's jobs.  ``typed``
+    keeps ``seed=7.0`` from reusing the plans of ``seed=7`` (it must
+    raise :class:`~repro.exec.JobError` as an unmemoised build does).
+    """
+    return {}
+
+
+def _memoised(
+    plan: Callable[[str, int], JobPlan],
+) -> Callable[[str, int], JobPlan]:
+    """Build ``plan(size, seed)`` once per key; return a fresh dict per call.
+
+    Plans are pure in ``(size, seed, workload_names())``, so ``cntcache
+    all``'s up-front union and each experiment's own call share one set
+    of frozen :class:`SimJob` values and their cached fingerprints.
+    """
+
+    @wraps(plan)
+    def memoised(size: str, seed: int) -> JobPlan:
+        built = _plans_for(size, seed, tuple(workload_names()))
+        jobs = built.get(plan.__name__)
+        if jobs is None:
+            jobs = built[plan.__name__] = plan(size, seed)
+        return dict(jobs)
+
+    return memoised
 
 
 # --------------------------------------------------------------------- #
@@ -233,6 +275,7 @@ def experiment_t4(
 # --------------------------------------------------------------------- #
 # T5: workload characterisation (the standard evaluation-setup table)
 # --------------------------------------------------------------------- #
+@_memoised
 def _plan_t5(size: str, seed: int) -> JobPlan:
     config = CNTCacheConfig(scheme="baseline")
     jobs: JobPlan = {}
@@ -284,6 +327,7 @@ def experiment_t5(
 # --------------------------------------------------------------------- #
 # F3: the main result
 # --------------------------------------------------------------------- #
+@_memoised
 def _plan_f3(size: str, seed: int) -> JobPlan:
     base_config = CNTCacheConfig()
     return {
@@ -347,6 +391,7 @@ def experiment_f3(
 _F4_WINDOWS = (4, 8, 16, 32, 64)
 
 
+@_memoised
 def _plan_f4(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for window in _F4_WINDOWS:
@@ -392,6 +437,7 @@ _F5_MIXED = ("records", "fft", "pointer_chase", "stringsearch", "spmv",
              "matmul")
 
 
+@_memoised
 def _plan_f5(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for partitions in _F5_PARTITIONS:
@@ -449,6 +495,7 @@ def experiment_f5(
 _F6_DELTAS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5)
 
 
+@_memoised
 def _plan_f6(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for delta_t in _F6_DELTAS:
@@ -491,6 +538,7 @@ def experiment_f6(
 # --------------------------------------------------------------------- #
 # F7: energy breakdown
 # --------------------------------------------------------------------- #
+@_memoised
 def _plan_f7(size: str, seed: int) -> JobPlan:
     return {
         (scheme, name): workload_job(
@@ -536,6 +584,7 @@ def experiment_f7(
 # --------------------------------------------------------------------- #
 # F8: oracle gap
 # --------------------------------------------------------------------- #
+@_memoised
 def _plan_f8(size: str, seed: int) -> JobPlan:
     config = CNTCacheConfig()
     jobs: JobPlan = {}
@@ -638,6 +687,7 @@ def _f9_configs(vdd: float) -> dict[str, CNTCacheConfig]:
     }
 
 
+@_memoised
 def _plan_f9(size: str, seed: int) -> JobPlan:
     return {
         (vdd, label): workload_job(config, "records", size, seed)
@@ -676,6 +726,7 @@ def experiment_f9(
 _A1_PERIPHERALS = (0.0, 500.0, 1000.0, 2000.0, 4000.0)
 
 
+@_memoised
 def _plan_a1(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for peripheral in _A1_PERIPHERALS:
@@ -709,6 +760,7 @@ def experiment_a1(
 _A2_FILL_POLICIES = ("neutral", "read-greedy", "write-greedy")
 
 
+@_memoised
 def _plan_a2(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for fill_policy in _A2_FILL_POLICIES:
@@ -738,6 +790,7 @@ def experiment_a2(
 _A3_GRANULARITIES = ("line", "word")
 
 
+@_memoised
 def _plan_a3(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for granularity in _A3_GRANULARITIES:
@@ -772,6 +825,7 @@ def experiment_a3(
 _A4_FIFOS = ((1, 1), (4, 1), (8, 1), (8, 2), (32, 1))
 
 
+@_memoised
 def _plan_a4(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for depth, drain in _A4_FIFOS:
@@ -802,6 +856,7 @@ def experiment_a4(
     )
 
 
+@_memoised
 def _plan_a5(size: str, seed: int) -> JobPlan:
     config = CNTCacheConfig()
     return {
@@ -860,6 +915,7 @@ def experiment_a5(
 _F10_CAPACITIES = (4, 8, 16, 32, 64)
 
 
+@_memoised
 def _plan_f10(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for capacity_kib in _F10_CAPACITIES:
@@ -900,6 +956,7 @@ def experiment_f10(
     )
 
 
+@_memoised
 def _plan_f11(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for name in workload_names():
@@ -956,6 +1013,7 @@ def experiment_f11(
 _A6_SCHEMES = ("invert", "cnt", "cnt-quant", "cnt-shared")
 
 
+@_memoised
 def _plan_a6(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for scheme in _A6_SCHEMES:
@@ -1001,6 +1059,7 @@ def experiment_a6(
 _A7_WRITE_POLICIES = ("wb-wa", "wt-wa", "wt-nwa", "wb-nwa")
 
 
+@_memoised
 def _plan_a7(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for write_policy in _A7_WRITE_POLICIES:
@@ -1034,6 +1093,7 @@ def experiment_a7(
     )
 
 
+@_memoised
 def _plan_a8(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for run_seed in range(seed, seed + 5):
@@ -1076,6 +1136,7 @@ def _a9_models() -> list[tuple[str, object]]:
     ]
 
 
+@_memoised
 def _plan_a9(size: str, seed: int) -> JobPlan:
     jobs: JobPlan = {}
     for label, leakage in _a9_models():
@@ -1170,7 +1231,11 @@ EXPERIMENT_PLANS: dict[str, Callable[[str, int], JobPlan]] = {
 def plan_experiment(
     experiment_id: str, size: str = "small", seed: int = 7
 ) -> list[SimJob]:
-    """The jobs one experiment would need (empty for pure-model tables)."""
+    """The jobs one experiment would need (empty for pure-model tables).
+
+    A new list each call, over jobs built once per process per ``(size,
+    seed, workload_names())``.
+    """
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"

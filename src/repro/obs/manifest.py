@@ -178,7 +178,6 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
     summary = ManifestSummary()
     job_entries: list[dict] = []
     job_counters: dict = {}
-    job_timers: dict = {}
     saw_summary = False
     for entry in entries:
         kind = entry.get("type")
@@ -205,6 +204,12 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
                 )
 
     job_gauges: dict = {}
+    # Times and fJ keep their parts and are summed exactly (math.fsum),
+    # so record (arrival) order cannot change them; counts are ints.
+    wall_parts: list[float] = []
+    queue_parts: list[float] = []
+    kind_wall_parts: dict[str, list[float]] = {}
+    timer_parts: dict[str, list[float]] = {}
     total_parts: list[float] = []
     energy_parts: dict[str, list[float]] = {}
     scheme_parts: dict[str, list[float]] = {}
@@ -213,17 +218,19 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
         accesses = int(_finite(entry.get("accesses", 0)))
         summary.jobs += 1
         summary.accesses += accesses
-        summary.wall_s += wall_s
-        summary.queue_wait_s += _finite(entry.get("queue_wait_s", 0.0))
+        wall_parts.append(wall_s)
+        queue_parts.append(_finite(entry.get("queue_wait_s", 0.0)))
         _merge_numeric(job_counters, entry.get("counters", {}))
-        _merge_numeric(job_timers, entry.get("timers", {}))
+        for name, value in entry.get("timers", {}).items():
+            timer_parts.setdefault(name, []).append(value)
         job_gauges.update(entry.get("gauges", {}))
 
+        kind = entry.get("kind", "?")
         by_kind = summary.by_kind.setdefault(
-            entry.get("kind", "?"), {"jobs": 0, "wall_s": 0.0, "accesses": 0}
+            kind, {"jobs": 0, "wall_s": 0.0, "accesses": 0}
         )
         by_kind["jobs"] += 1
-        by_kind["wall_s"] += wall_s
+        kind_wall_parts.setdefault(kind, []).append(wall_s)
         by_kind["accesses"] += accesses
 
         source = entry.get("source", "?")
@@ -244,8 +251,8 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
             scheme_parts.setdefault(scheme, []).append(total)
             by_scheme["accesses"] += int(_finite(entry.get("accesses", 0)))
 
-    # fJ totals keep their parts and are summed exactly, so record
-    # (arrival) order cannot change them.
+    summary.wall_s = math.fsum(wall_parts)
+    summary.queue_wait_s = math.fsum(queue_parts)
     summary.total_fj = math.fsum(total_parts)
     summary.energy_fj = {
         name: math.fsum(parts) for name, parts in energy_parts.items()
@@ -253,13 +260,15 @@ def summarize(entries: Iterable[dict], top: int = 10) -> ManifestSummary:
 
     if not saw_summary:
         summary.counters = job_counters
-        summary.timers = job_timers
+        summary.timers = {
+            name: math.fsum(parts) for name, parts in timer_parts.items()
+        }
         summary.gauges = job_gauges
 
-    for by_kind in summary.by_kind.values():
+    for kind, by_kind in summary.by_kind.items():
         # A kind whose jobs all resolved instantly (memo/cache hits with
         # zero recorded wall time) must rate as 0, never NaN/inf.
-        wall = by_kind["wall_s"]
+        wall = by_kind["wall_s"] = math.fsum(kind_wall_parts[kind])
         by_kind["accesses_per_s"] = (
             by_kind["accesses"] / wall if wall > 0 else 0.0
         )

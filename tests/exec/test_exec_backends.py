@@ -335,6 +335,36 @@ class TestJanitor:
         assert fresh_corrupt.exists()  # evidence kept until the TTL
         assert engine.counters.corrupt_swept == 0
 
+    def test_one_walk_sweeps_each_class_by_its_own_ttl(self, tmp_path):
+        shard = tmp_path / "ab"
+        shard.mkdir()
+        entry = shard / "ab01.json"
+        old_tmp = shard / "ab02.json.tmp.1"
+        young_tmp = shard / "ab03.json.tmp.2"
+        old_corrupt = shard / "ab04.corrupt"
+        # Past the tmp TTL, not the corrupt one: kept as evidence.
+        young_corrupt = shard / "ab05.corrupt"
+        # Matches both patterns: a tmp file, reaped at the tmp TTL.
+        both = shard / "ab06.json.tmp.3.corrupt"
+        # Not inside a shard directory: neither pattern reaches it.
+        top_level = tmp_path / "top.json.tmp.4"
+        stray = tmp_path / "stray-file"
+        for path in (entry, old_tmp, young_tmp, old_corrupt, young_corrupt,
+                     both, top_level, stray):
+            path.write_text("{")
+        for path in (entry, old_tmp, both, top_level, stray):
+            age(path, STALE_CORRUPT_TTL_S + 60)
+        age(old_corrupt, STALE_CORRUPT_TTL_S + 60)
+        age(young_corrupt, STALE_TMP_TTL_S + 60)
+        counters = EngineCounters()
+        ResultStore(tmp_path, emit=counters.apply).sweep()
+        assert sorted(path.name for path in shard.iterdir()) == [
+            entry.name, young_tmp.name, young_corrupt.name,
+        ]
+        assert top_level.exists() and stray.exists()
+        assert counters.tmp_swept == 2
+        assert counters.corrupt_swept == 1
+
 
     @pytest.mark.parametrize(
         "subdir, name",

@@ -1,7 +1,13 @@
 """SimJob identity: fingerprints, constructors, config normalization."""
 
-import pytest
+import hashlib
+import json
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.cnfet.leakage import LeakageModel
 from repro.core.config import SCHEMES, CNTCacheConfig
 from repro.exec import (
     ENGINE_SCHEMA,
@@ -48,6 +54,41 @@ class TestFingerprint:
         assert description["schema"] == ENGINE_SCHEMA
         assert description["code"] == code_fingerprint()
         assert len(job.fingerprint) == 64
+
+    @given(data=st.data())
+    def test_fingerprint_is_the_sha256_of_the_canonical_json(self, data):
+        config = CNTCacheConfig(
+            scheme=data.draw(st.sampled_from(SCHEMES)),
+            window=data.draw(st.integers(2, 256)),
+            partitions=data.draw(st.sampled_from((1, 2, 4, 8, 16, 32, 64))),
+            delta_t=data.draw(st.floats(0.0, 1.0, exclude_max=True)),
+            peripheral_fj_per_access=data.draw(
+                st.floats(0.0, 1e12, allow_subnormal=True)
+            ),
+            leakage=data.draw(st.sampled_from((None, LeakageModel.cnfet()))),
+        )
+        # Any non-empty name, to cover non-ASCII escaping too.
+        workload = data.draw(st.text(min_size=1))
+        size = data.draw(st.sampled_from(("tiny", "small", "default")))
+        seed = data.draw(st.integers(-(2**70), 2**70))
+        build = data.draw(
+            st.sampled_from(
+                (
+                    lambda: workload_job(config, workload, size, seed),
+                    lambda: oracle_job(config, workload, size, seed),
+                    lambda: l2_job(
+                        config, workload, size, seed,
+                        l1_size=data.draw(st.integers(1, 2**40)),
+                    ),
+                    lambda: trace_job(workload, size, seed),
+                )
+            )
+        )
+        job = build()
+        canonical = json.dumps(
+            job.describe(), sort_keys=True, separators=(",", ":")
+        )
+        assert job.fingerprint == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_l2_params_are_part_of_identity(self):
         config = CNTCacheConfig()

@@ -193,6 +193,27 @@ class TestSummarize:
             (0.6, 0.6, (("data_read_fj", 0.3), ("data_write_fj", 0.3)))
         }
 
+    def test_times_do_not_depend_on_record_order(self):
+        # The same rule for every time: job and per-kind wall time, queue
+        # wait and the job timers that stand in for a missing summary.
+        entries = [
+            dict(
+                job(wall_s=seconds, timers={"sim.record": seconds}),
+                queue_wait_s=seconds,
+            )
+            for seconds in (0.1, 0.2, 0.3)
+        ]
+        summaries = {
+            json.dumps(summarize(order).to_dict(), sort_keys=True)
+            for order in itertools.permutations(entries)
+        }
+        assert len(summaries) == 1
+        (payload,) = map(json.loads, summaries)
+        assert payload["wall_s"] == 0.6
+        assert payload["queue_wait_s"] == 0.6
+        assert payload["by_kind"]["workload"]["wall_s"] == 0.6
+        assert payload["timers"] == {"sim.record": 0.6}
+
     def test_empty_stream_is_all_zeros(self):
         summary = summarize([])
         assert summary.jobs == 0

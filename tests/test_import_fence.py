@@ -137,6 +137,19 @@ class TestFences:
         )
         assert loaded == []
 
+    def test_cli_without_broker_loads_no_broker_or_telemetry(self):
+        loaded = loaded_after(
+            """
+            import contextlib, io
+            import repro.harness.cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert repro.harness.cli.main(["t1"]) == 0
+            """,
+            ("repro.exec.broker", "repro.obs.telemetry", "socket"),
+        )
+        assert loaded == []
+
     def test_importing_the_facade_loads_no_subsystem(self):
         loaded = loaded_after(
             "import repro.api\n",

@@ -17,6 +17,11 @@ The one JSON-lines format, the frame stream that telemetry files and
 run manifests share, is damaged line by line and read by both of its
 readers: the live collector and ``read_manifest``.
 
+A cache entry's ``EnergyStats`` payload is also damaged field by field
+(a bool or float counter, a negative or non-finite energy, an extra or
+missing key): the strict decode must turn each into a counted,
+quarantined skip.
+
 A flipped byte that still decodes to a well-typed value (a digit in an
 energy total, a letter in a label) cannot be caught without a per-record
 digest; adding one would bump every schema, so it is out of scope.  For
@@ -42,6 +47,7 @@ from hypothesis import strategies as st
 
 from repro import records
 from repro.core.config import CNTCacheConfig
+from repro.core.stats import ENERGY_COMPONENTS
 from repro.exec import BrokerConfig, ExecEngine, trace_job, workload_job
 from repro.exec.backends import trace_chunks
 from repro.exec.broker import BrokerStore, chunk_id
@@ -431,6 +437,75 @@ def test_a_chunk_record_that_does_not_hash_to_its_name_is_a_counted_skip(
         assert value == original
     else:
         assert value is SKIPPED and moved == {"exec.broker_skips": 1}
+
+
+#: A job whose cache entry carries ``EnergyStats``.
+STATS_JOB = CHUNK[1]
+
+
+@pytest.fixture(scope="module")
+def stats_entry(tmp_path_factory):
+    """(path relative to a root, bytes) of ``STATS_JOB``'s cache entry."""
+    root = tmp_path_factory.mktemp("stats-entry")
+    ExecEngine(cache_dir=root / "cache").run_job(STATS_JOB)
+    path = ResultStore(root / "cache").path_for(STATS_JOB.fingerprint)
+    assert ResultStore(root / "cache").read(STATS_JOB) is not None
+    return path.relative_to(root), path.read_bytes()
+
+
+def damage_stats(data: Any, stats: dict) -> tuple[str, str | None]:
+    """Damage ``stats`` in place the ways a strict decode must refuse.
+
+    Returns how, and the JSON literal that replaces the ``"@@poison@@"``
+    placeholder (``None`` when the damage is plain JSON).
+    """
+    counters = sorted(set(stats) - set(ENERGY_COMPONENTS) - {"extra"})
+    how = data.draw(
+        st.sampled_from(
+            ["bool counter", "float counter", "negative energy",
+             "non-finite energy", "extra key", "missing key"]
+        ),
+        label="how",
+    )
+    if how == "bool counter":
+        stats[data.draw(st.sampled_from(counters))] = data.draw(st.booleans())
+    elif how == "float counter":
+        name = data.draw(st.sampled_from(counters))
+        stats[name] = data.draw(st.sampled_from([float(stats[name]), 0.5]))
+    elif how == "negative energy":
+        stats[data.draw(st.sampled_from(ENERGY_COMPONENTS))] = -data.draw(
+            st.floats(min_value=5e-324, max_value=1e300)
+        )
+    elif how == "non-finite energy":
+        stats[data.draw(st.sampled_from(ENERGY_COMPONENTS))] = "@@poison@@"
+        return how, data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+    elif how == "extra key":
+        stats[data.draw(st.text(min_size=1).filter(lambda key: key not in stats))] = 0
+    else:
+        del stats[data.draw(st.sampled_from(sorted(stats)))]
+    return how, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_damaged_stats_payload_is_a_counted_skip(stats_entry, data):
+    relative, blob = stats_entry
+    record = json.loads(blob)
+    how, literal = damage_stats(data, record["payload"]["stats"])
+    damaged = json.dumps(record)
+    if literal is not None:
+        damaged = damaged.replace('"@@poison@@"', literal)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / relative
+        path.parent.mkdir(parents=True)
+        path.write_text(damaged, encoding="utf-8")
+        with probe.recording(probe.ObsScope()) as scope:
+            result = ResultStore(root / "cache").read(STATS_JOB)
+        quarantined = len(list(root.rglob("*.corrupt")))
+    assert result is None, how
+    assert dict(scope.counters) == {"exec.cache_corrupt": 1}, how
+    assert quarantined == 1, how
 
 
 def _jsonl_original(name: str, directory: Path) -> Path:
